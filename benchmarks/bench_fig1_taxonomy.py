@@ -9,8 +9,8 @@ every kind on a small network takes (the "cost of the taxonomy").
 
 from __future__ import annotations
 
-from repro.core.taxonomy import Category, global_registry
-from repro.protocols.registry import available_protocols, make_protocol_factory
+from repro.core.taxonomy import PROTOCOLS, Category, protocols_in
+from repro.protocols.registry import make_protocol_factory
 from repro.harness.runner import ExperimentRunner
 from repro.mobility.generator import TrafficDensity
 
@@ -22,7 +22,7 @@ def _instantiate_every_protocol():
     scenario = small_highway(TrafficDensity.SPARSE, max_vehicles=12, duration_s=1.0, flows=0)
     built = runner.build(scenario)
     instances = []
-    for name in available_protocols():
+    for name in PROTOCOLS.names():
         factory = make_protocol_factory(name, road_graph=built.road_graph)
         instances.append(factory(built.vehicle_nodes[0]))
     return instances
@@ -31,9 +31,9 @@ def _instantiate_every_protocol():
 def test_fig1_taxonomy(benchmark):
     """Regenerate Fig. 1: every implemented protocol and its category."""
     instances = run_once(benchmark, _instantiate_every_protocol)
-    assert len(instances) == len(available_protocols())
+    assert len(instances) == len(PROTOCOLS.names())
 
-    rows = global_registry.as_table()
+    rows = sorted(PROTOCOLS.kind_rows(), key=lambda row: row["category"])
     report(
         "fig1_taxonomy",
         rows,
@@ -43,7 +43,7 @@ def test_fig1_taxonomy(benchmark):
 
     # The reproduction covers every category of Fig. 1 with >= 2 protocols.
     for category in Category:
-        members = global_registry.in_category(category)
+        members = protocols_in(category)
         assert len(members) >= 2, f"category {category.value} under-populated"
     # And every registered protocol can actually be constructed.
-    assert {type(p).protocol_name for p in instances} == set(available_protocols())
+    assert {type(p).protocol_name for p in instances} == set(PROTOCOLS.names())

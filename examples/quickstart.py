@@ -17,14 +17,14 @@ import sys
 from repro.harness import ExperimentRunner, format_table
 from repro.harness.scenario import FlowSpec, highway_scenario
 from repro.mobility.generator import TrafficDensity
-from repro.protocols.registry import available_protocols
+from repro.protocols import PROTOCOLS
 
 
 def main() -> None:
     protocol = sys.argv[1] if len(sys.argv) > 1 else "AODV"
-    if protocol not in available_protocols():
+    if protocol not in PROTOCOLS.kinds:
         raise SystemExit(
-            f"unknown protocol {protocol!r}; choose one of: {', '.join(available_protocols())}"
+            f"unknown protocol {protocol!r}; choose one of: {', '.join(PROTOCOLS.names())}"
         )
 
     scenario = highway_scenario(

@@ -18,21 +18,13 @@ also runnable as ``python -m repro.cli``.  Subcommands:
 ``store``
     Inspect an experiment-store directory: ``list`` its records,
     ``summary`` the aggregates + manifest, or ``verify`` its integrity.
-``protocols``
-    List the implemented protocols and their taxonomy categories.
-``list-scenarios``
-    List the registered scenario kinds and named presets.
-``list-workloads``
-    List the registered workload kinds and named presets.
-``list-radios``
-    List the registered radio kinds and named radio-stack presets.
-``list-monitors``
-    List the registered monitor kinds and named presets.
+``list <kind>``
+    Print one registry's catalogue: ``protocols`` (with their taxonomy
+    categories), ``scenarios``, ``workloads``, ``radios``, ``monitors`` or
+    ``lint-rules`` -- the registered kinds and their named presets.
 ``lint``
     Run the determinism / registry-contract static analysis over a source
     tree (default: the installed ``repro`` package).
-``list-lint-rules``
-    List the registered lint rules with their rationale.
 
 Scenarios are selected either by ``--scenario`` (a preset name such as
 ``city-grid-2km-sparse``, a registered kind, or ``trace:<path>`` for FCD
@@ -43,7 +35,7 @@ channel by ``--radio`` (a radio kind such as ``nakagami`` or a preset such
 as ``dsrc-urban-nlos``; the default is ``ideal-disk-250m``).  The ``sweep``
 subcommand accepts several workloads and several radios as extra matrix
 axes.  Observability probes attach with ``--monitor`` (a fixed set per run,
-never a matrix axis; see ``list-monitors``) and stream JSONL telemetry to
+never a matrix axis; see ``list monitors``) and stream JSONL telemetry to
 ``--telemetry FILE``.
 """
 
@@ -52,10 +44,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.taxonomy import global_registry
-from repro.devtools.registry import rule_rows
+from repro.core.taxonomy import PROTOCOLS
+from repro.devtools.registry import LINT_RULES
 from repro.devtools.lint import run_lint
 from repro.devtools.reporters import REPORTERS
 from repro.harness.reporting import (
@@ -66,36 +59,15 @@ from repro.harness.reporting import (
 )
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scenario import DEFAULT_FLOW_COUNT, FlowSpec, Scenario
-from repro.harness.scenarios import (
-    available_scenario_kinds,
-    kind_rows,
-    preset_rows,
-    scenario_from_name,
-)
+from repro.harness.scenarios import SCENARIOS, scenario_from_name
 from repro.harness.sweep import HEADLINE_METRICS, sweep_protocols, sweep_replications
 from repro.mobility.generator import TrafficDensity
-from repro.monitors import (
-    JsonlFileSink,
-    available_monitor_presets,
-    available_monitors,
-    monitor_preset_rows,
-    monitor_rows,
-)
-from repro.protocols.registry import available_protocols
-from repro.radio.registry import (
-    available_radio_presets,
-    available_radios,
-    radio_preset_rows,
-    radio_rows,
-)
+from repro.monitors import MONITORS, JsonlFileSink
+from repro.radio.registry import RADIOS
+from repro.registry import Registry
 from repro.sim.spatial import SPATIAL_BACKENDS
 from repro.store.store import ExperimentStore, read_record_log
-from repro.workloads import (
-    available_workload_presets,
-    available_workloads,
-    workload_preset_rows,
-    workload_rows,
-)
+from repro.workloads import WORKLOADS
 
 #: Columns shown by the ``run`` and ``compare`` subcommands.
 SUMMARY_COLUMNS = [
@@ -164,7 +136,7 @@ def _build_scenario(args: argparse.Namespace) -> Scenario:
         explicit["monitor_params"] = {}
 
     spec = getattr(args, "scenario", None)
-    if spec and spec not in available_scenario_kinds():
+    if spec and spec not in SCENARIOS.kinds:
         scenario = scenario_from_name(spec, **explicit)
     else:
         kind = spec if spec else args.kind
@@ -208,10 +180,10 @@ def _add_scenario_arguments(
     parser.add_argument(
         "--scenario", type=str, default=None, metavar="NAME",
         help="scenario preset, registered kind, or trace:<path> "
-             "(see 'list-scenarios'; overrides --kind)",
+             "(see 'list scenarios'; overrides --kind)",
     )
     parser.add_argument(
-        "--kind", choices=available_scenario_kinds(), default="highway",
+        "--kind", choices=SCENARIOS.names(), default="highway",
         help="mobility scenario kind (default: highway)",
     )
     parser.add_argument(
@@ -227,12 +199,12 @@ def _add_scenario_arguments(
         parser.add_argument(
             "--workload", type=str, nargs="+", default=None, metavar="NAME",
             help="workload kinds/presets swept as a matrix axis "
-                 "(default: the scenario's own, cbr; see 'list-workloads')",
+                 "(default: the scenario's own, cbr; see 'list workloads')",
         )
         parser.add_argument(
             "--radio", type=str, nargs="+", default=None, metavar="NAME",
             help="radio kinds/presets swept as a matrix axis "
-                 "(default: the scenario's own, ideal-disk-250m; see 'list-radios')",
+                 "(default: the scenario's own, ideal-disk-250m; see 'list radios')",
         )
         parser.add_argument(
             "--spatial-backend", choices=SPATIAL_BACKENDS, nargs="+",
@@ -243,12 +215,12 @@ def _add_scenario_arguments(
     else:
         parser.add_argument(
             "--workload", type=str, default=None, metavar="NAME",
-            help="traffic workload kind or preset (default: cbr; see 'list-workloads')",
+            help="traffic workload kind or preset (default: cbr; see 'list workloads')",
         )
         parser.add_argument(
             "--radio", type=str, default=None, metavar="NAME",
             help="radio stack kind or preset "
-                 "(default: ideal-disk-250m; see 'list-radios')",
+                 "(default: ideal-disk-250m; see 'list radios')",
         )
         parser.add_argument(
             "--spatial-backend", choices=SPATIAL_BACKENDS, default=None,
@@ -283,7 +255,7 @@ def _add_scenario_arguments(
     parser.add_argument(
         "--monitor", type=str, nargs="+", default=None, metavar="NAME",
         help="observability monitors/probes attached to every run -- a fixed "
-             "set, not a matrix axis (see 'list-monitors')",
+             "set, not a matrix axis (see 'list monitors')",
     )
     parser.add_argument(
         "--telemetry", type=str, default=None, metavar="FILE",
@@ -299,44 +271,23 @@ def _result_row(result) -> dict:
     return row
 
 
-def _check_names(
-    label: str, names: Sequence[str], kinds: Sequence[str], presets: Sequence[str]
-) -> bool:
+def _check_names(registry: Registry[Any], names: Sequence[str]) -> bool:
     """Validate registry names up front; print the failure and return False.
 
-    Scenario workloads/radios are otherwise resolved inside the runner
-    (possibly in a worker process), where an unknown name would surface as a
-    raw traceback instead of a usage error.
+    Scenario workloads/radios/monitors are otherwise resolved inside the
+    runner (possibly in a worker process), where an unknown name would
+    surface as a raw traceback instead of a usage error.
     """
-    known = set(kinds) | set(presets)
-    unknown = [name for name in names if name not in known]
+    unknown = [name for name in names if name not in registry]
     if unknown:
-        print(f"unknown {label}(s): {', '.join(unknown)}", file=sys.stderr)
+        print(f"unknown {registry.label}(s): {', '.join(unknown)}", file=sys.stderr)
         print(
-            f"available kinds: {', '.join(kinds)}; presets: {', '.join(presets)}",
+            f"available kinds: {', '.join(registry.names())}; "
+            f"presets: {', '.join(registry.preset_names())}",
             file=sys.stderr,
         )
         return False
     return True
-
-
-def _check_workloads(names: Sequence[str]) -> bool:
-    """Up-front workload-name validation (see :func:`_check_names`)."""
-    return _check_names(
-        "workload", names, available_workloads(), available_workload_presets()
-    )
-
-
-def _check_radios(names: Sequence[str]) -> bool:
-    """Up-front radio-name validation (see :func:`_check_names`)."""
-    return _check_names("radio", names, available_radios(), available_radio_presets())
-
-
-def _check_monitors(names: Sequence[str]) -> bool:
-    """Up-front monitor-name validation (see :func:`_check_names`)."""
-    return _check_names(
-        "monitor", names, available_monitors(), available_monitor_presets()
-    )
 
 
 def _check_telemetry(args: argparse.Namespace, scenario: Scenario) -> bool:
@@ -360,18 +311,18 @@ def _resolve_scenario(args: argparse.Namespace) -> Optional[Scenario]:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    if args.protocol not in available_protocols():
+    if args.protocol not in PROTOCOLS.kinds:
         print(f"unknown protocol {args.protocol!r}", file=sys.stderr)
-        print(f"available: {', '.join(available_protocols())}", file=sys.stderr)
+        print(f"available: {', '.join(PROTOCOLS.names())}", file=sys.stderr)
         return 2
     scenario = _resolve_scenario(args)
     if scenario is None:
         return 2
-    if not _check_workloads([scenario.workload]):
+    if not _check_names(WORKLOADS, [scenario.workload]):
         return 2
-    if scenario.radio_stack and not _check_radios([scenario.radio_stack]):
+    if scenario.radio_stack and not _check_names(RADIOS, [scenario.radio_stack]):
         return 2
-    if scenario.monitors and not _check_monitors(list(scenario.monitors)):
+    if scenario.monitors and not _check_names(MONITORS, list(scenario.monitors)):
         return 2
     if not _check_telemetry(args, scenario):
         return 2
@@ -412,18 +363,18 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_compare(args: argparse.Namespace) -> int:
-    unknown = [p for p in args.protocols if p not in available_protocols()]
+    unknown = [p for p in args.protocols if p not in PROTOCOLS.kinds]
     if unknown:
         print(f"unknown protocol(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
     scenario = _resolve_scenario(args)
     if scenario is None:
         return 2
-    if not _check_workloads([scenario.workload]):
+    if not _check_names(WORKLOADS, [scenario.workload]):
         return 2
-    if scenario.radio_stack and not _check_radios([scenario.radio_stack]):
+    if scenario.radio_stack and not _check_names(RADIOS, [scenario.radio_stack]):
         return 2
-    if scenario.monitors and not _check_monitors(list(scenario.monitors)):
+    if scenario.monitors and not _check_names(MONITORS, list(scenario.monitors)):
         return 2
     if not _check_telemetry(args, scenario):
         return 2
@@ -448,7 +399,7 @@ def _command_compare(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    unknown = [p for p in args.protocols if p not in available_protocols()]
+    unknown = [p for p in args.protocols if p not in PROTOCOLS.kinds]
     if unknown:
         print(f"unknown protocol(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
@@ -456,17 +407,17 @@ def _command_sweep(args: argparse.Namespace) -> int:
     if scenario is None:
         return 2
     workloads = args.workload if args.workload else None
-    if not _check_workloads(workloads if workloads else [scenario.workload]):
+    if not _check_names(WORKLOADS, workloads if workloads else [scenario.workload]):
         return 2
     radios = args.radio if args.radio else None
     if radios:
-        if not _check_radios(radios):
+        if not _check_names(RADIOS, radios):
             return 2
-    elif scenario.radio_stack and not _check_radios([scenario.radio_stack]):
+    elif scenario.radio_stack and not _check_names(RADIOS, [scenario.radio_stack]):
         return 2
     spatial_backends = args.spatial_backend if args.spatial_backend else None
     monitors = args.monitor if args.monitor else None
-    if monitors and not _check_monitors(monitors):
+    if monitors and not _check_names(MONITORS, monitors):
         return 2
     if not _check_telemetry(args, scenario):
         return 2
@@ -567,99 +518,90 @@ def _command_store(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _command_protocols(_: argparse.Namespace) -> int:
-    rows = global_registry.as_table()
-    print(format_table(rows, columns=["category", "protocol", "reference", "description"]))
-    return 0
+@dataclass(frozen=True)
+class _Listing:
+    """How ``list <kind>`` renders one registry's catalogue."""
+
+    registry: Registry[Any]
+    kind_columns: List[str]
+    kind_title: Optional[str] = None
+    preset_columns: Optional[List[str]] = None
+    preset_title: Optional[str] = None
+    footer: Optional[str] = None
+    #: Stable re-sort of the kind rows by this column (Fig. 1 groups by category).
+    group_by: Optional[str] = None
 
 
-def _command_list_scenarios(_: argparse.Namespace) -> int:
-    print(format_table(kind_rows(), columns=["kind", "description"], title="Scenario kinds"))
-    print()
-    print(
-        format_table(
-            preset_rows(),
-            columns=["preset", "kind", "density", "description"],
-            title="Scenario presets",
-        )
-    )
-    print()
-    print("Any FCD trace file is also a scenario: --scenario trace:<path>")
-    return 0
-
-
-def _command_list_workloads(_: argparse.Namespace) -> int:
-    print(
-        format_table(
-            workload_rows(), columns=["workload", "description"], title="Workload kinds"
-        )
-    )
-    print()
-    print(
-        format_table(
-            workload_preset_rows(),
-            columns=["preset", "workload", "description"],
-            title="Workload presets",
-        )
-    )
-    print()
-    print("Select traffic with --workload; 'sweep' accepts several as a matrix axis.")
-    return 0
-
-
-def _command_list_monitors(_: argparse.Namespace) -> int:
-    print(
-        format_table(
-            monitor_rows(), columns=["monitor", "description"], title="Monitor kinds"
-        )
-    )
-    print()
-    print(
-        format_table(
-            monitor_preset_rows(),
-            columns=["preset", "monitor", "description"],
-            title="Monitor presets",
-        )
-    )
-    print()
-    print(
+LISTINGS: Dict[str, _Listing] = {
+    "protocols": _Listing(
+        PROTOCOLS, ["category", "protocol", "reference", "description"], group_by="category"
+    ),
+    "scenarios": _Listing(
+        SCENARIOS,
+        ["kind", "description"],
+        "Scenario kinds",
+        ["preset", "kind", "density", "description"],
+        "Scenario presets",
+        "Any FCD trace file is also a scenario: --scenario trace:<path>",
+    ),
+    "workloads": _Listing(
+        WORKLOADS,
+        ["workload", "description"],
+        "Workload kinds",
+        ["preset", "workload", "description"],
+        "Workload presets",
+        "Select traffic with --workload; 'sweep' accepts several as a matrix axis.",
+    ),
+    "radios": _Listing(
+        RADIOS,
+        ["radio", "description"],
+        "Radio kinds",
+        ["preset", "kind", "nominal_range_m", "description"],
+        "Radio presets",
+        "Select the channel with --radio; 'sweep' accepts several as a matrix axis.",
+    ),
+    "monitors": _Listing(
+        MONITORS,
+        ["monitor", "description"],
+        "Monitor kinds",
+        ["preset", "monitor", "description"],
+        "Monitor presets",
         "Attach probes with --monitor (a fixed set per run, never a matrix "
-        "axis); add --telemetry FILE for streaming JSONL."
-    )
-    return 0
+        "axis); add --telemetry FILE for streaming JSONL.",
+    ),
+    "lint-rules": _Listing(
+        LINT_RULES,
+        ["rule", "severity", "rationale"],
+        "Lint rules",
+        footer="Run them with 'repro-vanet lint' (or 'python -m repro.devtools.lint'); "
+        "suppress one finding with '# repro-lint: ok <RULE-ID> -- <reason>'.",
+    ),
+}
 
 
-def _command_list_radios(_: argparse.Namespace) -> int:
-    print(format_table(radio_rows(), columns=["radio", "description"], title="Radio kinds"))
-    print()
-    print(
-        format_table(
-            radio_preset_rows(),
-            columns=["preset", "kind", "nominal_range_m", "description"],
-            title="Radio presets",
+def _command_list(args: argparse.Namespace) -> int:
+    listing = LISTINGS[args.kind]
+    rows = listing.registry.kind_rows()
+    if listing.group_by is not None:
+        rows.sort(key=lambda row: row[listing.group_by])
+    print(format_table(rows, columns=listing.kind_columns, title=listing.kind_title))
+    if listing.preset_columns is not None:
+        print()
+        print(
+            format_table(
+                listing.registry.preset_rows(),
+                columns=listing.preset_columns,
+                title=listing.preset_title,
+            )
         )
-    )
-    print()
-    print("Select the channel with --radio; 'sweep' accepts several as a matrix axis.")
+    if listing.footer is not None:
+        print()
+        print(listing.footer)
     return 0
 
 
 def _command_lint(args: argparse.Namespace) -> int:
     return run_lint(args.paths, output_format=args.format, select=args.select)
-
-
-def _command_list_lint_rules(_: argparse.Namespace) -> int:
-    print(
-        format_table(
-            rule_rows(), columns=["rule", "severity", "rationale"], title="Lint rules"
-        )
-    )
-    print()
-    print(
-        "Run them with 'repro-vanet lint' (or 'python -m repro.devtools.lint'); "
-        "suppress one finding with '# repro-lint: ok <RULE-ID> -- <reason>'."
-    )
-    return 0
 
 
 def _env_workers() -> int:
@@ -688,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     run_parser = subparsers.add_parser("run", help="run one protocol through one scenario")
-    run_parser.add_argument("protocol", help="protocol name (see the 'protocols' subcommand)")
+    run_parser.add_argument("protocol", help="protocol name (see 'list protocols')")
     _add_scenario_arguments(run_parser)
     run_parser.add_argument(
         "--profile", nargs="?", const="-", default=None, metavar="FILE",
@@ -759,28 +701,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_parser.set_defaults(func=_command_store)
 
-    protocols_parser = subparsers.add_parser("protocols", help="list implemented protocols")
-    protocols_parser.set_defaults(func=_command_protocols)
-
-    scenarios_parser = subparsers.add_parser(
-        "list-scenarios", help="list registered scenario kinds and named presets"
+    list_parser = subparsers.add_parser(
+        "list", help="list one registry's kinds and named presets"
     )
-    scenarios_parser.set_defaults(func=_command_list_scenarios)
-
-    workloads_parser = subparsers.add_parser(
-        "list-workloads", help="list registered workload kinds and named presets"
-    )
-    workloads_parser.set_defaults(func=_command_list_workloads)
-
-    monitors_parser = subparsers.add_parser(
-        "list-monitors", help="list registered monitor kinds and named presets"
-    )
-    monitors_parser.set_defaults(func=_command_list_monitors)
-
-    radios_parser = subparsers.add_parser(
-        "list-radios", help="list registered radio kinds and named presets"
-    )
-    radios_parser.set_defaults(func=_command_list_radios)
+    list_parser.add_argument("kind", choices=list(LISTINGS), help="which registry to list")
+    list_parser.set_defaults(func=_command_list)
 
     lint_parser = subparsers.add_parser(
         "lint", help="run the determinism/registry static analysis over a source tree"
@@ -799,10 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_parser.set_defaults(func=_command_lint)
 
-    lint_rules_parser = subparsers.add_parser(
-        "list-lint-rules", help="list registered lint rules and their rationale"
-    )
-    lint_rules_parser.set_defaults(func=_command_list_lint_rules)
     return parser
 
 

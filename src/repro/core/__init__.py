@@ -37,10 +37,9 @@ from repro.core.stability import (
     link_alive_probability,
 )
 from repro.core.taxonomy import (
+    PROTOCOLS,
     Category,
-    ProtocolInfo,
-    TaxonomyRegistry,
-    global_registry,
+    protocols_in,
     register_protocol,
 )
 
@@ -68,8 +67,7 @@ __all__ = [
     "NormalHeadwayModel",
     "link_alive_probability",
     "Category",
-    "ProtocolInfo",
-    "TaxonomyRegistry",
-    "global_registry",
+    "PROTOCOLS",
+    "protocols_in",
     "register_protocol",
 ]

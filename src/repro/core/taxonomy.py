@@ -1,17 +1,18 @@
 """The five-category taxonomy of VANET routing protocols (paper Fig. 1).
 
 Every protocol implementation in :mod:`repro.protocols` registers itself in
-the global :class:`TaxonomyRegistry` with its category, so the registry can
-regenerate Fig. 1 (which protocol belongs to which category) and the
-benchmarks can iterate "one representative per category" without hard-coding
-class lists.
+:data:`PROTOCOLS` with its category via :func:`register_protocol`, so the
+registry can regenerate Fig. 1 (which protocol belongs to which category)
+and the benchmarks can iterate "one representative per category" without
+hard-coding class lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Type
+from typing import Callable, List, TypeVar
+
+from repro.registry import Registry, Row
 
 
 class Category(Enum):
@@ -50,101 +51,45 @@ class Category(Enum):
         }[self]
 
 
-@dataclass(frozen=True)
-class ProtocolInfo:
-    """Registry entry for one protocol implementation."""
-
-    name: str
-    category: Category
-    description: str
-    paper_reference: str = ""
-    protocol_class: Optional[type] = None
+def _taxonomy_columns(cls: type) -> Row:
+    return {
+        "category": cls.category.value,
+        "reference": cls.paper_reference,
+        "description": cls.description,
+    }
 
 
-class TaxonomyRegistry:
-    """Registry mapping protocol names to their taxonomy entries."""
+#: Protocol name -> implementing class, filled by ``@register_protocol``
+#: when :mod:`repro.protocols` is imported.
+PROTOCOLS: Registry[type] = Registry(
+    "protocol", name_attr="protocol_name", kind_columns=_taxonomy_columns
+)
 
-    def __init__(self) -> None:
-        self._by_name: Dict[str, ProtocolInfo] = {}
-
-    def register(self, info: ProtocolInfo) -> None:
-        """Add (or replace) a protocol entry."""
-        self._by_name[info.name] = info
-
-    def get(self, name: str) -> ProtocolInfo:
-        """Look up a protocol by name."""
-        return self._by_name[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def __len__(self) -> int:
-        return len(self._by_name)
-
-    @property
-    def protocols(self) -> List[ProtocolInfo]:
-        """All registered protocols, sorted by (category, name)."""
-        return sorted(self._by_name.values(), key=lambda p: (p.category.value, p.name))
-
-    def in_category(self, category: Category) -> List[ProtocolInfo]:
-        """All protocols registered under ``category``."""
-        return [info for info in self.protocols if info.category is category]
-
-    def categories_covered(self) -> List[Category]:
-        """Categories that have at least one registered protocol."""
-        present = {info.category for info in self._by_name.values()}
-        return [category for category in Category if category in present]
-
-    def category_of(self, name: str) -> Category:
-        """Category of a protocol name."""
-        return self._by_name[name].category
-
-    def as_table(self) -> List[Dict[str, str]]:
-        """Rows suitable for printing the Fig. 1 taxonomy."""
-        return [
-            {
-                "category": info.category.value,
-                "protocol": info.name,
-                "description": info.description,
-                "reference": info.paper_reference,
-            }
-            for info in self.protocols
-        ]
-
-
-#: The process-wide registry that ``@register_protocol`` populates.
-global_registry = TaxonomyRegistry()
+C = TypeVar("C", bound=type)
 
 
 def register_protocol(
-    name: str,
-    category: Category,
-    description: str,
-    paper_reference: str = "",
-    registry: Optional[TaxonomyRegistry] = None,
-):
+    name: str, category: Category, description: str, paper_reference: str = ""
+) -> Callable[[C], C]:
     """Class decorator registering a protocol implementation in the taxonomy.
 
-    Usage::
+    Stamps ``category``, ``description`` and ``paper_reference`` on the
+    class and registers it in :data:`PROTOCOLS` under ``name``.  Usage::
 
         @register_protocol("AODV", Category.CONNECTIVITY, "on-demand distance vector", "[6]")
         class AodvProtocol(RoutingProtocol):
             ...
     """
 
-    target_registry = registry if registry is not None else global_registry
-
-    def decorator(cls: Type) -> Type:
-        info = ProtocolInfo(
-            name=name,
-            category=category,
-            description=description,
-            paper_reference=paper_reference,
-            protocol_class=cls,
-        )
-        target_registry.register(info)
-        cls.protocol_name = name
+    def decorator(cls: C) -> C:
         cls.category = category
-        return cls
+        cls.description = description
+        cls.paper_reference = paper_reference
+        return PROTOCOLS.register(name)(cls)
 
     return decorator
+
+
+def protocols_in(category: Category) -> List[str]:
+    """Names of the registered protocols in ``category``, sorted."""
+    return [name for name in PROTOCOLS.names() if PROTOCOLS[name].category is category]

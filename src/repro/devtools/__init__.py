@@ -10,8 +10,8 @@ were tribal knowledge enforced by regression tests after the fact; this
 package makes them machine-checked at authoring time.
 
 The linter is an AST pass over plain source text (stdlib :mod:`ast`, no
-third-party dependencies) with a pluggable rule registry mirroring the
-protocol / scenario / workload / radio registries:
+third-party dependencies) with a pluggable rule registry
+(:data:`~repro.devtools.registry.LINT_RULES`):
 
 >>> from repro.devtools import lint_paths
 >>> report = lint_paths(["src/repro"])
@@ -19,7 +19,7 @@ protocol / scenario / workload / radio registries:
 True
 
 Run it from the command line as ``python -m repro.devtools.lint src/repro``
-or via the CLI verbs ``repro-vanet lint`` / ``repro-vanet list-lint-rules``.
+or via the CLI verbs ``repro-vanet lint`` / ``repro-vanet list lint-rules``.
 Violations that are genuinely inert are suppressed per line with a
 justified pragma::
 
@@ -33,13 +33,7 @@ from __future__ import annotations
 from repro.devtools.base import LintRule, ParsedModule, ProjectContext
 from repro.devtools.engine import LintReport, lint_paths, lint_sources
 from repro.devtools.findings import SEVERITY_ERROR, SEVERITY_WARNING, Finding
-from repro.devtools.registry import (
-    LINT_RULES,
-    available_lint_rules,
-    register_lint_rule,
-    rule_rows,
-    unregister_lint_rule,
-)
+from repro.devtools.registry import LINT_RULES
 
 __all__ = [
     "Finding",
@@ -50,10 +44,6 @@ __all__ = [
     "ProjectContext",
     "SEVERITY_ERROR",
     "SEVERITY_WARNING",
-    "available_lint_rules",
     "lint_paths",
     "lint_sources",
-    "register_lint_rule",
-    "rule_rows",
-    "unregister_lint_rule",
 ]

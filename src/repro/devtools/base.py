@@ -1,9 +1,9 @@
 """Rule base class and the parsed-module / project contexts rules see.
 
-Mirrors the shape of :mod:`repro.workloads.base`: the abstract contract
-lives here, the string-keyed registry in :mod:`repro.devtools.registry`,
-and the concrete rules under :mod:`repro.devtools.rules` register
-themselves with the ``@register_lint_rule`` decorator.
+The abstract contract lives here, the registry in
+:mod:`repro.devtools.registry`, and the concrete rules under
+:mod:`repro.devtools.rules` register themselves with
+``@LINT_RULES.register``.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class LintRule:
     """A single lint rule.
 
     Subclasses set the class attributes, register via
-    ``@register_lint_rule("<ID>")`` (which stamps ``rule_id``), and
+    ``@LINT_RULES.register("<ID>")`` (which stamps ``rule_id``), and
     implement :meth:`check_module` for per-file checks and/or
     :meth:`check_project` for cross-file checks.  ``rationale`` is the
     one-line catalogue entry; ``historical_bug`` names the real bug in this

@@ -25,7 +25,7 @@ from repro.devtools.astutils import ImportMap
 from repro.devtools.base import LintRule, ParsedModule, ProjectContext
 from repro.devtools.findings import SEVERITY_ERROR, SEVERITY_WARNING, Finding
 from repro.devtools.pragmas import extract_pragmas
-from repro.devtools.registry import LINT_RULES, available_lint_rules
+from repro.devtools.registry import LINT_RULES
 
 #: Rule id the engine uses for malformed pragmas (see rules/meta.py).
 MALFORMED_PRAGMA_RULE = "LINT-001"
@@ -121,14 +121,14 @@ def _parse(path: str, relpath: str, text: str) -> "ParsedModule | Finding":
 
 def _instantiate_rules(select: Optional[Iterable[str]]) -> List[LintRule]:
     if select is None:
-        chosen = available_lint_rules()
+        chosen = LINT_RULES.names()
     else:
         chosen = sorted(set(select))
-        unknown = [rule_id for rule_id in chosen if rule_id not in LINT_RULES]
+        unknown = [rule_id for rule_id in chosen if rule_id not in LINT_RULES.kinds]
         if unknown:
             raise KeyError(
                 f"unknown lint rule(s): {', '.join(unknown)}; "
-                f"registered: {', '.join(available_lint_rules())}"
+                f"registered: {', '.join(LINT_RULES.names())}"
             )
     return [LINT_RULES[rule_id]() for rule_id in chosen]
 
@@ -151,7 +151,7 @@ def _run(
         raw.extend(rule.check_project(project))
 
     kept: List[Finding] = []
-    known_ids = available_lint_rules()
+    known_ids = LINT_RULES.names()
     for module in modules:
         pragmas, pragma_errors = extract_pragmas(module.text, known_ids)
         if MALFORMED_PRAGMA_RULE in selected_ids:

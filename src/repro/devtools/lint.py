@@ -29,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.devtools.lint",
         description=(
             "Determinism & registry-contract static analysis over repro "
-            "source trees (see 'repro-vanet list-lint-rules' for the rule "
+            "source trees (see 'repro-vanet list lint-rules' for the rule "
             "catalogue)."
         ),
     )

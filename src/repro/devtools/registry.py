@@ -1,69 +1,42 @@
-"""String-keyed registry of lint rules.
+"""The lint-rule registry.
 
-The fifth registry of the codebase, mirroring
-:mod:`repro.protocols.registry`, :mod:`repro.harness.scenarios`,
-:mod:`repro.workloads.registry` and :mod:`repro.radio.registry`: adding a
-lint rule is a registry entry (a :class:`~repro.devtools.base.LintRule`
-subclass plus a ``@register_lint_rule("<ID>")`` decoration), not a change
-to the engine.  ``repro-vanet list-lint-rules`` renders :func:`rule_rows`
-the same way ``list-scenarios`` / ``list-radios`` render theirs.
+Adding a lint rule is a registry entry (a
+:class:`~repro.devtools.base.LintRule` subclass plus a
+``@LINT_RULES.register("<ID>")`` decoration), not a change to the engine.
+``repro-vanet list lint-rules`` renders the catalogue.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, List, Type
+from typing import Type
 
 from repro.devtools.base import LintRule
 from repro.devtools.findings import SEVERITIES
-
-#: rule id -> rule class, for every registered rule.
-LINT_RULES: Dict[str, Type[LintRule]] = {}
+from repro.registry import Registry, Row
 
 _RULE_ID_RE = re.compile(r"^[A-Z]{2,8}-\d{3}$")
 
 
-def register_lint_rule(rule_id: str) -> Callable[[Type[LintRule]], Type[LintRule]]:
-    """Class decorator registering a :class:`LintRule` subclass under ``rule_id``."""
+def _validate(rule_id: str, cls: Type[LintRule]) -> None:
     if _RULE_ID_RE.match(rule_id) is None:
         raise ValueError(
             f"lint rule id {rule_id!r} must match <LETTERS>-<3 digits>, e.g. RNG-001"
         )
-
-    def decorator(cls: Type[LintRule]) -> Type[LintRule]:
-        if rule_id in LINT_RULES:
-            raise ValueError(f"lint rule {rule_id!r} is already registered")
-        if cls.severity not in SEVERITIES:
-            raise ValueError(
-                f"lint rule {rule_id!r} has unknown severity {cls.severity!r}"
-            )
-        cls.rule_id = rule_id
-        LINT_RULES[rule_id] = cls
-        return cls
-
-    return decorator
+    if cls.severity not in SEVERITIES:
+        raise ValueError(f"lint rule {rule_id!r} has unknown severity {cls.severity!r}")
 
 
-def unregister_lint_rule(rule_id: str) -> None:
-    """Remove a registered rule (plug-in teardown / tests)."""
-    LINT_RULES.pop(rule_id, None)
+def _rule_columns(cls: Type[LintRule]) -> Row:
+    return {"severity": cls.severity, "rationale": cls.rationale}
 
 
-def available_lint_rules() -> List[str]:
-    """Ids of all registered rules, sorted."""
-    return sorted(LINT_RULES)
+LINT_RULES: Registry[Type[LintRule]] = Registry(
+    "lint rule",
+    column="rule",
+    name_attr="rule_id",
+    validate=_validate,
+    kind_columns=_rule_columns,
+)
 
-
-def rule_rows() -> List[Dict[str, str]]:
-    """One report row per registered rule (for ``list-lint-rules``)."""
-    rows: List[Dict[str, str]] = []
-    for rule_id in available_lint_rules():
-        cls = LINT_RULES[rule_id]
-        rows.append(
-            {
-                "rule": rule_id,
-                "severity": cls.severity,
-                "rationale": cls.rationale,
-            }
-        )
-    return rows
+__all__ = ["LINT_RULES"]

@@ -20,7 +20,7 @@ from typing import Iterator
 from repro.devtools.astutils import dotted_name
 from repro.devtools.base import LintRule, ParsedModule
 from repro.devtools.findings import SEVERITY_ERROR, Finding
-from repro.devtools.registry import register_lint_rule
+from repro.devtools.registry import LINT_RULES
 
 #: The module that owns the canonical scalar dBm<->mW helpers.
 CONVERSION_HELPER_MODULE = "radio/interference.py"
@@ -33,7 +33,7 @@ def _is_ten(node: ast.expr) -> bool:
     return isinstance(node, ast.Constant) and node.value in (10, 10.0)
 
 
-@register_lint_rule("BITX-001")
+@LINT_RULES.register("BITX-001")
 class BitExactConversionRule(LintRule):
     """``np.power`` / ``np.log10`` / inline ``10 ** (x / 10)`` conversions."""
 

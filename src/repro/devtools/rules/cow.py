@@ -17,7 +17,7 @@ from typing import Iterator
 
 from repro.devtools.base import LintRule, ParsedModule
 from repro.devtools.findings import SEVERITY_ERROR, Finding
-from repro.devtools.registry import register_lint_rule
+from repro.devtools.registry import LINT_RULES
 
 #: The one module whose delivery path this rule polices.
 MEDIUM_MODULE = "sim/medium.py"
@@ -39,7 +39,7 @@ def _is_packet_expr(node: ast.expr) -> bool:
     return False
 
 
-@register_lint_rule("COW-001")
+@LINT_RULES.register("COW-001")
 class CowDeliverySeamRule(LintRule):
     """``packet.copy()`` in the medium outside ``_deliverable_frame``."""
 

@@ -25,7 +25,7 @@ from typing import FrozenSet, Iterator, Tuple
 from repro.devtools.astutils import dotted_name
 from repro.devtools.base import LintRule, ParsedModule
 from repro.devtools.findings import SEVERITY_ERROR, SEVERITY_WARNING, Finding
-from repro.devtools.registry import register_lint_rule
+from repro.devtools.registry import LINT_RULES
 
 #: The deterministic core: packages where a run's behaviour must be a pure
 #: function of (scenario, seed).  The harness layer (wall-clock timing,
@@ -65,7 +65,7 @@ def _in_core(module: ParsedModule) -> bool:
     return module.relpath.startswith(DETERMINISTIC_CORE_PREFIXES)
 
 
-@register_lint_rule("DET-001")
+@LINT_RULES.register("DET-001")
 class AmbientStateRule(LintRule):
     """Wall-clock or environment reads inside the deterministic core."""
 
@@ -111,7 +111,7 @@ class AmbientStateRule(LintRule):
                     )
 
 
-@register_lint_rule("DET-002")
+@LINT_RULES.register("DET-002")
 class UnorderedIterationRule(LintRule):
     """Iteration over syntactically-unordered sets in the core."""
 

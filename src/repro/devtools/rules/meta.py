@@ -4,17 +4,17 @@ These two rules have no ``check_module`` body -- the engine itself emits
 their findings (malformed pragmas are discovered during suppression
 handling, parse errors before any rule runs) -- but they are registered
 here so suppression bookkeeping, ``--select`` filtering and the
-``list-lint-rules`` catalogue treat them exactly like ordinary rules.
+``list lint-rules`` catalogue treat them exactly like ordinary rules.
 """
 
 from __future__ import annotations
 
 from repro.devtools.base import LintRule
 from repro.devtools.findings import SEVERITY_ERROR
-from repro.devtools.registry import register_lint_rule
+from repro.devtools.registry import LINT_RULES
 
 
-@register_lint_rule("LINT-001")
+@LINT_RULES.register("LINT-001")
 class MalformedPragmaRule(LintRule):
     """A suppression pragma that does not parse or lacks a justification."""
 
@@ -29,7 +29,7 @@ class MalformedPragmaRule(LintRule):
     )
 
 
-@register_lint_rule("LINT-002")
+@LINT_RULES.register("LINT-002")
 class ParseErrorRule(LintRule):
     """A file that does not parse cannot be linted (or imported)."""
 

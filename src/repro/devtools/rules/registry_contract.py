@@ -2,25 +2,22 @@
 
 Cross-file checks over the whole lint run:
 
-* every concrete ``*Protocol`` class under ``protocols/`` appears in
-  ``PROTOCOL_FACTORIES`` (classes that other classes subclass are treated
-  as intermediate bases and exempt);
-* every concrete :class:`Workload` subclass under ``workloads/`` carries a
-  ``@register_workload`` decoration, and every registered workload really
-  subclasses ``Workload``;
-* every concrete :class:`Monitor` subclass under ``monitors/`` carries a
-  ``@register_monitor`` decoration (and vice versa), and its ``__init__``
-  defaults every parameter after ``self`` so presets and
-  ``monitor_from_name`` can override any subset by keyword;
-* preset names passed to ``register_preset`` /
-  ``register_workload_preset`` / ``register_radio_preset`` /
-  ``register_monitor_preset`` as string literals follow the established
-  kebab-case convention (``city-grid-2km-sparse``, ``dsrc-urban-nlos``,
-  ...);
-* ``@register_scenario`` builders accept exactly the contract signature
+* every concrete ``RoutingProtocol`` subclass under ``protocols/`` carries
+  a ``@register_protocol`` decoration, every concrete ``Workload`` subclass
+  under ``workloads/`` a ``@WORKLOADS.register`` one and every concrete
+  ``Monitor`` subclass under ``monitors/`` a ``@MONITORS.register`` one
+  (classes that other classes subclass are intermediate bases and exempt),
+  and every decorated class really subclasses its base;
+* a registered monitor's ``__init__`` defaults every parameter after
+  ``self`` so presets and ``MONITORS.resolve`` can override any subset by
+  keyword;
+* ``@SCENARIOS.register`` builders accept exactly the contract signature
   ``(scenario, rng)``;
-* ``@register_radio`` builders take ``rng`` first with every other
+* ``@RADIOS.register`` builders take ``rng`` first with every other
   parameter defaulted (so presets can override any subset by keyword).
+
+Preset names are not checked here: ``Registry.register_preset`` rejects a
+non-kebab-case name at registration time.
 
 The checks are syntactic (AST only, nothing imported), so they run on any
 tree -- including test fixtures -- without executing registry side effects.
@@ -29,28 +26,49 @@ tree -- including test fixtures -- without executing registry side effects.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.devtools.astutils import constant_str
 from repro.devtools.base import LintRule, ParsedModule, ProjectContext
 from repro.devtools.findings import SEVERITY_ERROR, Finding
-from repro.devtools.registry import register_lint_rule
+from repro.devtools.registry import LINT_RULES
 
-#: Preset-registering callables whose first argument is the preset name.
-PRESET_REGISTRARS = frozenset(
-    {
-        "register_preset",
-        "register_workload_preset",
-        "register_radio_preset",
-        "register_monitor_preset",
-    }
+
+@dataclass(frozen=True)
+class _Contract:
+    """Which classes under ``directory`` must carry which registration."""
+
+    directory: str
+    base: str
+    decorator: str
+    consequence: str
+    interface: str
+
+
+_CONTRACTS = (
+    _Contract(
+        "protocols/",
+        "RoutingProtocol",
+        "register_protocol",
+        "unregistered protocols cannot be named by scenarios or swept",
+        "the RoutingProtocol per-node interface",
+    ),
+    _Contract(
+        "workloads/",
+        "Workload",
+        "WORKLOADS.register",
+        "unregistered workloads cannot be named by scenarios or swept",
+        "the Workload build(scenario, built, rng) interface",
+    ),
+    _Contract(
+        "monitors/",
+        "Monitor",
+        "MONITORS.register",
+        "unregistered monitors cannot be attached by name via "
+        "Scenario.monitors or --monitor",
+        "the event-tap on_* hook interface",
+    ),
 )
-
-#: The established preset naming convention (``dsrc-urban-nlos``,
-#: ``highway-10km-congested``, ...).
-KEBAB_CASE = re.compile(r"^[a-z0-9]+(-[a-z0-9]+)*$")
 
 
 @dataclass
@@ -67,20 +85,25 @@ class _ProjectFacts:
 
     classes: Dict[str, _ClassFact] = field(default_factory=dict)
     base_names: Set[str] = field(default_factory=set)
-    protocol_registry_seen: bool = False
-    registered_protocols: Set[str] = field(default_factory=set)
 
 
 def _decorator_name(node: ast.expr) -> Optional[str]:
-    """Bare name of a decorator (``register_workload`` for both the plain
-    and the attribute-qualified spelling), or None."""
+    """Dotted name of a decorator, call or not (``WORKLOADS.register``,
+    ``register_protocol``), or None."""
     if isinstance(node, ast.Call):
         node = node.func
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
-        return node.attr
+        owner = _decorator_name(node.value)
+        return f"{owner}.{node.attr}" if owner is not None else node.attr
     return None
+
+
+def _decorated_with(decorators: Tuple[str, ...], wanted: str) -> bool:
+    """True when one decorator is ``wanted`` itself or a qualified spelling
+    of it (``taxonomy.register_protocol``)."""
+    return any(name == wanted or name.endswith("." + wanted) for name in decorators)
 
 
 def _base_name(node: ast.expr) -> Optional[str]:
@@ -98,15 +121,14 @@ def _required_positional(args: ast.arguments) -> List[ast.arg]:
     return positional[: len(positional) - defaulted] if defaulted else positional
 
 
-@register_lint_rule("REG-001")
+@LINT_RULES.register("REG-001")
 class RegistryContractRule(LintRule):
-    """Unregistered components, off-convention presets, contract drift."""
+    """Unregistered components and builder contract drift."""
 
     severity = SEVERITY_ERROR
     rationale = (
-        "every concrete protocol/workload/monitor is registered, preset "
-        "names are kebab-case, and scenario/radio/monitor builders match "
-        "their registry's call contract"
+        "every concrete protocol/workload/monitor is registered and "
+        "scenario/radio/monitor builders match their registry's call contract"
     )
     historical_bug = (
         "PR 5: a radio builder that took its overrides positionally broke "
@@ -136,24 +158,16 @@ class RegistryContractRule(LintRule):
                         node.name, _ClassFact(module, node, bases, decorators)
                     )
                     facts.base_names.update(bases)
-                elif isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if (
-                            isinstance(target, ast.Name)
-                            and target.id == "PROTOCOL_FACTORIES"
-                            and isinstance(node.value, ast.Dict)
-                        ):
-                            facts.protocol_registry_seen = True
-                            for value in node.value.values:
-                                name = _base_name(value)
-                                if name is not None:
-                                    facts.registered_protocols.add(name)
         return facts
 
-    def _subclasses(self, facts: _ProjectFacts, name: str, target: str) -> bool:
-        """True when class ``name`` has ``target`` in its (named) MRO."""
+    def _subclasses(
+        self, facts: _ProjectFacts, name: str, target: str
+    ) -> Optional[bool]:
+        """Whether class ``name`` has ``target`` in its (named) MRO; None
+        when a base outside the linted files hides the answer."""
         seen: Set[str] = set()
         stack = [name]
+        resolved = True
         while stack:
             current = stack.pop()
             if current in seen:
@@ -162,88 +176,48 @@ class RegistryContractRule(LintRule):
             if current == target:
                 return True
             fact = facts.classes.get(current)
-            if fact is not None:
+            if fact is None:
+                resolved = False
+            else:
                 stack.extend(fact.bases)
-        return False
+        return False if resolved else None
 
     # ------------------------------------------------------------- checks
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         facts = self._gather(project)
-        yield from self._check_protocols(facts)
-        yield from self._check_workloads(facts)
-        yield from self._check_monitors(facts)
+        for contract in _CONTRACTS:
+            yield from self._check_registration(facts, contract)
         for module in project.modules:
-            yield from self._check_presets_and_builders(module)
+            for node in ast.walk(module.tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield from self._check_builder_signature(module, node)
 
-    def _check_protocols(self, facts: _ProjectFacts) -> Iterator[Finding]:
-        if not facts.protocol_registry_seen:
-            return
+    def _check_registration(
+        self, facts: _ProjectFacts, contract: _Contract
+    ) -> Iterator[Finding]:
         for name, fact in sorted(facts.classes.items()):
-            if not fact.module.relpath.startswith("protocols/"):
+            if not fact.module.relpath.startswith(contract.directory):
                 continue
-            if not name.endswith("Protocol") or name.startswith("_"):
-                continue
-            if name == "RoutingProtocol" or name in facts.base_names:
-                continue  # the ABC / intermediate bases are not registrable
-            if name not in facts.registered_protocols:
-                yield self.report(
-                    fact.module,
-                    fact.node,
-                    f"concrete protocol class {name} is not registered in "
-                    "PROTOCOL_FACTORIES (protocols/registry.py); every "
-                    "implemented protocol must be sweepable by name",
-                )
-
-    def _check_workloads(self, facts: _ProjectFacts) -> Iterator[Finding]:
-        for name, fact in sorted(facts.classes.items()):
-            if not fact.module.relpath.startswith("workloads/"):
-                continue
-            is_workload = name != "Workload" and self._subclasses(
-                facts, name, "Workload"
+            is_component = (
+                False if name == contract.base else self._subclasses(facts, name, contract.base)
             )
-            registered = "register_workload" in fact.decorators
-            if is_workload and not registered and name not in facts.base_names:
+            registered = _decorated_with(fact.decorators, contract.decorator)
+            if is_component and not registered and name not in facts.base_names:
                 yield self.report(
                     fact.module,
                     fact.node,
-                    f"concrete Workload subclass {name} lacks "
-                    "@register_workload(...); unregistered workloads cannot "
-                    "be named by scenarios or swept",
+                    f"concrete {contract.base} subclass {name} lacks "
+                    f"@{contract.decorator}(...); {contract.consequence}",
                 )
-            elif registered and not is_workload:
+            elif registered and is_component is False:
                 yield self.report(
                     fact.module,
                     fact.node,
-                    f"@register_workload on {name}, which does not subclass "
-                    "Workload; the registry contract requires the Workload "
-                    "build(scenario, built, rng) interface",
+                    f"@{contract.decorator} on {name}, which does not subclass "
+                    f"{contract.base}; the registry contract requires "
+                    f"{contract.interface}",
                 )
-
-    def _check_monitors(self, facts: _ProjectFacts) -> Iterator[Finding]:
-        for name, fact in sorted(facts.classes.items()):
-            if not fact.module.relpath.startswith("monitors/"):
-                continue
-            is_monitor = name != "Monitor" and self._subclasses(
-                facts, name, "Monitor"
-            )
-            registered = "register_monitor" in fact.decorators
-            if is_monitor and not registered and name not in facts.base_names:
-                yield self.report(
-                    fact.module,
-                    fact.node,
-                    f"concrete Monitor subclass {name} lacks "
-                    "@register_monitor(...); unregistered monitors cannot be "
-                    "attached by name via Scenario.monitors or --monitor",
-                )
-            elif registered and not is_monitor:
-                yield self.report(
-                    fact.module,
-                    fact.node,
-                    f"@register_monitor on {name}, which does not subclass "
-                    "Monitor; the registry contract requires the event-tap "
-                    "on_* hook interface",
-                )
-            if registered:
+            if registered and contract.base == "Monitor":
                 yield from self._check_monitor_init(fact)
 
     def _check_monitor_init(self, fact: _ClassFact) -> Iterator[Finding]:
@@ -268,36 +242,19 @@ class RegistryContractRule(LintRule):
                     fact.module,
                     statement,
                     f"monitor builder {fact.node.name}.__init__ must default "
-                    "every parameter after self, so monitor_from_name and "
+                    "every parameter after self, so MONITORS.resolve and "
                     "presets can override any subset by keyword",
                 )
-
-    def _check_presets_and_builders(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                name = _decorator_name(node.func)
-                if name in PRESET_REGISTRARS and node.args:
-                    preset_name = constant_str(node.args[0])
-                    if preset_name is not None and KEBAB_CASE.match(preset_name) is None:
-                        yield self.report(
-                            module,
-                            node,
-                            f"preset name {preset_name!r} breaks the "
-                            "kebab-case convention ('city-grid-2km-sparse', "
-                            "'dsrc-urban-nlos', ...)",
-                        )
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_builder_signature(module, node)
 
     def _check_builder_signature(
         self, module: ParsedModule, node: ast.FunctionDef | ast.AsyncFunctionDef
     ) -> Iterator[Finding]:
-        decorators = {
+        decorators = tuple(
             name
             for name in (_decorator_name(dec) for dec in node.decorator_list)
             if name is not None
-        }
-        if "register_scenario" in decorators:
+        )
+        if _decorated_with(decorators, "SCENARIOS.register"):
             required = _required_positional(node.args)
             if len(required) != 2 or node.args.vararg is not None:
                 yield self.report(
@@ -307,7 +264,7 @@ class RegistryContractRule(LintRule):
                     "(scenario, rng) -- the MobilityBuilder contract the "
                     "runner calls it with",
                 )
-        if "register_radio" in decorators:
+        if _decorated_with(decorators, "RADIOS.register"):
             positional = list(node.args.posonlyargs) + list(node.args.args)
             required = _required_positional(node.args)
             undefaulted_kwonly = [

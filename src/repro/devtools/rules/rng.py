@@ -24,7 +24,7 @@ from typing import FrozenSet, Iterator
 from repro.devtools.astutils import dotted_name
 from repro.devtools.base import LintRule, ParsedModule
 from repro.devtools.findings import SEVERITY_ERROR, Finding
-from repro.devtools.registry import register_lint_rule
+from repro.devtools.registry import LINT_RULES
 
 #: The module allowed to construct ``random.Random`` instances.
 STREAM_FACTORY_MODULE = "sim/rng.py"
@@ -57,7 +57,7 @@ GLOBAL_RANDOM_FUNCS: FrozenSet[str] = frozenset(
 )
 
 
-@register_lint_rule("RNG-001")
+@LINT_RULES.register("RNG-001")
 class SeededRngRule(LintRule):
     """Unseeded, fixed-seed, or module-global RNG outside ``sim/rng.py``."""
 

@@ -37,7 +37,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.devtools.base import LintRule, ParsedModule, ProjectContext
 from repro.devtools.findings import SEVERITY_ERROR, Finding
-from repro.devtools.registry import register_lint_rule
+from repro.devtools.registry import LINT_RULES
 
 #: Where the persisted-record schema contract lives.
 SCHEMA_RELPATH = "store/schema.py"
@@ -99,7 +99,7 @@ def _dataclass_fields(node: ast.ClassDef) -> Tuple[str, ...]:
     return tuple(names)
 
 
-@register_lint_rule("SCHEMA-001")
+@LINT_RULES.register("SCHEMA-001")
 class RecordSchemaVersionRule(LintRule):
     """RunRecord layout drift without a RECORD_SCHEMA_VERSION bump."""
 
@@ -199,7 +199,7 @@ class RecordSchemaVersionRule(LintRule):
             )
 
 
-@register_lint_rule("SCHEMA-002")
+@LINT_RULES.register("SCHEMA-002")
 class TelemetrySchemaVersionRule(LintRule):
     """Telemetry envelope drift without a TELEMETRY_SCHEMA_VERSION bump."""
 

@@ -28,31 +28,12 @@ from repro.harness.scenario import (
     manhattan_scenario,
     trace_scenario,
 )
-from repro.radio import (
-    DEFAULT_RADIO,
-    RadioStack,
-    available_radio_presets,
-    available_radios,
-    radio_from_name,
-    register_radio,
-    register_radio_preset,
-)
-from repro.workloads import (
-    Workload,
-    available_workload_presets,
-    available_workloads,
-    register_workload,
-    register_workload_preset,
-    workload_from_name,
-)
+from repro.radio import DEFAULT_RADIO, RADIOS, RadioStack, radio_from_name
+from repro.workloads import WORKLOADS, Workload
 from repro.harness.scenarios import (
+    SCENARIOS,
     BuiltMobility,
-    available_presets,
-    available_scenario_kinds,
     build_mobility,
-    preset_rows,
-    register_preset,
-    register_scenario,
     scenario_from_name,
 )
 from repro.harness.sweep import (
@@ -63,10 +44,8 @@ from repro.harness.sweep import (
     aggregate_records,
     build_matrix,
     execute_cells,
-    sweep_densities,
     sweep_protocols,
     sweep_replications,
-    sweep_scenarios,
 )
 
 __all__ = [
@@ -84,32 +63,21 @@ __all__ = [
     "RunResult",
     "DEFAULT_FLOW_COUNT",
     "FlowSpec",
+    "WORKLOADS",
     "Workload",
-    "available_workload_presets",
-    "available_workloads",
-    "register_workload",
-    "register_workload_preset",
-    "workload_from_name",
     "RadioConfig",
     "DEFAULT_RADIO",
+    "RADIOS",
     "RadioStack",
-    "available_radio_presets",
-    "available_radios",
     "radio_from_name",
-    "register_radio",
-    "register_radio_preset",
     "Scenario",
     "city_scenario",
     "highway_scenario",
     "manhattan_scenario",
     "trace_scenario",
+    "SCENARIOS",
     "BuiltMobility",
-    "available_presets",
-    "available_scenario_kinds",
     "build_mobility",
-    "preset_rows",
-    "register_preset",
-    "register_scenario",
     "scenario_from_name",
     "MetricAggregate",
     "ReplicatedResult",
@@ -118,8 +86,6 @@ __all__ = [
     "aggregate_records",
     "build_matrix",
     "execute_cells",
-    "sweep_densities",
     "sweep_protocols",
     "sweep_replications",
-    "sweep_scenarios",
 ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.metrics import PAPER_TABLE_I
-from repro.core.taxonomy import Category, global_registry
+from repro.core.taxonomy import PROTOCOLS, Category
 from repro.harness.runner import RunRecord, RunResult
 
 #: Comparison helpers accept both the rich in-process result and the slim
@@ -33,11 +33,6 @@ def category_representatives(
     return chosen
 
 
-def category_of_protocol(protocol_name: str) -> Category:
-    """Taxonomy category of a protocol name."""
-    return global_registry.category_of(protocol_name)
-
-
 def category_comparison(results: Iterable[AnyResult]) -> List[Dict[str, object]]:
     """Aggregate run results into one row per (scenario, category).
 
@@ -47,7 +42,7 @@ def category_comparison(results: Iterable[AnyResult]) -> List[Dict[str, object]]
     """
     grouped: Dict[tuple, List[AnyResult]] = {}
     for result in results:
-        category = category_of_protocol(result.protocol)
+        category = PROTOCOLS[result.protocol].category
         grouped.setdefault((result.scenario_name, category), []).append(result)
     rows: List[Dict[str, object]] = []
     for (scenario_name, category), bucket in sorted(

@@ -7,9 +7,9 @@ generation to the scenario's workload (resolved by name through
 metrics.
 
 Every pluggable dimension of a run resolves through a registry: the mobility
-substrate (:mod:`repro.harness.scenarios`), the routing protocol
-(:mod:`repro.protocols.registry`), the traffic workload
-(:mod:`repro.workloads`) and the radio stack (:mod:`repro.radio.registry`).
+substrate (``SCENARIOS``), the routing protocol (``PROTOCOLS``), the traffic
+workload (``WORKLOADS``), the radio stack (``RADIOS``) and the attached
+monitors (``MONITORS``).
 The runner itself hardcodes none of them.
 """
 
@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.mobility.vehicle import VehiclePositionProvider
-from repro.monitors import monitor_from_name
+from repro.monitors import MONITORS
 from repro.monitors.base import Monitor
 from repro.monitors.telemetry import TelemetrySink, resolve_sink, telemetry_line
 from repro.protocols.base import ProtocolConfig
@@ -37,7 +37,7 @@ from repro.sim.trace import EventTrace
 from repro.store.schema import RECORD_SCHEMA_VERSION, check_record_schema_version
 from repro.harness.scenario import Scenario
 from repro.harness.scenarios import build_mobility
-from repro.workloads import workload_from_name
+from repro.workloads import WORKLOADS
 
 
 @dataclass
@@ -291,7 +291,7 @@ class ExperimentRunner:
             telemetry_sink, telemetry_owned = resolve_sink(telemetry)
             for name in scenario.monitors:
                 params = dict(scenario.monitor_params.get(name, {}))
-                monitors.append(monitor_from_name(name, **params))
+                monitors.append(MONITORS.resolve(name, **params))
             for monitor in monitors:
                 monitor.bind(stats, telemetry_sink)
             stats.tap = EventTap(sim, monitors)
@@ -427,7 +427,7 @@ class ExperimentRunner:
             road_graph=built.road_graph,
         )
         built.network.attach_protocols(factory)
-        workload = workload_from_name(scenario.workload, **dict(scenario.workload_params))
+        workload = WORKLOADS.resolve(scenario.workload, **dict(scenario.workload_params))
         # Workloads draw from the simulator's "traffic" stream -- the stream
         # the pre-registry runner used -- so default cbr runs reproduce
         # pre-redesign schedules seed for seed.

@@ -1,31 +1,29 @@
-"""Registry of scenario builders and named scenario presets.
+"""The scenario registry: mobility-substrate kinds and named scenario presets.
 
-This module does for mobility substrates what :mod:`repro.protocols.registry`
-does for routing protocols: the harness refers to scenario kinds by name and
-resolves them through a registry, so adding a scenario is a registry entry
-rather than a code change in the runner.
+The harness refers to scenario kinds by name and resolves them through
+:data:`SCENARIOS`, so adding a scenario is a registry entry rather than a
+code change in the runner.
 
-Two registries live here:
+* **Kinds** map a ``kind`` string to a :class:`MobilityBuilder`: a callable
+  that turns a :class:`~repro.harness.scenario.Scenario` plus the
+  simulator's ``"mobility"`` random stream into live mobility (and,
+  optionally, the road graph and RSU positions that go with it).  The
+  built-in kinds are ``highway``, ``manhattan``, ``random_waypoint``,
+  ``city`` (synthetic arterial+grid topology) and ``trace`` (FCD trace
+  replay).
+* **Presets** map a human-friendly name such as ``city-grid-2km-sparse`` to
+  a ready-made :class:`Scenario`.
 
-* **Builders** (:data:`SCENARIO_BUILDERS`) map a ``kind`` string to a
-  :class:`MobilityBuilder`: a callable that turns a
-  :class:`~repro.harness.scenario.Scenario` plus the simulator's
-  ``"mobility"`` random stream into live mobility (and, optionally, the road
-  graph and RSU positions that go with it).  The built-in kinds are
-  ``highway``, ``manhattan``, ``random_waypoint``, ``city`` (synthetic
-  arterial+grid topology) and ``trace`` (FCD trace replay).
-* **Presets** (:data:`SCENARIO_PRESETS`) map a human-friendly name such as
-  ``city-grid-2km-sparse`` to a ready-made :class:`Scenario`.
-  :func:`scenario_from_name` resolves presets, bare kind names, and the
-  ``trace:<path>`` shorthand, and is what the CLI's ``--scenario`` flag and
-  the benchmarks use.
+:func:`scenario_from_name` resolves presets, bare kind names, and the
+``trace:<path>`` shorthand, and is what the CLI's ``--scenario`` flag and
+the benchmarks use.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.geometry import Vec2
 from repro.harness.scenario import (
@@ -48,6 +46,7 @@ from repro.roadnet.graph import RoadGraph
 from repro.roadnet.grid import build_highway_graph, build_manhattan_graph
 from repro.roadnet.rsu_placement import place_along_highway, place_at_intersections
 from repro.mobility.highway import HighwayConfig
+from repro.registry import Preset, Registry, Row
 
 
 @dataclass
@@ -72,30 +71,20 @@ class BuiltMobility:
 #: random stream and returns the instantiated substrate.
 MobilityBuilder = Callable[[Scenario, random.Random], BuiltMobility]
 
-#: kind name -> builder, for every registered scenario kind.
-SCENARIO_BUILDERS: Dict[str, MobilityBuilder] = {}
+
+def _preset_columns(preset: Preset) -> Row:
+    """Scenario preset rows show the built scenario's kind and density."""
+    scenario = preset.build()
+    return {"kind": scenario.kind, "density": scenario.density.value}
 
 
-def register_scenario(name: str) -> Callable[[MobilityBuilder], MobilityBuilder]:
-    """Class/function decorator registering a scenario builder under ``name``."""
-
-    def decorator(builder: MobilityBuilder) -> MobilityBuilder:
-        if name in SCENARIO_BUILDERS:
-            raise ValueError(f"scenario kind {name!r} is already registered")
-        SCENARIO_BUILDERS[name] = builder
-        return builder
-
-    return decorator
-
-
-def unregister_scenario(name: str) -> None:
-    """Remove a registered scenario kind (plug-in teardown / tests)."""
-    SCENARIO_BUILDERS.pop(name, None)
-
-
-def available_scenario_kinds() -> List[str]:
-    """Names of all registered scenario kinds, sorted."""
-    return sorted(SCENARIO_BUILDERS)
+#: A bare kind resolves to a default-parameter scenario of that kind.
+SCENARIOS: Registry[MobilityBuilder] = Registry(
+    "scenario",
+    column="kind",
+    instantiate=lambda name, builder: Scenario(name=name, kind=name),
+    preset_columns=_preset_columns,
+)
 
 
 def build_mobility(scenario: Scenario, rng: random.Random) -> BuiltMobility:
@@ -107,17 +96,11 @@ def build_mobility(scenario: Scenario, rng: random.Random) -> BuiltMobility:
             builder makes (placement, desired speeds, turn decisions) must
             draw from it so runs are reproducible per scenario seed.
     """
-    builder = SCENARIO_BUILDERS.get(scenario.kind)
-    if builder is None:
-        raise KeyError(
-            f"unknown scenario kind {scenario.kind!r}; "
-            f"available: {', '.join(available_scenario_kinds())}"
-        )
-    return builder(scenario, rng)
+    return SCENARIOS[scenario.kind](scenario, rng)
 
 
 # ------------------------------------------------------------ built-in kinds
-@register_scenario("highway")
+@SCENARIOS.register("highway")
 def _build_highway(scenario: Scenario, rng: random.Random) -> BuiltMobility:
     """IDM + MOBIL ring highway (the paper's introduction scenario)."""
     mobility = make_highway_scenario(
@@ -133,7 +116,7 @@ def _build_highway(scenario: Scenario, rng: random.Random) -> BuiltMobility:
     return BuiltMobility(mobility, graph, rsus)
 
 
-@register_scenario("manhattan")
+@SCENARIOS.register("manhattan")
 def _build_manhattan(scenario: Scenario, rng: random.Random) -> BuiltMobility:
     """Uniform urban grid with random turns at intersections."""
     mobility = make_manhattan_scenario(
@@ -155,7 +138,7 @@ def _build_manhattan(scenario: Scenario, rng: random.Random) -> BuiltMobility:
     return BuiltMobility(mobility, graph, rsus)
 
 
-@register_scenario("random_waypoint")
+@SCENARIOS.register("random_waypoint")
 def _build_random_waypoint(scenario: Scenario, rng: random.Random) -> BuiltMobility:
     """The classic MANET baseline on an open rectangle (no road network)."""
     mobility = RandomWaypointMobility(scenario.waypoint, rng=rng)
@@ -165,7 +148,7 @@ def _build_random_waypoint(scenario: Scenario, rng: random.Random) -> BuiltMobil
     return BuiltMobility(mobility)
 
 
-@register_scenario("city")
+@SCENARIOS.register("city")
 def _build_city(scenario: Scenario, rng: random.Random) -> BuiltMobility:
     """Synthetic arterial+grid city driven by graph-walk mobility."""
     graph = build_city_graph(scenario.city)
@@ -182,7 +165,7 @@ def _build_city(scenario: Scenario, rng: random.Random) -> BuiltMobility:
     return BuiltMobility(mobility, graph, rsus)
 
 
-@register_scenario("trace")
+@SCENARIOS.register("trace")
 def _build_trace(scenario: Scenario, rng: random.Random) -> BuiltMobility:
     """Replay of a recorded (or SUMO-style) floating-car-data trace.
 
@@ -199,49 +182,13 @@ def _build_trace(scenario: Scenario, rng: random.Random) -> BuiltMobility:
 
 
 # ----------------------------------------------------------------- presets
-@dataclass(frozen=True)
-class ScenarioPreset:
-    """A named ready-made scenario."""
-
-    name: str
-    factory: Callable[[], Scenario]
-    description: str
-
-    def build(self) -> Scenario:
-        """Instantiate the preset (a fresh Scenario each call)."""
-        return self.factory()
-
-
-#: preset name -> preset, for every registered preset.
-SCENARIO_PRESETS: Dict[str, ScenarioPreset] = {}
-
-
-def register_preset(
-    name: str, factory: Callable[[], Scenario], description: str
-) -> None:
-    """Register a named preset built by ``factory``."""
-    if name in SCENARIO_PRESETS:
-        raise ValueError(f"scenario preset {name!r} is already registered")
-    SCENARIO_PRESETS[name] = ScenarioPreset(name, factory, description)
-
-
-def unregister_preset(name: str) -> None:
-    """Remove a registered preset (plug-in teardown / tests)."""
-    SCENARIO_PRESETS.pop(name, None)
-
-
-def available_presets() -> List[str]:
-    """Names of all registered presets, sorted."""
-    return sorted(SCENARIO_PRESETS)
-
-
 def scenario_from_name(spec: str, **overrides) -> Scenario:
     """Resolve a scenario by string, the way the CLI's ``--scenario`` does.
 
     Resolution order for ``spec``:
 
     1. ``trace:<path>`` builds a trace-replay scenario for that file.
-    2. A registered preset name (see :func:`available_presets`).
+    2. A registered preset name.
     3. A bare registered kind (``"city"``, ``"highway"``, ...) with default
        parameters.
 
@@ -254,43 +201,11 @@ def scenario_from_name(spec: str, **overrides) -> Scenario:
         if not path:
             raise ValueError("trace:<path> needs a file path after the colon")
         scenario = trace_scenario(path)
-    elif spec in SCENARIO_PRESETS:
-        scenario = SCENARIO_PRESETS[spec].build()
-    elif spec in SCENARIO_BUILDERS:
-        scenario = Scenario(name=spec, kind=spec)
+    elif spec in SCENARIOS:
+        scenario = SCENARIOS.resolve(spec)
     else:
-        raise KeyError(
-            f"unknown scenario {spec!r}; available presets: "
-            f"{', '.join(available_presets())}; registered kinds: "
-            f"{', '.join(available_scenario_kinds())}; or use trace:<path>"
-        )
+        raise KeyError(f"{SCENARIOS.unknown(spec)}; or use trace:<path>")
     return scenario.with_overrides(**overrides) if overrides else scenario
-
-
-def kind_rows() -> List[Dict[str, str]]:
-    """One report row per registered scenario kind (for ``list-scenarios``)."""
-    rows: List[Dict[str, str]] = []
-    for name in available_scenario_kinds():
-        doc = (SCENARIO_BUILDERS[name].__doc__ or "").strip().splitlines()
-        rows.append({"kind": name, "description": doc[0] if doc else ""})
-    return rows
-
-
-def preset_rows() -> List[Dict[str, str]]:
-    """One report row per preset (for ``list-scenarios`` and the README)."""
-    rows: List[Dict[str, str]] = []
-    for name in available_presets():
-        preset = SCENARIO_PRESETS[name]
-        scenario = preset.build()
-        rows.append(
-            {
-                "preset": name,
-                "kind": scenario.kind,
-                "density": scenario.density.value,
-                "description": preset.description,
-            }
-        )
-    return rows
 
 
 def _register_builtin_presets() -> None:
@@ -343,32 +258,32 @@ def _register_builtin_presets() -> None:
         return Scenario(name="rwp-1km-normal", kind="random_waypoint", max_vehicles=50)
 
     for density in TrafficDensity:
-        register_preset(
+        SCENARIOS.register_preset(
             f"highway-2km-{density.value}",
             highway_preset(density),
             f"2 km bidirectional IDM highway, {density.value} traffic",
         )
-        register_preset(
+        SCENARIOS.register_preset(
             f"manhattan-800m-{density.value}",
             manhattan_preset(density),
             f"4x4-block Manhattan grid, {density.value} traffic",
         )
-        register_preset(
+        SCENARIOS.register_preset(
             f"city-grid-2km-{density.value}",
             city_preset(density),
             f"2x2 km arterial+grid city with RSUs on arterials, {density.value} traffic",
         )
-    register_preset(
+    SCENARIOS.register_preset(
         "highway-10km-congested",
         long_highway_preset(TrafficDensity.CONGESTED),
         "10 km highway at congested density with RSUs every 2 km (up to 600 vehicles)",
     )
-    register_preset(
+    SCENARIOS.register_preset(
         "city-core-1km-congested",
         city_core_preset,
         "1x1 km congested city core with dense RSU coverage",
     )
-    register_preset(
+    SCENARIOS.register_preset(
         "rwp-1km-normal",
         waypoint_preset,
         "random-waypoint MANET baseline on a 1x1 km field (50 nodes)",
@@ -381,17 +296,7 @@ _register_builtin_presets()
 __all__ = [
     "BuiltMobility",
     "MobilityBuilder",
-    "SCENARIO_BUILDERS",
-    "SCENARIO_PRESETS",
-    "ScenarioPreset",
-    "available_presets",
-    "available_scenario_kinds",
+    "SCENARIOS",
     "build_mobility",
-    "kind_rows",
-    "preset_rows",
-    "register_preset",
-    "register_scenario",
     "scenario_from_name",
-    "unregister_preset",
-    "unregister_scenario",
 ]

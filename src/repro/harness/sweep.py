@@ -16,10 +16,10 @@ module provides the machinery for that:
 * :func:`sweep_replications` ties it all together and returns a
   :class:`SweepResult`.
 
-The single-scenario helpers (:func:`sweep_protocols`, :func:`sweep_densities`,
-:func:`sweep_scenarios`) remain for interactive use; they run in-process and
-return rich :class:`~repro.harness.runner.RunResult` objects that still carry
-the live stats collector.
+The single-scenario helper :func:`sweep_protocols` remains for interactive
+use; it runs in-process and returns rich
+:class:`~repro.harness.runner.RunResult` objects that still carry the live
+stats collector.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Ty
 
 from repro.harness.runner import ExperimentRunner, RunRecord, RunResult
 from repro.harness.scenario import Scenario
-from repro.mobility.generator import TrafficDensity
 from repro.monitors.telemetry import BufferSink, resolve_sink
 from repro.protocols.base import ProtocolConfig
 from repro.radio.registry import DEFAULT_RADIO
@@ -150,9 +149,8 @@ def build_matrix(
                 for radio in radios
             ]
         if spatial_backends is not None:
-            # Backends ride on the scenario name (the way sweep_densities
-            # varies densities) so identical-by-construction metrics still
-            # land in distinct aggregation cells.
+            # Backends ride on the scenario name so identical-by-construction
+            # metrics still land in distinct aggregation cells.
             varied_scenarios = [
                 varied.with_overrides(
                     spatial_backend=backend, name=f"{varied.name}-{backend}"
@@ -696,41 +694,4 @@ def sweep_protocols(
                 scenario, name, protocol_config=configs.get(name), telemetry=telemetry
             )
         )
-    return results
-
-
-def sweep_densities(
-    base_scenario: Scenario,
-    protocol_names: Sequence[str],
-    densities: Iterable[TrafficDensity] = (
-        TrafficDensity.SPARSE,
-        TrafficDensity.NORMAL,
-        TrafficDensity.CONGESTED,
-    ),
-    runner: Optional[ExperimentRunner] = None,
-    protocol_configs: Optional[Dict[str, ProtocolConfig]] = None,
-) -> List[RunResult]:
-    """Run every protocol at every traffic density derived from ``base_scenario``."""
-    runner = runner if runner is not None else ExperimentRunner()
-    results: List[RunResult] = []
-    for density in densities:
-        scenario = base_scenario.with_overrides(
-            density=density, name=f"{base_scenario.name}-{density.value}"
-        )
-        results.extend(
-            sweep_protocols(scenario, protocol_names, runner=runner, protocol_configs=protocol_configs)
-        )
-    return results
-
-
-def sweep_scenarios(
-    scenarios: Sequence[Scenario],
-    protocol_names: Sequence[str],
-    runner: Optional[ExperimentRunner] = None,
-) -> List[RunResult]:
-    """Run every protocol through every scenario."""
-    runner = runner if runner is not None else ExperimentRunner()
-    results: List[RunResult] = []
-    for scenario in scenarios:
-        results.extend(sweep_protocols(scenario, protocol_names, runner=runner))
     return results

@@ -1,10 +1,9 @@
-"""Monitor/probe registry -- the fifth string-keyed registry.
+"""Monitors: passive observability probes.
 
-Passive observability probes that subscribe to the sim core's event tap
-(:mod:`repro.sim.tap`), stream JSONL telemetry mid-run, and contribute
-summary metrics to run records.  Importing this package registers the
-built-in monitor kinds and presets, the same way :mod:`repro.workloads`
-registers its traffic models.
+Monitors subscribe to the sim core's event tap (:mod:`repro.sim.tap`),
+stream JSONL telemetry mid-run, and contribute summary metrics to run
+records.  Importing this package registers the built-in monitor kinds and
+presets in :data:`~repro.monitors.registry.MONITORS`.
 """
 
 from repro.monitors import (  # noqa: F401  (imported for registration)
@@ -17,20 +16,7 @@ from repro.monitors.base import Monitor
 from repro.monitors.heatmap import TransmissionHeatmapMonitor
 from repro.monitors.invariant import ConservationInvariantMonitor, InvariantViolationError
 from repro.monitors.latency import LatencyDistributionMonitor
-from repro.monitors.registry import (
-    MONITOR_PRESETS,
-    MONITOR_TYPES,
-    MonitorPreset,
-    available_monitor_presets,
-    available_monitors,
-    monitor_from_name,
-    monitor_preset_rows,
-    monitor_rows,
-    register_monitor,
-    register_monitor_preset,
-    unregister_monitor,
-    unregister_monitor_preset,
-)
+from repro.monitors.registry import MONITORS
 from repro.monitors.sketch import QuantileSketch
 from repro.monitors.telemetry import (
     KNOWN_TELEMETRY_SCHEMA_VERSIONS,
@@ -48,18 +34,7 @@ from repro.monitors.timeseries import TimeSeriesMonitor
 
 __all__ = [
     "Monitor",
-    "MonitorPreset",
-    "MONITOR_TYPES",
-    "MONITOR_PRESETS",
-    "register_monitor",
-    "register_monitor_preset",
-    "unregister_monitor",
-    "unregister_monitor_preset",
-    "available_monitors",
-    "available_monitor_presets",
-    "monitor_from_name",
-    "monitor_rows",
-    "monitor_preset_rows",
+    "MONITORS",
     "QuantileSketch",
     "LatencyDistributionMonitor",
     "TimeSeriesMonitor",

@@ -33,7 +33,7 @@ class Monitor:
     probe is registered (and nothing at all when no monitor is).
     """
 
-    #: Registry key; set by the ``@register_monitor`` decorator.
+    #: Registry key; stamped by ``@MONITORS.register``.
     monitor_name: str = "base"
 
     def __init__(self) -> None:

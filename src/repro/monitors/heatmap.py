@@ -6,13 +6,13 @@ import math
 from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.monitors.base import Monitor
-from repro.monitors.registry import register_monitor, register_monitor_preset
+from repro.monitors.registry import MONITORS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.packet import Packet
 
 
-@register_monitor("heatmap")
+@MONITORS.register("heatmap")
 class TransmissionHeatmapMonitor(Monitor):
     """Counts transmissions per square grid cell of the plane.
 
@@ -60,14 +60,14 @@ class TransmissionHeatmapMonitor(Monitor):
         }
 
 
-register_monitor_preset(
+MONITORS.register_preset(
     "heatmap-250m",
     TransmissionHeatmapMonitor,
     "transmission heatmap on 250 m cells",
     kind="heatmap",
     cell_size_m=250.0,
 )
-register_monitor_preset(
+MONITORS.register_preset(
     "heatmap-1km",
     TransmissionHeatmapMonitor,
     "coarse city-scale heatmap on 1 km cells",

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.monitors.base import Monitor
-from repro.monitors.registry import register_monitor, register_monitor_preset
+from repro.monitors.registry import MONITORS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.packet import Packet
@@ -51,7 +51,7 @@ class InvariantViolationError(AssertionError):
         super().__init__(f"{len(violations)} invariant violation(s): {lines}{more}")
 
 
-@register_monitor("invariant")
+@MONITORS.register("invariant")
 class ConservationInvariantMonitor(Monitor):
     """Asserts sent == delivered/retired + in_flight; hard-fails on leaks.
 
@@ -226,7 +226,7 @@ class ConservationInvariantMonitor(Monitor):
         }
 
 
-register_monitor_preset(
+MONITORS.register_preset(
     "invariant-strict",
     ConservationInvariantMonitor,
     "conservation invariant checked every simulated second",

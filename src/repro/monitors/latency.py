@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.monitors.base import Monitor
-from repro.monitors.registry import register_monitor, register_monitor_preset
+from repro.monitors.registry import MONITORS
 from repro.monitors.sketch import QuantileSketch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -19,7 +19,7 @@ def _quantile_key(q: float) -> str:
     return f"p{label}"
 
 
-@register_monitor("latency-dist")
+@MONITORS.register("latency-dist")
 class LatencyDistributionMonitor(Monitor):
     """Streaming end-to-end delay percentiles (no stored samples).
 
@@ -75,7 +75,7 @@ class LatencyDistributionMonitor(Monitor):
         return summary
 
 
-register_monitor_preset(
+MONITORS.register_preset(
     "latency-dist-fine",
     LatencyDistributionMonitor,
     "latency distribution with 1% bins (bin_ratio=1.01) and p50/p90/p95/p99",

@@ -1,10 +1,8 @@
-"""String-keyed monitor registry -- the fifth registry.
+"""The monitor registry: observability probe kinds and named presets.
 
-Mirrors the protocol/scenario/workload/radio registries: monitor *kinds*
-(classes) register under kebab-case names via :func:`register_monitor`,
-named *presets* (pre-parameterised factories) via
-:func:`register_monitor_preset`, and :func:`monitor_from_name` resolves
-either -- preset first, kind second -- applying keyword overrides.
+Monitor kinds (classes) register under kebab-case names with
+``@MONITORS.register``; presets pre-parameterise them, and
+``MONITORS.resolve(spec, **params)`` builds either with keyword overrides.
 
 Monitors are a fixed per-run set, not a sweep axis: a sweep attaches the
 same monitors to every cell via ``Scenario.monitors``.
@@ -12,119 +10,11 @@ same monitors to every cell via ``Scenario.monitors``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Type
+from typing import Type
 
 from repro.monitors.base import Monitor
+from repro.registry import Registry
 
-MONITOR_TYPES: Dict[str, Type[Monitor]] = {}
+MONITORS: Registry[Type[Monitor]] = Registry("monitor", name_attr="monitor_name")
 
-
-def register_monitor(name: str) -> Callable[[Type[Monitor]], Type[Monitor]]:
-    """Class decorator registering a monitor kind under ``name``."""
-
-    def decorator(cls: Type[Monitor]) -> Type[Monitor]:
-        if name in MONITOR_TYPES:
-            raise ValueError(f"monitor kind {name!r} is already registered")
-        MONITOR_TYPES[name] = cls
-        cls.monitor_name = name
-        return cls
-
-    return decorator
-
-
-def unregister_monitor(name: str) -> None:
-    """Remove a monitor kind (tests only)."""
-    MONITOR_TYPES.pop(name, None)
-
-
-def available_monitors() -> List[str]:
-    """Sorted names of all registered monitor kinds."""
-    return sorted(MONITOR_TYPES)
-
-
-@dataclass(frozen=True)
-class MonitorPreset:
-    """A named, pre-parameterised monitor configuration."""
-
-    name: str
-    factory: Callable[..., Monitor]
-    description: str
-    kind: str = ""
-    defaults: Dict[str, object] = field(default_factory=dict)
-
-    def build(self, **overrides: object) -> Monitor:
-        """Instantiate the preset's monitor, applying keyword overrides."""
-        params = dict(self.defaults)
-        params.update(overrides)
-        return self.factory(**params)
-
-
-MONITOR_PRESETS: Dict[str, MonitorPreset] = {}
-
-
-def register_monitor_preset(
-    name: str,
-    factory: Callable[..., Monitor],
-    description: str,
-    kind: str = "",
-    **defaults: object,
-) -> MonitorPreset:
-    """Register a named monitor preset; returns the preset object."""
-    if name in MONITOR_PRESETS:
-        raise ValueError(f"monitor preset {name!r} is already registered")
-    preset = MonitorPreset(
-        name=name, factory=factory, description=description, kind=kind, defaults=dict(defaults)
-    )
-    MONITOR_PRESETS[name] = preset
-    return preset
-
-
-def unregister_monitor_preset(name: str) -> None:
-    """Remove a monitor preset (tests only)."""
-    MONITOR_PRESETS.pop(name, None)
-
-
-def available_monitor_presets() -> List[str]:
-    """Sorted names of all registered monitor presets."""
-    return sorted(MONITOR_PRESETS)
-
-
-def monitor_from_name(spec: str, **params: object) -> Monitor:
-    """Build a monitor from a preset or kind name, with keyword overrides.
-
-    Presets win over kinds when both share a name (same precedence rule
-    as the other registries).
-    """
-    preset = MONITOR_PRESETS.get(spec)
-    if preset is not None:
-        return preset.build(**params)
-    cls = MONITOR_TYPES.get(spec)
-    if cls is not None:
-        return cls(**params)
-    raise KeyError(
-        f"unknown monitor {spec!r}; known kinds: {available_monitors()}, "
-        f"presets: {available_monitor_presets()}"
-    )
-
-
-def monitor_rows() -> List[Dict[str, str]]:
-    """One row per monitor kind (first docstring line), for the CLI table."""
-    rows = []
-    for name in available_monitors():
-        doc = MONITOR_TYPES[name].__doc__ or ""
-        rows.append(
-            {
-                "monitor": name,
-                "description": doc.strip().splitlines()[0] if doc.strip() else "",
-            }
-        )
-    return rows
-
-
-def monitor_preset_rows() -> List[Dict[str, str]]:
-    """One row per monitor preset, for the CLI table."""
-    return [
-        {"preset": preset.name, "monitor": preset.kind, "description": preset.description}
-        for preset in (MONITOR_PRESETS[name] for name in available_monitor_presets())
-    ]
+__all__ = ["MONITORS"]

@@ -5,14 +5,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.monitors.base import Monitor
-from repro.monitors.registry import register_monitor, register_monitor_preset
+from repro.monitors.registry import MONITORS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.packet import Packet
     from repro.sim.statistics import FlowStats
 
 
-@register_monitor("timeseries")
+@MONITORS.register("timeseries")
 class TimeSeriesMonitor(Monitor):
     """Per-bucket originated/delivered/dropped/collision/transmission counts.
 
@@ -109,14 +109,14 @@ class TimeSeriesMonitor(Monitor):
         }
 
 
-register_monitor_preset(
+MONITORS.register_preset(
     "timeseries-1s",
     TimeSeriesMonitor,
     "1-second throughput/PDR/collision buckets",
     kind="timeseries",
     bucket_s=1.0,
 )
-register_monitor_preset(
+MONITORS.register_preset(
     "timeseries-100ms",
     TimeSeriesMonitor,
     "100 ms buckets for short, bursty runs",

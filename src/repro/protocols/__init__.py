@@ -1,8 +1,8 @@
 """Routing protocols: one subpackage per category of the paper's taxonomy.
 
 Importing this package registers every implemented protocol in
-:data:`repro.core.taxonomy.global_registry`, which is how the Fig. 1
-benchmark enumerates the taxonomy.
+:data:`repro.core.taxonomy.PROTOCOLS`, which is how the harness resolves
+protocols by name and the Fig. 1 benchmark enumerates the taxonomy.
 
 Shared building blocks live at this level:
 
@@ -26,7 +26,8 @@ from repro.protocols import infrastructure as infrastructure  # noqa: F401
 from repro.protocols import geographic as geographic  # noqa: F401
 from repro.protocols import probability as probability  # noqa: F401
 
-from repro.protocols.registry import PROTOCOL_FACTORIES, available_protocols, make_protocol_factory
+from repro.core.taxonomy import PROTOCOLS
+from repro.protocols.registry import make_protocol_factory
 
 __all__ = [
     "ProtocolConfig",
@@ -39,7 +40,6 @@ __all__ = [
     "BeaconService",
     "NeighborEntry",
     "NeighborTable",
-    "PROTOCOL_FACTORIES",
-    "available_protocols",
+    "PROTOCOLS",
     "make_protocol_factory",
 ]

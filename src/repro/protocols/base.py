@@ -41,10 +41,11 @@ class RoutingProtocol(ABC):
     packets handed to :meth:`send_data` by the application layer.
     """
 
-    #: Human-readable protocol name; set by the ``@register_protocol`` decorator.
+    #: Registry name and Fig. 1 taxonomy entry; stamped by ``@register_protocol``.
     protocol_name: str = "base"
-    #: Taxonomy category; set by the ``@register_protocol`` decorator.
     category: Optional[Category] = None
+    description: str = ""
+    paper_reference: str = ""
     #: Set True when the protocol mutates *received* packets in place
     #: (rather than forwarding a copy).  Opts the node out of copy-on-write
     #: frame delivery: the medium hands it full packet copies instead of

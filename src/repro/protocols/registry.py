@@ -1,46 +1,21 @@
-"""Factories for constructing protocol instances by name.
+"""Per-node protocol factories, resolved by taxonomy name.
 
 The harness and benchmarks refer to protocols by their taxonomy name
-("AODV", "PBR", "Yan-TBP", ...).  This module turns a name plus optional
-shared services (location service, road graph, protocol config) into the
-per-node factory that :meth:`repro.sim.network.Network.attach_protocols`
-expects.
+("AODV", "PBR", "Yan-TBP", ...), registered in
+:data:`repro.core.taxonomy.PROTOCOLS` when :mod:`repro.protocols` (the
+parent package of this module, so always imported first) loads its
+category subpackages.  This module turns a name plus optional shared
+services (location service, road graph, protocol config) into the per-node
+factory that :meth:`repro.sim.network.Network.attach_protocols` expects.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
+from repro.core.taxonomy import PROTOCOLS
 from repro.protocols.base import ProtocolConfig, RoutingProtocol
-from repro.protocols.connectivity import (
-    AodvProtocol,
-    BiswasProtocol,
-    DisjLiProtocol,
-    DsdvProtocol,
-    DsrProtocol,
-    FloodingProtocol,
-)
-from repro.protocols.geographic import (
-    GreedyProtocol,
-    GridGatewayProtocol,
-    RoverProtocol,
-    ZoneProtocol,
-)
-from repro.protocols.infrastructure import BusFerryProtocol, RsuRelayProtocol
 from repro.protocols.location import LocationService
-from repro.protocols.mobility_based import (
-    AbediProtocol,
-    PbrProtocol,
-    TalebProtocol,
-    WeddeProtocol,
-)
-from repro.protocols.probability import (
-    CarProtocol,
-    GvGridProtocol,
-    NiuDeProtocol,
-    RearProtocol,
-    YanTbpProtocol,
-)
 from repro.roadnet.graph import RoadGraph
 from repro.sim.node import Node
 
@@ -59,36 +34,6 @@ _LOCATION_AWARE = {
     "CAR",
 }
 
-#: Name -> protocol class, for every implemented protocol.
-PROTOCOL_FACTORIES: Dict[str, type] = {
-    "Flooding": FloodingProtocol,
-    "AODV": AodvProtocol,
-    "DSR": DsrProtocol,
-    "DSDV": DsdvProtocol,
-    "Biswas": BiswasProtocol,
-    "DisjLi": DisjLiProtocol,
-    "PBR": PbrProtocol,
-    "Taleb": TalebProtocol,
-    "Abedi": AbediProtocol,
-    "Wedde": WeddeProtocol,
-    "RSU-Relay": RsuRelayProtocol,
-    "Bus-Ferry": BusFerryProtocol,
-    "Greedy": GreedyProtocol,
-    "Zone": ZoneProtocol,
-    "Grid-Gateway": GridGatewayProtocol,
-    "ROVER": RoverProtocol,
-    "Yan-TBP": YanTbpProtocol,
-    "CAR": CarProtocol,
-    "REAR": RearProtocol,
-    "GVGrid": GvGridProtocol,
-    "NiuDe": NiuDeProtocol,
-}
-
-
-def available_protocols() -> List[str]:
-    """Names of all implemented protocols, sorted."""
-    return sorted(PROTOCOL_FACTORIES)
-
 
 def make_protocol_factory(
     name: str,
@@ -99,7 +44,7 @@ def make_protocol_factory(
     """Build the per-node factory for protocol ``name``.
 
     Args:
-        name: One of :func:`available_protocols`.
+        name: A protocol registered in :data:`~repro.core.taxonomy.PROTOCOLS`.
         config: Optional protocol-specific config instance (must match the
             protocol's expected config class).
         location_service: Shared location service for the protocols that need
@@ -110,11 +55,7 @@ def make_protocol_factory(
         A callable mapping a :class:`~repro.sim.node.Node` to a new protocol
         instance attached to that node's network.
     """
-    if name not in PROTOCOL_FACTORIES:
-        raise KeyError(
-            f"unknown protocol {name!r}; available: {', '.join(available_protocols())}"
-        )
-    protocol_class = PROTOCOL_FACTORIES[name]
+    protocol_class = PROTOCOLS[name]
     shared: Dict[int, LocationService] = {}
 
     def factory(node: Node) -> RoutingProtocol:

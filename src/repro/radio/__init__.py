@@ -13,9 +13,9 @@ with carrier sensing, random backoff and collisions (the mechanism behind
 the broadcast-storm problem).
 
 The four channel components compose into a named
-:class:`~repro.radio.stack.RadioStack` resolved through the radio registry
-(:mod:`repro.radio.registry`) -- the fourth sweep axis next to scenarios,
-protocols and workloads.
+:class:`~repro.radio.stack.RadioStack` resolved through
+:data:`~repro.radio.registry.RADIOS` -- the fourth sweep axis next to
+scenarios, protocols and workloads.
 """
 
 from repro.radio.interference import (
@@ -43,16 +43,9 @@ from repro.radio.reception import (
 )
 from repro.radio.registry import (
     DEFAULT_RADIO,
-    available_radio_presets,
-    available_radios,
+    RADIOS,
     radio_from_name,
-    radio_preset_rows,
-    radio_rows,
-    register_radio,
-    register_radio_preset,
     stack_for_scenario,
-    unregister_radio,
-    unregister_radio_preset,
 )
 from repro.radio.stack import RadioStack
 
@@ -77,14 +70,7 @@ __all__ = [
     "ProbabilisticReception",
     "RadioStack",
     "DEFAULT_RADIO",
-    "available_radio_presets",
-    "available_radios",
+    "RADIOS",
     "radio_from_name",
-    "radio_preset_rows",
-    "radio_rows",
-    "register_radio",
-    "register_radio_preset",
     "stack_for_scenario",
-    "unregister_radio",
-    "unregister_radio_preset",
 ]

@@ -1,34 +1,25 @@
-"""Registry of radio kinds and named radio-stack presets.
+"""The radio registry: channel kinds and named radio-stack presets.
 
-This module does for the physical channel what
-:mod:`repro.protocols.registry` does for routing protocols,
-:mod:`repro.harness.scenarios` does for mobility substrates and
-:mod:`repro.workloads.registry` does for application traffic: the harness
-refers to radio stacks by name and resolves them here, so adding a channel
-model is a registry entry rather than a change to the runner.  The radio is
-the fourth sweep axis (scenario x protocol x workload x **radio** x seed).
-
-Two registries live here:
-
-* **Kinds** (:data:`RADIO_TYPES`) map a kind string (``"unit_disk"``,
-  ``"shadowing"``, ``"nakagami"``, ...) to a builder producing a
-  :class:`~repro.radio.stack.RadioStack` from the simulator's seeded
-  ``"radio"`` stream plus scalar parameters.
-* **Presets** (:data:`RADIO_PRESETS`) map a human-friendly name such as
-  ``dsrc-urban-nlos`` to a ready-made parameterisation (propagation +
-  reception + interference + MAC together).
+The harness refers to radio stacks by name and resolves them here, so
+adding a channel model is a registry entry rather than a change to the
+runner.  The radio is the fourth sweep axis (scenario x protocol x
+workload x **radio** x seed).  Kinds (``"unit_disk"``, ``"shadowing"``,
+``"nakagami"``, ...) are builders producing a
+:class:`~repro.radio.stack.RadioStack` from the simulator's seeded
+``"radio"`` stream plus scalar parameters; presets such as
+``dsrc-urban-nlos`` parameterise propagation + reception + interference +
+MAC together.
 
 Stacks are *built per run*: random channel models (shadowing, Nakagami
 fading, probabilistic reception) hold the run's random stream, so a shared
-instance would leak draws between runs.  ``radio_from_name(spec, rng=...)``
-therefore returns a fresh stack each call.
+instance would leak draws between runs.  :func:`radio_from_name` therefore
+returns a fresh stack each call.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.radio.interference import (
     AdditiveInterference,
@@ -49,6 +40,7 @@ from repro.radio.reception import (
     SnrThresholdReception,
 )
 from repro.radio.stack import RadioStack
+from repro.registry import Preset, Registry, Row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a harness cycle)
     from repro.harness.scenario import Scenario
@@ -62,72 +54,14 @@ DEFAULT_RADIO = "ideal-disk-250m"
 #: parameters and returns a fresh :class:`RadioStack`.
 RadioBuilder = Callable[..., RadioStack]
 
-#: kind name -> builder, for every registered radio kind.
-RADIO_TYPES: Dict[str, RadioBuilder] = {}
+
+def _preset_columns(preset: Preset) -> Row:
+    """Radio preset rows show the kind and the built stack's nominal range."""
+    stack = preset.build(random.Random(0))  # repro-lint: ok RNG-001 -- probing preset shape for a listing table, never simulated
+    return {"kind": preset.kind, "nominal_range_m": f"{stack.nominal_range_m():.0f}"}
 
 
-def register_radio(name: str) -> Callable[[RadioBuilder], RadioBuilder]:
-    """Function decorator registering a radio-stack builder under ``name``."""
-
-    def decorator(builder: RadioBuilder) -> RadioBuilder:
-        if name in RADIO_TYPES:
-            raise ValueError(f"radio kind {name!r} is already registered")
-        RADIO_TYPES[name] = builder
-        return builder
-
-    return decorator
-
-
-def unregister_radio(name: str) -> None:
-    """Remove a registered radio kind (plug-in teardown / tests)."""
-    RADIO_TYPES.pop(name, None)
-
-
-def available_radios() -> List[str]:
-    """Names of all registered radio kinds, sorted."""
-    return sorted(RADIO_TYPES)
-
-
-# ------------------------------------------------------------------ presets
-@dataclass(frozen=True)
-class RadioPreset:
-    """A named ready-made radio-stack parameterisation.
-
-    ``kind`` is the underlying radio kind, recorded at registration so
-    catalogue listings never need to instantiate the preset.
-    """
-
-    name: str
-    factory: Callable[..., RadioStack]
-    description: str
-    kind: str = ""
-
-    def build(self, rng: random.Random, **overrides) -> RadioStack:
-        """Instantiate the preset (a fresh RadioStack each call)."""
-        return self.factory(rng, **overrides)
-
-
-#: preset name -> preset, for every registered preset.
-RADIO_PRESETS: Dict[str, RadioPreset] = {}
-
-
-def register_radio_preset(
-    name: str, factory: Callable[..., RadioStack], description: str, kind: str = ""
-) -> None:
-    """Register a named preset built by ``factory(rng, **overrides)``."""
-    if name in RADIO_PRESETS:
-        raise ValueError(f"radio preset {name!r} is already registered")
-    RADIO_PRESETS[name] = RadioPreset(name, factory, description, kind)
-
-
-def unregister_radio_preset(name: str) -> None:
-    """Remove a registered radio preset (plug-in teardown / tests)."""
-    RADIO_PRESETS.pop(name, None)
-
-
-def available_radio_presets() -> List[str]:
-    """Names of all registered radio presets, sorted."""
-    return sorted(RADIO_PRESETS)
+RADIOS: Registry[RadioBuilder] = Registry("radio", preset_columns=_preset_columns)
 
 
 def radio_from_name(
@@ -135,29 +69,15 @@ def radio_from_name(
 ) -> RadioStack:
     """Resolve a radio stack by string, the way the CLI's ``--radio`` does.
 
-    Resolution order for ``spec``:
-
-    1. A registered preset name (see :func:`available_radio_presets`);
-       ``params`` override the preset's own parameters.
-    2. A registered kind (``"unit_disk"``, ``"nakagami"``, ...), built with
-       ``params`` as builder keywords.
-
-    ``rng`` must be the simulator's ``"radio"`` stream for reproducible
-    runs; a fixed ``Random(0)`` is substituted for catalogue listings and
-    ad-hoc inspection.
+    ``spec`` is a preset (``params`` override its own parameters) or a kind
+    (built with ``params`` as builder keywords); the stack is named after
+    ``spec``.  ``rng`` must be the simulator's ``"radio"`` stream for
+    reproducible runs; a fixed ``Random(0)`` is substituted for catalogue
+    listings and ad-hoc inspection.
     """
     if rng is None:
         rng = random.Random(0)  # repro-lint: ok RNG-001 -- catalogue/ad-hoc inspection only; runs pass the sim's 'radio' stream
-    if spec in RADIO_PRESETS:
-        stack = RADIO_PRESETS[spec].build(rng, **params)
-    elif spec in RADIO_TYPES:
-        stack = RADIO_TYPES[spec](rng, **params)
-    else:
-        raise KeyError(
-            f"unknown radio {spec!r}; registered kinds: "
-            f"{', '.join(available_radios())}; presets: "
-            f"{', '.join(available_radio_presets())}"
-        )
+    stack = RADIOS.resolve(spec, rng, **params)
     stack.name = spec
     return stack
 
@@ -201,33 +121,6 @@ def stack_for_scenario(scenario: "Scenario", rng: random.Random) -> RadioStack:
     return radio_from_name(radio.propagation, rng=rng, **params)
 
 
-# ----------------------------------------------------------------- listings
-def radio_rows() -> List[Dict[str, str]]:
-    """One report row per registered radio kind (for ``list-radios``)."""
-    rows: List[Dict[str, str]] = []
-    for name in available_radios():
-        doc = (RADIO_TYPES[name].__doc__ or "").strip().splitlines()
-        rows.append({"radio": name, "description": doc[0] if doc else ""})
-    return rows
-
-
-def radio_preset_rows() -> List[Dict[str, str]]:
-    """One report row per radio preset (for ``list-radios`` / README)."""
-    rows: List[Dict[str, str]] = []
-    for name in available_radio_presets():
-        preset = RADIO_PRESETS[name]
-        stack = preset.build(random.Random(0))  # repro-lint: ok RNG-001 -- probing preset shape for a listing table, never simulated
-        rows.append(
-            {
-                "preset": name,
-                "kind": preset.kind,
-                "nominal_range_m": f"{stack.nominal_range_m():.0f}",
-                "description": preset.description,
-            }
-        )
-    return rows
-
-
 # ------------------------------------------------------------ built-in kinds
 def _components(
     mac: Optional[MacConfig],
@@ -242,7 +135,7 @@ def _components(
     )
 
 
-@register_radio("unit_disk")
+@RADIOS.register("unit_disk")
 def _build_unit_disk(
     rng: random.Random,
     communication_range_m: float = 250.0,
@@ -262,7 +155,7 @@ def _build_unit_disk(
     )
 
 
-@register_radio("free_space")
+@RADIOS.register("free_space")
 def _build_free_space(
     rng: random.Random,
     tx_power_dbm: float = 20.0,
@@ -281,7 +174,7 @@ def _build_free_space(
     )
 
 
-@register_radio("two_ray")
+@RADIOS.register("two_ray")
 def _build_two_ray(
     rng: random.Random,
     antenna_height_m: float = 1.5,
@@ -301,7 +194,7 @@ def _build_two_ray(
     )
 
 
-@register_radio("shadowing")
+@RADIOS.register("shadowing")
 def _build_shadowing(
     rng: random.Random,
     path_loss_exponent: float = 2.8,
@@ -324,7 +217,7 @@ def _build_shadowing(
     )
 
 
-@register_radio("nakagami")
+@RADIOS.register("nakagami")
 def _build_nakagami(
     rng: random.Random,
     m: float = 3.0,
@@ -345,68 +238,55 @@ def _build_nakagami(
 
 
 # -------------------------------------------------------------- presets
-def _register_builtin_presets() -> None:
-    register_radio_preset(
-        DEFAULT_RADIO,
-        lambda rng, **overrides: RADIO_TYPES["unit_disk"](
-            rng, **{"communication_range_m": 250.0, **overrides}
-        ),
-        "idealised 250 m unit disk, deterministic SINR reception (the default)",
-        kind="unit_disk",
-    )
-    register_radio_preset(
-        "dsrc-highway-los",
-        lambda rng, **overrides: RADIO_TYPES["two_ray"](rng, **overrides),
-        "line-of-sight highway DSRC: two-ray ground loss, SNR-threshold reception",
-        kind="two_ray",
-    )
-    register_radio_preset(
-        "dsrc-urban-nlos",
-        lambda rng, **overrides: RADIO_TYPES["shadowing"](
-            rng,
-            **{
-                "path_loss_exponent": 3.0,
-                "sigma_db": 6.0,
-                "reception": ProbabilisticReception(),
-                **overrides,
-            },
-        ),
-        "urban non-line-of-sight DSRC: heavy log-normal shadowing, probabilistic reception",
-        kind="shadowing",
-    )
-    register_radio_preset(
-        "dsrc-congested",
-        lambda rng, **overrides: RADIO_TYPES["unit_disk"](
-            rng,
-            **{
-                "communication_range_m": 250.0,
-                "mac": MacConfig(cw_min=7, cw_max=255),
-                "reception": SnrThresholdReception(noise_floor_dbm=-90.0),
-                **overrides,
-            },
-        ),
-        "channel-congestion stress: 250 m disk, shortened contention window, raised noise floor",
-        kind="unit_disk",
-    )
-
-
-_register_builtin_presets()
+RADIOS.register_preset(
+    DEFAULT_RADIO,
+    _build_unit_disk,
+    "idealised 250 m unit disk, deterministic SINR reception (the default)",
+    kind="unit_disk",
+    communication_range_m=250.0,
+)
+RADIOS.register_preset(
+    "dsrc-highway-los",
+    _build_two_ray,
+    "line-of-sight highway DSRC: two-ray ground loss, SNR-threshold reception",
+    kind="two_ray",
+)
+# Component objects are built per call, never shared through preset
+# defaults: reception models memoise per-run noise state.
+RADIOS.register_preset(
+    "dsrc-urban-nlos",
+    lambda rng, **overrides: _build_shadowing(
+        rng,
+        **{
+            "path_loss_exponent": 3.0,
+            "sigma_db": 6.0,
+            "reception": ProbabilisticReception(),
+            **overrides,
+        },
+    ),
+    "urban non-line-of-sight DSRC: heavy log-normal shadowing, probabilistic reception",
+    kind="shadowing",
+)
+RADIOS.register_preset(
+    "dsrc-congested",
+    lambda rng, **overrides: _build_unit_disk(
+        rng,
+        **{
+            "communication_range_m": 250.0,
+            "mac": MacConfig(cw_min=7, cw_max=255),
+            "reception": SnrThresholdReception(noise_floor_dbm=-90.0),
+            **overrides,
+        },
+    ),
+    "channel-congestion stress: 250 m disk, shortened contention window, raised noise floor",
+    kind="unit_disk",
+)
 
 
 __all__ = [
     "DEFAULT_RADIO",
-    "RADIO_PRESETS",
-    "RADIO_TYPES",
+    "RADIOS",
     "RadioBuilder",
-    "RadioPreset",
-    "available_radio_presets",
-    "available_radios",
     "radio_from_name",
-    "radio_preset_rows",
-    "radio_rows",
-    "register_radio",
-    "register_radio_preset",
     "stack_for_scenario",
-    "unregister_radio",
-    "unregister_radio_preset",
 ]

@@ -4,9 +4,8 @@ A :class:`RadioStack` is the radio-side counterpart of a
 :class:`~repro.harness.scenario.Scenario`: it bundles the four pluggable
 channel components -- propagation, reception, interference combination and
 the MAC/PHY framing parameters -- into a single named profile the harness
-can pass around as one object.  Stacks are resolved by name through the
-radio registry (:mod:`repro.radio.registry`), the same way protocols,
-scenario kinds and workloads are, and form the fourth sweep axis
+can pass around as one object.  Stacks are resolved by name through
+:data:`~repro.radio.registry.RADIOS` and form the fourth sweep axis
 (scenario x protocol x workload x **radio** x seed).
 
 A stack instance is *live*: random models inside it (shadowing, Nakagami
@@ -43,7 +42,7 @@ class RadioStack:
         mac: CSMA/CA and PHY framing parameters.
         tx_power_dbm: Transmit power assigned to every node built under
             this stack.
-        description: One-line human description (``list-radios``).
+        description: One-line human description (``list radios``).
     """
 
     name: str = "custom"

@@ -7,6 +7,11 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from repro.sim.events import QUEUE_IMPLEMENTATIONS, Event
 from repro.sim.rng import RandomStreams
 
+# Time arguments are validated with one negated chained comparison against
+# _INF: NaN fails every comparison, so ``not lo <= x < _INF`` rejects NaN,
+# infinities and out-of-range values at once, with no call on the hot path.
+_INF = float("inf")
+
 
 class SimulationError(RuntimeError):
     """Raised for invalid uses of the simulation engine."""
@@ -50,7 +55,7 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Number of events fired so far (useful for progress/debug)."""
+        """Number of events fired by completed :meth:`run` calls (progress/debug)."""
         return self._events_processed
 
     @property
@@ -75,8 +80,8 @@ class Simulator:
         priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"event delay must be finite and non-negative (got {delay})")
         return self._queue.push(self._now + delay, callback, args, priority)
 
     def schedule_at(
@@ -87,9 +92,9 @@ class Simulator:
         priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` to fire at absolute time ``time``."""
-        if time < self._now:
+        if not self._now <= time < _INF:
             raise SimulationError(
-                f"cannot schedule an event in the past (time={time}, now={self._now})"
+                f"event time must be finite and not in the past (time={time}, now={self._now})"
             )
         return self._queue.push(time, callback, args, priority)
 
@@ -107,9 +112,9 @@ class Simulator:
         now = self._now
         batch = []
         for delay, callback, args, priority in items:
-            if delay < 0:
+            if not 0.0 <= delay < _INF:
                 raise SimulationError(
-                    f"cannot schedule an event in the past (delay={delay})"
+                    f"event delay must be finite and non-negative (got {delay})"
                 )
             batch.append((now + delay, callback, args, priority))
         return self._queue.push_many(batch)
@@ -122,9 +127,9 @@ class Simulator:
         now = self._now
         batch = []
         for time, callback, args, priority in items:
-            if time < now:
+            if not now <= time < _INF:
                 raise SimulationError(
-                    f"cannot schedule an event in the past (time={time}, now={now})"
+                    f"event time must be finite and not in the past (time={time}, now={now})"
                 )
             batch.append((time, callback, args, priority))
         return self._queue.push_many(batch)
@@ -145,10 +150,10 @@ class Simulator:
         in ``[0, jitter]`` and every subsequent period is ``interval`` plus
         a *centred* uniform draw in ``[-jitter/2, +jitter/2]``, so the mean
         period equals ``interval`` exactly.  Delays are clamped at zero.
+        ``interval`` must be finite and positive, ``jitter`` finite and
+        non-negative, and ``start_delay`` finite.
         Returns a handle whose :meth:`PeriodicTask.cancel` stops the task.
         """
-        if interval <= 0:
-            raise SimulationError(f"periodic interval must be positive (got {interval})")
         task = PeriodicTask(self, interval, callback, args, jitter, rng_stream)
         first_delay = start_delay if start_delay is not None else interval
         task.start(first_delay)
@@ -174,10 +179,6 @@ class Simulator:
         batch = []
         now = self._now
         for interval, callback, args in specs:
-            if interval <= 0:
-                raise SimulationError(
-                    f"periodic interval must be positive (got {interval})"
-                )
             task = PeriodicTask(self, interval, callback, tuple(args), jitter, rng_stream)
             first_delay = start_delay if start_delay is not None else interval
             batch.append((now + task._initial_delay(first_delay), task._fire, (), 0))
@@ -194,18 +195,24 @@ class Simulator:
             until: Stop once the clock would pass this time (events scheduled
                 later stay in the queue).  ``None`` runs until the queue is
                 empty.
-            max_events: Safety valve -- stop after this many events.
+            max_events: Safety valve -- fire at most this many events in
+                this call (``0`` fires none).
 
         Returns:
             The simulation time when the loop stopped.
         """
         if self._running:
             raise SimulationError("simulator is already running")
+        if max_events is not None and max_events < 0:
+            raise SimulationError(f"max_events must be non-negative (got {max_events})")
         self._running = True
         self._stopped = False
         queue = self._queue
+        # -1 never equals a count, so "no limit" costs the same single compare.
+        limit = -1 if max_events is None else max_events
+        fired = 0
         try:
-            while not self._stopped:
+            while not self._stopped and fired != limit:
                 # One queue traversal finds, checks and removes the next
                 # live event (the old peek-then-pop walked the front twice).
                 event = queue.pop_due(until)
@@ -215,10 +222,9 @@ class Simulator:
                     break
                 self._now = event.time
                 event.fire()
-                self._events_processed += 1
-                if max_events is not None and self._events_processed >= max_events:
-                    break
+                fired += 1
         finally:
+            self._events_processed += fired
             self._running = False
         return self._now
 
@@ -248,6 +254,10 @@ class PeriodicTask:
         jitter: float,
         rng_stream: str,
     ) -> None:
+        if not 0.0 < interval < _INF:
+            raise SimulationError(f"periodic interval must be finite and positive (got {interval})")
+        if not 0.0 <= jitter < _INF:
+            raise SimulationError(f"periodic jitter must be finite and non-negative (got {jitter})")
         self._sim = sim
         self._interval = interval
         self._callback = callback
@@ -266,6 +276,8 @@ class PeriodicTask:
         self._event = self._sim.schedule(self._initial_delay(first_delay), self._fire)
 
     def _initial_delay(self, first_delay: float) -> float:
+        if not -_INF < first_delay < _INF:
+            raise SimulationError(f"periodic start delay must be finite (got {first_delay})")
         delay = max(0.0, first_delay)
         if self._jitter > 0:
             delay += self._rng.uniform(0.0, self._jitter)

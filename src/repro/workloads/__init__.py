@@ -1,8 +1,7 @@
 """Pluggable application workloads.
 
-Traffic is a first-class, registry-resolved subsystem, the same way routing
-protocols (:mod:`repro.protocols.registry`) and mobility substrates
-(:mod:`repro.harness.scenarios`) are: a :class:`~repro.workloads.base.Workload`
+Traffic is a first-class, registry-resolved subsystem
+(:data:`~repro.workloads.registry.WORKLOADS`): a :class:`~repro.workloads.base.Workload`
 builds a run's offered traffic from ``(Scenario, BuiltScenario, rng)``, and
 ``Scenario.workload`` names which one (kind or preset) a run uses.
 
@@ -17,20 +16,7 @@ Built-in kinds:
 """
 
 from repro.workloads.base import Workload
-from repro.workloads.registry import (
-    WORKLOAD_PRESETS,
-    WORKLOAD_TYPES,
-    WorkloadPreset,
-    available_workload_presets,
-    available_workloads,
-    register_workload,
-    register_workload_preset,
-    unregister_workload,
-    unregister_workload_preset,
-    workload_from_name,
-    workload_preset_rows,
-    workload_rows,
-)
+from repro.workloads.registry import WORKLOADS
 
 # Importing the built-in workload modules registers their kinds and presets.
 from repro.workloads.cbr import CbrWorkload
@@ -40,22 +26,11 @@ from repro.workloads.safety_beacon import SafetyBeaconWorkload
 from repro.workloads.v2i import V2IWorkload
 
 __all__ = [
-    "WORKLOAD_PRESETS",
-    "WORKLOAD_TYPES",
+    "WORKLOADS",
     "Workload",
-    "WorkloadPreset",
     "CbrWorkload",
     "EventBurstWorkload",
     "PoissonWorkload",
     "SafetyBeaconWorkload",
     "V2IWorkload",
-    "available_workload_presets",
-    "available_workloads",
-    "register_workload",
-    "register_workload_preset",
-    "unregister_workload",
-    "unregister_workload_preset",
-    "workload_from_name",
-    "workload_preset_rows",
-    "workload_rows",
 ]

@@ -3,9 +3,9 @@
 A :class:`Workload` turns a scenario into offered traffic: it registers
 application flows with the statistics collector and schedules sends through
 the protocol API (or, for single-hop broadcast traffic, directly through the
-MAC).  Workloads are resolved by name through the registry
-(:mod:`repro.workloads.registry`), the same way protocols and scenario kinds
-are -- the runner never hardcodes a traffic shape.
+MAC).  Workloads are resolved by name through
+:data:`~repro.workloads.registry.WORKLOADS` -- the runner never hardcodes a
+traffic shape.
 
 The contract mirrors the scenario builders: :meth:`Workload.build` receives
 the declarative :class:`~repro.harness.scenario.Scenario`, the instantiated
@@ -39,7 +39,7 @@ class Workload(ABC):
     own objects, so one instance may be reused for several runs.
     """
 
-    #: Registry key; set by the ``@register_workload`` decorator.
+    #: Registry key; stamped by ``@WORKLOADS.register``.
     workload_name: str = "base"
 
     @abstractmethod

@@ -7,14 +7,14 @@ import warnings
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.workloads.base import Workload
-from repro.workloads.registry import register_workload
+from repro.workloads.registry import WORKLOADS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.runner import BuiltScenario
     from repro.harness.scenario import Scenario
 
 
-@register_workload("cbr")
+@WORKLOADS.register("cbr")
 class CbrWorkload(Workload):
     """Constant-bit-rate unicast flows between random (or pinned) vehicle pairs.
 

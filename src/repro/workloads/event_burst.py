@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 from repro.sim.node import NodeKind
 from repro.sim.packet import BROADCAST, make_data_packet
 from repro.workloads.base import Workload
-from repro.workloads.registry import register_workload, register_workload_preset
+from repro.workloads.registry import WORKLOADS
 from repro.workloads.safety_beacon import SCOPE_LINGER_S
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 EVT_PTYPE = "EVT"
 
 
-@register_workload("event-burst")
+@WORKLOADS.register("event-burst")
 class EventBurstWorkload(Workload):
     """Randomly triggered emergency warnings flooded within a geographic scope.
 
@@ -243,11 +243,12 @@ class EventBurstWorkload(Workload):
         return {"events_triggered": float(len(built.stats.flows))}
 
 
-register_workload_preset(
+WORKLOADS.register_preset(
     "event-burst-storm",
-    lambda **overrides: EventBurstWorkload(
-        **{"event_count": 8, "repeats": 5, "repeat_interval_s": 0.2, **overrides}
-    ),
+    EventBurstWorkload,
     "8 emergency events, 5 rapid warning repeats each (stress burst)",
     kind="event-burst",
+    event_count=8,
+    repeats=5,
+    repeat_interval_s=0.2,
 )

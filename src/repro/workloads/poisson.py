@@ -7,14 +7,14 @@ import warnings
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.workloads.base import Workload
-from repro.workloads.registry import register_workload, register_workload_preset
+from repro.workloads.registry import WORKLOADS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.runner import BuiltScenario
     from repro.harness.scenario import Scenario
 
 
-@register_workload("poisson")
+@WORKLOADS.register("poisson")
 class PoissonWorkload(Workload):
     """Open population of unicast flows with exponential inter-arrival times.
 
@@ -142,9 +142,10 @@ class PoissonWorkload(Workload):
         return flows
 
 
-register_workload_preset(
+WORKLOADS.register_preset(
     "poisson-bursty",
-    lambda **overrides: PoissonWorkload(**{"mean_interval_s": 0.2, **overrides}),
+    PoissonWorkload,
     "Poisson flow arrivals with 5 pkt/s bursts per flow",
     kind="poisson",
+    mean_interval_s=0.2,
 )

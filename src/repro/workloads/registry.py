@@ -1,143 +1,21 @@
-"""Registry of workload kinds and named workload presets.
+"""The workload registry: traffic kinds and named workload presets.
 
-This module does for application traffic what
-:mod:`repro.protocols.registry` does for routing protocols and
-:mod:`repro.harness.scenarios` does for mobility substrates: the harness
-refers to workloads by name and resolves them here, so adding a traffic
-model is a registry entry rather than a change to the runner.
-
-Two registries live here:
-
-* **Kinds** (:data:`WORKLOAD_TYPES`) map a kind string (``"cbr"``,
-  ``"safety-beacon"``, ...) to a :class:`~repro.workloads.base.Workload`
-  subclass; ``workload_from_name(kind, **params)`` instantiates it with the
-  given parameters.
-* **Presets** (:data:`WORKLOAD_PRESETS`) map a human-friendly name such as
-  ``safety-beacon-10hz`` to a ready-made parameterisation.  Presets are
-  registered by the workload modules themselves, next to the class they
-  configure.
+The harness refers to workloads by name and resolves them here, so adding
+a traffic model is a registry entry rather than a change to the runner.
+Kinds map a name (``"cbr"``, ``"safety-beacon"``, ...) to a
+:class:`~repro.workloads.base.Workload` subclass; presets such as
+``safety-beacon-10hz`` are registered by the workload modules themselves,
+next to the class they configure.  ``WORKLOADS.resolve(spec, **params)``
+instantiates either, a preset's ``params`` overriding its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Type
+from typing import Type
 
+from repro.registry import Registry
 from repro.workloads.base import Workload
 
-#: kind name -> workload class, for every registered workload kind.
-WORKLOAD_TYPES: Dict[str, Type[Workload]] = {}
+WORKLOADS: Registry[Type[Workload]] = Registry("workload", name_attr="workload_name")
 
-
-def register_workload(name: str) -> Callable[[Type[Workload]], Type[Workload]]:
-    """Class decorator registering a :class:`Workload` subclass under ``name``."""
-
-    def decorator(cls: Type[Workload]) -> Type[Workload]:
-        if name in WORKLOAD_TYPES:
-            raise ValueError(f"workload kind {name!r} is already registered")
-        cls.workload_name = name
-        WORKLOAD_TYPES[name] = cls
-        return cls
-
-    return decorator
-
-
-def unregister_workload(name: str) -> None:
-    """Remove a registered workload kind (plug-in teardown / tests)."""
-    WORKLOAD_TYPES.pop(name, None)
-
-
-def available_workloads() -> List[str]:
-    """Names of all registered workload kinds, sorted."""
-    return sorted(WORKLOAD_TYPES)
-
-
-# ------------------------------------------------------------------ presets
-@dataclass(frozen=True)
-class WorkloadPreset:
-    """A named ready-made workload parameterisation.
-
-    ``kind`` is the underlying workload kind, recorded at registration so
-    catalogue listings never need to instantiate the preset.
-    """
-
-    name: str
-    factory: Callable[..., Workload]
-    description: str
-    kind: str = ""
-
-    def build(self, **overrides) -> Workload:
-        """Instantiate the preset (a fresh Workload each call)."""
-        return self.factory(**overrides)
-
-
-#: preset name -> preset, for every registered preset.
-WORKLOAD_PRESETS: Dict[str, WorkloadPreset] = {}
-
-
-def register_workload_preset(
-    name: str, factory: Callable[..., Workload], description: str, kind: str = ""
-) -> None:
-    """Register a named preset built by ``factory`` (which accepts overrides).
-
-    ``kind`` names the underlying workload kind for catalogue listings;
-    omitted, listings fall back to instantiating the preset to read it.
-    """
-    if name in WORKLOAD_PRESETS:
-        raise ValueError(f"workload preset {name!r} is already registered")
-    WORKLOAD_PRESETS[name] = WorkloadPreset(name, factory, description, kind)
-
-
-def unregister_workload_preset(name: str) -> None:
-    """Remove a registered workload preset (plug-in teardown / tests)."""
-    WORKLOAD_PRESETS.pop(name, None)
-
-
-def available_workload_presets() -> List[str]:
-    """Names of all registered workload presets, sorted."""
-    return sorted(WORKLOAD_PRESETS)
-
-
-def workload_from_name(spec: str, **params) -> Workload:
-    """Resolve a workload by string, the way the CLI's ``--workload`` does.
-
-    Resolution order for ``spec``:
-
-    1. A registered preset name (see :func:`available_workload_presets`);
-       ``params`` override the preset's own parameters.
-    2. A registered kind (``"cbr"``, ``"safety-beacon"``, ...), instantiated
-       with ``params`` as constructor keywords.
-    """
-    if spec in WORKLOAD_PRESETS:
-        return WORKLOAD_PRESETS[spec].build(**params)
-    if spec in WORKLOAD_TYPES:
-        return WORKLOAD_TYPES[spec](**params)
-    raise KeyError(
-        f"unknown workload {spec!r}; registered kinds: "
-        f"{', '.join(available_workloads())}; presets: "
-        f"{', '.join(available_workload_presets())}"
-    )
-
-
-def workload_rows() -> List[Dict[str, str]]:
-    """One report row per registered workload kind (for ``list-workloads``)."""
-    rows: List[Dict[str, str]] = []
-    for name in available_workloads():
-        doc = (WORKLOAD_TYPES[name].__doc__ or "").strip().splitlines()
-        rows.append({"workload": name, "description": doc[0] if doc else ""})
-    return rows
-
-
-def workload_preset_rows() -> List[Dict[str, str]]:
-    """One report row per workload preset (for ``list-workloads`` / README)."""
-    rows: List[Dict[str, str]] = []
-    for name in available_workload_presets():
-        preset = WORKLOAD_PRESETS[name]
-        rows.append(
-            {
-                "preset": name,
-                "workload": preset.kind or preset.build().workload_name,
-                "description": preset.description,
-            }
-        )
-    return rows
+__all__ = ["WORKLOADS"]

@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING, Dict, List, Set
 from repro.sim.node import NodeKind
 from repro.sim.packet import BROADCAST, make_data_packet
 from repro.workloads.base import Workload
-from repro.workloads.registry import register_workload, register_workload_preset
+from repro.workloads.registry import WORKLOADS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.runner import BuiltScenario
@@ -32,7 +32,7 @@ BSM_PTYPE = "BSM"
 SCOPE_LINGER_S = 10.0
 
 
-@register_workload("safety-beacon")
+@WORKLOADS.register("safety-beacon")
 class SafetyBeaconWorkload(Workload):
     """Periodic single-hop broadcast safety beacons from every vehicle.
 
@@ -200,15 +200,17 @@ class SafetyBeaconWorkload(Workload):
         }
 
 
-register_workload_preset(
+WORKLOADS.register_preset(
     "safety-beacon-10hz",
-    lambda **overrides: SafetyBeaconWorkload(**{"interval_s": 0.1, **overrides}),
+    SafetyBeaconWorkload,
     "10 Hz broadcast BSMs from every vehicle (US DSRC rate)",
     kind="safety-beacon",
+    interval_s=0.1,
 )
-register_workload_preset(
+WORKLOADS.register_preset(
     "safety-beacon-2hz",
-    lambda **overrides: SafetyBeaconWorkload(**{"interval_s": 0.5, **overrides}),
+    SafetyBeaconWorkload,
     "2 Hz broadcast BSMs from every vehicle (ETSI CAM floor)",
     kind="safety-beacon",
+    interval_s=0.5,
 )

@@ -7,7 +7,7 @@ import warnings
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.workloads.base import Workload
-from repro.workloads.registry import register_workload, register_workload_preset
+from repro.workloads.registry import WORKLOADS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.runner import BuiltScenario
@@ -16,7 +16,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.packet import Packet
 
 
-@register_workload("v2i")
+@WORKLOADS.register("v2i")
 class V2IWorkload(Workload):
     """Vehicle <-> nearest-RSU request/response sessions over the routing protocol.
 
@@ -176,9 +176,10 @@ class V2IWorkload(Workload):
         }
 
 
-register_workload_preset(
+WORKLOADS.register_preset(
     "v2i-info-pull",
-    lambda **overrides: V2IWorkload(**{"response_size_bytes": 2048, **overrides}),
+    V2IWorkload,
     "periodic nearest-RSU information pull with 2 KiB responses",
     kind="v2i",
+    response_size_bytes=2048,
 )

@@ -13,13 +13,7 @@ from repro.core.path_reliability import (
     path_reliability,
     widest_lifetime_path,
 )
-from repro.core.taxonomy import (
-    Category,
-    ProtocolInfo,
-    TaxonomyRegistry,
-    global_registry,
-    register_protocol,
-)
+from repro.core.taxonomy import PROTOCOLS, Category, protocols_in, register_protocol
 
 
 class TestPathComposition:
@@ -104,38 +98,39 @@ class TestQosPath:
 
 
 class TestTaxonomyRegistry:
-    def test_global_registry_covers_all_five_categories(self):
+    def test_registry_covers_all_five_categories(self):
         # Importing the protocols package registers every implementation.
         import repro.protocols  # noqa: F401
 
-        covered = global_registry.categories_covered()
-        assert set(covered) == set(Category)
+        covered = {PROTOCOLS[name].category for name in PROTOCOLS.names()}
+        assert covered == set(Category)
 
     def test_each_category_has_multiple_protocols(self):
         import repro.protocols  # noqa: F401
 
         for category in Category:
-            assert len(global_registry.in_category(category)) >= 2
+            assert len(protocols_in(category)) >= 2
 
     def test_register_protocol_decorator_populates_registry(self):
-        registry = TaxonomyRegistry()
-
-        @register_protocol("Demo", Category.GEOGRAPHIC, "demo protocol", registry=registry)
+        @register_protocol("Demo", Category.GEOGRAPHIC, "demo protocol", "[1]")
         class Demo:
             pass
 
-        assert "Demo" in registry
-        assert registry.category_of("Demo") is Category.GEOGRAPHIC
-        assert Demo.protocol_name == "Demo"
-        assert registry.get("Demo").protocol_class is Demo
-
-    def test_as_table_rows(self):
-        registry = TaxonomyRegistry()
-        registry.register(ProtocolInfo("X", Category.MOBILITY, "x", "[1]"))
-        rows = registry.as_table()
-        assert rows == [
-            {"category": "mobility", "protocol": "X", "description": "x", "reference": "[1]"}
-        ]
+        try:
+            assert PROTOCOLS["Demo"] is Demo
+            assert Demo.protocol_name == "Demo"
+            assert Demo.category is Category.GEOGRAPHIC
+            assert "Demo" in protocols_in(Category.GEOGRAPHIC)
+            row = next(row for row in PROTOCOLS.kind_rows() if row["protocol"] == "Demo")
+            assert row == {
+                "protocol": "Demo",
+                "category": "geographic",
+                "reference": "[1]",
+                "description": "demo protocol",
+            }
+        finally:
+            PROTOCOLS.unregister("Demo")
+        assert "Demo" not in PROTOCOLS
 
     def test_category_descriptions_exist(self):
         for category in Category:

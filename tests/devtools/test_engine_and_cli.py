@@ -9,13 +9,7 @@ from repro.cli import main as cli_main
 from repro.devtools import lint_paths, lint_sources
 from repro.devtools.base import LintRule
 from repro.devtools.lint import main as lint_main
-from repro.devtools.registry import (
-    LINT_RULES,
-    available_lint_rules,
-    register_lint_rule,
-    rule_rows,
-    unregister_lint_rule,
-)
+from repro.devtools.registry import LINT_RULES
 from repro.devtools.reporters import render_github, render_json, render_text
 
 SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -103,15 +97,15 @@ class TestRuleRegistry:
         assert {
             "RNG-001", "BITX-001", "DET-001", "DET-002",
             "REG-001", "LINT-001", "LINT-002",
-        } <= set(available_lint_rules())
+        } <= set(LINT_RULES.names())
 
     def test_rule_rows_cover_every_rule(self):
-        rows = rule_rows()
-        assert [row["rule"] for row in rows] == available_lint_rules()
+        rows = LINT_RULES.kind_rows()
+        assert [row["rule"] for row in rows] == LINT_RULES.names()
         assert all(row["severity"] and row["rationale"] for row in rows)
 
     def test_registering_a_plugin_rule(self):
-        @register_lint_rule("TST-001")
+        @LINT_RULES.register("TST-001")
         class NoTodoRule(LintRule):
             severity = "warning"
             rationale = "test rule"
@@ -133,16 +127,22 @@ class TestRuleRegistry:
             report = lint_sources({"sim/x.py": "# TODO fix\n"}, select=["TST-001"])
             assert [f.rule_id for f in report.findings] == ["TST-001"]
         finally:
-            unregister_lint_rule("TST-001")
+            LINT_RULES.unregister("TST-001")
         assert "TST-001" not in LINT_RULES
 
     def test_bad_rule_id_rejected(self):
         with pytest.raises(ValueError, match="rng-1"):
-            register_lint_rule("rng-1")
+            LINT_RULES.register("rng-1")(type("BadIdRule", (LintRule,), {}))
+        assert "rng-1" not in LINT_RULES
+
+    def test_unknown_severity_rejected(self):
+        with pytest.raises(ValueError, match="severity"):
+            LINT_RULES.register("TST-002")(type("LoudRule", (LintRule,), {"severity": "fatal"}))
+        assert "TST-002" not in LINT_RULES
 
     def test_duplicate_rule_id_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_lint_rule("RNG-001")(LINT_RULES["RNG-001"])
+            LINT_RULES.register("RNG-001")(LINT_RULES["RNG-001"])
 
 
 class TestCommandLine:
@@ -172,9 +172,9 @@ class TestCommandLine:
         assert payload["errors"] == 1
 
     def test_cli_list_lint_rules_verb(self, capsys):
-        assert cli_main(["list-lint-rules"]) == 0
+        assert cli_main(["list", "lint-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in available_lint_rules():
+        for rule_id in LINT_RULES.names():
             assert rule_id in out
         assert "repro-lint: ok" in out
 

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.core.taxonomy import Category
+from repro.core.taxonomy import PROTOCOLS, Category
 from repro.harness.compare import (
     DEFAULT_REPRESENTATIVES,
     best_in_metric,
     category_comparison,
-    category_of_protocol,
     category_representatives,
 )
 from repro.harness.reporting import format_table, rows_to_csv, summarize_results
@@ -19,7 +18,7 @@ from repro.harness.scenario import (
     highway_scenario,
     manhattan_scenario,
 )
-from repro.harness.sweep import sweep_densities, sweep_protocols
+from repro.harness.sweep import sweep_protocols, sweep_replications
 from repro.mobility.generator import TrafficDensity
 from repro.sim.statistics import StatsCollector
 
@@ -187,14 +186,15 @@ class TestSweeps:
         results = sweep_protocols(_small_scenario(), ["Greedy", "Flooding"])
         assert [r.protocol for r in results] == ["Greedy", "Flooding"]
 
-    def test_sweep_densities_covers_requested_densities(self):
-        results = sweep_densities(
-            _small_scenario(),
-            ["Greedy"],
-            densities=[TrafficDensity.SPARSE, TrafficDensity.NORMAL],
-        )
-        names = {r.scenario_name for r in results}
-        assert len(results) == 2
+    def test_density_sweep_covers_requested_densities(self):
+        base = _small_scenario()
+        scenarios = [
+            base.with_overrides(density=density, name=f"{base.name}-{density.value}")
+            for density in (TrafficDensity.SPARSE, TrafficDensity.NORMAL)
+        ]
+        result = sweep_replications(scenarios, ["Greedy"], seeds=[base.seed])
+        names = {record.scenario_name for record in result.records}
+        assert len(result.records) == 2
         assert any("sparse" in name for name in names)
         assert any("normal" in name for name in names)
 
@@ -218,9 +218,9 @@ class TestComparison:
         assert chosen[Category.GEOGRAPHIC] == "Zone"
         assert chosen[Category.MOBILITY] == DEFAULT_REPRESENTATIVES[Category.MOBILITY]
 
-    def test_category_of_protocol(self):
-        assert category_of_protocol("AODV") is Category.CONNECTIVITY
-        assert category_of_protocol("Greedy") is Category.GEOGRAPHIC
+    def test_protocol_categories(self):
+        assert PROTOCOLS["AODV"].category is Category.CONNECTIVITY
+        assert PROTOCOLS["Greedy"].category is Category.GEOGRAPHIC
 
     def test_category_comparison_groups_and_averages(self):
         results = [

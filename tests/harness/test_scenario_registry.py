@@ -5,18 +5,10 @@ import pytest
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scenario import Scenario, highway_scenario, trace_scenario
 from repro.harness.scenarios import (
+    SCENARIOS,
     BuiltMobility,
-    SCENARIO_PRESETS,
-    available_presets,
-    available_scenario_kinds,
     build_mobility,
-    kind_rows,
-    preset_rows,
-    register_preset,
-    register_scenario,
     scenario_from_name,
-    unregister_preset,
-    unregister_scenario,
 )
 from repro.mobility.fcd_trace import record_fcd_trace, write_fcd_trace
 from repro.mobility.generator import TrafficDensity, make_highway_scenario
@@ -25,7 +17,7 @@ from repro.sim.rng import RandomStreams
 
 class TestRegistry:
     def test_builtin_kinds_registered(self):
-        kinds = available_scenario_kinds()
+        kinds = SCENARIOS.names()
         for expected in ("highway", "manhattan", "random_waypoint", "city", "trace"):
             assert expected in kinds
 
@@ -35,7 +27,7 @@ class TestRegistry:
             build_mobility(scenario, RandomStreams(1).stream("mobility"))
         message = str(excinfo.value)
         assert "hovercraft" in message
-        for kind in available_scenario_kinds():
+        for kind in SCENARIOS.names():
             assert kind in message
 
     def test_register_and_unregister_scenario(self):
@@ -47,21 +39,21 @@ class TestRegistry:
             def step(self, dt, now=0.0):
                 pass
 
-        @register_scenario("probe-kind")
+        @SCENARIOS.register("probe-kind")
         def _probe(scenario, rng):
             captured["rng"] = rng
             return BuiltMobility(_StubMobility())
 
         try:
             with pytest.raises(ValueError):
-                register_scenario("probe-kind")(_probe)
+                SCENARIOS.register("probe-kind")(_probe)
             built = ExperimentRunner().build(Scenario(kind="probe-kind", seed=17))
             # The builder must receive the simulator's seeded "mobility"
             # stream, not some private RNG.
             assert captured["rng"] is built.sim.rng.stream("mobility")
         finally:
-            unregister_scenario("probe-kind")
-        assert "probe-kind" not in available_scenario_kinds()
+            SCENARIOS.unregister("probe-kind")
+        assert "probe-kind" not in SCENARIOS
 
     def test_builders_draw_from_scenario_seed(self):
         def positions(seed):
@@ -109,21 +101,11 @@ class TestPresets:
         assert scenario.seed == 42
         assert scenario.density is TrafficDensity.SPARSE
 
-    def test_register_preset_rejects_duplicates(self):
-        register_preset("tmp-preset", lambda: Scenario(name="tmp"), "temporary")
-        try:
-            with pytest.raises(ValueError):
-                register_preset("tmp-preset", lambda: Scenario(), "again")
-            assert "tmp-preset" in available_presets()
-        finally:
-            unregister_preset("tmp-preset")
-        assert "tmp-preset" not in available_presets()
-
     def test_every_preset_builds_and_steps(self):
         """Each preset must instantiate into a live network and survive one
         simulated second of mobility stepping."""
         runner = ExperimentRunner()
-        for name in available_presets():
+        for name in SCENARIOS.preset_names():
             scenario = scenario_from_name(name, max_vehicles=10, seed=2)
             built = runner.build(scenario)
             assert built.network.mobility is not None, name
@@ -132,9 +114,9 @@ class TestPresets:
             built.sim.run(until=1.1)
 
     def test_preset_and_kind_rows_cover_registries(self):
-        assert {row["preset"] for row in preset_rows()} == set(available_presets())
-        assert {row["kind"] for row in kind_rows()} == set(available_scenario_kinds())
-        for row in preset_rows():
+        assert {row["preset"] for row in SCENARIOS.preset_rows()} == set(SCENARIOS.presets)
+        assert {row["kind"] for row in SCENARIOS.kind_rows()} == set(SCENARIOS.kinds)
+        for row in SCENARIOS.preset_rows():
             assert row["description"]
 
     def test_city_preset_deploys_rsus(self):

@@ -10,18 +10,7 @@ from repro.mobility.generator import TrafficDensity
 from repro.protocols.location import LocationService
 from repro.protocols.registry import make_protocol_factory
 from repro.sim.packet import BROADCAST
-from repro.workloads import (
-    CbrWorkload,
-    SafetyBeaconWorkload,
-    Workload,
-    available_workload_presets,
-    available_workloads,
-    register_workload,
-    unregister_workload,
-    workload_from_name,
-    workload_preset_rows,
-    workload_rows,
-)
+from repro.workloads import WORKLOADS, CbrWorkload, SafetyBeaconWorkload, Workload
 
 
 def _small_scenario(**overrides) -> Scenario:
@@ -37,28 +26,28 @@ def _small_scenario(**overrides) -> Scenario:
 
 class TestRegistry:
     def test_builtin_kinds_are_registered(self):
-        kinds = available_workloads()
+        kinds = WORKLOADS.names()
         for kind in ("cbr", "poisson", "safety-beacon", "event-burst", "v2i"):
             assert kind in kinds
 
     def test_unknown_workload_raises_with_catalogue(self):
         with pytest.raises(KeyError, match="safety-beacon"):
-            workload_from_name("nothing-like-this")
+            WORKLOADS.resolve("nothing-like-this")
 
     def test_kind_resolution_instantiates_with_params(self):
-        workload = workload_from_name("safety-beacon", interval_s=0.25)
+        workload = WORKLOADS.resolve("safety-beacon", interval_s=0.25)
         assert isinstance(workload, SafetyBeaconWorkload)
         assert workload.interval_s == 0.25
 
     def test_preset_resolution_applies_overrides_on_top(self):
-        preset = workload_from_name("safety-beacon-10hz")
+        preset = WORKLOADS.resolve("safety-beacon-10hz")
         assert preset.interval_s == pytest.approx(0.1)
-        overridden = workload_from_name("safety-beacon-10hz", size_bytes=400)
+        overridden = WORKLOADS.resolve("safety-beacon-10hz", size_bytes=400)
         assert overridden.interval_s == pytest.approx(0.1)
         assert overridden.size_bytes == 400
 
     def test_register_and_unregister_plugin_kind(self):
-        @register_workload("test-noop")
+        @WORKLOADS.register("test-noop")
         class NoopWorkload(Workload):
             """Does nothing (test plug-in)."""
 
@@ -66,18 +55,18 @@ class TestRegistry:
                 return []
 
         try:
-            assert isinstance(workload_from_name("test-noop"), NoopWorkload)
+            assert isinstance(WORKLOADS.resolve("test-noop"), NoopWorkload)
             with pytest.raises(ValueError, match="already registered"):
-                register_workload("test-noop")(NoopWorkload)
+                WORKLOADS.register("test-noop")(NoopWorkload)
         finally:
-            unregister_workload("test-noop")
-        assert "test-noop" not in available_workloads()
+            WORKLOADS.unregister("test-noop")
+        assert "test-noop" not in WORKLOADS
 
     def test_rows_cover_every_kind_and_preset(self):
-        assert {row["workload"] for row in workload_rows()} == set(available_workloads())
-        assert {row["preset"] for row in workload_preset_rows()} == set(
-            available_workload_presets()
-        )
+        assert {row["workload"] for row in WORKLOADS.kind_rows()} == set(WORKLOADS.kinds)
+        preset_rows = WORKLOADS.preset_rows()
+        assert {row["preset"] for row in preset_rows} == set(WORKLOADS.presets)
+        assert all(row["workload"] in WORKLOADS.kinds for row in preset_rows)
 
     def test_default_flow_count_is_unified(self):
         assert Scenario().default_flow_count == DEFAULT_FLOW_COUNT
@@ -396,7 +385,6 @@ class TestEventBurstWorkload:
         built = runner.build(scenario)
         from repro.protocols.location import LocationService
         from repro.protocols.registry import make_protocol_factory
-        from repro.workloads import workload_from_name
 
         factory = make_protocol_factory(
             "Flooding",
@@ -404,7 +392,7 @@ class TestEventBurstWorkload:
             road_graph=built.road_graph,
         )
         built.network.attach_protocols(factory)
-        workload = workload_from_name(
+        workload = WORKLOADS.resolve(
             scenario.workload, **dict(scenario.workload_params)
         )
         workload.build(scenario, built, built.sim.rng.stream("traffic"))

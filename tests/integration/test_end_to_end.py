@@ -7,13 +7,12 @@ relationships of the paper's Table I rather than exact numbers.
 
 import pytest
 
-from repro.core.taxonomy import Category, global_registry
+from repro.core.taxonomy import PROTOCOLS, Category
 from repro.harness.compare import DEFAULT_REPRESENTATIVES, category_comparison
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scenario import FlowSpec, highway_scenario, manhattan_scenario
 from repro.harness.sweep import sweep_protocols
 from repro.mobility.generator import TrafficDensity
-from repro.protocols.registry import available_protocols
 
 
 def _scenario(density=TrafficDensity.NORMAL, **overrides):
@@ -32,7 +31,7 @@ RUNNER = ExperimentRunner()
 
 
 class TestEveryProtocolRuns:
-    @pytest.mark.parametrize("protocol", available_protocols())
+    @pytest.mark.parametrize("protocol", PROTOCOLS.names())
     def test_protocol_completes_a_highway_run(self, protocol):
         scenario = _scenario(duration_s=12.0, max_vehicles=30, default_flow_count=2)
         if protocol == "Bus-Ferry":
@@ -101,12 +100,8 @@ class TestInfrastructureShape:
 
 
 class TestTaxonomyCoverage:
-    def test_registry_matches_factories(self):
-        registered = {info.name for info in global_registry.protocols}
-        assert registered == set(available_protocols())
-
     def test_at_least_fifteen_protocols_implemented(self):
-        assert len(available_protocols()) >= 15
+        assert len(PROTOCOLS.names()) >= 15
 
 
 class TestUrbanScenario:

@@ -33,7 +33,7 @@ from repro.harness.scenario import Scenario, highway_scenario
 from repro.harness.sweep import sweep_replications
 from repro.mobility.generator import TrafficDensity
 from repro.monitors import check_telemetry_schema_version
-from repro.workloads import available_workloads
+from repro.workloads import WORKLOADS
 
 REPO_SRC = Path(__file__).parents[2] / "src"
 GOLDEN_PATH = Path(__file__).parent.parent / "harness" / "data" / "zero_monitor_golden.json"
@@ -48,7 +48,7 @@ from repro.harness.scenario import Scenario
 from repro.mobility.generator import TrafficDensity
 from repro.protocols.location import LocationService
 from repro.protocols.registry import make_protocol_factory
-from repro.workloads import workload_from_name
+from repro.workloads import WORKLOADS
 
 MONITORS = __MONITORS__
 
@@ -60,7 +60,7 @@ def run_traced(scenario, protocol):
                                     location_service=location_service,
                                     road_graph=built.road_graph)
     built.network.attach_protocols(factory)
-    workload = workload_from_name(scenario.workload, **dict(scenario.workload_params))
+    workload = WORKLOADS.resolve(scenario.workload, **dict(scenario.workload_params))
     workload.build(scenario, built, built.sim.rng.stream("traffic"))
     built.network.start()
     built.sim.run(until=scenario.duration_s + scenario.drain_s)
@@ -190,7 +190,7 @@ def test_monitor_params_must_name_swept_monitors():
         )
 
 
-@pytest.mark.parametrize("workload", sorted(available_workloads()))
+@pytest.mark.parametrize("workload", WORKLOADS.names())
 def test_invariant_probe_passes_on_every_builtin_workload(workload):
     scenario = highway_scenario(
         TrafficDensity.SPARSE,

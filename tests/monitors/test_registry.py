@@ -1,44 +1,34 @@
-"""Monitor registry contract: kinds, presets, name resolution."""
+"""Monitor registry: built-in kinds, presets, name resolution."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.monitors import (
-    MONITOR_PRESETS,
-    MONITOR_TYPES,
+    MONITORS,
     ConservationInvariantMonitor,
     LatencyDistributionMonitor,
     Monitor,
     TimeSeriesMonitor,
     TransmissionHeatmapMonitor,
-    available_monitor_presets,
-    available_monitors,
-    monitor_from_name,
-    monitor_preset_rows,
-    monitor_rows,
-    register_monitor,
-    register_monitor_preset,
-    unregister_monitor,
-    unregister_monitor_preset,
 )
 
 
 def test_builtin_kinds_registered():
-    assert set(available_monitors()) >= {
+    assert set(MONITORS.names()) >= {
         "latency-dist",
         "timeseries",
         "heatmap",
         "invariant",
     }
-    assert MONITOR_TYPES["latency-dist"] is LatencyDistributionMonitor
-    assert MONITOR_TYPES["timeseries"] is TimeSeriesMonitor
-    assert MONITOR_TYPES["heatmap"] is TransmissionHeatmapMonitor
-    assert MONITOR_TYPES["invariant"] is ConservationInvariantMonitor
+    assert MONITORS["latency-dist"] is LatencyDistributionMonitor
+    assert MONITORS["timeseries"] is TimeSeriesMonitor
+    assert MONITORS["heatmap"] is TransmissionHeatmapMonitor
+    assert MONITORS["invariant"] is ConservationInvariantMonitor
 
 
 def test_builtin_presets_registered():
-    assert set(available_monitor_presets()) >= {
+    assert set(MONITORS.preset_names()) >= {
         "latency-dist-fine",
         "timeseries-1s",
         "timeseries-100ms",
@@ -48,66 +38,60 @@ def test_builtin_presets_registered():
     }
 
 
-def test_monitor_from_name_kind_and_overrides():
-    monitor = monitor_from_name("timeseries", bucket_s=0.25)
+def test_resolve_kind_and_overrides():
+    monitor = MONITORS.resolve("timeseries", bucket_s=0.25)
     assert isinstance(monitor, TimeSeriesMonitor)
     assert monitor.bucket_s == 0.25
 
 
-def test_monitor_from_name_preset_defaults_and_overrides():
-    preset = monitor_from_name("invariant-strict")
+def test_resolve_preset_defaults_and_overrides():
+    preset = MONITORS.resolve("invariant-strict")
     assert isinstance(preset, ConservationInvariantMonitor)
     assert preset.checkpoint_interval_s == 1.0
-    overridden = monitor_from_name("invariant-strict", checkpoint_interval_s=0.5)
+    overridden = MONITORS.resolve("invariant-strict", checkpoint_interval_s=0.5)
     assert overridden.checkpoint_interval_s == 0.5
 
 
-def test_monitor_from_name_preset_wins_over_kind():
-    # Same precedence rule as the workload/radio registries.
-    fine = monitor_from_name("latency-dist-fine")
+def test_builtin_preset_parameters_differ_from_kind_defaults():
+    fine = MONITORS.resolve("latency-dist-fine")
     assert fine.sketch.bin_ratio == 1.01
-    plain = monitor_from_name("latency-dist")
+    plain = MONITORS.resolve("latency-dist")
     assert plain.sketch.bin_ratio == 1.05
 
 
-def test_monitor_from_name_unknown_is_actionable():
+def test_resolve_unknown_is_actionable():
     with pytest.raises(KeyError, match="unknown monitor 'nope'"):
-        monitor_from_name("nope")
+        MONITORS.resolve("nope")
 
 
-def test_register_monitor_rejects_duplicates_and_sets_name():
-    @register_monitor("test-probe")
+def test_register_stamps_monitor_name():
+    @MONITORS.register("test-probe")
     class TestProbe(Monitor):
         pass
 
     try:
         assert TestProbe.monitor_name == "test-probe"
-        assert isinstance(monitor_from_name("test-probe"), TestProbe)
-        with pytest.raises(ValueError, match="already registered"):
-            register_monitor("test-probe")(TestProbe)
+        assert isinstance(MONITORS.resolve("test-probe"), TestProbe)
     finally:
-        unregister_monitor("test-probe")
-    assert "test-probe" not in available_monitors()
+        MONITORS.unregister("test-probe")
+    assert "test-probe" not in MONITORS
 
 
-def test_register_monitor_preset_rejects_duplicates():
-    register_monitor_preset(
+def test_register_preset_applies_defaults():
+    MONITORS.register_preset(
         "test-probe-preset", TimeSeriesMonitor, "test", kind="timeseries", bucket_s=2.0
     )
     try:
-        built = monitor_from_name("test-probe-preset")
-        assert built.bucket_s == 2.0
-        with pytest.raises(ValueError, match="already registered"):
-            register_monitor_preset("test-probe-preset", TimeSeriesMonitor, "test")
+        assert MONITORS.resolve("test-probe-preset").bucket_s == 2.0
     finally:
-        unregister_monitor_preset("test-probe-preset")
-    assert "test-probe-preset" not in MONITOR_PRESETS
+        MONITORS.unregister_preset("test-probe-preset")
+    assert "test-probe-preset" not in MONITORS
 
 
 def test_rows_cover_every_registration():
-    kind_rows = monitor_rows()
-    assert {row["monitor"] for row in kind_rows} == set(available_monitors())
+    kind_rows = MONITORS.kind_rows()
+    assert {row["monitor"] for row in kind_rows} == set(MONITORS.kinds)
     assert all(row["description"] for row in kind_rows)
-    preset_rows = monitor_preset_rows()
-    assert {row["preset"] for row in preset_rows} == set(available_monitor_presets())
-    assert all(row["monitor"] in available_monitors() for row in preset_rows)
+    preset_rows = MONITORS.preset_rows()
+    assert {row["preset"] for row in preset_rows} == set(MONITORS.presets)
+    assert all(row["monitor"] in MONITORS.kinds for row in preset_rows)

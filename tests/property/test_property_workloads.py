@@ -18,7 +18,7 @@ from repro.harness.runner import ExperimentRunner
 from repro.harness.scenario import Scenario, highway_scenario
 from repro.mobility.generator import TrafficDensity
 from repro.sim.node import Node
-from repro.workloads import available_workloads, workload_from_name
+from repro.workloads import WORKLOADS
 
 
 def _tiny_scenario(workload: str, seed: int) -> Scenario:
@@ -46,7 +46,7 @@ def _describe(arg: object) -> object:
 def _schedule_signature(scenario: Scenario) -> str:
     """Build the workload and serialise the resulting event schedule."""
     built = ExperimentRunner().build(scenario)
-    workload = workload_from_name(scenario.workload, **dict(scenario.workload_params))
+    workload = WORKLOADS.resolve(scenario.workload, **dict(scenario.workload_params))
     flows = workload.build(scenario, built, built.sim.rng.stream("traffic"))
     events = [
         (
@@ -62,7 +62,7 @@ def _schedule_signature(scenario: Scenario) -> str:
     return json.dumps({"flows": flows, "events": events}, sort_keys=True)
 
 
-@pytest.mark.parametrize("workload", sorted(available_workloads()))
+@pytest.mark.parametrize("workload", WORKLOADS.names())
 class TestWorkloadScheduleDeterminism:
     @given(seed=st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=8, deadline=None)

@@ -56,6 +56,6 @@ class TestNiuDeEndToEnd:
         assert stats.delivery_ratio >= 0.8
 
     def test_registered_in_probability_category(self):
-        from repro.core.taxonomy import Category, global_registry
+        from repro.core.taxonomy import PROTOCOLS, Category
 
-        assert global_registry.category_of("NiuDe") is Category.PROBABILITY
+        assert PROTOCOLS["NiuDe"].category is Category.PROBABILITY

@@ -13,8 +13,9 @@ from repro.protocols.discovery import (
 )
 from repro.protocols.location import LocationService
 from repro.protocols.neighbors import NeighborEntry, NeighborTable
-from repro.protocols.registry import available_protocols, make_protocol_factory
-from repro.core.taxonomy import global_registry
+from repro.protocols.base import RoutingProtocol
+from repro.protocols.registry import make_protocol_factory
+from repro.core.taxonomy import PROTOCOLS
 from repro.sim.packet import make_data_packet
 from tests.helpers import build_static_network, line_positions
 
@@ -163,10 +164,12 @@ class TestLocationService:
 
 
 class TestRegistry:
-    def test_every_registered_protocol_has_a_factory(self):
-        assert set(available_protocols()) == {
-            info.name for info in global_registry.protocols
-        }
+    def test_every_registered_protocol_carries_its_taxonomy_entry(self):
+        for name in PROTOCOLS.names():
+            cls = PROTOCOLS[name]
+            assert issubclass(cls, RoutingProtocol), name
+            assert cls.protocol_name == name
+            assert cls.category is not None and cls.description, name
 
     def test_factory_builds_attached_protocol(self):
         sim, network, stats, nodes = build_static_network([(0, 0), (100, 0)])
@@ -180,7 +183,7 @@ class TestRegistry:
             make_protocol_factory("NotARealProtocol")
 
     def test_every_factory_instantiates(self):
-        for name in available_protocols():
+        for name in PROTOCOLS.names():
             sim, network, stats, nodes = build_static_network([(0, 0), (100, 0)], protocol=name)
             assert nodes[0].protocol is not None
             assert nodes[0].protocol.protocol_name == name

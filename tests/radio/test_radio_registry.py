@@ -29,26 +29,16 @@ from repro.radio.reception import (
 )
 from repro.radio.registry import (
     DEFAULT_RADIO,
-    RADIO_PRESETS,
-    available_radio_presets,
-    available_radios,
+    RADIOS,
     radio_from_name,
-    radio_preset_rows,
-    radio_rows,
-    register_radio,
-    register_radio_preset,
     stack_for_scenario,
-    unregister_radio,
-    unregister_radio_preset,
 )
 from repro.radio.stack import RadioStack
 
 
 class TestRegistryRoundTrip:
     def test_builtin_kinds_are_registered(self):
-        assert {"unit_disk", "free_space", "two_ray", "shadowing", "nakagami"} <= set(
-            available_radios()
-        )
+        assert {"unit_disk", "free_space", "two_ray", "shadowing", "nakagami"} <= set(RADIOS.names())
 
     def test_builtin_presets_are_registered(self):
         assert {
@@ -56,10 +46,10 @@ class TestRegistryRoundTrip:
             "dsrc-highway-los",
             "dsrc-urban-nlos",
             "dsrc-congested",
-        } <= set(available_radio_presets())
+        } <= set(RADIOS.preset_names())
 
     def test_every_kind_builds_a_complete_stack(self):
-        for name in available_radios():
+        for name in RADIOS.names():
             stack = radio_from_name(name, rng=random.Random(1))
             assert isinstance(stack, RadioStack)
             assert stack.name == name
@@ -69,15 +59,15 @@ class TestRegistryRoundTrip:
             assert stack.interference.combine([0.0]) <= 0.0
 
     def test_every_preset_builds_a_complete_stack(self):
-        for name in available_radio_presets():
+        for name in RADIOS.preset_names():
             stack = radio_from_name(name, rng=random.Random(1))
             assert isinstance(stack, RadioStack)
             assert stack.name == name
             # The advertised kind matches the built propagation family.
-            assert RADIO_PRESETS[name].kind in available_radios()
+            assert RADIOS.presets[name].kind in RADIOS.kinds
 
     def test_register_and_unregister_custom_kind(self):
-        @register_radio("test-floor")
+        @RADIOS.register("test-floor")
         def _build(rng, floor_dbm=-80.0):
             return RadioStack(reception=SnrThresholdReception(noise_floor_dbm=floor_dbm))
 
@@ -86,12 +76,12 @@ class TestRegistryRoundTrip:
             assert stack.name == "test-floor"
             assert stack.reception.noise_floor_dbm == -70.0
         finally:
-            unregister_radio("test-floor")
+            RADIOS.unregister("test-floor")
         with pytest.raises(KeyError):
             radio_from_name("test-floor")
 
     def test_register_and_unregister_custom_preset(self):
-        register_radio_preset(
+        RADIOS.register_preset(
             "test-short-disk",
             lambda rng, **o: radio_from_name("unit_disk", rng=rng, **{"communication_range_m": 50.0, **o}),
             "tiny disk",
@@ -104,24 +94,18 @@ class TestRegistryRoundTrip:
             wider = radio_from_name("test-short-disk", communication_range_m=75.0)
             assert wider.propagation.communication_range == 75.0
         finally:
-            unregister_radio_preset("test-short-disk")
+            RADIOS.unregister_preset("test-short-disk")
         with pytest.raises(KeyError):
             radio_from_name("test-short-disk")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_radio("unit_disk")(lambda rng: RadioStack())
-        with pytest.raises(ValueError):
-            register_radio_preset(DEFAULT_RADIO, lambda rng: RadioStack(), "dup")
 
     def test_unknown_name_lists_alternatives(self):
         with pytest.raises(KeyError, match="dsrc-urban-nlos"):
             radio_from_name("warp-drive")
 
     def test_listing_rows(self):
-        kinds = {row["radio"] for row in radio_rows()}
+        kinds = {row["radio"] for row in RADIOS.kind_rows()}
         assert "nakagami" in kinds
-        presets = {row["preset"]: row for row in radio_preset_rows()}
+        presets = {row["preset"]: row for row in RADIOS.preset_rows()}
         assert presets[DEFAULT_RADIO]["nominal_range_m"] == "250"
         assert presets["dsrc-urban-nlos"]["kind"] == "shadowing"
 

@@ -57,7 +57,7 @@ def test_explicit_default_preset_event_trace_matches_shim():
     """Naming ``ideal-disk-250m`` explicitly and leaving the radio unset must
     produce identical *event traces*, not merely identical summaries."""
     from repro.protocols.registry import make_protocol_factory
-    from repro.workloads import workload_from_name
+    from repro.workloads import WORKLOADS
 
     runner = ExperimentRunner(trace_enabled=True)
     base = _golden_scenario(highway_scenario, "highway", 3)
@@ -65,7 +65,7 @@ def test_explicit_default_preset_event_trace_matches_shim():
     def trace_of(scenario):
         built = runner.build(scenario)
         built.network.attach_protocols(make_protocol_factory("Flooding"))
-        workload = workload_from_name(scenario.workload)
+        workload = WORKLOADS.resolve(scenario.workload)
         workload.build(scenario, built, built.sim.rng.stream("traffic"))
         built.network.start()
         built.sim.run(until=scenario.duration_s + scenario.drain_s)

@@ -121,6 +121,47 @@ class TestSimulator:
         sim.run(max_events=3)
         assert sim.events_processed == 3
 
+    def test_max_events_counts_this_call_and_checks_before_firing(self, sim):
+        # Regression: the limit was checked after firing against the
+        # lifetime counter, so max_events=0 fired one event and a second
+        # run(max_events=3) on the same simulator fired only 2.
+        fired = []
+        for index in range(10):
+            sim.schedule(1.0 + index, fired.append, index)
+        sim.run(max_events=0)
+        assert fired == []
+        sim.run(max_events=3)
+        assert fired == [0, 1, 2]
+        sim.run(max_events=3)
+        assert fired == [0, 1, 2, 3, 4, 5]
+        assert sim.events_processed == 6
+
+    def test_negative_max_events_rejected(self, sim):
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="max_events"):
+            sim.run(max_events=-1)
+        assert sim.events_processed == 0
+        sim.run()  # the refused call left the simulator runnable
+        assert sim.events_processed == 1
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -0.5])
+    def test_schedule_rejects_non_finite_or_negative_delay(self, sim, delay):
+        # NaN used to reach the calendar queue and surface as a bare
+        # "cannot convert float NaN to integer" ValueError.
+        with pytest.raises(SimulationError, match="finite and non-negative"):
+            sim.schedule(delay, lambda: None)
+        with pytest.raises(SimulationError, match="finite and non-negative"):
+            sim.schedule_many([(delay, lambda: None, (), 0)])
+        assert sim.live_events == 0
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_schedule_at_rejects_non_finite_time(self, sim, time):
+        with pytest.raises(SimulationError, match="finite"):
+            sim.schedule_at(time, lambda: None)
+        with pytest.raises(SimulationError, match="finite"):
+            sim.schedule_at_many([(time, lambda: None, (), 0)])
+        assert sim.live_events == 0
+
 
 class TestPeriodicTask:
     def test_periodic_fires_repeatedly(self, sim):
@@ -167,3 +208,35 @@ class TestPeriodicTask:
     def test_invalid_interval_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.schedule_periodic(0.0, lambda: None)
+
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_interval_rejected(self, sim, interval):
+        # Regression: a NaN interval passed `interval <= 0` and every
+        # re-schedule clamped max(0.0, nan) to 0.0, so the task livelocked
+        # at t=0 until max_events ran out.
+        with pytest.raises(SimulationError, match="interval"):
+            sim.schedule_periodic(interval, lambda: None)
+        with pytest.raises(SimulationError, match="interval"):
+            sim.schedule_periodic_many([(interval, lambda: None, ())])
+        assert sim.live_events == 0
+
+    @pytest.mark.parametrize("jitter", [float("nan"), float("inf"), -0.5])
+    def test_non_finite_or_negative_jitter_rejected(self, sim, jitter):
+        # A negative jitter used to be silently ignored.
+        with pytest.raises(SimulationError, match="jitter"):
+            sim.schedule_periodic(1.0, lambda: None, jitter=jitter)
+        with pytest.raises(SimulationError, match="jitter"):
+            sim.schedule_periodic_many([(1.0, lambda: None, ())], jitter=jitter)
+        assert sim.live_events == 0
+
+    @pytest.mark.parametrize("start_delay", [float("nan"), float("inf")])
+    def test_non_finite_start_delay_rejected(self, sim, start_delay):
+        with pytest.raises(SimulationError, match="start delay"):
+            sim.schedule_periodic(1.0, lambda: None, start_delay=start_delay)
+        assert sim.live_events == 0
+
+    def test_negative_start_delay_still_clamped_to_now(self, sim):
+        times = []
+        sim.schedule_periodic(1.0, lambda: times.append(sim.now), start_delay=-3.0)
+        sim.run(until=1.5)
+        assert times == [0.0, 1.0]

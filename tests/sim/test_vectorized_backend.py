@@ -17,7 +17,7 @@ from repro.protocols.location import LocationService
 from repro.protocols.registry import make_protocol_factory
 from repro.sim import position_store
 from repro.sim.position_store import PositionStore, require_numpy
-from repro.workloads import workload_from_name
+from repro.workloads import WORKLOADS as WORKLOAD_REGISTRY
 from tests.sim.test_medium_backends import normalized_records, run_seeded_scenario
 
 np = pytest.importorskip("numpy")
@@ -61,7 +61,7 @@ def run_workload_scenario(kind, spatial_backend, radio, workload, seed=9):
         road_graph=built.road_graph,
     )
     built.network.attach_protocols(factory)
-    wl = workload_from_name(scenario.workload, **dict(scenario.workload_params))
+    wl = WORKLOAD_REGISTRY.resolve(scenario.workload, **dict(scenario.workload_params))
     wl.build(scenario, built, built.sim.rng.stream("traffic"))
     built.network.start()
     built.sim.run(until=scenario.duration_s + scenario.drain_s)

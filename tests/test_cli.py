@@ -6,9 +6,17 @@ from repro.cli import build_parser, main
 
 
 class TestParser:
-    def test_protocols_subcommand_parses(self):
-        args = build_parser().parse_args(["protocols"])
-        assert args.command == "protocols"
+    @pytest.mark.parametrize(
+        "kind", ["protocols", "scenarios", "workloads", "radios", "monitors", "lint-rules"]
+    )
+    def test_list_subcommand_parses(self, kind):
+        args = build_parser().parse_args(["list", kind])
+        assert args.command == "list"
+        assert args.kind == kind
+
+    def test_list_rejects_unknown_kind(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["list", "hovercraft"])
 
     def test_run_subcommand_defaults(self):
         args = build_parser().parse_args(["run", "AODV"])
@@ -136,14 +144,6 @@ class TestParser:
         args = build_parser().parse_args(["run", "Greedy", "--kind", "city"])
         assert args.kind == "city"
 
-    def test_list_scenarios_subcommand_parses(self):
-        args = build_parser().parse_args(["list-scenarios"])
-        assert args.command == "list-scenarios"
-
-    def test_list_workloads_subcommand_parses(self):
-        args = build_parser().parse_args(["list-workloads"])
-        assert args.command == "list-workloads"
-
     def test_run_workload_flag_lands_on_the_scenario(self):
         from repro.cli import _build_scenario
 
@@ -176,10 +176,10 @@ class TestParser:
         unknown constructor keywords to the named one (raw TypeError in the
         runner instead of a usage error)."""
         from repro.cli import _build_scenario
-        from repro.harness.scenarios import register_preset, unregister_preset
+        from repro.harness.scenarios import SCENARIOS
         from repro.harness.scenario import Scenario
 
-        register_preset(
+        SCENARIOS.register_preset(
             "test-nakagami-city",
             lambda: Scenario(
                 name="test-nakagami-city",
@@ -209,17 +209,13 @@ class TestParser:
             assert kept.radio_params == {"m": 1.0}
             assert kept.workload_params == {"interval_s": 0.1}
         finally:
-            unregister_preset("test-nakagami-city")
+            SCENARIOS.unregister_preset("test-nakagami-city")
 
     def test_sweep_radio_flag_accepts_a_matrix_axis(self):
         args = build_parser().parse_args(
             ["sweep", "Greedy", "--radio", "ideal-disk-250m", "dsrc-urban-nlos"]
         )
         assert args.radio == ["ideal-disk-250m", "dsrc-urban-nlos"]
-
-    def test_list_radios_subcommand_parses(self):
-        args = build_parser().parse_args(["list-radios"])
-        assert args.command == "list-radios"
 
     def test_cli_and_scenario_flow_count_defaults_agree(self):
         """Regression: the CLI hardcoded 5 while Scenario defaulted to 6."""
@@ -233,7 +229,7 @@ class TestParser:
 
 class TestCommands:
     def test_protocols_lists_all_categories(self, capsys):
-        assert main(["protocols"]) == 0
+        assert main(["list", "protocols"]) == 0
         output = capsys.readouterr().out
         for category in ("connectivity", "mobility", "infrastructure", "geographic", "probability"):
             assert category in output
@@ -423,7 +419,7 @@ class TestCommands:
         assert "unique" in capsys.readouterr().err
 
     def test_list_scenarios_lists_kinds_and_presets(self, capsys):
-        assert main(["list-scenarios"]) == 0
+        assert main(["list", "scenarios"]) == 0
         output = capsys.readouterr().out
         for kind in ("highway", "manhattan", "random_waypoint", "city", "trace"):
             assert kind in output
@@ -437,7 +433,7 @@ class TestCommands:
         assert "city-grid-2km-sparse" in err
 
     def test_list_workloads_lists_kinds_and_presets(self, capsys):
-        assert main(["list-workloads"]) == 0
+        assert main(["list", "workloads"]) == 0
         output = capsys.readouterr().out
         for kind in ("cbr", "poisson", "safety-beacon", "event-burst", "v2i"):
             assert kind in output
@@ -495,12 +491,19 @@ class TestCommands:
         assert {r.workload for r in loaded.replicated} == {"cbr", "safety-beacon"}
 
     def test_list_radios_lists_kinds_and_presets(self, capsys):
-        assert main(["list-radios"]) == 0
+        assert main(["list", "radios"]) == 0
         output = capsys.readouterr().out
         for kind in ("unit_disk", "two_ray", "shadowing", "nakagami"):
             assert kind in output
         for preset in ("ideal-disk-250m", "dsrc-highway-los", "dsrc-urban-nlos", "dsrc-congested"):
             assert preset in output
+
+    def test_list_monitors_lists_kinds_and_presets(self, capsys):
+        assert main(["list", "monitors"]) == 0
+        output = capsys.readouterr().out
+        for name in ("latency-dist", "timeseries", "heatmap", "invariant", "invariant-strict"):
+            assert name in output
+        assert "--telemetry FILE" in output
 
     def test_run_unknown_radio_fails_cleanly(self, capsys):
         assert main(["run", "Greedy", "--radio", "warp-drive"]) == 2
