@@ -14,6 +14,7 @@ and ``"trace"``; plug-ins register more without touching this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
@@ -187,6 +188,15 @@ class Scenario:
         # ``ScenarioKind`` enum): the registry is keyed by plain strings.
         if isinstance(self.kind, Enum):
             self.kind = str(self.kind.value)
+        # A negative or non-finite horizon, or a negative vehicle cap, would
+        # otherwise run "successfully" to a silent 0.0 delivery ratio (or,
+        # for NaN, never stop).  Zero stays legal: a degenerate, empty run.
+        for name in ("duration_s", "drain_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0 (got {value!r})")
+        if self.max_vehicles is not None and self.max_vehicles < 0:
+            raise ValueError(f"max_vehicles must be >= 0 (got {self.max_vehicles!r})")
 
     def with_overrides(self, **overrides) -> "Scenario":
         """A copy of this scenario with the given attributes replaced."""

@@ -67,11 +67,31 @@ class ReceptionModel(ABC):
     ) -> None:
         self.sensitivity_dbm = sensitivity_dbm
         self.noise_floor_dbm = noise_floor_dbm
+        #: (noise_floor_dbm, quiet-channel dBm, noise mW): the derived noise
+        #: constants, recomputed only if the noise floor is reassigned.
+        self._noise_cache = None
+
+    def _noise_terms(self):
+        """``(noise dBm, quiet-channel noise-plus-interference dBm, noise mW)``.
+
+        The quiet-channel term is ``combine_dbm([noise, NO_SIGNAL_DBM])``
+        evaluated once per noise floor: the same scalar chain on the same
+        input, so it carries the same bits as evaluating it per call.
+        """
+        cache = self._noise_cache
+        if cache is None or cache[0] != self.noise_floor_dbm:
+            noise = self.noise_floor_dbm
+            cache = (noise, combine_dbm([noise, NO_SIGNAL_DBM]), dbm_to_mw(noise))
+            self._noise_cache = cache
+        return cache
 
     def sinr_db(self, rx_power_dbm: float, interference_dbm: float) -> float:
         """Signal-to-interference-plus-noise ratio in dB."""
         if rx_power_dbm <= NO_SIGNAL_DBM:
             return -math.inf
+        if interference_dbm == NO_SIGNAL_DBM:
+            # The common case: no concurrent frame reaches the receiver.
+            return rx_power_dbm - self._noise_terms()[1]
         noise_plus_interference = combine_dbm([self.noise_floor_dbm, interference_dbm])
         return rx_power_dbm - noise_plus_interference
 
@@ -124,15 +144,12 @@ class SnrThresholdReception(ReceptionModel):
     ) -> None:
         super().__init__(sensitivity_dbm, noise_floor_dbm)
         self.snr_threshold_db = snr_threshold_db
-        #: (noise_floor_dbm, quiet-channel dBm, noise mW) -- the two derived
-        #: constants :meth:`decide_batch` needs every call, recomputed only
-        #: if the noise floor is reassigned.
-        self._noise_cache = None
         #: interference dBm -> noise-plus-interference dBm, memoised across
         #: :meth:`decide_batch` calls (the distinct interference levels a
-        #: disk channel produces repeat frame after frame).  Reset with the
-        #: noise cache.
+        #: disk channel produces repeat frame after frame).  Valid for the
+        #: noise terms object in ``_npi_memo_terms``; reset when they change.
         self._npi_memo = {}
+        self._npi_memo_terms = None
 
     def decide(
         self,
@@ -167,12 +184,10 @@ class SnrThresholdReception(ReceptionModel):
         np = require_numpy("decide_batch")
         rx = np.asarray(rx_power_dbm, dtype=np.float64)
         interference = np.asarray(interference_dbm, dtype=np.float64)
-        cache = self._noise_cache
-        if cache is None or cache[0] != self.noise_floor_dbm:
-            noise = self.noise_floor_dbm
-            cache = (noise, combine_dbm([noise, NO_SIGNAL_DBM]), dbm_to_mw(noise))
-            self._noise_cache = cache
+        cache = self._noise_terms()
+        if cache is not self._npi_memo_terms:
             self._npi_memo = {}
+            self._npi_memo_terms = cache
         memo = self._npi_memo
         size = interference.size
         if size >= 16:

@@ -205,6 +205,9 @@ class Simulator:
             raise SimulationError("simulator is already running")
         if max_events is not None and max_events < 0:
             raise SimulationError(f"max_events must be non-negative (got {max_events})")
+        if until is not None and until != until:
+            # `event.time > nan` is always False: the loop would never stop.
+            raise SimulationError("run horizon 'until' must not be NaN")
         self._running = True
         self._stopped = False
         queue = self._queue

@@ -13,12 +13,14 @@ through a pluggable :mod:`~repro.sim.spatial` index (``"grid"`` by default,
 ``"linear"`` as the exhaustive oracle).  Candidates from the index are
 re-filtered against live positions and visited in registration order, so
 with a finite-range propagation model (unit disk, the default) both
-backends produce byte-identical event traces.  Models whose received
-power never drops to ``NO_SIGNAL_DBM`` (two-ray, free-space, shadowing)
-are approximated under the grid: transmitters beyond the carrier-sense
-cutoff are excluded from carrier sensing and interference sums, the same
-bounded-range tradeoff :meth:`WirelessMedium._reception_cutoff` already
-applies to reception.
+backends produce byte-identical event traces.  A hard-edge channel (the
+unit disk) is evaluated exactly up to its disk and no further.  Models
+whose received power never drops to ``NO_SIGNAL_DBM`` (two-ray,
+free-space, shadowing) are approximated under the grid: transmitters
+beyond the carrier-sense cutoff are excluded from carrier sensing and
+interference sums, the same bounded-range tradeoff (a 2x margin over the
+nominal range) that :meth:`WirelessMedium._reception_cutoff` applies to
+their reception.
 
 The third backend, ``"vectorized"``, keeps the grid index for candidate
 lookups but registers every node in a struct-of-arrays
@@ -214,10 +216,8 @@ class WirelessMedium:
         self.vectorized_min_rows = VECTORIZED_MIN_ROWS
 
     def _default_cell_size(self) -> float:
-        nominal = self.propagation.nominal_range(
-            self.stack.tx_power_dbm, self.reception.sensitivity_dbm
-        )
-        return nominal * 2.0 if nominal > 0 else 500.0
+        cutoff = self._reception_cutoff(self.stack.tx_power_dbm)
+        return cutoff if cutoff > 0 else 500.0
 
     # --------------------------------------------------------------- topology
     def register(self, node: "Node") -> None:
@@ -508,6 +508,9 @@ class WirelessMedium:
         rng = self.sim.rng.stream("phy-reception")
         is_unicast = transmission.next_hop != BROADCAST
         unicast_delivered = False
+        sender_position = transmission.sender_position
+        tx_power_dbm = transmission.tx_power_dbm
+        rx_power_from_distance = self.propagation.rx_power_dbm_from_distance
         # Every receiver of this frame sits within `cutoff` of the sender, so
         # (by the triangle inequality) every transmission that can interfere
         # at any of them sits within `cutoff + carrier-sense reach` of the
@@ -527,16 +530,17 @@ class WirelessMedium:
             ]
         else:
             interferers = []
-        for node in self._nodes_near(transmission.sender_position, cutoff):
+        for node in self._nodes_near(sender_position, cutoff):
             if node.node_id == transmission.sender_id:
                 continue
             receiver_position = node.position
-            distance = transmission.sender_position.distance_to(receiver_position)
+            # One distance per candidate: the cutoff test and the received
+            # power share it (every bundled model depends on geometry only
+            # through this distance, and draws its RNG in the same order).
+            distance = sender_position.distance_to(receiver_position)
             if distance > cutoff:
                 continue
-            rx_power = self.propagation.rx_power_dbm(
-                transmission.tx_power_dbm, transmission.sender_position, receiver_position
-            )
+            rx_power = rx_power_from_distance(tx_power_dbm, distance)
             if rx_power <= NO_SIGNAL_DBM:
                 continue
             interference = self._interference_at(receiver_position, interferers)
@@ -899,16 +903,28 @@ class WirelessMedium:
         return self.interference.combine(contributions)
 
     def _reception_cutoff(self, tx_power_dbm: float) -> float:
-        """Distance beyond which reception is impossible (evaluation cutoff)."""
+        """Distance beyond which reception is impossible (evaluation cutoff).
+
+        A hard-edge channel (one whose
+        :meth:`~repro.radio.propagation.PropagationModel.constant_rx_profile`
+        is a disk) is cut exactly at the disk: beyond it the received power
+        is ``NO_SIGNAL_DBM``, which the delivery loop skips without RNG
+        draws or counters, so the exact cutoff changes no output.  Every
+        other model keeps a 2x margin over its nominal range.
+        """
         cached = self._range_cache.get(tx_power_dbm)
         if cached is not None:
             return cached
-        nominal = self.propagation.nominal_range(
-            tx_power_dbm, self.reception.sensitivity_dbm
-        )
-        # Shadowed channels occasionally reach beyond the nominal range;
-        # a 2x margin keeps that tail while bounding the per-frame work.
-        cutoff = nominal * 2.0 if nominal > 0 else 0.0
+        profile = self.propagation.constant_rx_profile(tx_power_dbm)
+        if profile is not None:
+            cutoff = profile[1]
+        else:
+            nominal = self.propagation.nominal_range(
+                tx_power_dbm, self.reception.sensitivity_dbm
+            )
+            # Shadowed channels occasionally reach beyond the nominal range;
+            # a 2x margin keeps that tail while bounding the per-frame work.
+            cutoff = nominal * 2.0 if nominal > 0 else 0.0
         self._range_cache[tx_power_dbm] = cutoff
         return cutoff
 
@@ -916,8 +932,8 @@ class WirelessMedium:
         """Sender distance beyond which a transmission cannot trip carrier sense.
 
         Uses the highest transmit power seen on the channel against the
-        carrier-sense threshold, with the same 2x shadowing margin as
-        :meth:`_reception_cutoff`.
+        carrier-sense threshold, with the 2x shadowing margin
+        :meth:`_reception_cutoff` applies to models without a hard edge.
         """
         tx_power = self._max_tx_power_dbm
         if tx_power is None:

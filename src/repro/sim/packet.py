@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import itertools
 from collections.abc import MutableMapping
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, Iterator, Optional
 
@@ -192,6 +192,13 @@ class Packet:
         and dropped without mutation.  The uid is drawn from the same
         counter as :meth:`copy`, so traces are byte-identical either way.
 
+        Plain fields are *snapshotted* at delivery: the view takes one
+        C-level copy of this packet's field dict (minus ``headers`` and
+        ``payload``), so field reads are plain instance-dict hits and a
+        later write to the base is not seen -- exactly what :meth:`copy`
+        gives.  ``headers``/``payload`` are copy-on-write: the first read
+        wraps the base's dict in a :class:`CowMapping`.
+
         Contract: a frame handed to the medium is immutable while in
         flight.  Protocols that mutate received packets in place (rather
         than forwarding a copy) must set ``mutates_in_flight = True`` so
@@ -201,8 +208,15 @@ class Packet:
         (e.g. ``packet.headers["path"].append(...)``) would leak through
         to the shared base.
         """
+        state = self.__dict__.copy()
+        # A view of a view may carry materialised mappings of its own; the
+        # new view wraps them afresh on first read.
+        state.pop("headers", None)
+        state.pop("payload", None)
+        state["_base"] = self
+        state["uid"] = next(_uid_counter)
         fresh = _new_instance(PacketView)
-        fresh.__dict__ = {"_base": self, "uid": next(_uid_counter)}
+        fresh.__dict__ = state
         return fresh
 
     def forwarded(self) -> "Packet":
@@ -231,64 +245,36 @@ class Packet:
         )
 
 
-_PACKET_FIELDS = tuple(f.name for f in fields(Packet))
-
-
-class _FieldDelegate:
-    """Non-data descriptor forwarding a field read to the view's base.
-
-    Needed because dataclass fields *with plain defaults* leave the default
-    on the class (``Packet.flow_id is None``), which would satisfy attribute
-    lookup before ``PacketView.__getattr__`` ever ran.  A non-data
-    descriptor slots into the right spot in the lookup order: an instance
-    ``__dict__`` write (a locally shadowed field) still wins, everything
-    else delegates to ``_base``.
-    """
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj: Any, objtype: Any = None) -> Any:
-        if obj is None:
-            return self
-        return getattr(obj.__dict__["_base"], self.name)
-
-
 class PacketView(Packet):
     """Copy-on-write view of a :class:`Packet` (see :meth:`Packet.view`).
 
-    Only ``_base``, the fresh ``uid`` and any locally written fields live in
-    the instance dict; every other attribute read falls through
-    ``__getattr__`` to the base packet.  ``headers``/``payload`` reads hand
-    out a cached :class:`CowMapping`, so item writes materialize a private
-    dict instead of touching the shared one.  Plain attribute writes (e.g.
-    the medium stamping ``rx_power_dbm``) naturally shadow the base.
+    The instance dict holds a snapshot of the base's plain fields, the
+    fresh ``uid`` and ``_base``; attribute writes (e.g. the medium stamping
+    ``rx_power_dbm``) simply replace the snapshot.  ``headers``/``payload``
+    are the only attributes served by ``__getattr__``: the first read hands
+    out a cached :class:`CowMapping` over the base's dict, so item writes
+    materialize a private dict instead of touching the shared one.
     """
 
     def __getattr__(self, name: str) -> Any:
         # Only reached when `name` is not in the instance dict or on the
-        # class; underscore names never delegate (protects pickling/copy
-        # protocol probes from recursing through `_base`).
-        if name.startswith("_"):
+        # class.  Anything but the two lazy mappings is a plain miss (which
+        # also keeps pickling/copy protocol probes away from `_base`).
+        if name != "headers" and name != "payload":
             raise AttributeError(name)
         value = getattr(self.__dict__["_base"], name)
-        if name == "headers" or name == "payload":
-            value = CowMapping(value if value.__class__ is dict else value.content())
-            self.__dict__[name] = value
+        value = CowMapping(value if value.__class__ is dict else value.content())
+        self.__dict__[name] = value
         return value
 
     def copy(self, **overrides: Any) -> "Packet":
         """Materialize a full, independent :class:`Packet` from this view."""
-        fresh = object.__new__(Packet)
+        fresh = _new_instance(Packet)
         state = fresh.__dict__
-        # Field-wise getattr walks the shadow -> base chain, so this stays
-        # correct even for views of views.
-        for name in _PACKET_FIELDS:
-            state[name] = getattr(self, name)
+        state.update(self.__dict__)
+        del state["_base"]
         for key in ("headers", "payload"):
-            mapping = state[key]
+            mapping = getattr(self, key)
             if mapping:
                 state[key] = {k: _copy_value(v) for k, v in mapping.items()}
             else:
@@ -297,16 +283,6 @@ class PacketView(Packet):
         if overrides:
             state.update(overrides)
         return fresh
-
-
-# Fields with plain defaults live on the Packet class itself; shadow each
-# with a delegating descriptor so views fall through to their base (see
-# _FieldDelegate).  Fields without defaults, and default_factory fields,
-# leave no class attribute and reach PacketView.__getattr__ naturally.
-for _packet_field in fields(Packet):
-    if _packet_field.default is not MISSING:
-        setattr(PacketView, _packet_field.name, _FieldDelegate(_packet_field.name))
-del _packet_field
 
 
 def make_data_packet(

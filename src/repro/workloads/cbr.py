@@ -39,6 +39,18 @@ class CbrWorkload(Workload):
         packet_count: Optional[int] = None,
         size_bytes: Optional[int] = None,
     ) -> None:
+        # Named errors here, not a silent empty run (negative counts) or a
+        # deep scheduler/MAC error (negative interval or size) mid-run.
+        # A zero interval is a legal burst.
+        for name, value in (
+            ("flow_count", flow_count),
+            ("packet_count", packet_count),
+            ("interval_s", interval_s),
+        ):
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0 (got {value})")
+        if size_bytes is not None and size_bytes <= 0:
+            raise ValueError(f"size_bytes must be positive (got {size_bytes})")
         self.flow_count = flow_count
         self.start_time_s = start_time_s
         self.interval_s = interval_s

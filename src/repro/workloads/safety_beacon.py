@@ -61,6 +61,8 @@ class SafetyBeaconWorkload(Workload):
     ) -> None:
         if interval_s <= 0:
             raise ValueError(f"beacon interval must be positive (got {interval_s})")
+        if size_bytes <= 0:
+            raise ValueError(f"beacon size_bytes must be positive (got {size_bytes})")
         self.interval_s = interval_s
         self.size_bytes = size_bytes
         self.start_time_s = start_time_s

@@ -50,6 +50,28 @@ class TestScenario:
         assert scenario.duration_s == 12.0
         assert other.name == "changed"
 
+    def test_nan_duration_rejected_by_name(self):
+        from repro.harness.scenarios import scenario_from_name
+
+        with pytest.raises(ValueError, match="duration_s"):
+            scenario_from_name("highway-2km-normal", duration_s=float("nan"))
+
+    def test_negative_duration_rejected(self):
+        with pytest.raises(ValueError, match="duration_s"):
+            _small_scenario(duration_s=-1.0)
+
+    def test_negative_drain_rejected(self):
+        with pytest.raises(ValueError, match="drain_s"):
+            _small_scenario(drain_s=-1.0)
+
+    def test_negative_max_vehicles_rejected(self):
+        with pytest.raises(ValueError, match="max_vehicles"):
+            _small_scenario(max_vehicles=-5)
+
+    def test_zero_horizon_and_fleet_stay_legal(self):
+        scenario = _small_scenario(duration_s=0.0, drain_s=0.0, max_vehicles=0)
+        assert (scenario.duration_s, scenario.drain_s, scenario.max_vehicles) == (0.0, 0.0, 0)
+
     def test_flow_spec_defaults(self):
         spec = FlowSpec()
         assert spec.packet_count > 0

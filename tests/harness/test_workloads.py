@@ -457,6 +457,35 @@ class TestPoissonWorkload:
             PoissonWorkload(mean_interval_s=-1.0)
 
 
+class TestParameterValidation:
+    """Out-of-range workload parameters fail at construction, by name."""
+
+    @pytest.mark.parametrize(
+        "param, value",
+        [
+            ("flow_count", -1),
+            ("packet_count", -1),
+            ("interval_s", -0.5),
+            ("size_bytes", -300),
+            ("size_bytes", 0),
+        ],
+    )
+    def test_cbr_rejects_out_of_range(self, param, value):
+        with pytest.raises(ValueError, match=param):
+            CbrWorkload(**{param: value})
+
+    def test_cbr_zero_interval_is_a_legal_burst(self):
+        assert CbrWorkload(interval_s=0.0, flow_count=0, packet_count=0).interval_s == 0.0
+
+    def test_beacon_rejects_negative_size(self):
+        with pytest.raises(ValueError, match="size_bytes"):
+            SafetyBeaconWorkload(size_bytes=-300)
+
+    def test_registry_resolution_surfaces_the_named_error(self):
+        with pytest.raises(ValueError, match="flow_count"):
+            WORKLOADS.resolve("cbr", flow_count=-1)
+
+
 class TestDegenerateStartGuards:
     """Every timed workload warns (instead of silently idling) when its
     start time leaves nothing to schedule -- the cbr guard's semantics,

@@ -144,6 +144,15 @@ class TestSimulator:
         sim.run()  # the refused call left the simulator runnable
         assert sim.events_processed == 1
 
+    def test_nan_horizon_rejected(self, sim):
+        # `event.time > nan` is always False, so a NaN horizon never stopped.
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.run(until=float("nan"))
+        assert sim.events_processed == 0
+        sim.run()  # the refused call left the simulator runnable
+        assert sim.events_processed == 1
+
     @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -0.5])
     def test_schedule_rejects_non_finite_or_negative_delay(self, sim, delay):
         # NaN used to reach the calendar queue and surface as a bare

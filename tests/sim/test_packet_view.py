@@ -136,6 +136,46 @@ class TestPacketView:
         materialized = second.copy()
         assert materialized.rx_power_dbm == -70.0
 
+    def test_base_write_after_view_is_not_seen_like_copy(self):
+        packet = _fresh_packet()
+        view, copy = packet.view(), packet.copy()
+        packet.ttl = 3
+        packet.flow_id = 99
+        assert (view.ttl, view.flow_id) == (copy.ttl, copy.flow_id) == (64, 7)
+
+    def test_view_fields_are_instance_dict_hits(self):
+        view = _fresh_packet().view()
+        for name in ("kind", "source", "flow_id", "seq", "created_at", "ttl"):
+            assert name in view.__dict__
+        # The mappings stay lazy until first read.
+        assert "headers" not in view.__dict__
+        assert "payload" not in view.__dict__
+
+    def test_view_of_view_carries_shadowed_field_and_materialised_header(self):
+        packet = _fresh_packet()
+        first = packet.view()
+        first.ttl = 5
+        first.headers["mark"] = "first"
+        second = first.view()
+        assert second.ttl == 5
+        assert second.headers["mark"] == "first"
+        assert second.headers["path"] == [1]
+        second.headers["mark"] = "second"
+        assert first.headers["mark"] == "first"
+        assert "mark" not in packet.headers
+        assert packet.ttl == 64
+        materialized = second.copy()
+        assert materialized.ttl == 5
+        assert materialized.headers["mark"] == "second"
+        assert "_base" not in materialized.__dict__
+
+    def test_unknown_attribute_is_a_plain_miss(self):
+        view = _fresh_packet().view()
+        with pytest.raises(AttributeError):
+            view.no_such_field
+        with pytest.raises(AttributeError):
+            view._private_probe
+
     def test_flow_key_and_kind_predicates(self):
         packet = _fresh_packet()
         view = packet.view()
@@ -167,3 +207,34 @@ class TestMutatesInFlightOptOut:
         from repro.protocols.base import RoutingProtocol
 
         assert RoutingProtocol.mutates_in_flight is False
+
+
+def test_default_grid_cell_imports_no_numpy():
+    """The default (grid, pure-Python) delivery path must not need numpy."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    script = (
+        "import sys\n"
+        "from repro.harness.runner import ExperimentRunner\n"
+        "from repro.harness.scenarios import scenario_from_name\n"
+        "scenario = scenario_from_name('city-core-1km-congested', seed=1, duration_s=0.6,\n"
+        "    drain_s=0.1, max_vehicles=30, workload='safety-beacon-10hz',\n"
+        "    workload_params={'start_time_s': 0.3})\n"
+        "assert scenario.spatial_backend == 'grid'\n"
+        "result = ExperimentRunner().run(scenario, 'Greedy')\n"
+        "assert result.summary['data_sent'] > 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip().splitlines()[-1] == "False"
