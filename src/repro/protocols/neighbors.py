@@ -6,18 +6,35 @@ velocity, and keeps a table of the neighbours it has recently heard from.
 The paper counts this as the overhead cost of the mobility and geographic
 categories, so beacons go through the normal channel and are accounted as
 control packets.
+
+HELLO reception is the most frequent delivery in a beaconing run, and every
+receiver of one broadcast frame reads the same shared header dict (see
+:meth:`~repro.sim.packet.Packet.view`).  :meth:`BeaconService.handle_beacon`
+therefore parses that dict once per frame, not once per receiver: all
+receivers of a frame are delivered back to back at one instant and frames
+are immutable in flight, so the parse keyed on the dict's identity and the
+simulation time is the same for each of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.geometry import Vec2
+from repro.sim.packet import CowMapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.protocols.base import RoutingProtocol
     from repro.sim.packet import Packet
+
+#: HELLO header fields parsed into :class:`NeighborEntry` attributes; any
+#: other header lands in ``NeighborEntry.extra``.
+_BEACON_FIELDS = frozenset({"pos_x", "pos_y", "vel_x", "vel_y", "is_rsu"})
+
+#: The last shared-header parse: ``(header dict, sim time, parsed fields)``.
+#: Holding the dict keeps its identity from being recycled while cached.
+_last_hello: List[Tuple[Any, Any, Any]] = [(None, None, None)]
 
 
 @dataclass
@@ -156,20 +173,40 @@ class BeaconService:
         self.protocol.broadcast(beacon)
 
     def handle_beacon(self, packet: "Packet", sender_id: int) -> NeighborEntry:
-        """Update the neighbour table from a received HELLO and return the entry."""
+        """Update the neighbour table from a received HELLO and return the entry.
+
+        The header parse -- position and velocity vectors, the RSU flag
+        and the protocol-specific ``extra`` fields -- is shared by every
+        receiver of one frame: a copy-on-write view whose headers are
+        still the frame's shared dict reuses the parse of the previous
+        receiver when that dict and ``sim.now`` match.  Plain packets and
+        views whose headers were written to always parse.  Each receiver
+        still gets its own entry, with its own ``last_seen``,
+        ``rx_power_dbm`` and ``extra`` dict; the vectors are immutable and
+        shared.
+        """
+        now = self.protocol.sim.now
         headers = packet.headers
+        if headers.__class__ is CowMapping:
+            shared = headers.shared_content()
+            if shared is None:
+                parsed = _parse_hello(headers.content())
+            else:
+                cached_headers, cached_now, parsed = _last_hello[0]
+                if cached_headers is not shared or cached_now != now:
+                    parsed = _parse_hello(shared)
+                    _last_hello[0] = (shared, now, parsed)
+        else:
+            parsed = _parse_hello(headers)
+        position, velocity, is_rsu, extra = parsed
         entry = NeighborEntry(
-            node_id=sender_id,
-            position=Vec2(headers.get("pos_x", 0.0), headers.get("pos_y", 0.0)),
-            velocity=Vec2(headers.get("vel_x", 0.0), headers.get("vel_y", 0.0)),
-            last_seen=self.protocol.sim.now,
-            rx_power_dbm=packet.rx_power_dbm,
-            is_rsu=bool(headers.get("is_rsu", False)),
-            extra={
-                key: value
-                for key, value in headers.items()
-                if key not in {"pos_x", "pos_y", "vel_x", "vel_y", "is_rsu"}
-            },
+            sender_id,
+            position,
+            velocity,
+            now,
+            packet.rx_power_dbm,
+            is_rsu,
+            extra.copy() if extra else {},
         )
         self.table.update(entry)
         return entry
@@ -177,3 +214,14 @@ class BeaconService:
     def neighbors(self) -> List[NeighborEntry]:
         """Fresh neighbour entries."""
         return self.table.neighbors(self.protocol.sim.now)
+
+
+def _parse_hello(headers: Mapping[str, Any]) -> Tuple[Vec2, Vec2, bool, Dict[str, Any]]:
+    """``(position, velocity, is_rsu, extra)`` from a HELLO's header dict."""
+    get = headers.get
+    return (
+        Vec2(get("pos_x", 0.0), get("pos_y", 0.0)),
+        Vec2(get("vel_x", 0.0), get("vel_y", 0.0)),
+        bool(get("is_rsu", False)),
+        {key: value for key, value in headers.items() if key not in _BEACON_FIELDS},
+    )

@@ -60,6 +60,12 @@ class ReceptionOutcome:
 class ReceptionModel(ABC):
     """Base class for reception decisions."""
 
+    #: True when :meth:`decide` is a pure function of its signal and
+    #: interference arguments (no RNG draws, no state): the medium then
+    #: reuses one receiver's outcome for the next receiver with equal
+    #: inputs.  Mirrors ``PropagationModel.deterministic``.
+    deterministic = False
+
     def __init__(
         self,
         sensitivity_dbm: float = DEFAULT_SENSITIVITY_DBM,
@@ -135,6 +141,8 @@ class SnrThresholdReception(ReceptionModel):
     collector keeps those separate because the broadcast-storm analysis
     (Fig. 2 / Table I) needs the collision count.
     """
+
+    deterministic = True
 
     def __init__(
         self,
@@ -256,8 +264,11 @@ class ProbabilisticReception(ReceptionModel):
         """Packet success probability for the given signal and interference."""
         if rx_power_dbm < self.sensitivity_dbm:
             return 0.0
-        sinr = self.sinr_db(rx_power_dbm, interference_dbm)
-        return 1.0 / (1.0 + math.exp(-(sinr - self.snr_threshold_db) / self.steepness_db))
+        return self._probability_at(self.sinr_db(rx_power_dbm, interference_dbm))
+
+    def _probability_at(self, sinr_db: float) -> float:
+        """The logistic success curve evaluated at ``sinr_db``."""
+        return 1.0 / (1.0 + math.exp(-(sinr_db - self.snr_threshold_db) / self.steepness_db))
 
     def decide(
         self,
@@ -269,7 +280,7 @@ class ProbabilisticReception(ReceptionModel):
         if rx_power_dbm < self.sensitivity_dbm:
             return ReceptionOutcome(ReceptionDecision.WEAK_SIGNAL, -math.inf)
         sinr = self.sinr_db(rx_power_dbm, interference_dbm)
-        probability = self.success_probability(rx_power_dbm, interference_dbm)
+        probability = self._probability_at(sinr)
         draw = rng.random() if rng is not None else 0.5
         if draw <= probability:
             return ReceptionOutcome(ReceptionDecision.RECEIVED, sinr)

@@ -14,13 +14,23 @@ through a pluggable :mod:`~repro.sim.spatial` index (``"grid"`` by default,
 re-filtered against live positions and visited in registration order, so
 with a finite-range propagation model (unit disk, the default) both
 backends produce byte-identical event traces.  A hard-edge channel (the
-unit disk) is evaluated exactly up to its disk and no further.  Models
+unit disk) is evaluated exactly up to its disk and no further: the disk
+radius is both the reception cutoff and the carrier-sense reach, so
+interferers are gathered within two disk radii of the sender.  Models
 whose received power never drops to ``NO_SIGNAL_DBM`` (two-ray,
 free-space, shadowing) are approximated under the grid: transmitters
 beyond the carrier-sense cutoff are excluded from carrier sensing and
 interference sums, the same bounded-range tradeoff (a 2x margin over the
 nominal range) that :meth:`WirelessMedium._reception_cutoff` applies to
 their reception.
+
+The scalar completion decides once per run of identical inputs: when the
+reception model is ``deterministic`` (a pure function of signal and
+interference, like the SNR threshold), a receiver whose received power
+and interference equal the previous receiver's reuses its outcome.  On a
+quiet unit-disk frame every receiver has the same inputs, so the frame
+costs one decision.  Models that draw from the ``"phy-reception"``
+stream still decide per receiver, in candidate order.
 
 The third backend, ``"vectorized"``, keeps the grid index for candidate
 lookups but registers every node in a struct-of-arrays
@@ -530,6 +540,13 @@ class WirelessMedium:
             ]
         else:
             interferers = []
+        trace = self.trace
+        tracing = trace.enabled
+        decide = self.reception.decide
+        # Equal inputs give equal outcomes under a deterministic model (see
+        # the module docstring); RNG-drawing models decide per receiver.
+        reuse_decisions = self.reception.deterministic
+        last_rx_power = last_interference = outcome = None
         for node in self._nodes_near(sender_position, cutoff):
             if node.node_id == transmission.sender_id:
                 continue
@@ -543,8 +560,19 @@ class WirelessMedium:
             rx_power = rx_power_from_distance(tx_power_dbm, distance)
             if rx_power <= NO_SIGNAL_DBM:
                 continue
-            interference = self._interference_at(receiver_position, interferers)
-            outcome = self.reception.decide(rx_power, interference, rng)
+            # With no overlapping frame the sum is NO_SIGNAL_DBM anyway.
+            if interferers:
+                interference = self._interference_at(receiver_position, interferers)
+            else:
+                interference = NO_SIGNAL_DBM
+            if (
+                not reuse_decisions
+                or rx_power != last_rx_power
+                or interference != last_interference
+            ):
+                outcome = decide(rx_power, interference, rng)
+                last_rx_power = rx_power
+                last_interference = interference
             intended = (
                 transmission.next_hop == BROADCAST
                 or transmission.next_hop == node.node_id
@@ -553,14 +581,15 @@ class WirelessMedium:
                 if intended:
                     if is_unicast:
                         unicast_delivered = True
-                    self.trace.record(
-                        now,
-                        "rx",
-                        node.node_id,
-                        ptype=transmission.packet.ptype,
-                        sender=transmission.sender_id,
-                        uid=transmission.packet.uid,
-                    )
+                    if tracing:
+                        trace.record(
+                            now,
+                            "rx",
+                            node.node_id,
+                            ptype=transmission.packet.ptype,
+                            sender=transmission.sender_id,
+                            uid=transmission.packet.uid,
+                        )
                     node.deliver(
                         self._deliverable_frame(node, transmission.packet),
                         transmission.sender_id,
@@ -569,13 +598,14 @@ class WirelessMedium:
             elif outcome.decision is ReceptionDecision.COLLISION:
                 if intended:
                     self.stats.collision()
-                    self.trace.record(
-                        now,
-                        "collision",
-                        node.node_id,
-                        sender=transmission.sender_id,
-                        uid=transmission.packet.uid,
-                    )
+                    if tracing:
+                        trace.record(
+                            now,
+                            "collision",
+                            node.node_id,
+                            sender=transmission.sender_id,
+                            uid=transmission.packet.uid,
+                        )
             elif intended and transmission.next_hop == node.node_id:
                 self.stats.weak_signal()
         if is_unicast:
@@ -931,9 +961,12 @@ class WirelessMedium:
     def _carrier_sense_reach(self) -> float:
         """Sender distance beyond which a transmission cannot trip carrier sense.
 
-        Uses the highest transmit power seen on the channel against the
-        carrier-sense threshold, with the 2x shadowing margin
-        :meth:`_reception_cutoff` applies to models without a hard edge.
+        Uses the highest transmit power seen on the channel.  A hard-edge
+        channel reaches exactly its disk (beyond it the power is
+        ``NO_SIGNAL_DBM``, which neither senses nor interferes); every
+        other model takes its nominal range against the carrier-sense
+        threshold with the 2x shadowing margin :meth:`_reception_cutoff`
+        applies.
         """
         tx_power = self._max_tx_power_dbm
         if tx_power is None:
@@ -941,10 +974,14 @@ class WirelessMedium:
         cached = self._cs_range_cache.get(tx_power)
         if cached is not None:
             return cached
-        nominal = self.propagation.nominal_range(
-            tx_power, self.carrier_sense_threshold_dbm
-        )
-        reach = nominal * 2.0 if nominal > 0 else 0.0
+        profile = self.propagation.constant_rx_profile(tx_power)
+        if profile is not None:
+            reach = profile[1]
+        else:
+            nominal = self.propagation.nominal_range(
+                tx_power, self.carrier_sense_threshold_dbm
+            )
+            reach = nominal * 2.0 if nominal > 0 else 0.0
         self._cs_range_cache[tx_power] = reach
         return reach
 

@@ -56,7 +56,9 @@ class CowMapping(MutableMapping):
 
     Reads delegate to the shared dict; the first write deep-copies the
     shared content into a private dict, so the original is never touched.
-    Used for :class:`PacketView` headers/payload.
+    Used for :class:`PacketView` headers/payload.  Scalar reads (``get``,
+    ``in``) go straight to the dict in effect; ``keys``/``items``/``values``
+    stay the ABC's live views, which follow a later copy-on-write.
     """
 
     __slots__ = ("_shared", "_local")
@@ -82,6 +84,16 @@ class CowMapping(MutableMapping):
     def __delitem__(self, key: str) -> None:
         del self._materialize()[key]
 
+    def get(self, key: str, default: Any = None) -> Any:
+        # The ABC's get() goes through __getitem__ and a KeyError; header
+        # reads on delivered frames are hot enough to want the dict's own.
+        local = self._local
+        return (self._shared if local is None else local).get(key, default)
+
+    def __contains__(self, key: object) -> bool:
+        local = self._local
+        return key in (self._shared if local is None else local)
+
     def __iter__(self) -> Iterator[str]:
         local = self._local
         return iter(self._shared if local is None else local)
@@ -98,6 +110,15 @@ class CowMapping(MutableMapping):
         """The backing dict currently in effect (shared until first write)."""
         local = self._local
         return self._shared if local is None else local
+
+    def shared_content(self) -> Optional[Dict[str, Any]]:
+        """The shared backing dict, or ``None`` once a write made it private.
+
+        While it is returned, this view's content *is* that dict: every
+        view of one frame sees the same object, which is what lets a
+        receiver cache work keyed on its identity.
+        """
+        return self._shared if self._local is None else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         state = "local" if self._local is not None else "shared"

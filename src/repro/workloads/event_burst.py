@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
@@ -59,6 +60,12 @@ class EventBurstWorkload(Workload):
     ) -> None:
         if event_count < 0:
             raise ValueError(f"event_count must be >= 0 (got {event_count})")
+        if not (math.isfinite(repeat_interval_s) and repeat_interval_s >= 0):
+            raise ValueError(
+                f"repeat_interval_s must be finite and >= 0 (got {repeat_interval_s})"
+            )
+        if not size_bytes > 0:
+            raise ValueError(f"size_bytes must be positive (got {size_bytes})")
         self.event_count = event_count
         self.radius_m = radius_m
         self.repeats = max(1, repeats)

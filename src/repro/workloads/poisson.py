@@ -61,6 +61,8 @@ class PoissonWorkload(Workload):
             raise ValueError(
                 f"packets_per_flow must be >= 1 (got {packets_per_flow})"
             )
+        if size_bytes is not None and not size_bytes > 0:
+            raise ValueError(f"size_bytes must be positive (got {size_bytes})")
         self.arrival_rate_per_s = arrival_rate_per_s
         self.packets_per_flow = packets_per_flow
         self.mean_interval_s = mean_interval_s

@@ -49,6 +49,12 @@ class V2IWorkload(Workload):
         request_size_bytes: int = 256,
         response_size_bytes: int = 1024,
     ) -> None:
+        for name, size in (
+            ("request_size_bytes", request_size_bytes),
+            ("response_size_bytes", response_size_bytes),
+        ):
+            if not size > 0:
+                raise ValueError(f"{name} must be positive (got {size})")
         self.session_count = session_count
         self.requests_per_session = requests_per_session
         self.request_interval_s = request_interval_s

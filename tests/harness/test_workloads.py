@@ -485,6 +485,41 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match="flow_count"):
             WORKLOADS.resolve("cbr", flow_count=-1)
 
+    @pytest.mark.parametrize(
+        "kind, param, value",
+        [
+            ("poisson", "size_bytes", -10),
+            ("poisson", "size_bytes", 0),
+            ("event-burst", "size_bytes", 0),
+            ("event-burst", "repeat_interval_s", -0.5),
+            ("event-burst", "repeat_interval_s", float("nan")),
+            ("event-burst", "repeat_interval_s", float("inf")),
+            ("v2i", "request_size_bytes", -1),
+            ("v2i", "response_size_bytes", 0),
+        ],
+    )
+    def test_sizes_and_repeat_interval_rejected(self, kind, param, value):
+        with pytest.raises(ValueError, match=param):
+            WORKLOADS.resolve(kind, **{param: value})
+
+    def test_zero_repeat_interval_and_default_poisson_size_are_legal(self):
+        assert WORKLOADS.resolve("event-burst", repeat_interval_s=0.0).repeat_interval_s == 0.0
+        assert WORKLOADS.resolve("poisson").size_bytes is None
+
+    def test_bad_size_fails_a_preset_run_by_name(self):
+        from repro.harness.scenarios import scenario_from_name
+
+        scenario = scenario_from_name(
+            "city-grid-2km-sparse",
+            seed=1,
+            duration_s=4.0,
+            max_vehicles=20,
+            workload="poisson",
+            workload_params={"size_bytes": -10},
+        )
+        with pytest.raises(ValueError, match="size_bytes"):
+            ExperimentRunner().run(scenario, "Greedy")
+
 
 class TestDegenerateStartGuards:
     """Every timed workload warns (instead of silently idling) when its

@@ -1,11 +1,19 @@
 """Additional medium/PHY tests: capture, carrier sensing and power-dependent reception."""
 
+import random
+
 import pytest
 
 from repro.geometry import Vec2
 from repro.radio.mac import MacConfig
-from repro.radio.propagation import TwoRayGroundPropagation
-from repro.radio.reception import SnrThresholdReception
+from repro.radio.propagation import TwoRayGroundPropagation, UnitDiskPropagation
+from repro.radio.reception import (
+    ProbabilisticReception,
+    ReceptionDecision,
+    ReceptionModel,
+    ReceptionOutcome,
+    SnrThresholdReception,
+)
 from repro.sim.engine import Simulator
 from repro.sim.medium import WirelessMedium
 from repro.sim.network import Network
@@ -126,3 +134,97 @@ class TestMacConfigOverride:
         second = medium._reception_cutoff(20.0)
         assert first == second
         assert first > 0
+
+
+class CountingReception(ReceptionModel):
+    """Receives everything and counts calls; no ``deterministic`` flag."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def decide(self, rx_power_dbm, interference_dbm, rng=None):
+        self.calls += 1
+        return ReceptionOutcome(ReceptionDecision.RECEIVED, 0.0)
+
+
+class CountingThreshold(SnrThresholdReception):
+    """The deterministic threshold model, counting calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def decide(self, rx_power_dbm, interference_dbm, rng=None):
+        self.calls += 1
+        return super().decide(rx_power_dbm, interference_dbm, rng)
+
+
+def _broadcast_once(reception, positions):
+    """One broadcast from the first node on a 250 m unit disk."""
+    sim = Simulator(seed=3)
+    stats = StatsCollector()
+    medium = WirelessMedium(
+        sim, propagation=UnitDiskPropagation(250.0), reception=reception, stats=stats
+    )
+    network = Network(sim, medium=medium, stats=stats)
+    nodes = []
+    for x, y in positions:
+        node = network.add_vehicle(StaticPositionProvider(Vec2(x, y)))
+        node.attach_protocol(RecordingProtocol())
+        nodes.append(node)
+    sender = nodes[0]
+    sim.schedule(0.0, sender.send, make_data_packet("p", sender.node_id, BROADCAST), BROADCAST)
+    sim.run(until=1.0)
+    return medium, nodes
+
+
+_IN_RANGE_FOUR = [(0, 0), (50, 0), (100, 0), (150, 0), (200, 0), (900, 0)]
+
+
+class TestDecisionReuse:
+    def test_model_without_the_flag_decides_once_per_in_range_receiver(self):
+        reception = CountingReception()
+        assert reception.deterministic is False
+        _, nodes = _broadcast_once(reception, _IN_RANGE_FOUR)
+        assert reception.calls == 4
+        assert [len(node.protocol.received) for node in nodes] == [0, 1, 1, 1, 1, 0]
+
+    def test_deterministic_model_decides_once_per_quiet_unit_disk_frame(self):
+        reception = CountingThreshold()
+        assert reception.deterministic is True
+        _, nodes = _broadcast_once(reception, _IN_RANGE_FOUR)
+        assert reception.calls == 1
+        assert [len(node.protocol.received) for node in nodes] == [0, 1, 1, 1, 1, 0]
+
+    def test_probabilistic_model_is_not_flagged(self):
+        assert ProbabilisticReception.deterministic is False
+
+
+class TestProbabilisticDecide:
+    @pytest.mark.parametrize(
+        "rx, interference", [(-80.0, -200.0), (-85.0, -95.0), (-70.0, -75.0), (-91.0, -120.0)]
+    )
+    def test_decide_draws_against_success_probability(self, rx, interference):
+        model = ProbabilisticReception()
+        probability = model.success_probability(rx, interference)
+        for seed in range(20):
+            draw = random.Random(seed).random()
+            outcome = model.decide(rx, interference, random.Random(seed))
+            assert outcome.ok == (draw <= probability)
+            assert outcome.sinr_db == model.sinr_db(rx, interference)
+
+
+class TestCarrierSenseReach:
+    def test_hard_edge_channel_reaches_exactly_its_disk(self):
+        medium, _ = _broadcast_once(SnrThresholdReception(), [(0, 0), (100, 0)])
+        assert medium._carrier_sense_reach() == 250.0
+
+    def test_soft_edge_channel_keeps_the_2x_margin(self):
+        sim, network, _, nodes = build_two_ray_network([(0, 0), (100, 0)], tx_power_dbm=10.0)
+        nodes[0].send(make_data_packet("p", nodes[0].node_id, BROADCAST), BROADCAST)
+        sim.run(until=1.0)
+        medium = network.medium
+        nominal = medium.propagation.nominal_range(10.0, medium.carrier_sense_threshold_dbm)
+        assert medium._carrier_sense_reach() == nominal * 2.0
+
