@@ -64,6 +64,10 @@ class VehicleState:
 class VehiclePositionProvider:
     """Adapter exposing a :class:`VehicleState` as a node position provider."""
 
+    #: Mobility models move vehicle states only inside the network's
+    #: mobility step (see :class:`~repro.sim.node.PositionProvider`).
+    stepped = True
+
     def __init__(self, state: VehicleState) -> None:
         self.state = state
 

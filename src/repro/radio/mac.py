@@ -11,6 +11,7 @@ layer's problem, which is exactly the paper's topic.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
@@ -48,6 +49,29 @@ class MacConfig:
     #: Link-layer retransmissions for unicast frames whose intended receiver
     #: did not decode them (802.11 ACK/retry, with the ACK itself idealised).
     max_unicast_retries: int = 3
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.bitrate_bps < math.inf:
+            raise ValueError(
+                f"bitrate_bps must be a finite positive rate, got {self.bitrate_bps!r}"
+            )
+        for name in ("slot_time", "difs", "phy_overhead_s"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be a finite non-negative duration, got {value!r}"
+                )
+        if not 0 <= self.cw_min <= self.cw_max:
+            raise ValueError(
+                "contention window needs 0 <= cw_min <= cw_max, "
+                f"got cw_min={self.cw_min!r}, cw_max={self.cw_max!r}"
+            )
+        for name in ("max_busy_retries", "max_unicast_retries"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
+        if not self.max_queue >= 1:
+            raise ValueError(f"max_queue must be at least 1, got {self.max_queue!r}")
 
     def frame_airtime(self, size_bytes: int) -> float:
         """Airtime of a frame of ``size_bytes`` payload bytes."""

@@ -166,8 +166,11 @@ class UnitDiskPropagation(PropagationModel):
     deterministic = True
 
     def __init__(self, communication_range: float = 250.0) -> None:
-        if communication_range <= 0:
-            raise ValueError("communication range must be positive")
+        if not 0.0 < communication_range < math.inf:
+            raise ValueError(
+                "communication_range must be a finite positive distance in metres, "
+                f"got {communication_range!r}"
+            )
         self.communication_range = communication_range
 
     def rx_power_dbm(self, tx_power_dbm: float, tx_pos: Vec2, rx_pos: Vec2) -> float:

@@ -57,6 +57,12 @@ class ReceptionOutcome:
         return self.decision is ReceptionDecision.RECEIVED
 
 
+def _require_finite(name: str, value: float) -> None:
+    """Reject a NaN or infinite dB/dBm parameter with a named error."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 class ReceptionModel(ABC):
     """Base class for reception decisions."""
 
@@ -71,6 +77,8 @@ class ReceptionModel(ABC):
         sensitivity_dbm: float = DEFAULT_SENSITIVITY_DBM,
         noise_floor_dbm: float = DEFAULT_NOISE_FLOOR_DBM,
     ) -> None:
+        _require_finite("sensitivity_dbm", sensitivity_dbm)
+        _require_finite("noise_floor_dbm", noise_floor_dbm)
         self.sensitivity_dbm = sensitivity_dbm
         self.noise_floor_dbm = noise_floor_dbm
         #: (noise_floor_dbm, quiet-channel dBm, noise mW): the derived noise
@@ -151,6 +159,7 @@ class SnrThresholdReception(ReceptionModel):
         noise_floor_dbm: float = DEFAULT_NOISE_FLOOR_DBM,
     ) -> None:
         super().__init__(sensitivity_dbm, noise_floor_dbm)
+        _require_finite("snr_threshold_db", snr_threshold_db)
         self.snr_threshold_db = snr_threshold_db
         #: interference dBm -> noise-plus-interference dBm, memoised across
         #: :meth:`decide_batch` calls (the distinct interference levels a
@@ -255,8 +264,11 @@ class ProbabilisticReception(ReceptionModel):
         noise_floor_dbm: float = DEFAULT_NOISE_FLOOR_DBM,
     ) -> None:
         super().__init__(sensitivity_dbm, noise_floor_dbm)
-        if steepness_db <= 0:
-            raise ValueError("steepness must be positive")
+        _require_finite("snr_threshold_db", snr_threshold_db)
+        if not 0.0 < steepness_db < math.inf:
+            raise ValueError(
+                f"steepness_db must be a finite positive number, got {steepness_db!r}"
+            )
         self.snr_threshold_db = snr_threshold_db
         self.steepness_db = steepness_db
 

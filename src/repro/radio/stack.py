@@ -15,6 +15,7 @@ fresh stack is built per run by the registry rather than shared.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -52,6 +53,12 @@ class RadioStack:
     mac: MacConfig = field(default_factory=MacConfig)
     tx_power_dbm: float = 20.0
     description: str = ""
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.tx_power_dbm):
+            raise ValueError(
+                f"tx_power_dbm must be a finite number, got {self.tx_power_dbm!r}"
+            )
 
     def nominal_range_m(self, tx_power_dbm: Optional[float] = None) -> float:
         """Distance at which the mean received power hits the sensitivity."""

@@ -32,6 +32,19 @@ quiet unit-disk frame every receiver has the same inputs, so the frame
 costs one decision.  Models that draw from the ``"phy-reception"``
 stream still decide per receiver, in candidate order.
 
+Between two mobility steps nothing moves, so every frame completion and
+every reachability query (``nodes_within``) from one sender position has
+the same answer.  The scalar paths therefore share *in-range tables*: per ``(position, radius)``, the
+registered nodes within ``radius`` as ``(node, node position, distance)``
+in registration order, built once with the exact filter above and reused
+until :meth:`~WirelessMedium.refresh_positions`, ``register`` or
+``unregister`` drops them all.  Transmit power never enters a table (the
+reception cutoff is part of the key), and stochastic propagation still
+draws per receiver from the cached distances, in the same order.  Tables
+are kept only while every registered node's position provider is
+``stepped`` (see :class:`~repro.sim.node.PositionProvider`); a node whose
+position follows ``sim.now`` continuously makes every query scan afresh.
+
 The third backend, ``"vectorized"``, keeps the grid index for candidate
 lookups but registers every node in a struct-of-arrays
 :class:`~repro.sim.position_store.PositionStore` and evaluates the
@@ -82,6 +95,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Benchmarked: at N=100 (and marginally at N=400) the per-frame numpy
 #: dispatch overhead made "vectorized" slower than the scalar backends.
 VECTORIZED_MIN_ROWS = 512
+
+
+def _is_live(node: "Node") -> bool:
+    """True when ``node``'s position may change outside a mobility step."""
+    return not getattr(node._position_provider, "stepped", False)
 
 
 @dataclass
@@ -207,6 +225,12 @@ class WirelessMedium:
         #: vectorized candidate ordering; rebuilt only when rows move.
         self._row_seq_cache = None
         self._last_position_refresh = -float("inf")
+        #: (x, y, radius) -> in-range table (see :meth:`_disk`); dropped
+        #: whenever geometry or membership can change.
+        self._disks: Dict[tuple, List[tuple]] = {}
+        #: Registered nodes whose position provider is not ``stepped``: while
+        #: any is present, in-range tables are never kept.
+        self._live_nodes = 0
         self._max_tx_power_dbm: Optional[float] = None
         #: Pooled per-frame scratch arrays for `_complete_vectorized`
         #: (two float64 buffers and one bool buffer, grown on demand);
@@ -237,6 +261,9 @@ class WirelessMedium:
         from repro.radio.mac import CsmaCaMac
 
         self._nodes[node.node_id] = node
+        self._disks.clear()
+        if _is_live(node):
+            self._live_nodes += 1
         self._seq_counter += 1
         self._node_seq[node.node_id] = self._seq_counter
         self._node_index.insert(node.node_id, node.position)
@@ -258,7 +285,10 @@ class WirelessMedium:
 
     def unregister(self, node_id: int) -> None:
         """Detach a node (e.g. a vehicle leaving the scenario)."""
-        self._nodes.pop(node_id, None)
+        node = self._nodes.pop(node_id, None)
+        self._disks.clear()
+        if node is not None and _is_live(node):
+            self._live_nodes -= 1
         self._node_seq.pop(node_id, None)
         self._node_index.remove(node_id)
         if self.position_store is not None and node_id in self.position_store:
@@ -272,7 +302,11 @@ class WirelessMedium:
 
     # ---------------------------------------------------------- spatial index
     def refresh_positions(self) -> None:
-        """Re-index every node's live position (called each mobility step)."""
+        """Re-index every node's live position (called each mobility step).
+
+        Also drops every in-range table: positions may have changed.
+        """
+        self._disks.clear()
         if self._vectorized:
             self._refresh_positions_vectorized()
             self._last_position_refresh = self.sim.now
@@ -316,17 +350,38 @@ class WirelessMedium:
         if self.sim.now - self._last_position_refresh >= self.position_refresh_s:
             self.refresh_positions()
 
-    def _nodes_near(self, position: Vec2, radius: float) -> List["Node"]:
-        """Candidate receivers around ``position``, in registration order.
+    def _disk(self, position: Vec2, radius: float) -> List[tuple]:
+        """In-range table: ``(node, node position, distance)`` within ``radius``.
 
-        A superset of the nodes truly within ``radius``; callers must apply
-        the exact live-position distance test.
+        Entries are the registered nodes whose live position lies within
+        ``radius`` of ``position``, in registration order.  Between two
+        position refreshes no stepped node moves, so the table for a
+        ``(position, radius)`` key is built once (grid candidates, exact
+        distance test) and served to every later query with that key;
+        :meth:`refresh_positions`, :meth:`register` and :meth:`unregister`
+        drop all tables.  While a node with a live (continuously moving)
+        position provider is registered, every call scans afresh.  Callers
+        must not mutate the returned list.
         """
         self._maybe_refresh_positions()
+        key = (position.x, position.y, radius)
+        disk = self._disks.get(key)
+        if disk is not None:
+            return disk
         ids = self._node_index.query_ids(position, radius)
         ids.sort(key=self._node_seq.__getitem__)
         nodes = self._nodes
-        return [nodes[node_id] for node_id in ids]
+        distance_to = position.distance_to
+        disk = []
+        for node_id in ids:
+            node = nodes[node_id]
+            node_position = node.position
+            distance = distance_to(node_position)
+            if distance <= radius:
+                disk.append((node, node_position, distance))
+        if not self._live_nodes:
+            self._disks[key] = disk
+        return disk
 
     def _transmissions_near(self, position: Vec2, radius: float) -> List[ActiveTransmission]:
         """Transmissions whose sender may be within ``radius``, in uid order.
@@ -375,13 +430,20 @@ class WirelessMedium:
     def nodes_within(
         self, position: Vec2, radius: float, exclude: Optional[int] = None
     ) -> List["Node"]:
-        """Registered nodes within ``radius`` metres of ``position``."""
+        """Registered nodes within ``radius`` metres of ``position``.
+
+        In registration order.  The scalar backends answer from the
+        in-range table for ``(position, radius)`` (see :meth:`_disk`), so
+        repeated queries from one position within a mobility step cost one
+        scan; the table is dropped on every position refresh and whenever a
+        node registers or leaves.
+        """
         if self._vectorized:
             return self._nodes_within_vectorized(position, radius, exclude)
         return [
             node
-            for node in self._nodes_near(position, radius)
-            if node.node_id != exclude and position.distance_to(node.position) <= radius
+            for node, _, _ in self._disk(position, radius)
+            if node.node_id != exclude
         ]
 
     def _nodes_within_vectorized(
@@ -547,15 +609,12 @@ class WirelessMedium:
         # the module docstring); RNG-drawing models decide per receiver.
         reuse_decisions = self.reception.deterministic
         last_rx_power = last_interference = outcome = None
-        for node in self._nodes_near(sender_position, cutoff):
-            if node.node_id == transmission.sender_id:
-                continue
-            receiver_position = node.position
-            # One distance per candidate: the cutoff test and the received
-            # power share it (every bundled model depends on geometry only
-            # through this distance, and draws its RNG in the same order).
-            distance = sender_position.distance_to(receiver_position)
-            if distance > cutoff:
+        sender_id = transmission.sender_id
+        # The in-range table carries each receiver's distance, which the
+        # received power shares (every bundled model depends on geometry
+        # only through it, and draws its RNG in receiver order).
+        for node, receiver_position, distance in self._disk(sender_position, cutoff):
+            if node.node_id == sender_id:
                 continue
             rx_power = rx_power_from_distance(tx_power_dbm, distance)
             if rx_power <= NO_SIGNAL_DBM:

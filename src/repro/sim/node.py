@@ -30,7 +30,18 @@ class NodeKind(Enum):
 
 @runtime_checkable
 class PositionProvider(Protocol):
-    """Anything that can report a position and a velocity."""
+    """Anything that can report a position and a velocity.
+
+    A provider class may declare ``stepped = True``: its position changes
+    only inside a mobility step that is followed by
+    :meth:`~repro.sim.medium.WirelessMedium.refresh_positions` (static
+    infrastructure, vehicles driven by a mobility model).  The medium then
+    reuses one in-range table per query position until the next refresh.
+    A provider without the attribute counts as *live* -- its position may
+    move with ``sim.now`` between steps -- and while one is registered the
+    medium scans afresh on every query.  Mirrors
+    ``PropagationModel.deterministic``.
+    """
 
     def position(self) -> Vec2:
         """Current position in metres."""
@@ -41,6 +52,9 @@ class PositionProvider(Protocol):
 
 class StaticPositionProvider:
     """Position provider for fixed infrastructure (RSUs)."""
+
+    #: The position never changes (see :class:`PositionProvider`).
+    stepped = True
 
     def __init__(self, position: Vec2) -> None:
         self._position = position
