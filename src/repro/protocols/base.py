@@ -51,6 +51,10 @@ class RoutingProtocol(ABC):
     #: frame delivery: the medium hands it full packet copies instead of
     #: shared views (see :meth:`repro.sim.packet.Packet.view`).
     mutates_in_flight: bool = False
+    #: Set True when ``__init__`` accepts a ``location_service``: the
+    #: protocol factory then hands every node of a network the same shared
+    #: :class:`~repro.protocols.location.LocationService`.
+    uses_location_service: bool = False
 
     def __init__(
         self,

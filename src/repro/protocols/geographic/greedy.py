@@ -58,6 +58,8 @@ class GreedyConfig(ProtocolConfig):
 class GreedyProtocol(RoutingProtocol):
     """Greedy geographic forwarding."""
 
+    uses_location_service = True
+
     def __init__(
         self,
         node: Node,

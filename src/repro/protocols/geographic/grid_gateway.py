@@ -53,6 +53,8 @@ class GridGatewayConfig(ProtocolConfig):
 class GridGatewayProtocol(RoutingProtocol):
     """Grid-cell gateway forwarding."""
 
+    uses_location_service = True
+
     def __init__(
         self,
         node: Node,

@@ -50,6 +50,8 @@ class RoverConfig(AodvConfig):
 class RoverProtocol(AodvProtocol):
     """Zone-confined reactive routing."""
 
+    uses_location_service = True
+
     def __init__(
         self,
         node: Node,

@@ -46,6 +46,8 @@ class ZoneConfig(ProtocolConfig):
 class ZoneProtocol(RoutingProtocol):
     """Corridor-restricted flooding."""
 
+    uses_location_service = True
+
     def __init__(
         self,
         node: Node,

@@ -51,6 +51,8 @@ class BusFerryConfig(ProtocolConfig):
 class BusFerryProtocol(RoutingProtocol):
     """Store-carry-forward routing with buses as high-capacity ferries."""
 
+    uses_location_service = True
+
     def __init__(
         self,
         node: Node,

@@ -57,6 +57,8 @@ class RsuRelayConfig(ProtocolConfig):
 class RsuRelayProtocol(RoutingProtocol):
     """Infrastructure relay routing over RSUs and their backbone."""
 
+    uses_location_service = True
+
     def __init__(
         self,
         node: Node,

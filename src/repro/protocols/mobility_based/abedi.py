@@ -56,6 +56,8 @@ class AbediConfig(PathDiscoveryConfig):
 class AbediProtocol(PathMetricDiscoveryProtocol):
     """Mobility-parameter-enhanced AODV."""
 
+    uses_location_service = True
+
     def __init__(
         self,
         node: Node,

@@ -55,6 +55,8 @@ class WeddeConfig(ProtocolConfig):
 class WeddeProtocol(RoutingProtocol):
     """Hop-by-hop forwarding driven by a traffic-situation rating."""
 
+    uses_location_service = True
+
     def __init__(
         self,
         node: Node,

@@ -43,6 +43,8 @@ class ScoredForwardingConfig(ProtocolConfig):
 class ScoredForwardingProtocol(RoutingProtocol):
     """Base class: forward data to the best-scoring neighbour."""
 
+    uses_location_service = True
+
     def __init__(
         self,
         node: Node,

@@ -19,21 +19,6 @@ from repro.protocols.location import LocationService
 from repro.roadnet.graph import RoadGraph
 from repro.sim.node import Node
 
-#: Protocols that accept a shared :class:`LocationService`.
-_LOCATION_AWARE = {
-    "Abedi",
-    "Wedde",
-    "RSU-Relay",
-    "Bus-Ferry",
-    "Greedy",
-    "Zone",
-    "Grid-Gateway",
-    "ROVER",
-    "REAR",
-    "GVGrid",
-    "CAR",
-}
-
 
 def make_protocol_factory(
     name: str,
@@ -65,7 +50,7 @@ def make_protocol_factory(
         kwargs = {}
         if config is not None:
             kwargs["config"] = config
-        if name in _LOCATION_AWARE:
+        if protocol_class.uses_location_service:
             service = location_service
             if service is None:
                 service = shared.get(id(network))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from repro.sim.events import QUEUE_IMPLEMENTATIONS, Event
+from repro.sim.events import Event, EventQueue
 from repro.sim.rng import RandomStreams
 
 # Time arguments are validated with one negated chained comparison against
@@ -26,22 +26,12 @@ class Simulator:
         sim.schedule(1.0, my_callback, "argument")
         sim.run(until=10.0)
 
-    ``queue_impl`` selects the event-queue implementation (``"calendar"``,
-    the default, or ``"heap"``, the original binary heap kept as a
-    determinism oracle).  Both produce byte-identical traces; the knob
-    exists so regression tests can pin that.
+    Pending events live in one :class:`~repro.sim.events.EventQueue`, a
+    binary heap that fires them in ``(time, priority, seq)`` order.
     """
 
-    def __init__(self, seed: int = 0, queue_impl: str = "calendar") -> None:
-        try:
-            queue_factory = QUEUE_IMPLEMENTATIONS[queue_impl]
-        except KeyError:
-            raise SimulationError(
-                f"unknown queue_impl {queue_impl!r} "
-                f"(choose from {sorted(QUEUE_IMPLEMENTATIONS)})"
-            ) from None
-        self._queue = queue_factory()
-        self.queue_impl = queue_impl
+    def __init__(self, seed: int = 0) -> None:
+        self._queue = EventQueue()
         self._now = 0.0
         self._running = False
         self._stopped = False
@@ -57,15 +47,6 @@ class Simulator:
     def events_processed(self) -> int:
         """Number of events fired by completed :meth:`run` calls (progress/debug)."""
         return self._events_processed
-
-    @property
-    def pending_events(self) -> int:
-        """Number of events still pending, excluding cancelled ones.
-
-        Historically this counted cancelled events too, over-reporting in
-        progress/debug output; it is now an alias for :attr:`live_events`.
-        """
-        return self._queue.live_count
 
     @property
     def live_events(self) -> int:

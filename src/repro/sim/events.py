@@ -4,32 +4,19 @@ Events are ordered by ``(time, priority, sequence)``.  The sequence number
 guarantees FIFO ordering for events scheduled at the same instant, which in
 turn makes every simulation run fully deterministic for a given seed.
 
-Two queue implementations share that contract:
-
-* :class:`CalendarEventQueue` (the default, aliased as :class:`EventQueue`)
-  is a two-tier bucketed calendar queue.  A sorted near-horizon bucket array
-  absorbs the short-delay traffic that dominates a VANET run -- MAC backoffs,
-  frame completions, 10 Hz beacon periods -- while a far heap holds the
-  overflow (e.g. workloads that schedule a whole run's sends up front).
-  Buckets are sorted lazily when the cursor reaches them, so the common case
-  is an append plus one adaptive Timsort pass over a nearly-sorted slice.
-* :class:`HeapEventQueue` is the original binary heap, kept as an oracle so
-  regression tests can pin byte-equal fire order between the two builds.
-
-Both queues practice *active* lazy deletion: :meth:`Event.cancel` notifies
-the owning queue, and once more than half of the pending events are dead the
-queue compacts them away instead of letting them rot until popped.
+:class:`EventQueue` is a binary heap of ``(time, priority, seq, event)``
+tuples.  Tuples compare in C and ``seq`` is unique, so the heap never
+compares two :class:`Event` objects.  Deletion is lazy but *active*:
+:meth:`Event.cancel` notifies the owning queue, and once more than half of
+the pending events are dead the queue compacts them away instead of letting
+them rot until popped.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import insort
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Any, Callable, Iterable, Iterator, Optional
-
-_ORDER_KEY = attrgetter("time", "priority", "seq")
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Iterable, Optional
 
 #: Compaction never triggers below this many pending events; filtering a
 #: tiny queue costs more bookkeeping than the dead entries do.
@@ -55,21 +42,7 @@ class Event:
     callback: Optional[Callable[..., Any]] = field(default=None)
     args: tuple[Any, ...] = field(default=())
     cancelled: bool = field(default=False)
-    _owner: Optional["BaseEventQueue"] = field(default=None, repr=False)
-
-    def __lt__(self, other: "Event") -> bool:
-        """Lexicographic ``(time, priority, seq)`` order, written out by hand.
-
-        The heap oracle compares events more often than any other operation
-        touches them, and almost every comparison is settled by ``time``
-        alone; the early exits avoid the tuple the generated dataclass
-        ordering would build on every call.
-        """
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
+    _owner: Optional["EventQueue"] = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Mark the event dead and notify the owning queue.
@@ -88,249 +61,30 @@ class Event:
             self.callback(*self.args)
 
 
-class BaseEventQueue:
-    """Shared bookkeeping for the calendar queue and the heap oracle.
-
-    Subclasses implement the storage; this class owns the sequence counter,
-    the size/cancelled accounting, and the compaction trigger.
-    """
+class EventQueue:
+    """Pending events in ``(time, priority, seq)`` order."""
 
     def __init__(self) -> None:
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._size = 0
         self._cancelled = 0
 
     def __len__(self) -> int:
         """Pending events, *including* cancelled ones (see ``live_count``)."""
-        return self._size
+        return len(self._heap)
 
     def __bool__(self) -> bool:
-        return self._size > 0
+        return bool(self._heap)
 
     @property
     def live_count(self) -> int:
         """Pending events that will actually fire (cancelled ones excluded)."""
-        return self._size - self._cancelled
+        return len(self._heap) - self._cancelled
 
     @property
     def cancelled_count(self) -> int:
         """Pending events that were cancelled but not yet reclaimed."""
         return self._cancelled
-
-    def _note_cancelled(self) -> None:
-        self._cancelled += 1
-        if self._cancelled * 2 > self._size and self._size >= _COMPACT_MIN_SIZE:
-            self._compact()
-
-    def _new_event(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: tuple[Any, ...],
-        priority: int,
-    ) -> Event:
-        self._seq += 1
-        return Event(
-            time=time,
-            priority=priority,
-            seq=self._seq,
-            callback=callback,
-            args=args,
-            _owner=self,
-        )
-
-    def push(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: tuple[Any, ...] = (),
-        priority: int = 0,
-    ) -> Event:
-        """Schedule ``callback(*args)`` at ``time`` and return the event."""
-        event = self._new_event(time, callback, args, priority)
-        self._insert(event)
-        self._size += 1
-        return event
-
-    def push_many(
-        self,
-        items: Iterable[tuple[float, Callable[..., Any], tuple[Any, ...], int]],
-    ) -> list[Event]:
-        """Bulk-schedule ``(time, callback, args, priority)`` tuples.
-
-        One call amortises the per-event method dispatch for callers that
-        schedule whole batches at once (workloads pre-scheduling a run's
-        sends, benchmark frame injection, periodic-task fleets).
-        """
-        events = []
-        append = events.append
-        insert = self._insert
-        for time, callback, args, priority in items:
-            event = self._new_event(time, callback, args, priority)
-            insert(event)
-            append(event)
-        self._size += len(events)
-        return events
-
-    def pop(self) -> Event:
-        """Remove and return the earliest *live* event.
-
-        Cancelled events are silently reclaimed along the way (mirroring
-        ``peek_time``).  Raises :class:`IndexError` when no live event
-        remains.
-        """
-        while True:
-            event = self._take_front()
-            if event is None:
-                raise IndexError("pop from an empty EventQueue")
-            self._size -= 1
-            event._owner = None
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            return event
-
-    def pop_due(self, until: Optional[float] = None) -> Optional[Event]:
-        """Pop the earliest live event with ``time <= until``, else ``None``.
-
-        The engine's hot loop uses this instead of ``peek_time`` + ``pop``
-        so the front of the queue is located once per iteration.
-        """
-        while True:
-            event = self._front()
-            if event is None:
-                return None
-            if event.cancelled:
-                self._consume_front()
-                self._size -= 1
-                self._cancelled -= 1
-                event._owner = None
-                continue
-            if until is not None and event.time > until:
-                return None
-            self._consume_front()
-            self._size -= 1
-            event._owner = None
-            return event
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest pending non-cancelled event, or ``None``."""
-        while True:
-            event = self._front()
-            if event is None:
-                return None
-            if event.cancelled:
-                self._consume_front()
-                self._size -= 1
-                self._cancelled -= 1
-                event._owner = None
-                continue
-            return event.time
-
-    def snapshot(self) -> list[Event]:
-        """All pending events (cancelled included) in fire order.
-
-        Introspection/debug helper for tests that pin a schedule without
-        reaching into queue internals; the queue is left untouched.
-        """
-        return sorted(self._drain_unpopped(), key=_ORDER_KEY)
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        # Detach first: a stale handle cancelled after `clear()` must not
-        # touch this queue's dead-event accounting.
-        for event in self._drain_unpopped():
-            event._owner = None
-        self._size = 0
-        self._cancelled = 0
-        self._clear_storage()
-
-    def _compact(self) -> None:
-        """Rebuild the storage with only live events (order preserved)."""
-        live = [event for event in self._drain_unpopped() if not event.cancelled]
-        self._clear_storage()
-        self._size = len(live)
-        self._cancelled = 0
-        self._rebuild(live)
-
-    # -- storage interface -------------------------------------------------
-
-    def _insert(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _front(self) -> Optional[Event]:
-        """Next unpopped event (live or cancelled) without consuming it."""
-        raise NotImplementedError
-
-    def _consume_front(self) -> None:
-        """Consume the event `_front` just returned."""
-        raise NotImplementedError
-
-    def _take_front(self) -> Optional[Event]:
-        """Pop the next unpopped event (live or cancelled), or ``None``."""
-        event = self._front()
-        if event is not None:
-            self._consume_front()
-        return event
-
-    def _drain_unpopped(self) -> Iterator[Event]:
-        """Yield every unpopped event (any order); used by compaction."""
-        raise NotImplementedError
-
-    def _clear_storage(self) -> None:
-        raise NotImplementedError
-
-    def _rebuild(self, live: list[Event]) -> None:
-        """Reload the storage from a list of live events."""
-        raise NotImplementedError
-
-
-class CalendarEventQueue(BaseEventQueue):
-    """Two-tier bucketed calendar queue.
-
-    The near horizon ``[base, base + bucket_count * bucket_width)`` is an
-    array of buckets; events beyond it go to a far heap of
-    ``(time, priority, seq, event)`` tuples.  Buckets accept appends until
-    the drain cursor reaches them, at which point they are sorted once
-    (Timsort is adaptive, and bucket contents arrive nearly sorted); inserts
-    into the *current* bucket keep it sorted via ``bisect.insort``.  When the
-    near window drains, the window is rebased onto the earliest far event and
-    the far heap is decanted into the fresh buckets.
-
-    The defaults (1 ms x 256 buckets = a 0.256 s window) comfortably cover
-    MAC backoffs, frame airtimes and 10 Hz beacon periods, so in beacon-storm
-    workloads almost every event takes the bucket path.
-    """
-
-    DEFAULT_BUCKET_WIDTH = 1e-3
-    DEFAULT_BUCKET_COUNT = 256
-
-    def __init__(
-        self,
-        bucket_width: float = DEFAULT_BUCKET_WIDTH,
-        bucket_count: int = DEFAULT_BUCKET_COUNT,
-    ) -> None:
-        if bucket_width <= 0:
-            raise ValueError(f"bucket_width must be positive (got {bucket_width})")
-        if bucket_count < 1:
-            raise ValueError(f"bucket_count must be >= 1 (got {bucket_count})")
-        super().__init__()
-        self._width = bucket_width
-        self._inv_width = 1.0 / bucket_width
-        self._count = bucket_count
-        self._buckets: list[list[Event]] = [[] for _ in range(bucket_count)]
-        self._base = 0.0
-        self._cursor = 0  # bucket currently being drained
-        self._pos = 0  # next unpopped index inside the cursor bucket
-        self._near_len = 0  # unpopped events across all buckets
-        self._far: list[tuple[float, int, int, Event]] = []
-
-    # -- hot-path overrides ------------------------------------------------
-    # `push` and `pop_due` are the two calls the engine makes per event, so
-    # both flatten the base-class composition (push -> _new_event -> _insert,
-    # pop_due -> _front -> _consume_front) into one frame.  Each is a line-
-    # for-line twin of the storage methods below -- keep them in sync; the
-    # property suite pins byte-equal behaviour against the heap oracle.
 
     def push(
         self,
@@ -342,203 +96,81 @@ class CalendarEventQueue(BaseEventQueue):
         """Schedule ``callback(*args)`` at ``time`` and return the event."""
         seq = self._seq + 1
         self._seq = seq
-        event = Event(
-            time=time,
-            priority=priority,
-            seq=seq,
-            callback=callback,
-            args=args,
-            _owner=self,
-        )
-        index = int((time - self._base) * self._inv_width)
-        if index >= self._count or self._cursor >= self._count:
-            heapq.heappush(self._far, (time, priority, seq, event))
-        else:
-            if index <= self._cursor:
-                insort(
-                    self._buckets[self._cursor], event, lo=self._pos, key=_ORDER_KEY
-                )
-            else:
-                self._buckets[index].append(event)
-            self._near_len += 1
-        self._size += 1
+        event = Event(time, priority, seq, callback, args, False, self)
+        heappush(self._heap, (time, priority, seq, event))
+        return event
+
+    def push_many(
+        self,
+        items: Iterable[tuple[float, Callable[..., Any], tuple[Any, ...], int]],
+    ) -> list[Event]:
+        """Push ``(time, callback, args, priority)`` tuples in order.
+
+        Equivalent to a loop of :meth:`push` calls; returns the events.
+        """
+        push = self.push
+        return [push(time, callback, args, priority) for time, callback, args, priority in items]
+
+    def pop(self) -> Event:
+        """Remove and return the earliest *live* event.
+
+        Cancelled events are silently reclaimed along the way (mirroring
+        ``peek_time``).  Raises :class:`IndexError` when no live event
+        remains.
+        """
+        event = self.pop_due()
+        if event is None:
+            raise IndexError("pop from an empty EventQueue")
         return event
 
     def pop_due(self, until: Optional[float] = None) -> Optional[Event]:
-        """Pop the earliest live event with ``time <= until``, else ``None``."""
-        while True:
-            if self._near_len:
-                bucket = self._advance()
-                event = bucket[self._pos]
-            elif self._far:
-                self._rebase()
-                continue
-            else:
-                return None
-            if event.cancelled:
-                self._pos += 1
-                self._near_len -= 1
-                self._size -= 1
-                self._cancelled -= 1
-                event._owner = None
-                continue
-            if until is not None and event.time > until:
-                return None
-            self._pos += 1
-            self._near_len -= 1
-            self._size -= 1
-            event._owner = None
-            return event
+        """Pop the earliest live event with ``time <= until``, else ``None``.
 
-    # -- storage interface -------------------------------------------------
-
-    def _insert(self, event: Event) -> None:
-        index = int((event.time - self._base) * self._inv_width)
-        if index >= self._count or self._cursor >= self._count:
-            heapq.heappush(
-                self._far, (event.time, event.priority, event.seq, event)
-            )
-            return
-        if index < self._cursor:
-            # Event lands at or before the drain point (e.g. a zero-delay
-            # schedule at the current time): file it in the cursor bucket.
-            index = self._cursor
-        bucket = self._buckets[index]
-        if index == self._cursor:
-            # The cursor bucket is kept sorted; `lo=self._pos` skips the
-            # already-drained prefix and keeps at-the-front inserts correct.
-            insort(bucket, event, lo=self._pos, key=_ORDER_KEY)
-        else:
-            bucket.append(event)
-        self._near_len += 1
-
-    def _front(self) -> Optional[Event]:
-        while True:
-            if self._near_len:
-                bucket = self._advance()
-                return bucket[self._pos]
-            if self._far:
-                self._rebase()
-                continue
-            return None
-
-    def _consume_front(self) -> None:
-        self._pos += 1
-        self._near_len -= 1
-
-    def _advance(self) -> list[Event]:
-        """Move the cursor to the next bucket with unpopped events.
-
-        Only called with ``_near_len > 0``, so termination is guaranteed.
-        Each bucket is sorted exactly once, on entry.
+        The engine's hot loop uses this instead of ``peek_time`` + ``pop``
+        so the front of the queue is located once per iteration.
         """
-        buckets = self._buckets
-        bucket = buckets[self._cursor]
-        while self._pos >= len(bucket):
-            bucket.clear()
-            self._cursor += 1
-            self._pos = 0
-            bucket = buckets[self._cursor]
-            bucket.sort(key=_ORDER_KEY)
-        return bucket
-
-    def _rebase(self) -> None:
-        """Re-anchor the near window on the earliest far event and decant."""
-        if self._cursor < self._count:
-            self._buckets[self._cursor].clear()
-        far = self._far
-        base = far[0][0]
-        self._base = base
-        self._cursor = 0
-        self._pos = 0
-        buckets = self._buckets
-        inv_width = self._inv_width
-        count = self._count
-        moved = 0
-        # The same time->bucket mapping as `_insert` decides what fits in
-        # the window, so equal-time events can never straddle the near/far
-        # boundary in different directions.
-        while far:
-            index = int((far[0][0] - base) * inv_width)
-            if index >= count:
-                break
-            event = heapq.heappop(far)[3]
-            buckets[index].append(event)
-            moved += 1
-        self._near_len += moved
-        buckets[0].sort(key=_ORDER_KEY)
-
-    def _drain_unpopped(self) -> Iterator[Event]:
-        for bucket_index in range(self._cursor, self._count):
-            bucket = self._buckets[bucket_index]
-            start = self._pos if bucket_index == self._cursor else 0
-            yield from bucket[start:]
-        for entry in self._far:
-            yield entry[3]
-
-    def _clear_storage(self) -> None:
-        for bucket in self._buckets:
-            bucket.clear()
-        self._far.clear()
-        self._cursor = 0
-        self._pos = 0
-        self._near_len = 0
-
-    def _rebuild(self, live: list[Event]) -> None:
-        if not live:
-            return
-        self._base = min(event.time for event in live)
-        for event in live:
-            index = int((event.time - self._base) * self._inv_width)
-            if index >= self._count:
-                heapq.heappush(
-                    self._far, (event.time, event.priority, event.seq, event)
-                )
-            else:
-                self._buckets[index].append(event)
-                self._near_len += 1
-        self._buckets[0].sort(key=_ORDER_KEY)
-
-
-class HeapEventQueue(BaseEventQueue):
-    """The original binary-heap queue, kept as a determinism oracle.
-
-    Same ordering contract and API as :class:`CalendarEventQueue`; trace
-    regression tests run both builds and require byte-equal fire order.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: list[Event] = []
-
-    # -- storage interface -------------------------------------------------
-
-    def _insert(self, event: Event) -> None:
-        heapq.heappush(self._heap, event)
-
-    def _front(self) -> Optional[Event]:
-        if not self._heap:
+        heap = self._heap
+        if heap and heap[0][3].cancelled:
+            self._discard_cancelled_front()
+        if not heap or (until is not None and heap[0][0] > until):
             return None
-        return self._heap[0]
+        event = heappop(heap)[3]
+        event._owner = None
+        return event
 
-    def _consume_front(self) -> None:
-        heapq.heappop(self._heap)
+    def peek_time(self) -> Optional[float]:
+        """Time of the earliest pending non-cancelled event, or ``None``."""
+        self._discard_cancelled_front()
+        return self._heap[0][0] if self._heap else None
 
-    def _drain_unpopped(self) -> Iterator[Event]:
-        yield from self._heap
+    def snapshot(self) -> list[Event]:
+        """All pending events (cancelled included) in fire order.
 
-    def _clear_storage(self) -> None:
+        Introspection/debug helper for tests that pin a schedule without
+        reaching into queue internals; the queue is left untouched.
+        """
+        return [entry[3] for entry in sorted(self._heap)]
+
+    def clear(self) -> None:
+        """Drop every pending event."""
+        # Detach first: a stale handle cancelled after `clear()` must not
+        # touch this queue's dead-event accounting.
+        for entry in self._heap:
+            entry[3]._owner = None
         self._heap.clear()
+        self._cancelled = 0
 
-    def _rebuild(self, live: list[Event]) -> None:
-        self._heap = live
-        heapq.heapify(self._heap)
+    def _discard_cancelled_front(self) -> None:
+        """Reclaim the cancelled events at the front of the heap."""
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heappop(heap)[3]._owner = None
+            self._cancelled -= 1
 
-
-#: Default queue implementation.
-EventQueue = CalendarEventQueue
-
-QUEUE_IMPLEMENTATIONS: dict[str, Callable[[], BaseEventQueue]] = {
-    "calendar": CalendarEventQueue,
-    "heap": HeapEventQueue,
-}
+    def _note_cancelled(self) -> None:
+        self._cancelled += 1
+        heap = self._heap
+        if self._cancelled * 2 > len(heap) and len(heap) >= _COMPACT_MIN_SIZE:
+            heap[:] = [entry for entry in heap if not entry[3].cancelled]
+            heapify(heap)
+            self._cancelled = 0

@@ -55,6 +55,49 @@ class TestEventQueue:
         first.cancel()
         assert queue.peek_time() == pytest.approx(2.0)
 
+    def test_compaction_reclaims_cancelled_and_keeps_order(self):
+        queue = EventQueue()
+        fired = []
+        events = [
+            queue.push((index * 7) % 100 / 10.0, fired.append, (index,), index % 3)
+            for index in range(100)
+        ]
+        survivors = events[::3]
+        expected = [
+            event.args[0]
+            for event in sorted(survivors, key=lambda e: (e.time, e.priority, e.seq))
+        ]
+        doomed = [event for event in events if event not in survivors]
+        for event in doomed[:50]:
+            event.cancel()
+        # 50 of 100 is not *more* than half: nothing is reclaimed yet.
+        assert (len(queue), queue.live_count, queue.cancelled_count) == (100, 50, 50)
+        doomed[50].cancel()
+        assert len(queue) == queue.live_count == 49
+        assert queue.cancelled_count == 0
+        for event in doomed[51:]:
+            event.cancel()
+        assert queue.live_count == len(survivors)
+        while queue.live_count:
+            queue.pop().fire()
+        assert fired == expected
+
+    def test_no_compaction_below_minimum_size(self):
+        queue = EventQueue()
+        events = [queue.push(float(index), lambda: None) for index in range(63)]
+        for event in events[:40]:
+            event.cancel()
+        assert (len(queue), queue.live_count, queue.cancelled_count) == (63, 23, 40)
+
+    def test_cancel_after_clear_leaves_counts_at_zero(self):
+        queue = EventQueue()
+        stale = [queue.push(float(index), lambda: None) for index in range(100)]
+        queue.clear()
+        for event in stale:
+            event.cancel()
+        assert (len(queue), queue.live_count, queue.cancelled_count) == (0, 0, 0)
+        assert queue.pop_due() is None
+
 
 class TestSimulator:
     def test_schedule_and_run_advances_clock(self, sim):
@@ -113,7 +156,7 @@ class TestSimulator:
         sim.run()
         sim.reset()
         assert sim.now == 0.0
-        assert sim.pending_events == 0
+        assert sim.live_events == 0
 
     def test_max_events_limit(self, sim):
         for _ in range(10):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Tuple
 
@@ -143,3 +144,13 @@ def test_rows_come_back_sorted(case):
     preset_rows = case.registry.preset_rows()
     assert [row["preset"] for row in preset_rows] == sorted(case.registry.presets)
     assert all(row["description"] for row in preset_rows)
+
+
+@pytest.mark.parametrize("name", PROTOCOLS.names())
+def test_location_service_flag_matches_constructor(name):
+    # The protocol factory passes `location_service=` exactly when the
+    # class says so; a wrong flag is a TypeError or a silently private
+    # per-node service.
+    protocol_class = PROTOCOLS[name]
+    accepts = "location_service" in inspect.signature(protocol_class.__init__).parameters
+    assert protocol_class.uses_location_service is accepts
