@@ -115,9 +115,6 @@ class DisjLiProtocol(RoutingProtocol):
     def handle_packet(self, packet: Packet, sender_id: int) -> None:
         """Dispatch on packet type."""
         ptype = packet.ptype
-        if ptype == "HELLO":
-            self.beacons.handle_beacon(packet, sender_id)
-            return
         if ptype == "RREQ":
             self._handle_rreq(packet, sender_id)
         elif ptype == "RREP":

@@ -105,10 +105,6 @@ class DsrProtocol(RoutingProtocol):
     def handle_packet(self, packet: Packet, sender_id: int) -> None:
         """Dispatch on the DSR packet type."""
         ptype = packet.ptype
-        if ptype == "HELLO":
-            if self.beacons is not None:
-                self.beacons.handle_beacon(packet, sender_id)
-            return
         if ptype == "RREQ":
             self._handle_rreq(packet, sender_id)
         elif ptype == "RREP":

@@ -135,10 +135,7 @@ class GridGatewayProtocol(RoutingProtocol):
 
     # -------------------------------------------------------------- reception
     def handle_packet(self, packet: Packet, sender_id: int) -> None:
-        """Handle beacons and data; non-gateway members do not retransmit."""
-        if packet.ptype == "HELLO":
-            self.beacons.handle_beacon(packet, sender_id)
-            return
+        """Handle data; non-gateway members do not retransmit."""
         if not packet.is_data:
             return
         if packet.destination == self.node.node_id:

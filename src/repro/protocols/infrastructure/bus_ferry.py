@@ -130,10 +130,7 @@ class BusFerryProtocol(RoutingProtocol):
 
     # -------------------------------------------------------------- reception
     def handle_packet(self, packet: Packet, sender_id: int) -> None:
-        """Handle beacons and data frames."""
-        if packet.ptype == "HELLO":
-            self.beacons.handle_beacon(packet, sender_id)
-            return
+        """Handle data frames (HELLOs reach the beacon service directly)."""
         if not packet.is_data:
             return
         if packet.destination == self.node.node_id:

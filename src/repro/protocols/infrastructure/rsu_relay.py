@@ -74,6 +74,7 @@ class RsuRelayProtocol(RoutingProtocol):
             self,
             interval_s=self.config.hello_interval_s,
             timeout_s=self.config.neighbor_timeout_s,
+            on_beacon=self._on_beacon,
         )
         #: RSU-side: vehicle id -> (serving RSU id, registration time).
         self.registry: Dict[int, Tuple[int, float]] = {}
@@ -105,13 +106,7 @@ class RsuRelayProtocol(RoutingProtocol):
 
     # -------------------------------------------------------------- reception
     def handle_packet(self, packet: Packet, sender_id: int) -> None:
-        """Handle beacons, registrations and data received over the air."""
-        if packet.ptype == "HELLO":
-            entry = self.beacons.handle_beacon(packet, sender_id)
-            if self.node.is_infrastructure and not entry.is_rsu:
-                self._register_vehicle(entry)
-                self._flush_buffer_for(sender_id)
-            return
+        """Handle data received over the air (HELLOs reach the beacon service)."""
         if not packet.is_data:
             return
         if packet.destination == self.node.node_id:
@@ -123,6 +118,12 @@ class RsuRelayProtocol(RoutingProtocol):
             self.stats.ttl_drop()
             return
         self.route_data(packet.forwarded())
+
+    def _on_beacon(self, entry: NeighborEntry) -> None:
+        """An RSU registers every vehicle it hears and flushes what it holds for it."""
+        if self.node.is_infrastructure and not entry.is_rsu:
+            self._register_vehicle(entry)
+            self._flush_buffer_for(entry.node_id)
 
     def handle_backbone_packet(self, packet: Packet, sender_id: int) -> None:
         """Handle registrations and data arriving over the wired backbone."""

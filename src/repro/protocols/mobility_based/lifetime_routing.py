@@ -160,9 +160,6 @@ class PathMetricDiscoveryProtocol(RoutingProtocol):
     def handle_packet(self, packet: Packet, sender_id: int) -> None:
         """Dispatch on packet type."""
         ptype = packet.ptype
-        if ptype == "HELLO":
-            self.beacons.handle_beacon(packet, sender_id)
-            return
         if ptype == "MREQ":
             self._handle_request(packet, sender_id)
         elif ptype == "MREP":

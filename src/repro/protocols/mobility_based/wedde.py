@@ -122,10 +122,7 @@ class WeddeProtocol(RoutingProtocol):
 
     # -------------------------------------------------------------- reception
     def handle_packet(self, packet: Packet, sender_id: int) -> None:
-        """Handle beacons and data."""
-        if packet.ptype == "HELLO":
-            self.beacons.handle_beacon(packet, sender_id)
-            return
+        """Handle data frames (HELLOs reach the beacon service directly)."""
         if not packet.is_data:
             return
         if self._seen.seen(packet.flow_key, self.now):

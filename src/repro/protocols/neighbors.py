@@ -7,34 +7,39 @@ The paper counts this as the overhead cost of the mobility and geographic
 categories, so beacons go through the normal channel and are accounted as
 control packets.
 
-HELLO reception is the most frequent delivery in a beaconing run, and every
-receiver of one broadcast frame reads the same shared header dict (see
-:meth:`~repro.sim.packet.Packet.view`).  :meth:`BeaconService.handle_beacon`
-therefore parses that dict once per frame, not once per receiver: all
-receivers of a frame are delivered back to back at one instant and frames
-are immutable in flight, so the parse keyed on the dict's identity and the
-simulation time is the same for each of them.
+HELLO reception is the most frequent delivery in a beaconing run, so HELLO
+frames skip the per-receiver delivery chain (view, ``Node.deliver``, the
+protocol's packet dispatch).  Every :class:`BeaconService` claims the
+``"HELLO"`` frame type on its network's medium (see
+:meth:`~repro.sim.medium.WirelessMedium.claim_frames`): the medium opens
+each received HELLO once, which parses its header dict once, and then
+hands every successful receiver to its protocol's beacon service, which
+records its own :class:`NeighborEntry`.  Frames are immutable in flight
+and all receivers of one frame are served at one instant, so the one
+parse is what each receiver's own parse would have been.  Protocols that
+react to a fresh entry (RSU-Relay registers vehicles with their RSU) pass
+an ``on_beacon`` hook instead of inspecting HELLOs themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.geometry import Vec2
-from repro.sim.packet import CowMapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.protocols.base import RoutingProtocol
+    from repro.sim.medium import FrameReceiver
+    from repro.sim.node import Node
     from repro.sim.packet import Packet
 
 #: HELLO header fields parsed into :class:`NeighborEntry` attributes; any
 #: other header lands in ``NeighborEntry.extra``.
 _BEACON_FIELDS = frozenset({"pos_x", "pos_y", "vel_x", "vel_y", "is_rsu"})
 
-#: The last shared-header parse: ``(header dict, sim time, parsed fields)``.
-#: Holding the dict keeps its identity from being recycled while cached.
-_last_hello: List[Tuple[Any, Any, Any]] = [(None, None, None)]
+#: A HELLO's parsed header: ``(position, velocity, is_rsu, extra)``.
+ParsedHello = Tuple[Vec2, Vec2, bool, Dict[str, Any]]
 
 
 @dataclass
@@ -114,7 +119,14 @@ class NeighborTable:
 
 
 class BeaconService:
-    """Periodic HELLO beaconing plus neighbour-table maintenance for a protocol."""
+    """Periodic HELLO beaconing plus neighbour-table maintenance for a protocol.
+
+    Constructing one claims ``"HELLO"`` frames on the protocol's network
+    medium (see the module docstring); the protocol's node then receives
+    HELLOs through :meth:`accept`, never through ``handle_packet``.
+    ``on_beacon``, when given, is called with every fresh entry right
+    after the table update.
+    """
 
     #: Beacon size: position, velocity and a small protocol-specific payload.
     BEACON_SIZE_BYTES = 32
@@ -125,6 +137,7 @@ class BeaconService:
         interval_s: float = 1.0,
         timeout_s: Optional[float] = None,
         extra_fields=None,
+        on_beacon: Optional[Callable[[NeighborEntry], None]] = None,
     ) -> None:
         self.protocol = protocol
         self.interval_s = interval_s
@@ -133,8 +146,10 @@ class BeaconService:
         )
         #: Optional callable returning extra header fields for each beacon.
         self.extra_fields = extra_fields
+        self.on_beacon = on_beacon
         self._task = None
         self.beacons_sent = 0
+        protocol.network.medium.claim_frames("HELLO", _open_hello)
 
     def start(self) -> None:
         """Begin periodic beaconing (with per-node jitter to desynchronise)."""
@@ -172,51 +187,36 @@ class BeaconService:
         self.beacons_sent += 1
         self.protocol.broadcast(beacon)
 
-    def handle_beacon(self, packet: "Packet", sender_id: int) -> NeighborEntry:
-        """Update the neighbour table from a received HELLO and return the entry.
+    def accept(
+        self, sender_id: int, rx_power_dbm: Optional[float], parsed: ParsedHello
+    ) -> None:
+        """Record a HELLO heard from ``sender_id`` in the neighbour table.
 
-        The header parse -- position and velocity vectors, the RSU flag
-        and the protocol-specific ``extra`` fields -- is shared by every
-        receiver of one frame: a copy-on-write view whose headers are
-        still the frame's shared dict reuses the parse of the previous
-        receiver when that dict and ``sim.now`` match.  Plain packets and
-        views whose headers were written to always parse.  Each receiver
-        still gets its own entry, with its own ``last_seen``,
-        ``rx_power_dbm`` and ``extra`` dict; the vectors are immutable and
-        shared.
+        ``parsed`` is the frame's one header parse, shared by every
+        receiver of the frame: the vectors are immutable and shared, while
+        each receiver's entry gets its own ``last_seen``, ``rx_power_dbm``
+        and ``extra`` dict.
         """
-        now = self.protocol.sim.now
-        headers = packet.headers
-        if headers.__class__ is CowMapping:
-            shared = headers.shared_content()
-            if shared is None:
-                parsed = _parse_hello(headers.content())
-            else:
-                cached_headers, cached_now, parsed = _last_hello[0]
-                if cached_headers is not shared or cached_now != now:
-                    parsed = _parse_hello(shared)
-                    _last_hello[0] = (shared, now, parsed)
-        else:
-            parsed = _parse_hello(headers)
         position, velocity, is_rsu, extra = parsed
         entry = NeighborEntry(
             sender_id,
             position,
             velocity,
-            now,
-            packet.rx_power_dbm,
+            self.protocol.sim.now,
+            rx_power_dbm,
             is_rsu,
             extra.copy() if extra else {},
         )
         self.table.update(entry)
-        return entry
+        if self.on_beacon is not None:
+            self.on_beacon(entry)
 
     def neighbors(self) -> List[NeighborEntry]:
         """Fresh neighbour entries."""
         return self.table.neighbors(self.protocol.sim.now)
 
 
-def _parse_hello(headers: Mapping[str, Any]) -> Tuple[Vec2, Vec2, bool, Dict[str, Any]]:
+def _parse_hello(headers: Mapping[str, Any]) -> ParsedHello:
     """``(position, velocity, is_rsu, extra)`` from a HELLO's header dict."""
     get = headers.get
     return (
@@ -225,3 +225,20 @@ def _parse_hello(headers: Mapping[str, Any]) -> Tuple[Vec2, Vec2, bool, Dict[str
         bool(get("is_rsu", False)),
         {key: value for key, value in headers.items() if key not in _BEACON_FIELDS},
     )
+
+
+def _open_hello(packet: "Packet", sender_id: int) -> "FrameReceiver":
+    """The medium's claim on HELLO frames: one header parse per frame.
+
+    Each receiver whose protocol runs a :class:`BeaconService` records the
+    beacon through :meth:`BeaconService.accept`; any other receiver ignores
+    it, as a protocol without beaconing always did.
+    """
+    parsed = _parse_hello(packet.headers)
+
+    def receive(node: "Node", rx_power_dbm: float) -> None:
+        beacons = getattr(node.protocol, "beacons", None)
+        if beacons is not None:
+            beacons.accept(sender_id, rx_power_dbm, parsed)
+
+    return receive

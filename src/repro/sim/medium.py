@@ -45,6 +45,19 @@ are kept only while every registered node's position provider is
 ``stepped`` (see :class:`~repro.sim.node.PositionProvider`); a node whose
 position follows ``sim.now`` continuously makes every query scan afresh.
 
+Every delivery loop hands a frame's successful intended receivers, in
+registration order, to one per-frame deliverer.  By default it gives each
+receiver its own copy-on-write view of the packet through
+:meth:`~repro.sim.node.Node.deliver`, which runs the node's application
+hook and routing protocol.  A consumer that handles a frame type in bulk
+*claims* it instead (:meth:`WirelessMedium.claim_frames`): the frame is
+opened once, at its first successful receiver, and every receiver is then
+handed to the opener's ``receive`` -- no view, no per-node dispatch.  HELLO
+beacons (:mod:`repro.protocols.neighbors`) and the safety-beacon and
+event-burst workloads' frames travel this way.  A claimed reception runs at
+the exact point ``Node.deliver`` would have run and still draws the packet
+uid its view would have taken, so traces are byte-identical either way.
+
 The third backend, ``"vectorized"``, keeps the grid index for candidate
 lookups but registers every node in a struct-of-arrays
 :class:`~repro.sim.position_store.PositionStore` and evaluates the
@@ -63,7 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.geometry import Vec2
 from repro.radio.interference import (
@@ -80,7 +93,7 @@ from repro.radio.reception import (
     ReceptionModel,
 )
 from repro.sim.engine import Simulator
-from repro.sim.packet import BROADCAST, Packet
+from repro.sim.packet import BROADCAST, Packet, next_uid
 from repro.sim.spatial import UniformGridIndex, make_spatial_index
 from repro.sim.statistics import StatsCollector
 from repro.sim.trace import EventTrace
@@ -95,6 +108,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Benchmarked: at N=100 (and marginally at N=400) the per-frame numpy
 #: dispatch overhead made "vectorized" slower than the scalar backends.
 VECTORIZED_MIN_ROWS = 512
+
+#: ``receive(node, rx_power_dbm)``: one claimed frame's per-receiver hand-off.
+FrameReceiver = Callable[["Node", float], None]
+#: ``open_frame(packet, sender_id) -> receive``: a claim on a frame type
+#: (see :meth:`WirelessMedium.claim_frames`).
+FrameOpener = Callable[[Packet, int], FrameReceiver]
 
 
 def _is_live(node: "Node") -> bool:
@@ -232,6 +251,8 @@ class WirelessMedium:
         #: any is present, in-range tables are never kept.
         self._live_nodes = 0
         self._max_tx_power_dbm: Optional[float] = None
+        #: ptype -> frame opener (see :meth:`claim_frames`).
+        self._claims: Dict[str, FrameOpener] = {}
         #: Pooled per-frame scratch arrays for `_complete_vectorized`
         #: (two float64 buffers and one bool buffer, grown on demand);
         #: reception at 10 Hz x N nodes would otherwise allocate four
@@ -299,6 +320,22 @@ class WirelessMedium:
     def nodes(self) -> Dict[int, "Node"]:
         """All registered nodes, keyed by node id."""
         return self._nodes
+
+    def claim_frames(self, ptype: str, open_frame: FrameOpener) -> None:
+        """Hand every received frame of ``ptype`` to ``open_frame``, not ``Node.deliver``.
+
+        For a claimed frame, ``open_frame(packet, sender_id)`` runs at most
+        once, at the frame's first successful intended receiver, and never
+        for a frame nobody receives.  ``packet`` is the transmitted packet
+        itself: it is immutable in flight, so a consumer that forwards it
+        sends a copy.  The ``receive(node, rx_power_dbm)`` it returns is
+        then called for that receiver and every later one, in registration
+        order, at exactly the point an unclaimed frame is handed to
+        :meth:`~repro.sim.node.Node.deliver` -- so trace records, scheduled
+        events, tap emissions and RNG draws keep their order.  A claimed
+        frame never reaches the routing protocol.  Claiming a ptype again replaces the earlier claim.
+        """
+        self._claims[ptype] = open_frame
 
     # ---------------------------------------------------------- spatial index
     def refresh_positions(self) -> None:
@@ -549,18 +586,45 @@ class WirelessMedium:
         return entry
 
     # ------------------------------------------------------------- completion
-    def _deliverable_frame(self, receiver: "Node", packet: Packet) -> Packet:
-        """Per-receiver frame instance: a COW view, or a full copy on opt-out.
+    def _frame_deliverer(self, transmission: ActiveTransmission) -> FrameReceiver:
+        """The frame's one hand-off: ``deliver(receiver, rx_power_dbm)``.
 
-        This is the *only* sanctioned spot for per-receiver packet copying
-        on the delivery path (lint rule COW-001 pins that): receivers that
-        never mutate frames share the packet storage through a
-        :meth:`~repro.sim.packet.Packet.view`, and nodes whose protocol
-        declares ``mutates_in_flight`` get the old deep copy.
+        Every delivery loop calls it at each successful intended receiver,
+        in registration order.  A claimed ptype (see :meth:`claim_frames`)
+        opens the frame at the first call and passes each receiver to the
+        opener's ``receive``; every call still draws the packet uid that
+        receiver's view would have taken, so uids number the same either
+        way.  Any other frame goes to :meth:`~repro.sim.node.Node.deliver`
+        as a per-receiver copy-on-write
+        :meth:`~repro.sim.packet.Packet.view`, or as a full copy for a node
+        whose protocol declares ``mutates_in_flight``.  This is the *only*
+        sanctioned spot for per-receiver views and copies on the delivery
+        path (lint rule COW-001 pins that).
         """
-        if receiver.cow_frames_ok:
-            return packet.view()
-        return packet.copy()
+        packet = transmission.packet
+        sender_id = transmission.sender_id
+        open_frame = self._claims.get(packet.ptype)
+        if open_frame is None:
+            view = packet.view
+
+            def deliver(node: "Node", rx_power_dbm: float) -> None:
+                node.deliver(
+                    view() if node.cow_frames_ok else packet.copy(),
+                    sender_id,
+                    rx_power_dbm,
+                )
+
+            return deliver
+        receive: Optional[FrameReceiver] = None
+
+        def deliver_claimed(node: "Node", rx_power_dbm: float) -> None:
+            nonlocal receive
+            next_uid()
+            if receive is None:
+                receive = open_frame(packet, sender_id)
+            receive(node, rx_power_dbm)
+
+        return deliver_claimed
 
     def _complete(self, transmission: ActiveTransmission) -> None:
         if (
@@ -610,6 +674,7 @@ class WirelessMedium:
         reuse_decisions = self.reception.deterministic
         last_rx_power = last_interference = outcome = None
         sender_id = transmission.sender_id
+        deliver = self._frame_deliverer(transmission)
         # The in-range table carries each receiver's distance, which the
         # received power shares (every bundled model depends on geometry
         # only through it, and draws its RNG in receiver order).
@@ -649,11 +714,7 @@ class WirelessMedium:
                             sender=transmission.sender_id,
                             uid=transmission.packet.uid,
                         )
-                    node.deliver(
-                        self._deliverable_frame(node, transmission.packet),
-                        transmission.sender_id,
-                        rx_power_dbm=rx_power,
-                    )
+                    deliver(node, rx_power)
             elif outcome.decision is ReceptionDecision.COLLISION:
                 if intended:
                     self.stats.collision()
@@ -896,25 +957,16 @@ class WirelessMedium:
             if not received.size:
                 return
             row_nodes = self._node_row_list()
-            view = packet.view
-            frame_for = self._deliverable_frame
+            deliver = self._frame_deliverer(transmission)
             for row, rx_power in zip(
                 kept_rows[received].tolist(), rx_kept[received].tolist()
             ):
-                receiver = row_nodes[row]
-                # Inlined twin of _deliverable_frame (the sanctioned COW
-                # seam): the bound view() call dominates this loop, so the
-                # common opt-in case skips a frame of indirection.  The rx
-                # power rides positionally -- deliver()'s third parameter.
-                receiver.deliver(
-                    view() if receiver.cow_frames_ok else frame_for(receiver, packet),
-                    sender_id,
-                    rx_power,
-                )
+                deliver(row_nodes[row], rx_power)
             return
         rx_list = rx_kept.tolist()
         kept_ids = [row_ids[row] for row in kept_rows.tolist()]
         code_list = codes.tolist() if hasattr(codes, "tolist") else list(codes)
+        deliver = self._frame_deliverer(transmission)
         for j, node_id in enumerate(kept_ids):
             code = code_list[j]
             intended = not is_unicast or next_hop == node_id
@@ -931,12 +983,7 @@ class WirelessMedium:
                             sender=sender_id,
                             uid=packet.uid,
                         )
-                    receiver = nodes[node_id]
-                    receiver.deliver(
-                        self._deliverable_frame(receiver, packet),
-                        sender_id,
-                        rx_power_dbm=rx_list[j],
-                    )
+                    deliver(nodes[node_id], rx_list[j])
             elif code == BATCH_COLLISION:
                 if intended:
                     self.stats.collision()

@@ -87,10 +87,11 @@ class Node:
         #: Struct-of-arrays store this node's row lives in (vectorized medium
         #: backend only); tx-power writes are mirrored into it.
         self._position_store = None
-        #: Application-layer frame hook installed by workloads: called for
-        #: every received frame *before* the routing protocol; returning True
-        #: consumes the frame (single-hop broadcast traffic such as safety
-        #: beacons never reaches the routing layer).
+        #: Retired application-layer frame hook, always ``None``: workloads
+        #: now claim their frame types on the medium (see
+        #: :meth:`~repro.sim.medium.WirelessMedium.claim_frames`) and
+        #: :meth:`deliver` no longer calls it.  Kept because the end-to-end
+        #: benchmark's tracer reads it to attribute receptions to a layer.
         self.app_frame_handler: Optional[Callable[[Packet, int], bool]] = None
         #: Application-layer delivery hook installed by workloads: called
         #: when a unicast data packet destined to this node is delivered
@@ -176,16 +177,16 @@ class Node:
     def deliver(
         self, packet: Packet, sender_id: int, rx_power_dbm: Optional[float] = None
     ) -> None:
-        """Called by the medium when a frame is successfully received.
+        """Called by the medium when an unclaimed frame is successfully received.
 
         ``rx_power_dbm`` is the received signal strength computed by the
         propagation model; it is stamped onto this receiver's copy of the
         packet so protocols can make signal-strength-aware decisions.
+        Claimed frame types go to their claim's ``receive`` instead (see
+        :meth:`~repro.sim.medium.WirelessMedium.claim_frames`).
         """
         if rx_power_dbm is not None:
             packet.rx_power_dbm = rx_power_dbm
-        if self.app_frame_handler is not None and self.app_frame_handler(packet, sender_id):
-            return
         if self.protocol is not None:
             self.protocol.handle_packet(packet, sender_id)
 

@@ -22,6 +22,12 @@ BROADCAST: int = -1
 
 _uid_counter = itertools.count(1)
 
+#: Draw the next packet uid without building a packet.  The medium draws
+#: one per claimed reception (see
+#: :meth:`~repro.sim.medium.WirelessMedium.claim_frames`), where no
+#: per-receiver view is made, so uids number exactly as if one were.
+next_uid = _uid_counter.__next__
+
 #: `object.__new__` hoisted to a module global: `view()` runs per receiver
 #: per broadcast frame, where the attribute chain is measurable.
 _new_instance = object.__new__
@@ -110,15 +116,6 @@ class CowMapping(MutableMapping):
         """The backing dict currently in effect (shared until first write)."""
         local = self._local
         return self._shared if local is None else local
-
-    def shared_content(self) -> Optional[Dict[str, Any]]:
-        """The shared backing dict, or ``None`` once a write made it private.
-
-        While it is returned, this view's content *is* that dict: every
-        view of one frame sees the same object, which is what lets a
-        receiver cache work keyed on its identity.
-        """
-        return self._shared if self._local is None else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         state = "local" if self._local is not None else "shared"

@@ -16,7 +16,7 @@ collector therefore tracks, per simulation run:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.sim.packet import Packet
 
@@ -216,26 +216,16 @@ class StatsCollector:
         if packet.flow_id is None:
             return False
         flow = self.register_flow(packet.flow_id, packet.source, packet.destination)
+        if flow.mode == "broadcast" and receiver is not None:
+            return self.broadcast_counter(packet, now)(receiver)
         key = packet.flow_key
         delay = max(0.0, now - packet.created_at)
-        if flow.mode == "broadcast" and receiver is not None:
-            # Broadcast dedup is per (receiver, packet), grouped by packet so
-            # retire() can drop a whole packet's entries once it leaves
-            # flight (bounding the table by the in-flight window).
-            receivers = flow._receivers_by_key.setdefault(key, set())
-            if receiver in receivers:
-                flow.duplicates += 1
-                if self.tap is not None:
-                    self.tap.packet_delivered(packet, flow, receiver, False, delay)
-                return False
-            receivers.add(receiver)
-        else:
-            if key in flow._delivered_seqs:
-                flow.duplicates += 1
-                if self.tap is not None:
-                    self.tap.packet_delivered(packet, flow, receiver, False, delay)
-                return False
-            flow._delivered_seqs.add(key)
+        if key in flow._delivered_seqs:
+            flow.duplicates += 1
+            if self.tap is not None:
+                self.tap.packet_delivered(packet, flow, receiver, False, delay)
+            return False
+        flow._delivered_seqs.add(key)
         flow.delivered += 1
         flow.delays.append(delay)
         # ``hop_count`` is incremented by every *forwarder*; the originator's
@@ -245,6 +235,57 @@ class StatsCollector:
         if self.tap is not None:
             self.tap.packet_delivered(packet, flow, receiver, True, delay)
         return True
+
+    def broadcast_counter(self, packet: Packet, now: float) -> Callable[[int], bool]:
+        """Delivery accounting for the receivers of one frame of ``packet``.
+
+        The flow record, dedup key, delay and hop count are worked out once
+        for the frame; the returned ``count(receiver)`` records one
+        receiver exactly as ``data_delivered(packet, now, receiver=receiver)``
+        does -- which, for a broadcast flow, is this counter -- and returns
+        the same flag.  Dedup is per (receiver, packet) and the tap is
+        emitted per receiver, in call order.  Meant for a claimed frame (see
+        :meth:`~repro.sim.medium.WirelessMedium.claim_frames`), whose
+        receivers are all served at ``now``.
+
+        Raises:
+            ValueError: ``packet`` does not belong to a registered broadcast
+                flow.
+        """
+        flow = None if packet.flow_id is None else self.flows.get(packet.flow_id)
+        if flow is None or flow.mode != "broadcast":
+            raise ValueError(
+                f"broadcast_counter needs a registered broadcast flow "
+                f"(packet flow_id={packet.flow_id!r})"
+            )
+        key = packet.flow_key
+        delay = max(0.0, now - packet.created_at)
+        # Links traversed: one more than the forward count (see data_delivered).
+        hops = packet.hop_count + 1
+        # Dedup is per (receiver, packet), grouped by packet so retire() can
+        # drop a whole packet's entries once it leaves flight (bounding the
+        # table by the in-flight window).
+        by_key = flow._receivers_by_key
+        tap = self.tap
+
+        def count(receiver: int) -> bool:
+            receivers = by_key.get(key)
+            if receivers is None:
+                receivers = by_key[key] = set()
+            if receiver in receivers:
+                flow.duplicates += 1
+                if tap is not None:
+                    tap.packet_delivered(packet, flow, receiver, False, delay)
+                return False
+            receivers.add(receiver)
+            flow.delivered += 1
+            flow.delays.append(delay)
+            flow.hop_counts.append(hops)
+            if tap is not None:
+                tap.packet_delivered(packet, flow, receiver, True, delay)
+            return True
+
+        return count
 
     def packet_retired(self, flow_id: int, key: Tuple) -> None:
         """Release the broadcast dedup state of one packet identity.

@@ -29,6 +29,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance for typing only
 from abc import ABC, abstractmethod
 
 
+def consume_frame(node: "Node", rx_power_dbm: float) -> None:
+    """A claimed frame's ``receive`` that drops the frame at every receiver.
+
+    See :meth:`~repro.sim.medium.WirelessMedium.claim_frames`.
+    """
+
+
 class Workload(ABC):
     """Base class for application-traffic generators.
 

@@ -8,13 +8,14 @@ from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 from repro.sim.node import NodeKind
 from repro.sim.packet import BROADCAST, make_data_packet
-from repro.workloads.base import Workload
+from repro.workloads.base import Workload, consume_frame
 from repro.workloads.registry import WORKLOADS
 from repro.workloads.safety_beacon import SCOPE_LINGER_S
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.runner import BuiltScenario
     from repro.harness.scenario import Scenario
+    from repro.sim.medium import FrameOpener, FrameReceiver
     from repro.sim.node import Node
     from repro.sim.packet import Packet
 
@@ -94,10 +95,10 @@ class EventBurstWorkload(Workload):
         #: consult this set, so a warning stops being countable at the
         #: same instant its accounting state is released.
         live_keys: Set[Tuple] = set()
-        for node in built.network.nodes.values():
-            node.app_frame_handler = self._make_receiver(
-                built, node, scopes, rebroadcast_done, live_keys
-            )
+        built.network.medium.claim_frames(
+            EVT_PTYPE,
+            self._frame_opener(built, scopes, rebroadcast_done, live_keys),
+        )
         # Both the trigger instants and the epicenter vehicles are drawn up
         # front in event order, so the draw sequence is independent of how
         # the events later interleave with the simulation.
@@ -214,37 +215,53 @@ class EventBurstWorkload(Workload):
         )
 
     @staticmethod
-    def _make_receiver(
+    def _frame_opener(
         built: "BuiltScenario",
-        node: "Node",
         scopes: Dict[int, Set[int]],
         rebroadcast_done: Dict[Tuple, Set[int]],
         live_keys: Set[Tuple],
-    ):
-        def receive(packet: "Packet", sender_id: int) -> bool:
-            if packet.ptype != EVT_PTYPE:
-                return False
+    ) -> "FrameOpener":
+        """The medium's claim on EVT frames: every reception is consumed."""
+        stats = built.stats
+        sim = built.sim
+
+        def open_frame(packet: "Packet", sender_id: int) -> "FrameReceiver":
             in_scope = scopes.get(packet.flow_id)
-            if in_scope is None:
-                return True
             # The flow's scope may outlive an individual warning (the scope
             # expires after the burst's *last* repeat, each warning lingers
             # from its own send): once a warning's key left the live set its
             # accounting state is retired, so the frame is consumed without
             # being counted or relayed.
-            if packet.flow_key not in live_keys:
-                return True
-            if node.node_id in in_scope:
-                built.stats.data_delivered(packet, built.sim.now, receiver=node.node_id)
+            if in_scope is None or packet.flow_key not in live_keys:
+                return consume_frame
+            count = stats.broadcast_counter(packet, sim.now)
+            key = packet.flow_key
+            relays = packet.ttl > 1
+
+            def receive(node: "Node", rx_power_dbm: float) -> None:
+                node_id = node.node_id
+                if node_id not in in_scope:
+                    return
+                count(node_id)
                 # Geo-scoped flooding: every in-scope receiver relays each
                 # warning exactly once while the hop budget lasts.
-                done = rebroadcast_done.setdefault(packet.flow_key, set())
-                if packet.ttl > 1 and node.node_id not in done:
-                    done.add(node.node_id)
-                    node.send(packet.forwarded(), BROADCAST)
-            return True
+                done = rebroadcast_done.setdefault(key, set())
+                if relays and node_id not in done:
+                    done.add(node_id)
+                    # The relayed copy carries this receiver's signal
+                    # strength, as a copy of its own received frame did.
+                    node.send(
+                        packet.copy(
+                            hop_count=packet.hop_count + 1,
+                            ttl=packet.ttl - 1,
+                            rx_power_dbm=rx_power_dbm,
+                        ),
+                        BROADCAST,
+                    )
 
-        return receive
+            return receive
+
+        return open_frame
 
     def extra_metrics(self, built: "BuiltScenario") -> Dict[str, float]:
         return {"events_triggered": float(len(built.stats.flows))}

@@ -8,12 +8,13 @@ from typing import TYPE_CHECKING, Dict, List, Set
 
 from repro.sim.node import NodeKind
 from repro.sim.packet import BROADCAST, make_data_packet
-from repro.workloads.base import Workload
+from repro.workloads.base import Workload, consume_frame
 from repro.workloads.registry import WORKLOADS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.runner import BuiltScenario
     from repro.harness.scenario import Scenario
+    from repro.sim.medium import FrameOpener, FrameReceiver
     from repro.sim.node import Node
     from repro.sim.packet import Packet
 
@@ -39,10 +40,11 @@ class SafetyBeaconWorkload(Workload):
     Models the DSRC/ETSI awareness channel: every vehicle broadcasts a basic
     safety message on a fixed period (2-10 Hz in deployments) with a random
     phase, addressed to the link-layer broadcast group and never forwarded.
-    The traffic bypasses the routing protocol entirely -- an application
-    frame handler on every node consumes the beacon on reception -- so it
-    measures pure one-hop reachability under the MAC/PHY, which is exactly
-    the load the surveyed protocols' own HELLO beacons compete with.
+    The traffic bypasses the routing protocol entirely -- the workload
+    claims ``BSM`` frames on the medium, so every reception is consumed
+    and counted without reaching a node's protocol -- so it measures pure
+    one-hop reachability under the MAC/PHY, which is exactly the load the
+    surveyed protocols' own HELLO beacons compete with.
 
     Delivery accounting is per receiver: each beacon's offered count is the
     number of non-RSU nodes inside the nominal radio range at the send
@@ -90,8 +92,9 @@ class SafetyBeaconWorkload(Workload):
         #: Entries are pruned ``SCOPE_LINGER_S`` after each send, bounding
         #: the table by the in-flight beacon count.
         expected: Dict[tuple, Set[int]] = {}
-        for node in built.network.nodes.values():
-            node.app_frame_handler = self._make_receiver(built, node, expected)
+        built.network.medium.claim_frames(
+            BSM_PTYPE, self._frame_opener(built, expected)
+        )
         sends = []
         for index, node in enumerate(vehicles):
             flow_id = index + 1
@@ -174,25 +177,29 @@ class SafetyBeaconWorkload(Workload):
         )
 
     @staticmethod
-    def _make_receiver(
-        built: "BuiltScenario", node: "Node", expected: Dict[tuple, Set[int]]
-    ):
-        def receive(packet: "Packet", sender_id: int) -> bool:
-            if packet.ptype != BSM_PTYPE:
-                return False
+    def _frame_opener(
+        built: "BuiltScenario", expected: Dict[tuple, Set[int]]
+    ) -> "FrameOpener":
+        """The medium's claim on BSM frames: every reception is consumed."""
+        stats = built.stats
+        sim = built.sim
+
+        def open_frame(packet: "Packet", sender_id: int) -> "FrameReceiver":
             in_range = expected.get((packet.flow_id, packet.seq))
             if in_range is None:
-                return True  # consumed: never let routing see a BSM
-            # Only members of the frozen send-instant population count
-            # (RSUs and beyond-nominal-range shadowing receptions are
-            # consumed without counting), keeping delivery_ratio <= 1.
-            if node.node_id in in_range:
-                built.stats.data_delivered(
-                    packet, built.sim.now, receiver=node.node_id
-                )
-            return True
+                return consume_frame
+            count = stats.broadcast_counter(packet, sim.now)
 
-        return receive
+            def receive(node: "Node", rx_power_dbm: float) -> None:
+                # Only members of the frozen send-instant population count
+                # (RSUs and beyond-nominal-range shadowing receptions are
+                # consumed without counting), keeping delivery_ratio <= 1.
+                if node.node_id in in_range:
+                    count(node.node_id)
+
+            return receive
+
+        return open_frame
 
     def extra_metrics(self, built: "BuiltScenario") -> Dict[str, float]:
         sent = built.stats.total_sent

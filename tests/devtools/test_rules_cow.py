@@ -31,13 +31,49 @@ class TestCowDeliverySeamRule:
 
     def test_copy_inside_the_seam_allowed(self):
         src = (
-            "def _deliverable_frame(self, receiver, packet):\n"
-            "    if receiver.cow_frames_ok:\n"
-            "        return packet.view()\n"
-            "    return packet.copy()\n"
+            "def _frame_deliverer(self, transmission):\n"
+            "    packet = transmission.packet\n"
+            "    view = packet.view\n"
+            "    def deliver(node, rx_power_dbm):\n"
+            "        node.deliver(\n"
+            "            view() if node.cow_frames_ok else packet.copy(),\n"
+            "            transmission.sender_id,\n"
+            "            rx_power_dbm,\n"
+            "        )\n"
+            "    return deliver\n"
         )
         report = lint_sources({"sim/medium.py": src}, select=["COW-001"])
         assert report.clean
+
+    def test_bare_packet_view_flagged_in_medium(self):
+        src = (
+            "def _complete_vectorized(self, transmission):\n"
+            "    for receiver in receivers:\n"
+            "        receiver.deliver(packet.view(), transmission.sender_id)\n"
+        )
+        report = lint_sources({"sim/medium.py": src}, select=["COW-001"])
+        assert _hits(report) == [("COW-001", "sim/medium.py", 3)]
+
+    def test_hoisted_packet_view_flagged_in_medium(self):
+        # The inlined fast-loop twin hoisted the bound method out of the loop.
+        src = (
+            "def _complete_vectorized(self, transmission):\n"
+            "    view = transmission.packet.view\n"
+            "    for receiver in receivers:\n"
+            "        receiver.deliver(view(), transmission.sender_id)\n"
+        )
+        report = lint_sources({"sim/medium.py": src}, select=["COW-001"])
+        assert _hits(report) == [("COW-001", "sim/medium.py", 2)]
+
+    def test_closure_outside_the_seam_flagged(self):
+        src = (
+            "def _complete(self, transmission):\n"
+            "    def deliver(node):\n"
+            "        node.deliver(transmission.packet.view(), 1)\n"
+            "    return deliver\n"
+        )
+        report = lint_sources({"sim/medium.py": src}, select=["COW-001"])
+        assert _hits(report) == [("COW-001", "sim/medium.py", 3)]
 
     def test_non_packet_copy_allowed(self):
         src = (
@@ -57,17 +93,20 @@ class TestCowDeliverySeamRule:
         assert report.clean
 
     def test_live_medium_is_clean(self):
-        """Acceptance criterion: the real medium only copies inside the seam,
-        and reintroducing an eager per-receiver copy refires the rule."""
+        """Acceptance criterion: the real medium only copies or views inside
+        the seam, and reintroducing a per-receiver copy or view in any
+        delivery loop refires the rule."""
         original = (SRC / "sim" / "medium.py").read_text(encoding="utf-8")
-        assert "_deliverable_frame" in original, "seam renamed; update the rule"
+        assert "def _frame_deliverer" in original, "seam renamed; update the rule"
         report = lint_sources({"sim/medium.py": original}, select=["COW-001"])
         assert report.clean
-        regressed = original.replace(
-            "self._deliverable_frame(node, transmission.packet)",
-            "transmission.packet.copy()",
-        )
-        assert regressed != original
-        refire = lint_sources({"sim/medium.py": regressed}, select=["COW-001"])
-        assert not refire.clean
-        assert all(f.rule_id == "COW-001" for f in refire.findings)
+        for loop_call, regression in (
+            ("deliver(node, rx_power)", "node.deliver(transmission.packet.copy(), 0)"),
+            ("deliver(row_nodes[row], rx_power)", "row_nodes[row].deliver(packet.view(), 0)"),
+            ("deliver(nodes[node_id], rx_list[j])", "nodes[node_id].deliver(packet.view(), 0)"),
+        ):
+            assert original.count(loop_call) == 1, loop_call
+            regressed = original.replace(loop_call, regression)
+            refire = lint_sources({"sim/medium.py": regressed}, select=["COW-001"])
+            assert len(refire.findings) == 1
+            assert all(f.rule_id == "COW-001" for f in refire.findings)

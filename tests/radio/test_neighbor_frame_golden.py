@@ -1,10 +1,11 @@
 """Neighbour-awareness golden fixture: exact metrics of beacon-heavy cells.
 
-HELLO reception (``BeaconService.handle_beacon``) and the per-receiver
+HELLO reception (the medium's claim on HELLO frames, one header parse per
+frame and ``BeaconService.accept`` per receiver) and the per-receiver
 reception decision are tuned for speed under the same contract as the
 frame path: no cell may change by a single bit.
 ``data/neighbor_frame_golden.json`` holds cells recorded by the code
-*before* that path was last reworked:
+*before* that path was first reworked (every rework since keeps them):
 
 * the ``summary`` and ``extra`` of protocols whose HELLO beacons carry
   protocol-specific fields -- Wedde (``rating``) and Bus-Ferry

@@ -128,6 +128,29 @@ class TestBroadcastFlowAccounting:
         assert stats.total_delivered == 2
         assert stats.delivery_ratio == pytest.approx(0.4)
 
+    def test_broadcast_counter_needs_a_registered_broadcast_flow(self, stats):
+        from repro.sim.packet import BROADCAST
+
+        stats.register_flow(1, 1, 2)
+        with pytest.raises(ValueError, match="broadcast flow"):
+            stats.broadcast_counter(make_data_packet("p", 1, 2, flow_id=1), 1.0)
+        with pytest.raises(ValueError, match="broadcast flow"):
+            stats.broadcast_counter(make_data_packet("p", 1, BROADCAST, flow_id=9), 1.0)
+        with pytest.raises(ValueError, match="broadcast flow"):
+            stats.broadcast_counter(make_data_packet("p", 1, BROADCAST), 1.0)
+
+    def test_broadcast_counter_counts_like_data_delivered(self, stats):
+        from repro.sim.packet import BROADCAST
+
+        stats.register_flow(1, 10, BROADCAST, mode="broadcast")
+        packet = make_data_packet("app", 10, BROADCAST, flow_id=1, seq=1, created_at=0.5)
+        stats.data_originated(packet, expected_receivers=2)
+        count = stats.broadcast_counter(packet, 1.0)
+        assert [count(20), count(30), count(20)] == [True, True, False]
+        flow = stats.flows[1]
+        assert (flow.delivered, flow.duplicates) == (2, 1)
+        assert flow.delays == [0.5, 0.5] and flow.hop_counts == [1, 1]
+
 
 class TestBroadcastDedupMemory:
     def test_retire_bounds_the_dedup_table(self, stats):
