@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from repro.devtools.rules import (  # noqa: F401  (imported for registration)
     bitexact,
-    cow,
     determinism,
     meta,
     registry_contract,
@@ -19,7 +18,6 @@ from repro.devtools.rules import (  # noqa: F401  (imported for registration)
 
 __all__ = [
     "bitexact",
-    "cow",
     "determinism",
     "meta",
     "registry_contract",

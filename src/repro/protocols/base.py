@@ -46,11 +46,6 @@ class RoutingProtocol(ABC):
     category: Optional[Category] = None
     description: str = ""
     paper_reference: str = ""
-    #: Set True when the protocol mutates *received* packets in place
-    #: (rather than forwarding a copy).  Opts the node out of copy-on-write
-    #: frame delivery: the medium hands it full packet copies instead of
-    #: shared views (see :meth:`repro.sim.packet.Packet.view`).
-    mutates_in_flight: bool = False
     #: Set True when ``__init__`` accepts a ``location_service``: the
     #: protocol factory then hands every node of a network the same shared
     #: :class:`~repro.protocols.location.LocationService`.

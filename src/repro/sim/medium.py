@@ -47,16 +47,17 @@ position follows ``sim.now`` continuously makes every query scan afresh.
 
 Every delivery loop hands a frame's successful intended receivers, in
 registration order, to one per-frame deliverer.  By default it gives each
-receiver its own copy-on-write view of the packet through
-:meth:`~repro.sim.node.Node.deliver`, which runs the node's application
-hook and routing protocol.  A consumer that handles a frame type in bulk
-*claims* it instead (:meth:`WirelessMedium.claim_frames`): the frame is
-opened once, at its first successful receiver, and every receiver is then
-handed to the opener's ``receive`` -- no view, no per-node dispatch.  HELLO
-beacons (:mod:`repro.protocols.neighbors`) and the safety-beacon and
-event-burst workloads' frames travel this way.  A claimed reception runs at
-the exact point ``Node.deliver`` would have run and still draws the packet
-uid its view would have taken, so traces are byte-identical either way.
+receiver its own plain copy of the packet through
+:meth:`~repro.sim.node.Node.deliver`, which runs the node's routing
+protocol; the receiver may change its copy freely.  A consumer that handles
+a frame type in bulk *claims* it instead
+(:meth:`WirelessMedium.claim_frames`): the frame is opened once, at its
+first successful receiver, and every receiver is then handed to the
+opener's ``receive`` -- no copy, no per-node dispatch.  HELLO beacons
+(:mod:`repro.protocols.neighbors`) and the safety-beacon and event-burst
+workloads' frames travel this way.  A claimed reception runs at the exact
+point ``Node.deliver`` would have run and still draws the packet uid its
+copy would have taken, so traces are byte-identical either way.
 
 The third backend, ``"vectorized"``, keeps the grid index for candidate
 lookups but registers every node in a struct-of-arrays
@@ -327,8 +328,8 @@ class WirelessMedium:
         For a claimed frame, ``open_frame(packet, sender_id)`` runs at most
         once, at the frame's first successful intended receiver, and never
         for a frame nobody receives.  ``packet`` is the transmitted packet
-        itself: it is immutable in flight, so a consumer that forwards it
-        sends a copy.  The ``receive(node, rx_power_dbm)`` it returns is
+        itself, not a receiver's copy: the opener must not change it, and
+        one that forwards it sends a copy.  The ``receive(node, rx_power_dbm)`` it returns is
         then called for that receiver and every later one, in registration
         order, at exactly the point an unclaimed frame is handed to
         :meth:`~repro.sim.node.Node.deliver` -- so trace records, scheduled
@@ -593,26 +594,19 @@ class WirelessMedium:
         in registration order.  A claimed ptype (see :meth:`claim_frames`)
         opens the frame at the first call and passes each receiver to the
         opener's ``receive``; every call still draws the packet uid that
-        receiver's view would have taken, so uids number the same either
+        receiver's copy would have taken, so uids number the same either
         way.  Any other frame goes to :meth:`~repro.sim.node.Node.deliver`
-        as a per-receiver copy-on-write
-        :meth:`~repro.sim.packet.Packet.view`, or as a full copy for a node
-        whose protocol declares ``mutates_in_flight``.  This is the *only*
-        sanctioned spot for per-receiver views and copies on the delivery
-        path (lint rule COW-001 pins that).
+        as a per-receiver :meth:`~repro.sim.packet.Packet.copy`, which the
+        receiver owns outright.
         """
         packet = transmission.packet
         sender_id = transmission.sender_id
         open_frame = self._claims.get(packet.ptype)
         if open_frame is None:
-            view = packet.view
+            copy = packet.copy
 
             def deliver(node: "Node", rx_power_dbm: float) -> None:
-                node.deliver(
-                    view() if node.cow_frames_ok else packet.copy(),
-                    sender_id,
-                    rx_power_dbm,
-                )
+                node.deliver(copy(), sender_id, rx_power_dbm)
 
             return deliver
         receive: Optional[FrameReceiver] = None

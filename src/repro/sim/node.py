@@ -97,11 +97,6 @@ class Node:
         #: when a unicast data packet destined to this node is delivered
         #: end-to-end (request/response workloads answer from here).
         self.app_delivery_handler: Optional[Callable[[Packet], None]] = None
-        #: Whether the medium may hand this node copy-on-write frame views
-        #: instead of full packet copies.  Cleared by
-        #: :meth:`attach_protocol` when the protocol declares
-        #: ``mutates_in_flight`` (see :meth:`repro.sim.packet.Packet.view`).
-        self.cow_frames_ok: bool = True
 
     # ------------------------------------------------------------- kinematics
     @property
@@ -153,13 +148,8 @@ class Node:
 
     # ------------------------------------------------------------ attachment
     def attach_protocol(self, protocol: "RoutingProtocol") -> None:
-        """Install the routing protocol instance that runs on this node.
-
-        Protocols that mutate received packets in place (``mutates_in_flight
-        = True``) opt this node out of copy-on-write frame delivery.
-        """
+        """Install the routing protocol instance that runs on this node."""
         self.protocol = protocol
-        self.cow_frames_ok = not getattr(protocol, "mutates_in_flight", False)
 
     # -------------------------------------------------------------- data path
     def send(self, packet: Packet, next_hop: int = BROADCAST) -> None:
@@ -179,9 +169,12 @@ class Node:
     ) -> None:
         """Called by the medium when an unclaimed frame is successfully received.
 
-        ``rx_power_dbm`` is the received signal strength computed by the
-        propagation model; it is stamped onto this receiver's copy of the
-        packet so protocols can make signal-strength-aware decisions.
+        ``packet`` is this receiver's own copy of the frame (see
+        :meth:`~repro.sim.packet.Packet.copy`): the protocol may change it,
+        nested header values included, without touching what the sender or
+        any other receiver holds.  ``rx_power_dbm`` is the received signal
+        strength computed by the propagation model; it is stamped onto the
+        copy so protocols can make signal-strength-aware decisions.
         Claimed frame types go to their claim's ``receive`` instead (see
         :meth:`~repro.sim.medium.WirelessMedium.claim_frames`).
         """

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 from repro.geometry import Vec2
 from repro.protocols.neighbors import BeaconService
-from repro.sim.packet import CowMapping, make_control_packet
+from repro.sim.packet import make_control_packet
 
 
 def _hello(**extra):
@@ -138,28 +138,3 @@ class TestPerReceiverState:
         open_hello(_hello(), 4)(node, -71.0)
         assert [(entry.node_id, fresh) for entry, fresh in seen] == [(3, True), (4, True)]
 
-
-class TestCowMappingScalarReads:
-    def test_get_and_in_read_the_shared_dict(self):
-        shared = {"a": 1}
-        cow = CowMapping(shared)
-        assert cow.get("a") == 1 and cow.get("z", 7) == 7 and cow.get("z") is None
-        assert "a" in cow and "z" not in cow
-        assert cow.content() is shared
-
-    def test_get_and_in_see_the_local_dict_after_a_write(self):
-        shared = {"a": 1}
-        cow = CowMapping(shared)
-        cow["b"] = 2
-        del cow["a"]
-        assert cow.content() is not shared
-        assert cow.get("b") == 2 and cow.get("a") is None
-        assert "b" in cow and "a" not in cow
-        assert shared == {"a": 1}
-
-    def test_key_views_stay_live_across_copy_on_write(self):
-        cow = CowMapping({"a": 1})
-        keys, items = cow.keys(), cow.items()
-        cow["b"] = 2
-        assert set(keys) == {"a", "b"}
-        assert ("b", 2) in items

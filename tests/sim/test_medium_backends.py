@@ -313,3 +313,34 @@ class TestRadioStackWiring:
 
         assert hidden_terminal(AdditiveInterference()) > 0
         assert hidden_terminal(NoInterference()) == 0
+
+
+def test_default_grid_cell_imports_no_numpy():
+    """The default (grid, pure-Python) delivery path must not need numpy."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    script = (
+        "import sys\n"
+        "from repro.harness.runner import ExperimentRunner\n"
+        "from repro.harness.scenarios import scenario_from_name\n"
+        "scenario = scenario_from_name('city-core-1km-congested', seed=1, duration_s=0.6,\n"
+        "    drain_s=0.1, max_vehicles=30, workload='safety-beacon-10hz',\n"
+        "    workload_params={'start_time_s': 0.3})\n"
+        "assert scenario.spatial_backend == 'grid'\n"
+        "result = ExperimentRunner().run(scenario, 'Greedy')\n"
+        "assert result.summary['data_sent'] > 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip().splitlines()[-1] == "False"

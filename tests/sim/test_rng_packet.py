@@ -1,8 +1,17 @@
 """Tests for random streams and the packet model."""
 
+from dataclasses import dataclass
+
 import pytest
 
-from repro.sim.packet import BROADCAST, Packet, PacketKind, make_control_packet, make_data_packet
+from repro.sim.packet import (
+    BROADCAST,
+    Packet,
+    PacketKind,
+    make_control_packet,
+    make_data_packet,
+    next_uid,
+)
 from repro.sim.rng import RandomStreams
 
 
@@ -79,6 +88,118 @@ class TestPacket:
         assert forwarded.hop_count == 1
         assert forwarded.ttl == 4
         assert forwarded.flow_key == packet.flow_key
+
+    def test_copy_uid_is_fresh_and_from_the_shared_counter(self):
+        packet = make_data_packet("p", 1, 2)
+        first, second = packet.copy(), packet.copy()
+        assert first.uid != packet.uid
+        # One counter for packets, copies and claimed receptions.
+        assert second.uid == first.uid + 1
+        assert next_uid() == second.uid + 1
+
+    def test_copy_carries_every_field_but_the_uid(self):
+        packet = make_data_packet("p", 1, 2, size_bytes=256, flow_id=7, seq=3)
+        packet.rx_power_dbm = -70.0
+        packet.payload["blob"] = {"k": "v"}
+        clone = packet.copy()
+        assert type(clone) is Packet
+        assert {**vars(clone), "uid": packet.uid} == vars(packet)
+
+    def test_copy_snapshots_fields(self):
+        packet = make_data_packet("p", 1, 2, flow_id=7)
+        clone = packet.copy()
+        packet.ttl = 3
+        packet.flow_id = 99
+        packet.headers["late"] = True
+        assert (clone.ttl, clone.flow_id) == (64, 7)
+        assert "late" not in clone.headers
+
+    def test_copy_shares_no_nested_state(self):
+        packet = make_data_packet("p", 1, 2, headers={"hops": {"a": [1]}})
+        packet.payload["blob"] = {"k": "v"}
+        clone = packet.copy()
+        clone.headers["hops"]["a"].append(2)
+        clone.payload["blob"]["k"] = "w"
+        clone.rx_power_dbm = -61.5
+        assert packet.headers == {"hops": {"a": [1]}}
+        assert packet.payload == {"blob": {"k": "v"}}
+        assert packet.rx_power_dbm is None
+
+    def test_forwarded_leaves_the_base_untouched(self):
+        packet = make_data_packet("p", 1, 2, headers={"path": [1]})
+        forwarded = packet.forwarded()
+        forwarded.headers["path"].append(2)
+        assert (packet.hop_count, packet.ttl) == (0, 64)
+        assert packet.headers["path"] == [1]
+
+    def test_copy_keeps_flow_key_and_kind_predicates(self):
+        packet = make_data_packet("p", 1, 2, flow_id=7, seq=3)
+        clone = packet.copy()
+        assert clone.flow_key == packet.flow_key == (1, 7, 3)
+        assert clone.is_data and not clone.is_control
+        control = make_control_packet("p", "HELLO", 5, BROADCAST)
+        assert control.copy().is_control
+
+    def test_copy_of_empty_headers_and_payload_gets_fresh_dicts(self):
+        packet = make_control_packet("p", "HELLO", 5, BROADCAST)
+        clone = packet.copy()
+        assert clone.headers is not packet.headers
+        assert clone.payload is not packet.payload
+        clone.headers["seen"] = True
+        clone.payload["note"] = "x"
+        assert packet.headers == {} and packet.payload == {}
+
+    def test_copy_deep_copies_values_off_the_fast_path(self):
+        class Marker:
+            def __init__(self, items):
+                self.items = items
+
+        packet = make_data_packet(
+            "p", 1, 2, headers={"pair": ("a", [1]), "ids": {3}, "marker": Marker([4])}
+        )
+        clone = packet.copy()
+        clone.headers["pair"][1].append(2)
+        clone.headers["ids"].add(5)
+        clone.headers["marker"].items.append(6)
+        assert packet.headers["pair"] == ("a", [1])
+        assert packet.headers["ids"] == {3}
+        assert packet.headers["marker"].items == [4]
+        assert clone.headers["marker"] is not packet.headers["marker"]
+
+    def test_copy_keeps_the_subclass_and_its_fields(self):
+        @dataclass
+        class TaggedPacket(Packet):
+            tag: str = "none"
+
+        packet = TaggedPacket(PacketKind.DATA, "p", "DATA", 1, 2, tag="blue")
+        clone = packet.copy()
+        assert type(clone) is TaggedPacket
+        assert clone.tag == "blue"
+        assert clone.forwarded().tag == "blue"
+
+    def test_two_copies_do_not_alias_each_other(self):
+        packet = make_data_packet("p", 1, 2, headers={"path": [1]})
+        first, second = packet.copy(), packet.copy()
+        first.headers["path"].append(2)
+        first.ttl = 3
+        assert second.headers["path"] == [1]
+        assert second.ttl == 64
+
+    def test_copy_of_a_copy_carries_the_middle_changes(self):
+        packet = make_data_packet("p", 1, 2, headers={"path": [1]})
+        middle = packet.copy(ttl=9)
+        middle.headers["path"].append(2)
+        last = middle.copy()
+        assert last.ttl == 9
+        assert last.headers["path"] == [1, 2]
+        assert packet.ttl == 64 and packet.headers["path"] == [1]
+
+    def test_header_delete_on_a_copy_is_isolated(self):
+        packet = make_data_packet("p", 1, 2, headers={"a": 1, "b": 2})
+        clone = packet.copy()
+        del clone.headers["a"]
+        assert packet.headers == {"a": 1, "b": 2}
+        assert clone.headers == {"b": 2}
 
     def test_kind_enum_values(self):
         assert PacketKind.DATA.value == "data"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import random
 from dataclasses import dataclass
 from typing import Any, Callable, Tuple
 
@@ -11,10 +12,12 @@ import pytest
 from repro.core.taxonomy import PROTOCOLS, Category
 from repro.devtools.base import LintRule
 from repro.devtools.registry import LINT_RULES
+from repro.geometry import Vec2
 from repro.harness.scenario import Scenario
 from repro.harness.scenarios import SCENARIOS, BuiltMobility
 from repro.monitors import MONITORS, Monitor
 from repro.protocols.base import RoutingProtocol
+from repro.radio.interference import NO_SIGNAL_DBM
 from repro.radio.registry import RADIOS
 from repro.radio.stack import RadioStack
 from repro.registry import KEBAB_CASE, Registry
@@ -154,3 +157,66 @@ def test_location_service_flag_matches_constructor(name):
     protocol_class = PROTOCOLS[name]
     accepts = "location_service" in inspect.signature(protocol_class.__init__).parameters
     assert protocol_class.uses_location_service is accepts
+
+
+# ------------------------------------------------- capability flags, checked
+# The medium trusts two class-level promises of a radio stack: a
+# `deterministic` reception model lets it reuse one receiver's decision for
+# the next receiver with equal inputs, and a `deterministic` propagation
+# model lets it take the vectorized array path.  A wrong flag changes
+# results silently, so every registered stack is held to what it declares.
+
+#: Every radio preset, and every kind at its default parameters.
+RADIO_SPECS = RADIOS.preset_names() + RADIOS.names()
+
+#: Received powers around the -92 dBm sensitivity, and interference levels
+#: from a quiet channel to a strong concurrent frame.
+RX_POWERS_DBM = [-1000.0, -120.0, -95.0, -92.5, -92.0, -91.5, -85.0, -70.0, -40.0]
+INTERFERENCE_DBM = [NO_SIGNAL_DBM, -110.0, -95.0, -80.0, -60.0]
+DISTANCES_M = [0.0, 1.0, 50.0, 249.9, 250.0, 250.1, 400.0, 1500.0]
+
+
+def _stack(spec):
+    """``(stack, the seeded stream it was built from)``."""
+    rng = random.Random(20)
+    return RADIOS.resolve(spec, rng), rng
+
+
+@pytest.mark.parametrize("spec", RADIO_SPECS)
+def test_deterministic_reception_is_a_pure_function(spec):
+    stack, _ = _stack(spec)
+    reception = stack.reception
+    if not reception.deterministic:
+        pytest.skip(f"{spec}: {type(reception).__name__} is not deterministic")
+    stream = random.Random(7)
+    before = stream.getstate()
+    inputs = [(rx, i) for rx in RX_POWERS_DBM for i in INTERFERENCE_DBM]
+    first = [reception.decide(rx, i, stream) for rx, i in inputs]
+    second = [reception.decide(rx, i, stream) for rx, i in reversed(inputs)][::-1]
+    assert first == second
+    assert stream.getstate() == before
+    assert [reception.decide(rx, i, None) for rx, i in inputs] == first
+    assert {outcome.ok for outcome in first} == {True, False}
+
+
+@pytest.mark.parametrize("spec", RADIO_SPECS)
+def test_deterministic_propagation_returns_equal_powers(spec):
+    stack, rng = _stack(spec)
+    propagation = stack.propagation
+    if not propagation.deterministic:
+        pytest.skip(f"{spec}: {type(propagation).__name__} is not deterministic")
+    before = rng.getstate()
+    tx = stack.tx_power_dbm
+
+    def powers():
+        return [
+            (
+                propagation.rx_power_dbm(tx, Vec2(10.0, 5.0), Vec2(10.0 + d, 5.0)),
+                propagation.rx_power_dbm_from_distance(tx, d),
+            )
+            for d in DISTANCES_M
+        ]
+
+    first = powers()
+    assert powers() == first
+    assert rng.getstate() == before
