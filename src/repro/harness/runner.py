@@ -190,7 +190,7 @@ class BuiltScenario:
         vehicle_nodes: List[Node],
         road_graph: Optional[RoadGraph],
         trace: EventTrace,
-        radio_range_m: Optional[float] = None,
+        radio_range_m: float,
         radio_name: str = DEFAULT_RADIO,
         monitors: Sequence["Monitor"] = (),
         telemetry_sink: Optional["TelemetrySink"] = None,
@@ -214,13 +214,8 @@ class BuiltScenario:
         #: Nominal radio range of the run's resolved radio stack, cached at
         #: build time (the shadowed models solve it by bisection).  This is
         #: the range workloads must use for reachability denominators and
-        #: ideal-hop estimates -- the scenario's ``radio.communication_range_m``
-        #: shim only describes the legacy unit-disk default.
-        self.radio_range_m = (
-            radio_range_m
-            if radio_range_m is not None
-            else scenario.radio.communication_range_m
-        )
+        #: ideal-hop estimates.
+        self.radio_range_m = radio_range_m
         #: Registry name the run's radio stack resolved from; recorded in
         #: run records so results stay attributable to the stack actually
         #: built (no parallel re-resolution that could drift).
@@ -274,8 +269,8 @@ class ExperimentRunner:
         trace = EventTrace(enabled=self.trace_enabled, max_records=self.trace_max_records)
         # The radio stack is resolved through the radio registry
         # (repro.radio.registry) -- scenario.radio_stack by name, or the
-        # legacy RadioConfig shim; random channel models draw from the
-        # simulator's "radio" stream.
+        # default preset; random channel models draw from the simulator's
+        # "radio" stream.
         radio_stack = stack_for_scenario(scenario, sim.rng.stream("radio"))
         # Monitor probes resolve by name through the monitor registry and
         # attach to the sim core via the event tap.  This happens *before*
@@ -357,24 +352,6 @@ class ExperimentRunner:
                     for vehicle, node in zip(mobility.vehicles, vehicle_nodes)
                 },
             )
-        if (
-            prebuilt is not None
-            and prebuilt.columns is not None
-            and medium.position_store is not None
-        ):
-            # Splat the staged time-zero columns (mapped straight out of the
-            # shared segment) over the vehicles' rows.  Registration already
-            # pulled identical floats row by row, so this is bitwise a no-op
-            # -- it exercises the zero-copy path and pins its alignment.
-            store = medium.position_store
-            if prebuilt.columns[0].shape[0] != len(vehicle_nodes):
-                raise ValueError(
-                    "staged mobility columns cover "
-                    f"{prebuilt.columns[0].shape[0]} vehicles but the build "
-                    f"registered {len(vehicle_nodes)}"
-                )
-            rows = store.rows_for(node.node_id for node in vehicle_nodes)
-            store.load_columns(rows, *prebuilt.columns)
         return BuiltScenario(
             scenario,
             sim,

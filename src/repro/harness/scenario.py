@@ -34,35 +34,6 @@ DEFAULT_FLOW_COUNT: int = 5
 
 
 @dataclass
-class RadioConfig:
-    """Radio configuration of a scenario.
-
-    .. deprecated::
-        ``RadioConfig`` is the legacy shim of the radio registry
-        (:mod:`repro.radio.registry`): its fields are mapped onto the
-        matching registered radio kind (``unit_disk`` / ``two_ray`` /
-        ``shadowing``), and an untouched default resolves to the
-        ``ideal-disk-250m`` preset.  New scenarios name a complete stack via
-        ``Scenario.radio_stack`` / ``Scenario.radio_params`` instead, which
-        also exposes reception, interference and MAC choices.
-
-    Attributes:
-        propagation: ``"unit_disk"``, ``"two_ray"`` or ``"shadowing"``.
-        communication_range_m: Range of the unit-disk model (and the range
-            assumption handed to protocols' prediction models).
-        tx_power_dbm: Transmit power for the physical models.
-        shadowing_sigma_db: Shadowing spread for the ``"shadowing"`` model.
-        path_loss_exponent: Path-loss exponent for the ``"shadowing"`` model.
-    """
-
-    propagation: str = "unit_disk"
-    communication_range_m: float = 250.0
-    tx_power_dbm: float = 20.0
-    shadowing_sigma_db: float = 4.0
-    path_loss_exponent: float = 2.8
-
-
-@dataclass
 class FlowSpec:
     """One constant-bit-rate application flow.
 
@@ -113,15 +84,11 @@ class Scenario:
         radio_stack: Radio/channel profile, resolved by name through the
             radio registry (:mod:`repro.radio.registry`): a kind such as
             ``"unit_disk"``, ``"shadowing"`` or ``"nakagami"``, or a preset
-            such as ``"dsrc-urban-nlos"``.  ``None`` (the default) falls
-            back to the :class:`RadioConfig` shim -- an untouched ``radio``
-            resolves to the ``ideal-disk-250m`` preset.
+            such as ``"dsrc-urban-nlos"``.  ``None`` (the default) resolves
+            to the ``ideal-disk-250m`` preset.
         radio_params: Keyword parameters handed to the radio builder (on
             top of a preset's own parameters), e.g. ``{"m": 1.0}`` for
             Rayleigh-depth ``nakagami`` fading.
-        radio: Deprecated radio shim -- legacy field-level radio settings,
-            mapped onto the registry by the runner; only consulted when
-            ``radio_stack`` is unset.
         rsu_spacing_m: Distance between road-side units (``None`` = no RSUs).
         bus_count: Number of vehicles designated as buses (Bus-Ferry).
         workload: Application-traffic model, resolved by name through the
@@ -170,7 +137,6 @@ class Scenario:
     trace_path: Optional[str] = None
     radio_stack: Optional[str] = None
     radio_params: Dict[str, object] = field(default_factory=dict)
-    radio: RadioConfig = field(default_factory=RadioConfig)
     rsu_spacing_m: Optional[float] = None
     bus_count: int = 0
     workload: str = "cbr"

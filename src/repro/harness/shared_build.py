@@ -17,24 +17,21 @@ publishes it through :mod:`multiprocessing.shared_memory`:
   stays in the key: different seeds are different substrates.
 * :class:`MobilityArena` -- parent-side staging.  Per distinct key it derives
   the ``"mobility"`` stream exactly as ``Simulator`` would, runs the build,
-  and writes one shared segment: a small header, the pickled
+  and writes one shared segment: a length header and the pickled
   ``(BuiltMobility, mobility_rng)`` pair (one dump, so the model's internal
-  rng references survive), and 8-byte-aligned float64 time-zero columns
-  (``xs | ys | vxs | vys`` in vehicle order) for the vectorized backend's
-  :meth:`~repro.sim.position_store.PositionStore.load_columns`.
+  rng references survive).
 * :func:`load_prebuilt` -- worker-side mapping.  Attaches the segment once
-  per process (cached), unpickles a *fresh* model per cell (cells must not
-  share mutable state), and wraps the column region in read-only numpy views
-  -- the raw bytes are never copied out of the segment.
-* :class:`StagedCell` / :func:`run_staged_cell` -- the picklable cell
-  wrapper and pool worker the sweep layer fans out.
+  per process (cached) and unpickles a *fresh* model per cell (cells must
+  not share mutable state).
+
+The sweep's cell worker (:func:`repro.harness.sweep.run_cell`) takes a
+cell's :class:`ArenaTicket` and hands the loaded build to the runner.
 
 Byte-equality: the staged rng is the same stream object the build advanced,
 adopted into the worker's ``RandomStreams`` under ``"mobility"`` before
 first use -- so every post-build draw continues exactly where a monolithic
-build would.  The staged columns hold the same floats the registration pull
-writes, so loading them is bitwise a no-op.  Serial and parallel staged
-sweeps therefore reproduce the unstaged sweep record for record.
+build would.  Serial and parallel staged sweeps therefore reproduce the
+unstaged sweep record for record.
 
 Lifecycle: the parent unlinks every segment in ``finally``; workers that
 attach must immediately detach the segment from their resource tracker
@@ -47,12 +44,12 @@ leaked segments -- crashes do not strand ``/dev/shm`` entries.
 from __future__ import annotations
 
 import pickle
+import random
 import struct
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Tuple
 
-from repro.harness.runner import ExperimentRunner, RunRecord
-from repro.harness.scenario import FlowSpec, RadioConfig, Scenario
+from repro.harness.scenario import FlowSpec, Scenario
 from repro.harness.scenarios import BuiltMobility, build_mobility
 from repro.sim.rng import RandomStreams
 
@@ -61,18 +58,8 @@ try:  # pragma: no cover - always present on CPython >= 3.8
 except ImportError:  # pragma: no cover
     shared_memory = None
 
-try:  # numpy is optional: grid-backend sweeps stage without columns
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
-
-#: Segment layout: ``(payload_length, column_rows)`` header, then the pickle
-#: payload, then (8-byte aligned) four float64 columns of ``column_rows``.
-_HEADER = struct.Struct("<QQ")
-
-
-def _align8(offset: int) -> int:
-    return (offset + 7) & ~7
+#: Segment layout: the pickle payload's length, then the payload.
+_HEADER = struct.Struct("<Q")
 
 
 def mobility_build_key(scenario: Scenario) -> str:
@@ -93,7 +80,6 @@ def mobility_build_key(scenario: Scenario) -> str:
         workload_params={},
         radio_stack=None,
         radio_params={},
-        radio=RadioConfig(),
         spatial_backend="grid",
         bus_count=0,
         flows=[],
@@ -105,29 +91,21 @@ def mobility_build_key(scenario: Scenario) -> str:
 
 @dataclass(frozen=True)
 class ArenaTicket:
-    """Picklable pointer to one staged build inside a shared segment."""
+    """Picklable pointer to one staged build's shared segment."""
 
     shm_name: str
-    rows: int
-    columns_offset: int
 
 
-class PrebuiltMobility:
+class PrebuiltMobility(NamedTuple):
     """One cell's private copy of a staged build (worker side).
 
     ``built`` and ``mobility_rng`` come out of a single pickle load, so the
     rng the mobility model captured internally and this top-level handle are
     the same object -- exactly the aliasing the monolithic build produces.
-    ``columns`` is ``(xs, ys, vxs, vys)`` read-only views into the shared
-    segment (``None`` when numpy is unavailable).
     """
 
-    __slots__ = ("built", "mobility_rng", "columns")
-
-    def __init__(self, built: BuiltMobility, mobility_rng, columns) -> None:
-        self.built = built
-        self.mobility_rng = mobility_rng
-        self.columns = columns
+    built: BuiltMobility
+    mobility_rng: random.Random
 
 
 class MobilityArena:
@@ -152,39 +130,15 @@ class MobilityArena:
         rng = RandomStreams(scenario.seed).stream("mobility")
         built = build_mobility(scenario, rng)
         payload = pickle.dumps((built, rng), protocol=pickle.HIGHEST_PROTOCOL)
-        states = list(built.mobility.vehicles)
-        rows = len(states) if np is not None else 0
-        columns_offset = _align8(_HEADER.size + len(payload))
-        total = columns_offset + 4 * rows * 8
-        shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
+        shm = shared_memory.SharedMemory(create=True, size=_HEADER.size + len(payload))
         try:
-            _HEADER.pack_into(shm.buf, 0, len(payload), rows)
+            _HEADER.pack_into(shm.buf, 0, len(payload))
             shm.buf[_HEADER.size : _HEADER.size + len(payload)] = payload
-            if rows:
-                # Time-zero kinematic columns in vehicle (= registration)
-                # order: the very floats the runner's registration pull
-                # writes into a worker's PositionStore.
-                for index, values in enumerate(
-                    (
-                        [s.position.x for s in states],
-                        [s.position.y for s in states],
-                        [s.velocity.x for s in states],
-                        [s.velocity.y for s in states],
-                    )
-                ):
-                    column = np.frombuffer(
-                        shm.buf,
-                        dtype=np.float64,
-                        count=rows,
-                        offset=columns_offset + index * rows * 8,
-                    )
-                    column[:] = values
-                    del column  # release the buffer export before close()
         except BaseException:
             shm.close()
             shm.unlink()
             raise
-        ticket = ArenaTicket(shm.name, rows, columns_offset)
+        ticket = ArenaTicket(shm.name)
         _TRACKER_SHARED.add(shm.name)
         self._segments[key] = (shm, ticket)
         return ticket
@@ -257,51 +211,8 @@ def detach_all() -> None:
 
 
 def load_prebuilt(ticket: ArenaTicket) -> PrebuiltMobility:
-    """Map a staged build: fresh model per call, zero-copy column views."""
-    shm = _attach(ticket.shm_name)
-    buf = shm.buf
-    payload_length, rows = _HEADER.unpack_from(buf, 0)
-    built, rng = pickle.loads(
-        bytes(buf[_HEADER.size : _HEADER.size + payload_length])
-    )
-    columns = None
-    if rows and np is not None:
-        views = []
-        for index in range(4):
-            view = np.frombuffer(
-                buf,
-                dtype=np.float64,
-                count=rows,
-                offset=ticket.columns_offset + index * rows * 8,
-            )
-            view.setflags(write=False)
-            views.append(view)
-        columns = tuple(views)
-    return PrebuiltMobility(built, rng, columns)
-
-
-@dataclass(frozen=True)
-class StagedCell:
-    """A sweep cell plus the ticket of its staged mobility build."""
-
-    cell: "object"  # repro.harness.sweep.SweepCell (untyped: no import cycle)
-    ticket: ArenaTicket
-
-
-def run_staged_cell(staged: StagedCell) -> RunRecord:
-    """Pool worker: run one cell against its staged mobility build.
-
-    Module-level (picklable) twin of :func:`repro.harness.sweep.run_cell`;
-    the only difference is that the runner adopts the staged build instead
-    of rebuilding mobility, which the byte-equality suite pins as
-    record-identical.
-    """
-    cell = staged.cell
-    runner = ExperimentRunner()
-    result = runner.run(
-        cell.scenario,
-        cell.protocol,
-        protocol_config=cell.protocol_config,
-        prebuilt=load_prebuilt(staged.ticket),
-    )
-    return result.to_record()
+    """Map a staged build: a fresh model and rng per call."""
+    buf = _attach(ticket.shm_name).buf
+    (payload_length,) = _HEADER.unpack_from(buf, 0)
+    built, rng = pickle.loads(bytes(buf[_HEADER.size : _HEADER.size + payload_length]))
+    return PrebuiltMobility(built, rng)

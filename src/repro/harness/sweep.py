@@ -13,24 +13,29 @@ module provides the machinery for that:
 * :func:`aggregate_records` folds the per-seed
   :class:`~repro.harness.runner.RunRecord` list into per-cell
   :class:`ReplicatedResult` objects (per-metric mean / stddev / 95% CI),
+* :func:`run_cell` is the one cell worker: it runs a cell (against its
+  staged mobility build when the sweep stages one) and returns the record
+  plus the telemetry lines its monitors emitted,
 * :func:`sweep_replications` ties it all together and returns a
   :class:`SweepResult`.
 
-The single-scenario helper :func:`sweep_protocols` remains for interactive
-use; it runs in-process and returns rich
-:class:`~repro.harness.runner.RunResult` objects that still carry the live
-stats collector.
+Interactive single-scenario comparisons call
+:meth:`~repro.harness.runner.ExperimentRunner.run` once per protocol: it
+returns rich :class:`~repro.harness.runner.RunResult` objects that still
+carry the live stats collector.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
+)
 
-from repro.harness.runner import ExperimentRunner, RunRecord, RunResult
+from repro.harness.runner import ExperimentRunner, RunRecord
 from repro.harness.scenario import Scenario
 from repro.monitors.telemetry import BufferSink, resolve_sink
 from repro.protocols.base import ProtocolConfig
@@ -38,6 +43,9 @@ from repro.radio.registry import DEFAULT_RADIO
 from repro.store.keys import cell_key, code_version, parse_shard, shard_of
 from repro.store.schema import RECORD_SCHEMA_VERSION, check_record_schema_version
 from repro.store.store import ExperimentStore
+
+if TYPE_CHECKING:  # pragma: no cover - staging is imported only when a sweep stages
+    from repro.harness.shared_build import ArenaTicket, MobilityArena
 
 _CellT = TypeVar("_CellT")
 _ResultT = TypeVar("_ResultT")
@@ -68,11 +76,16 @@ def t_critical_95(n: int) -> float:
 # --------------------------------------------------------------- run matrix
 @dataclass(frozen=True)
 class SweepCell:
-    """One run of the matrix: a scenario (carrying its seed) under one protocol."""
+    """One run of the matrix: a scenario (carrying its seed) under one protocol.
+
+    ``ticket`` points at the cell's staged mobility build when the sweep
+    stages one (``shared_mobility=True``); ``None`` rebuilds mobility.
+    """
 
     scenario: Scenario
     protocol: str
     protocol_config: Optional[ProtocolConfig] = None
+    ticket: Optional["ArenaTicket"] = None
 
 
 def build_matrix(
@@ -171,45 +184,33 @@ def build_matrix(
     return cells
 
 
-def run_cell(cell: SweepCell) -> RunRecord:
-    """Execute one cell in a fresh runner and return its picklable record.
+def run_cell(cell: SweepCell) -> Tuple[RunRecord, List[str]]:
+    """Execute one cell in a fresh runner: its record and telemetry lines.
 
     Module-level (not a closure) so ``ProcessPoolExecutor`` can ship it to
     worker processes; a fresh :class:`ExperimentRunner` per cell guarantees
-    runs cannot contaminate each other through runner state.
+    runs cannot contaminate each other through runner state.  A cell with
+    a ``ticket`` adopts its staged mobility build instead of rebuilding it
+    (record-identical, see :mod:`repro.harness.shared_build`).  Telemetry
+    is buffered in memory and shipped back with the record; the sweep's
+    in-order result hook writes it to the sink, so the telemetry file of a
+    ``workers=N`` sweep is byte-identical to the serial one.  Unmonitored
+    cells emit no lines.
     """
-    runner = ExperimentRunner()
-    result = runner.run(cell.scenario, cell.protocol, protocol_config=cell.protocol_config)
-    return result.to_record()
+    prebuilt = None
+    if cell.ticket is not None:
+        from repro.harness.shared_build import load_prebuilt
 
-
-@dataclass
-class MonitoredCellOutcome:
-    """A cell's record plus the telemetry lines its monitors emitted.
-
-    Workers buffer telemetry in memory and ship it back alongside the
-    record; the parent's in-order ``on_result`` hook writes the lines to
-    the sweep's sink.  Because that hook always fires in cell order (in
-    both the serial and the pool path of :func:`execute_cells`), the
-    telemetry file of a ``workers=N`` sweep is byte-identical to the
-    serial one.
-    """
-
-    record: RunRecord
-    telemetry: List[str] = field(default_factory=list)
-
-
-def run_cell_telemetry(cell: SweepCell) -> MonitoredCellOutcome:
-    """Like :func:`run_cell`, but captures the run's telemetry lines."""
+        prebuilt = load_prebuilt(cell.ticket)
     sink = BufferSink()
-    runner = ExperimentRunner()
-    result = runner.run(
+    result = ExperimentRunner().run(
         cell.scenario,
         cell.protocol,
         protocol_config=cell.protocol_config,
+        prebuilt=prebuilt,
         telemetry=sink,
     )
-    return MonitoredCellOutcome(record=result.to_record(), telemetry=list(sink.lines))
+    return result.to_record(), sink.lines
 
 
 def execute_cells(
@@ -476,8 +477,10 @@ def sweep_replications(
     this process and publishes it through a shared-memory arena (see
     :mod:`repro.harness.shared_build`): workers map the staged substrate
     instead of rebuilding it per cell, which cuts per-cell setup to one
-    pickle load while keeping the records byte-identical (pinned by the
-    staged-equality suite).  The arena lives exactly as long as the sweep.
+    pickle load while keeping the records and telemetry byte-identical
+    (pinned by the staged-equality suite).  It combines with every other
+    option, ``telemetry`` included.  The arena lives exactly as long as
+    the sweep.
 
     ``store`` (a directory path or :class:`ExperimentStore`) streams every
     completed cell into a content-addressed record log as it finishes, so
@@ -517,14 +520,8 @@ def sweep_replications(
         ]
     elif monitor_params:
         raise ValueError("monitor_params given without monitors")
-    collect_telemetry = telemetry is not None and bool(monitors)
     if telemetry is not None and not monitors:
         raise ValueError("telemetry sink given without monitors")
-    if collect_telemetry and shared_mobility:
-        raise ValueError(
-            "telemetry collection is not supported with shared_mobility "
-            "(the staged-cell worker returns bare records)"
-        )
     cells = build_matrix(
         scenarios,
         protocol_names,
@@ -602,60 +599,46 @@ def sweep_replications(
         pending_cells = list(cells)
         pending_keys = []
 
-    telemetry_sink, telemetry_owned = (
-        resolve_sink(telemetry) if collect_telemetry else (None, False)
-    )
+    telemetry_sink, telemetry_owned = resolve_sink(telemetry)
 
-    def _unwrap(outcome) -> RunRecord:
-        return outcome.record if isinstance(outcome, MonitoredCellOutcome) else outcome
-
-    on_result: Optional[Callable[[int, object], None]] = None
+    on_result: Optional[Callable[[int, Tuple[RunRecord, List[str]]], None]] = None
     if exp_store is not None or telemetry_sink is not None:
         # Both the store append and the telemetry write run in the parent,
         # in cell order (the execute_cells contract): a hard kill stops the
         # files at a line boundary, and workers=N telemetry is byte-equal
         # to serial because ordering never depends on worker completion.
-        def _stream_result(index: int, outcome) -> None:
-            if telemetry_sink is not None and isinstance(outcome, MonitoredCellOutcome):
-                for line in outcome.telemetry:
+        def _stream_result(index: int, outcome: Tuple[RunRecord, List[str]]) -> None:
+            record, lines = outcome
+            if telemetry_sink is not None:
+                for line in lines:
                     telemetry_sink.write(line)
             if exp_store is not None:
-                exp_store.append(pending_keys[index], _unwrap(outcome))
+                exp_store.append(pending_keys[index], record)
 
         on_result = _stream_result
 
+    arena: Optional["MobilityArena"] = None
     try:
         if shared_mobility:
             from repro.harness import shared_build
 
-            with shared_build.MobilityArena() as arena:
-                try:
-                    staged = [
-                        shared_build.StagedCell(cell, arena.stage(cell.scenario))
-                        for cell in pending_cells
-                    ]
-                    fresh = execute_cells(
-                        staged,
-                        shared_build.run_staged_cell,
-                        workers=workers,
-                        on_result=on_result,
-                    )
-                finally:
-                    # Serial runs attach in *this* process; drop those mappings
-                    # with the arena (worker processes die with the pool).
-                    shared_build.detach_all()
-        else:
-            worker = run_cell_telemetry if collect_telemetry else run_cell
-            fresh = execute_cells(
-                pending_cells, worker, workers=workers, on_result=on_result
-            )
+            arena = shared_build.MobilityArena()
+            pending_cells = [
+                replace(cell, ticket=arena.stage(cell.scenario)) for cell in pending_cells
+            ]
+        fresh = execute_cells(pending_cells, run_cell, workers=workers, on_result=on_result)
     finally:
+        if arena is not None:
+            # Serial runs attach in *this* process; drop those mappings
+            # with the arena (worker processes die with the pool).
+            shared_build.detach_all()
+            arena.close()
         if exp_store is not None:
             exp_store.close()
         if telemetry_owned and telemetry_sink is not None:
             telemetry_sink.close()
 
-    fresh_records = [_unwrap(outcome) for outcome in fresh]
+    fresh_records = [record for record, _lines in fresh]
     if cached:
         by_key = dict(zip(pending_keys, fresh_records))
         assert keys is not None
@@ -668,30 +651,3 @@ def sweep_replications(
         executed_cells=len(pending_cells),
         reused_cells=len(cached),
     )
-
-
-# ----------------------------------------------------- single-runner sweeps
-def sweep_protocols(
-    scenario: Scenario,
-    protocol_names: Sequence[str],
-    runner: Optional[ExperimentRunner] = None,
-    protocol_configs: Optional[Dict[str, ProtocolConfig]] = None,
-    telemetry=None,
-) -> List[RunResult]:
-    """Run every protocol in ``protocol_names`` through the same scenario.
-
-    ``telemetry`` is forwarded to every run: pass one shared
-    :class:`~repro.monitors.telemetry.TelemetrySink` to collect all
-    protocols' monitor telemetry into a single stream (each run frames
-    its lines with ``run_start``/``run_end`` events).
-    """
-    runner = runner if runner is not None else ExperimentRunner()
-    configs = protocol_configs or {}
-    results: List[RunResult] = []
-    for name in protocol_names:
-        results.append(
-            runner.run(
-                scenario, name, protocol_config=configs.get(name), telemetry=telemetry
-            )
-        )
-    return results

@@ -85,40 +85,13 @@ def radio_from_name(
 def stack_for_scenario(scenario: "Scenario", rng: random.Random) -> RadioStack:
     """Build the radio stack a scenario asks for.
 
-    Resolution order:
-
-    1. ``scenario.radio_stack`` (a kind or preset name) with
-       ``scenario.radio_params`` as overrides.
-    2. The legacy :class:`~repro.harness.scenario.RadioConfig` shim: an
-       untouched default config resolves to :data:`DEFAULT_RADIO`; a
-       customised one maps its fields onto the matching kind builder, so
-       pre-registry scenarios keep working unchanged.
+    ``scenario.radio_stack`` (a kind or preset name) is resolved with
+    ``scenario.radio_params`` as overrides; an unset stack resolves to
+    :data:`DEFAULT_RADIO` with the same overrides.
     """
-    if scenario.radio_stack:
-        return radio_from_name(scenario.radio_stack, rng=rng, **dict(scenario.radio_params))
-    # Imported lazily: the harness imports this module at class-definition
-    # time, so a module-level import back into the harness would cycle.
-    from repro.harness.scenario import RadioConfig
-
-    radio = scenario.radio
-    if radio == RadioConfig():
-        return radio_from_name(DEFAULT_RADIO, rng=rng)
-    if radio.propagation == "unit_disk":
-        params = {
-            "communication_range_m": radio.communication_range_m,
-            "tx_power_dbm": radio.tx_power_dbm,
-        }
-    elif radio.propagation == "two_ray":
-        params = {"tx_power_dbm": radio.tx_power_dbm}
-    elif radio.propagation == "shadowing":
-        params = {
-            "path_loss_exponent": radio.path_loss_exponent,
-            "sigma_db": radio.shadowing_sigma_db,
-            "tx_power_dbm": radio.tx_power_dbm,
-        }
-    else:
-        raise ValueError(f"unknown propagation model {radio.propagation!r}")
-    return radio_from_name(radio.propagation, rng=rng, **params)
+    return radio_from_name(
+        scenario.radio_stack or DEFAULT_RADIO, rng=rng, **dict(scenario.radio_params)
+    )
 
 
 # ------------------------------------------------------------ built-in kinds

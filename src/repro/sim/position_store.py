@@ -224,26 +224,6 @@ class PositionStore:
         row = self._row_of[node_id]
         return Vec2(float(self.xs[row]), float(self.ys[row]))
 
-    def load_columns(self, rows, xs, ys, vxs=None, vys=None) -> None:
-        """Bulk-write position (and optionally velocity) columns by row index.
-
-        ``rows`` indexes the target rows; the value arrays align with it
-        element for element.  One fancy-indexed assignment per column
-        replaces a Python loop of per-node ``set_position`` calls -- the
-        shared-memory sweep uses this to splat staged time-zero columns
-        (mapped read-only out of a shared segment) straight into a worker's
-        store.  Values are copied verbatim (float64 assignment is bitwise),
-        so loading columns that equal the rows' current values is exactly a
-        no-op apart from the version bump.
-        """
-        self.xs[rows] = xs
-        self.ys[rows] = ys
-        if vxs is not None:
-            self.vxs[rows] = vxs
-        if vys is not None:
-            self.vys[rows] = vys
-        self.version += 1
-
     def touch(self) -> None:
         """Record that stored values changed (invalidate derived caches)."""
         self.version += 1

@@ -13,12 +13,11 @@ from repro.harness.reporting import format_table, rows_to_csv, summarize_results
 from repro.harness.runner import ExperimentRunner, RunResult
 from repro.harness.scenario import (
     FlowSpec,
-    RadioConfig,
     Scenario,
     highway_scenario,
     manhattan_scenario,
 )
-from repro.harness.sweep import sweep_protocols, sweep_replications
+from repro.harness.sweep import sweep_replications
 from repro.mobility.generator import TrafficDensity
 from repro.sim.statistics import StatsCollector
 
@@ -129,14 +128,14 @@ class TestRunner:
         result = runner.run(scenario, "Greedy")
         assert result.summary["data_sent"] > 0
 
-    def test_unknown_propagation_rejected(self):
-        scenario = _small_scenario(radio=RadioConfig(propagation="warp-drive"))
+    def test_unknown_radio_stack_rejected(self):
+        scenario = _small_scenario(radio_stack="warp-drive")
         runner = ExperimentRunner()
-        with pytest.raises(ValueError):
+        with pytest.raises(KeyError):
             runner.run(scenario, "Greedy")
 
     def test_shadowing_propagation_runs(self):
-        scenario = _small_scenario(radio=RadioConfig(propagation="shadowing"))
+        scenario = _small_scenario(radio_stack="shadowing")
         runner = ExperimentRunner()
         result = runner.run(scenario, "Flooding")
         assert result.summary["data_sent"] > 0
@@ -204,10 +203,6 @@ class TestRunner:
 
 
 class TestSweeps:
-    def test_sweep_protocols_returns_one_result_each(self):
-        results = sweep_protocols(_small_scenario(), ["Greedy", "Flooding"])
-        assert [r.protocol for r in results] == ["Greedy", "Flooding"]
-
     def test_density_sweep_covers_requested_densities(self):
         base = _small_scenario()
         scenarios = [

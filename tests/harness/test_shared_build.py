@@ -6,7 +6,7 @@ import pytest
 
 from repro.harness import shared_build
 from repro.harness.runner import ExperimentRunner
-from repro.harness.scenario import RadioConfig, Scenario
+from repro.harness.scenario import Scenario
 from repro.harness.sweep import sweep_replications
 from repro.sim.rng import RandomStreams
 
@@ -33,7 +33,7 @@ class TestMobilityBuildKey:
             _scenario(workload="safety-beacon"),
             _scenario(workload_params={"interval_s": 0.5}),
             _scenario(radio_stack="dsrc-highway-los"),
-            _scenario(radio=RadioConfig(communication_range_m=100.0)),
+            _scenario(radio_params={"communication_range_m": 100.0}),
             _scenario(spatial_backend="vectorized"),
             _scenario(bus_count=2),
             _scenario(default_flow_count=9),
@@ -97,15 +97,6 @@ class TestArenaLifecycle:
                 # The two rng handles advanced in lockstep during the build:
                 # their next draws must agree bit for bit.
                 assert prebuilt.mobility_rng.random() == rng.random()
-                if prebuilt.columns is not None:
-                    xs, ys, vxs, vys = prebuilt.columns
-                    assert xs.shape == (len(staged_states),)
-                    assert not xs.flags.writeable
-                    assert list(xs) == [s.position.x for s in reference_states]
-                    assert list(vys) == [s.velocity.y for s in reference_states]
-                    # Drop the view references so the segment's buffer has
-                    # no exports left when it is closed below.
-                    del xs, ys, vxs, vys
             finally:
                 del prebuilt
                 shared_build.detach_all()
@@ -164,51 +155,28 @@ class TestStagedRunEquality:
         # No leaked shared-memory segments once the sweep returns.
         assert not glob.glob("/dev/shm/psm_*")
 
-
-class TestLoadColumns:
-    def test_bulk_load_matches_scalar_updates(self):
-        import numpy as np
-
-        from repro.sim.position_store import PositionStore
-
-        from repro.geometry import Vec2
-
-        bulk = PositionStore()
-        scalar = PositionStore()
-        for store in (bulk, scalar):
-            for node_id in (5, 9, 2):
-                store.add(node_id, Vec2(0.0, 0.0))
-        rows = bulk.rows_for([5, 9, 2])
-        xs = np.array([10.0, 20.5, -3.25])
-        ys = np.array([1.0, 2.0, 3.0])
-        vxs = np.array([0.5, -0.5, 0.0])
-        vys = np.array([0.0, 0.25, -1.0])
-        before = bulk.version
-        bulk.load_columns(rows, xs, ys, vxs, vys)
-        assert bulk.version == before + 1
-        for index, node_id in enumerate([5, 9, 2]):
-            row = scalar.row_of(node_id)
-            scalar.xs[row] = xs[index]
-            scalar.ys[row] = ys[index]
-            scalar.vxs[row] = vxs[index]
-            scalar.vys[row] = vys[index]
-        assert np.array_equal(bulk.xs[: len(rows)], scalar.xs[: len(rows)])
-        assert np.array_equal(bulk.vys[: len(rows)], scalar.vys[: len(rows)])
-
-    def test_velocity_columns_are_optional(self):
-        import numpy as np
-
-        from repro.sim.position_store import PositionStore
-
-        from repro.geometry import Vec2
-
-        store = PositionStore()
-        store.add(1, Vec2(0.0, 0.0))
-        store.add(2, Vec2(0.0, 0.0))
-        rows = store.rows_for([1, 2])
-        store.load_columns(rows, np.array([7.0, 8.0]), np.array([9.0, 10.0]))
-        assert store.xs[store.row_of(2)] == 8.0
-        assert store.vxs[store.row_of(1)] == 0.0
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_sweep_streams_telemetry_like_a_plain_sweep(self, tmp_path, workers):
+        scenarios = [_scenario(duration_s=5.0)]
+        kwargs = dict(seeds=[3, 4], monitors=["latency-dist", "timeseries", "invariant"])
+        plain = sweep_replications(
+            scenarios, ["Greedy", "Flooding"], telemetry=tmp_path / "plain.jsonl", **kwargs
+        )
+        shared = sweep_replications(
+            scenarios,
+            ["Greedy", "Flooding"],
+            workers=workers,
+            shared_mobility=True,
+            telemetry=tmp_path / "shared.jsonl",
+            **kwargs,
+        )
+        plain_bytes = (tmp_path / "plain.jsonl").read_bytes()
+        assert plain_bytes
+        assert (tmp_path / "shared.jsonl").read_bytes() == plain_bytes
+        strip = lambda record: dict(record.to_dict(), wall_clock_s=0.0)  # noqa: E731
+        assert list(map(strip, shared.records)) == list(map(strip, plain.records))
+        assert all(r.extra["invariant_violations"] == 0.0 for r in shared.records)
+        assert not glob.glob("/dev/shm/psm_*")
 
 
 class TestRandomStreamsAdopt:

@@ -319,7 +319,10 @@ class TestSweepReplications:
 
     def test_run_cell_uses_a_fresh_runner(self):
         cell = build_matrix([_tiny_scenario()], ["Greedy"], [1])[0]
-        assert run_cell(cell).summary == run_cell(cell).summary
+        (first, first_lines), (second, second_lines) = run_cell(cell), run_cell(cell)
+        assert first.summary == second.summary
+        # Unmonitored cells emit no telemetry.
+        assert first_lines == second_lines == []
 
     def test_workload_axis_aggregates_per_workload_cell(self):
         result = sweep_replications(

@@ -101,7 +101,7 @@ def _legacy_schedule_flows(built):
         return flows
 
     def ideal_hops(source, destination):
-        range_m = built.scenario.radio.communication_range_m
+        range_m = built.radio_range_m
         distance = source.position.distance_to(destination.position)
         return max(1.0, math.ceil(distance / max(range_m, 1.0)))
 
@@ -328,11 +328,10 @@ class TestSafetyBeaconWorkload:
         such receptions must be consumed without counting, or the
         reachability ratio would exceed 1 (delivered against a frozen
         in-range denominator)."""
-        from repro.harness.scenario import RadioConfig
-
         scenario = _small_scenario(
             workload="safety-beacon",
-            radio=RadioConfig(propagation="shadowing", shadowing_sigma_db=8.0),
+            radio_stack="shadowing",
+            radio_params={"sigma_db": 8.0},
         )
         result = ExperimentRunner().run(scenario, "Greedy")
         assert result.summary["data_sent"] > 0

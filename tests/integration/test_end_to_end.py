@@ -11,7 +11,6 @@ from repro.core.taxonomy import PROTOCOLS, Category
 from repro.harness.compare import DEFAULT_REPRESENTATIVES, category_comparison
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scenario import FlowSpec, highway_scenario, manhattan_scenario
-from repro.harness.sweep import sweep_protocols
 from repro.mobility.generator import TrafficDensity
 
 
@@ -48,8 +47,9 @@ class TestEveryProtocolRuns:
 class TestTableOneShapes:
     def test_flooding_has_highest_data_dissemination_cost(self):
         scenario = _scenario()
-        results = sweep_protocols(scenario, ["Flooding", "AODV", "Greedy", "Yan-TBP"], runner=RUNNER)
-        by_name = {r.protocol: r for r in results}
+        by_name = {
+            name: RUNNER.run(scenario, name) for name in ("Flooding", "AODV", "Greedy", "Yan-TBP")
+        }
 
         def data_cost(result):
             delivered = max(1.0, result.summary["data_delivered"])
@@ -66,8 +66,7 @@ class TestTableOneShapes:
         # large share of the network.  Comparing per-discovery cost keeps the
         # check independent of how often each protocol decides to retry.
         scenario = _scenario()
-        results = sweep_protocols(scenario, ["AODV", "Yan-TBP"], runner=RUNNER)
-        by_name = {r.protocol: r for r in results}
+        by_name = {name: RUNNER.run(scenario, name) for name in ("AODV", "Yan-TBP")}
 
         def per_discovery_cost(result):
             started = max(1.0, result.summary["route_discoveries_started"])
@@ -81,9 +80,7 @@ class TestTableOneShapes:
 
     def test_category_comparison_produces_rows_for_all_categories(self):
         scenario = _scenario(max_vehicles=30, duration_s=12.0, rsu_spacing_m=500.0)
-        results = sweep_protocols(
-            scenario, list(DEFAULT_REPRESENTATIVES.values()), runner=RUNNER
-        )
+        results = [RUNNER.run(scenario, name) for name in DEFAULT_REPRESENTATIVES.values()]
         rows = category_comparison(results)
         assert {row["category"] for row in rows} == {c.value for c in Category}
         for row in rows:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness.scenario import RadioConfig, Scenario
+from repro.harness.scenario import Scenario
 from repro.radio.interference import (
     NO_SIGNAL_DBM,
     AdditiveInterference,
@@ -164,25 +164,16 @@ class TestScenarioResolution:
         stack = stack_for_scenario(scenario, random.Random(0))
         assert stack.propagation.m == 1.0
 
-    def test_legacy_shim_maps_shadowing_fields(self):
-        scenario = Scenario(
-            radio=RadioConfig(propagation="shadowing", shadowing_sigma_db=8.0)
-        )
-        stack = stack_for_scenario(scenario, random.Random(0))
-        assert isinstance(stack.propagation, LogNormalShadowing)
-        assert stack.propagation.sigma_db == 8.0
-        assert stack.name == "shadowing"
-
-    def test_legacy_shim_maps_unit_disk_range(self):
-        scenario = Scenario(radio=RadioConfig(communication_range_m=120.0))
+    def test_radio_params_apply_to_the_default_preset(self):
+        scenario = Scenario(radio_params={"communication_range_m": 120.0})
         stack = stack_for_scenario(scenario, random.Random(0))
         assert isinstance(stack.propagation, UnitDiskPropagation)
         assert stack.propagation.communication_range == 120.0
-        assert stack.name == "unit_disk"
+        assert stack.name == DEFAULT_RADIO
 
-    def test_legacy_shim_rejects_unknown_propagation(self):
-        scenario = Scenario(radio=RadioConfig(propagation="warp-drive"))
-        with pytest.raises(ValueError):
+    def test_unknown_radio_stack_rejected(self):
+        scenario = Scenario(radio_stack="warp-drive")
+        with pytest.raises(KeyError, match="warp-drive"):
             stack_for_scenario(scenario, random.Random(0))
 
     def test_built_scenario_carries_the_resolved_nominal_range(self):

@@ -37,8 +37,25 @@ def normalized_records(trace):
     return normalized
 
 
-def run_seeded_scenario(spatial_backend, seed=11):
-    """A 50-vehicle highway run with beacons and a few data flows, traced."""
+def count_array_completions(medium):
+    """Count the medium's array-path completions from here on (a one-cell list)."""
+    count = [0]
+    complete_vectorized = medium._complete_vectorized
+
+    def counting(transmission):
+        count[0] += 1
+        complete_vectorized(transmission)
+
+    medium._complete_vectorized = counting
+    return count
+
+
+def run_seeded_scenario(spatial_backend, seed=11, vectorized_min_rows=None):
+    """A 50-vehicle highway run with beacons and a few data flows, traced.
+
+    ``vectorized_min_rows`` overrides the medium's array-path row threshold;
+    ``built.array_completions`` counts the frames completed on that path.
+    """
     runner = ExperimentRunner(trace_enabled=True, trace_max_records=500_000)
     scenario = highway_scenario(
         TrafficDensity.NORMAL,
@@ -49,6 +66,10 @@ def run_seeded_scenario(spatial_backend, seed=11):
         spatial_backend=spatial_backend,
     )
     built = runner.build(scenario)
+    medium = built.network.medium
+    if vectorized_min_rows is not None:
+        medium.vectorized_min_rows = vectorized_min_rows
+    built.array_completions = count_array_completions(medium)
     factory = make_protocol_factory(
         "Greedy",
         location_service=LocationService(built.network),

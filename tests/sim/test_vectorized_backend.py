@@ -18,19 +18,30 @@ from repro.protocols.registry import make_protocol_factory
 from repro.sim import position_store
 from repro.sim.position_store import PositionStore, require_numpy
 from repro.workloads import WORKLOADS as WORKLOAD_REGISTRY
-from tests.sim.test_medium_backends import normalized_records, run_seeded_scenario
+from tests.sim.test_medium_backends import (
+    count_array_completions,
+    normalized_records,
+    run_seeded_scenario,
+)
 
 np = pytest.importorskip("numpy")
 
-#: Radio stacks crossing the fast-path gate: ideal-disk and dsrc-urban-nlos
-#: are deterministic (array fast path), nakagami is stochastic (scalar
-#: fallback inside the vectorized backend).
-RADIOS = ["ideal-disk-250m", "dsrc-urban-nlos", "nakagami"]
+#: Radio stacks crossing the fast-path gate: ideal-disk (the disk fold
+#: table) and dsrc-highway-los (two-ray, the general mW fold) are
+#: deterministic and take the array path; nakagami is stochastic and falls
+#: back to the scalar loop inside the vectorized backend.
+RADIOS = ["ideal-disk-250m", "dsrc-highway-los", "nakagami"]
+ARRAY_PATH_RADIOS = {"ideal-disk-250m", "dsrc-highway-los"}
 WORKLOADS = ["cbr", "safety-beacon"]
 
 
 def run_workload_scenario(kind, spatial_backend, radio, workload, seed=9):
-    """A small traced run of ``kind`` under the given radio and workload."""
+    """A small traced run of ``kind`` under the given radio and workload.
+
+    The cells hold far fewer nodes than ``VECTORIZED_MIN_ROWS``, so the
+    vectorized leg drops the row threshold to 0 to reach the array path;
+    ``built.array_completions`` counts the frames it completed there.
+    """
     runner = ExperimentRunner(trace_enabled=True, trace_max_records=500_000)
     if kind == "city":
         scenario = city_scenario(
@@ -55,6 +66,9 @@ def run_workload_scenario(kind, spatial_backend, radio, workload, seed=9):
             workload=workload,
         )
     built = runner.build(scenario)
+    if spatial_backend == "vectorized":
+        built.network.medium.vectorized_min_rows = 0
+    built.array_completions = count_array_completions(built.network.medium)
     factory = make_protocol_factory(
         "Greedy",
         location_service=LocationService(built.network),
@@ -68,6 +82,15 @@ def run_workload_scenario(kind, spatial_backend, radio, workload, seed=9):
     return built
 
 
+def assert_array_path(grid, vec, radio):
+    """The vectorized leg took the array path exactly when the radio allows."""
+    assert grid.array_completions == [0]
+    if radio in ARRAY_PATH_RADIOS:
+        assert vec.array_completions[0] > 0
+    else:
+        assert vec.array_completions == [0]
+
+
 class TestCrossBackendTraces:
     @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("radio", RADIOS)
@@ -78,6 +101,7 @@ class TestCrossBackendTraces:
         vec = run_workload_scenario("city", "vectorized", radio, workload)
         assert normalized_records(vec.trace) == normalized_records(grid.trace)
         assert vec.stats.summary() == grid.stats.summary()
+        assert_array_path(grid, vec, radio)
 
     @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("radio", RADIOS)
@@ -86,6 +110,7 @@ class TestCrossBackendTraces:
         vec = run_workload_scenario("random_waypoint", "vectorized", radio, workload)
         assert normalized_records(vec.trace) == normalized_records(grid.trace)
         assert vec.stats.summary() == grid.stats.summary()
+        assert_array_path(grid, vec, radio)
 
     def test_city_vectorized_matches_linear_oracle(self):
         # The exhaustive O(N) scan is the ground-truth oracle; one cell
@@ -99,9 +124,10 @@ class TestCrossBackendTraces:
         # The 50-vehicle highway acceptance scenario of the grid backend,
         # now with IDM/MOBIL integration running in array mode.
         grid = run_seeded_scenario("grid")
-        vec = run_seeded_scenario("vectorized")
+        vec = run_seeded_scenario("vectorized", vectorized_min_rows=0)
         assert normalized_records(vec.trace) == normalized_records(grid.trace)
         assert vec.stats.summary() == grid.stats.summary()
+        assert_array_path(grid, vec, "ideal-disk-250m")
 
 
 class TestPositionStore:

@@ -13,10 +13,14 @@ from repro.core.taxonomy import PROTOCOLS, Category
 from repro.devtools.base import LintRule
 from repro.devtools.registry import LINT_RULES
 from repro.geometry import Vec2
+from repro.harness.runner import ExperimentRunner
 from repro.harness.scenario import Scenario
 from repro.harness.scenarios import SCENARIOS, BuiltMobility
+from repro.mobility.fcd_trace import FcdSample, write_fcd_trace
 from repro.monitors import MONITORS, Monitor
 from repro.protocols.base import RoutingProtocol
+from repro.protocols.location import LocationService
+from repro.protocols.registry import make_protocol_factory
 from repro.radio.interference import NO_SIGNAL_DBM
 from repro.radio.registry import RADIOS
 from repro.radio.stack import RadioStack
@@ -220,3 +224,75 @@ def test_deterministic_propagation_returns_equal_powers(spec):
     first = powers()
     assert powers() == first
     assert rng.getstate() == before
+
+
+# ------------------------------------------- stepped position providers
+# The medium trusts a third promise: while every registered position
+# provider declares `stepped = True`, it reuses one in-range table per query
+# position until the next mobility step.  A provider that moves between
+# steps while claiming the flag would hand frames to stale neighbour sets,
+# so every scenario kind is run and its stepped nodes watched mid-step.
+
+#: Mobility steps the probe cell runs before the watched step (so traffic
+#: is flowing and every model has stepped a few times).
+WATCHED_STEP = 11
+
+
+def _tiny_trace(path) -> str:
+    """Three vehicles driving east at 12 m/s, one sample per second."""
+    write_fcd_trace(
+        path,
+        [
+            FcdSample(float(t), vid, 40.0 * vid + 12.0 * t, 5.0, 12.0, 0.0)
+            for vid in range(3)
+            for t in range(10)
+        ],
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", SCENARIOS.names())
+def test_stepped_providers_hold_still_between_mobility_steps(kind, tmp_path):
+    scenario = Scenario(
+        name=f"stepped-{kind}",
+        kind=kind,
+        max_vehicles=12,
+        duration_s=8.0,
+        drain_s=0.0,
+        seed=4,
+        rsu_spacing_m=400.0,
+        default_flow_count=2,
+        trace_path=_tiny_trace(tmp_path / "trace.csv") if kind == "trace" else None,
+    )
+    built = ExperimentRunner().build(scenario)
+    built.network.attach_protocols(
+        make_protocol_factory(
+            "Greedy",
+            location_service=LocationService(built.network),
+            road_graph=built.road_graph,
+        )
+    )
+    WORKLOADS.resolve(scenario.workload).build(
+        scenario, built, built.sim.rng.stream("traffic")
+    )
+    nodes = [
+        node
+        for node in built.network.nodes.values()
+        if getattr(node._position_provider, "stepped", False)
+    ]
+    assert nodes, f"{kind}: no stepped node to watch"
+    snapshots = []
+    step = scenario.mobility_step_s
+    # Two instants inside one mobility step, then one after the next step.
+    for offset in (0.2, 0.8, 1.5):
+        built.sim.schedule_at(
+            (WATCHED_STEP + offset) * step,
+            lambda: snapshots.append([node.position for node in nodes]),
+        )
+    built.network.start()
+    built.sim.run(until=(WATCHED_STEP + 2) * step)
+    early, late, next_step = snapshots
+    moved = [node.node_id for node, a, b in zip(nodes, early, late) if a != b]
+    assert not moved, f"{kind}: stepped nodes {moved} moved between mobility steps"
+    # The watched window is not vacuous: the next step does move vehicles.
+    assert next_step != late, f"{kind}: no vehicle moved across a mobility step"
