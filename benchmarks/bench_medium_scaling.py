@@ -1,17 +1,19 @@
-"""Scaling benchmark: linear-scan vs. grid vs. vectorized wireless medium.
+"""Scaling benchmark: linear-scan oracle vs. grid vs. vectorized wireless medium.
 
 Part A (the scaling sweep) holds vehicle density constant by growing a
 synthetic arterial+grid *city* with the population (the scenario-registry
 ``city`` kind, so the N sweep exercises the exact build path city presets
 use), sweeps the population, and times an identical broadcast workload
-through all three spatial backends.  Every delivered frame used to scan all
-N registered nodes, so frame delivery cost O(N) and a beacon interval cost
-O(N^2); the uniform-grid index bounds both by the local neighbourhood, and
+through both spatial backends and through the test suite's linear-scan
+oracle (a grid medium whose node index returns every node).  A scan over
+all N registered nodes per delivered frame makes frame delivery cost O(N)
+and a beacon interval O(N^2); the uniform-grid index bounds both by the
+local neighbourhood, and
 the struct-of-arrays vectorized backend evaluates that neighbourhood's
 physics as numpy array expressions instead of per-candidate Python.
 
 The sweep also carries a radio axis: the default ``ideal-disk-250m`` stack
-(finite range, where the backends are trace-for-trace identical and the
+(finite range, where the three columns are trace-for-trace identical and the
 transmission counts must match exactly) and the ``nakagami`` fading stack
 (unbounded mean path loss, where the grid applies the documented sub-cutoff
 approximation and the runs are only statistically comparable -- the speedup
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import time
 from pathlib import Path
@@ -51,6 +52,7 @@ from repro.roadnet.city import CityConfig
 from repro.sim.packet import BROADCAST, make_control_packet
 
 from benchmarks.common import report, run_once, sweep_workers
+from tests.helpers import LINEAR, medium_backend, use_linear_scan
 
 #: Vehicles per square metre: 16 per km^2 -- a city-scale map much larger
 #: than the radio range, which is exactly the regime the index targets (the
@@ -62,8 +64,9 @@ POPULATIONS = [100, 400, 1600]
 FRAMES_PER_NODE = 2
 BLOCK_SIZE_M = 200.0
 
-#: The spatial backends Part A compares (linear is the seed baseline).
-BACKENDS = ["linear", "grid", "vectorized"]
+#: The columns Part A compares: the linear-scan oracle (the seed's O(N)
+#: baseline) and both spatial backends.
+BACKENDS = [LINEAR, "grid", "vectorized"]
 
 #: Radio axis: the finite-range default (exact backend equivalence) and the
 #: Nakagami fading stack (grid sub-cutoff approximation regime).
@@ -87,11 +90,6 @@ STORM_RADIO = "ideal-disk-250m"
 #: already pin byte-equality at N=6400.
 STORM_SCALE_VEHICLES = 20000
 
-#: The full N=6400 storm through the *linear* backend takes tens of
-#: minutes (every frame scans all 6400 nodes in Python); set
-#: REPRO_STORM_LINEAR=0 to skip it and keep grid+vectorized only.
-STORM_LINEAR = os.environ.get("REPRO_STORM_LINEAR", "1") != "0"
-
 #: Machine-readable results land at the repository root (benchmarks/results/
 #: is gitignored; this file is meant to be committed alongside doc updates).
 RESULTS_JSON = Path(__file__).resolve().parent.parent / "BENCH_medium_scaling.json"
@@ -112,10 +110,12 @@ def _build_network(n: int, backend: str, radio: str, seed: int = 5):
         city=CityConfig(blocks_x=blocks, blocks_y=blocks, block_size_m=BLOCK_SIZE_M),
         max_vehicles=n,
         seed=seed,
-        spatial_backend=backend,
+        spatial_backend=medium_backend(backend),
         radio_stack=radio,
     )
     built = ExperimentRunner().build(scenario)
+    if backend == LINEAR:
+        use_linear_scan(built.network.medium)
     return built.sim, built.network, built.stats
 
 
@@ -180,7 +180,7 @@ def _sweep():
     rows = []
     for n in POPULATIONS:
         for radio in RADIOS:
-            linear = by_cell[(n, "linear", radio)]
+            linear = by_cell[(n, LINEAR, radio)]
             grid = by_cell[(n, "grid", radio)]
             vectorized = by_cell[(n, "vectorized", radio)]
             frames = n * FRAMES_PER_NODE
@@ -302,27 +302,17 @@ def _round_storm_row(row: dict) -> dict:
 
 
 def _storm():
-    """Grid first (the reference), then vectorized, then the linear baseline.
+    """Grid first (the reference), then vectorized.
 
     Serial by construction -- the wall clocks are the measured quantity.
-    The linear run exists purely to pin three-backend byte-equality on the
-    headline cell; it contributes a baseline column, not an acceptance bar,
-    and can be skipped with REPRO_STORM_LINEAR=0.
     """
     grid = _round_storm_row(run_storm_cell("grid"))
     vectorized = _round_storm_row(run_storm_cell("vectorized"))
-    storm = {
+    return {
         "grid": grid,
         "vectorized": vectorized,
         "speedup": round(grid["wall_s"] / max(vectorized["wall_s"], 1e-9), 2),
     }
-    if STORM_LINEAR:
-        linear = _round_storm_row(run_storm_cell("linear"))
-        storm["linear"] = linear
-        storm["vectorized_speedup_vs_linear"] = round(
-            linear["wall_s"] / max(vectorized["wall_s"], 1e-9), 2
-        )
-    return storm
 
 
 def _storm_scale():
@@ -343,7 +333,7 @@ def _write_results_json(scaling_rows, storm, storm_scale) -> None:
 
 
 def test_medium_scaling(benchmark):
-    """Frame-delivery wall clock across the three backends, plus the storm."""
+    """Frame-delivery wall clock: oracle vs. both backends, plus the storm."""
     rows = run_once(benchmark, _sweep)
     report(
         "medium_scaling",
@@ -351,16 +341,16 @@ def test_medium_scaling(benchmark):
         title="Wireless medium scaling -- linear vs. grid vs. vectorized (city kind)",
     )
     storm = _storm()
-    storm_rows = [storm["grid"], storm["vectorized"]]
-    if "linear" in storm:
-        storm_rows.append(storm["linear"])
-    storm_rows.append({"backend": "speedup", "wall_s": storm["speedup"]})
+    storm_rows = [
+        storm["grid"],
+        storm["vectorized"],
+        {"backend": "speedup", "wall_s": storm["speedup"]},
+    ]
     report(
         "medium_scaling_storm",
         storm_rows,
         title=(
-            "Beacon storm -- congested core, N=6400 at 10 Hz, "
-            "grid vs. vectorized vs. linear"
+            "Beacon storm -- congested core, N=6400 at 10 Hz, grid vs. vectorized"
         ),
     )
     storm_scale = _storm_scale()
@@ -372,7 +362,7 @@ def test_medium_scaling(benchmark):
     _write_results_json(rows, storm, storm_scale)
     for row in rows:
         if row["radio"] == "ideal-disk-250m":
-            # Finite-range propagation: every backend must push the same
+            # Finite-range propagation: every column must push the same
             # frames through the channel (exact trace equivalence).  Under
             # fading the grid's sub-cutoff approximation may shift MAC
             # deferrals, so only the disk rows assert equality.
@@ -384,14 +374,10 @@ def test_medium_scaling(benchmark):
     # N=1600 (a conservative floor; typical runs land far above it).
     assert largest["grid_speedup"] >= 5.0
     # Acceptance bars for the vectorized backend at storm scale: identical
-    # channel outcomes to the grid reference (and the linear baseline, when
-    # run) and >= 5x faster delivery than the grid (typical runs land well
-    # above 6x; 5x is the committed floor).
+    # channel outcomes to the grid reference and >= 5x faster delivery than
+    # the grid (5x is the committed floor).
     assert storm["grid"]["transmissions"] == storm["vectorized"]["transmissions"]
     assert storm["grid"]["collisions"] == storm["vectorized"]["collisions"]
-    if "linear" in storm:
-        assert storm["linear"]["transmissions"] == storm["vectorized"]["transmissions"]
-        assert storm["linear"]["collisions"] == storm["vectorized"]["collisions"]
     assert storm["speedup"] >= 5.0
     # The scale row just has to complete with the full offered load on the
     # board: 20k vehicles x 10 beacons, all delivered through the medium.

@@ -156,13 +156,6 @@ def check_results_schema(path=RESULTS_JSON) -> dict:
     assert (
         storm["grid"]["collisions"] == storm["vectorized"]["collisions"]
     ), "recorded storm rows disagree on collisions"
-    if "linear" in storm:
-        assert (
-            storm["linear"]["transmissions"] == storm["vectorized"]["transmissions"]
-        ), "recorded linear storm row disagrees on transmissions"
-        assert (
-            storm["linear"]["collisions"] == storm["vectorized"]["collisions"]
-        ), "recorded linear storm row disagrees on collisions"
 
     scale_rows = payload["storm_scale"]
     assert scale_rows, "storm_scale section is empty"

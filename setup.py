@@ -1,8 +1,8 @@
 """Package metadata and dependency declaration.
 
 ``numpy`` powers the vectorized spatial backend of the wireless medium
-(``spatial_backend="vectorized"``); the scalar ``grid``/``linear`` backends
-run without it, but it is cheap and the struct-of-arrays fast path is the
+(``spatial_backend="vectorized"``); the scalar ``grid`` backend
+runs without it, but it is cheap and the struct-of-arrays fast path is the
 recommended configuration at scale, so it is a hard dependency of the
 installed package.  The import-time gate for environments that run from a
 bare checkout without numpy lives in

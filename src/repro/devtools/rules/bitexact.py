@@ -1,7 +1,7 @@
 """BITX-001: dBm<->mW conversions must stay on the libm bit-exactness path.
 
 The vectorized spatial backend's contract is *byte-identical* traces with
-the scalar backends.  ``np.power`` and ``np.log10`` take SIMD paths whose
+the grid backend.  ``np.power`` and ``np.log10`` take SIMD paths whose
 last ulp differs from libm ``pow`` / ``log10`` on a few percent of inputs
 (documented in :mod:`repro.radio.interference` and
 :mod:`repro.radio.propagation`), which is exactly enough to flip a

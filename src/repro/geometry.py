@@ -56,7 +56,7 @@ class Vec2:
         multiply, add and sqrt are all correctly rounded, so this expression
         produces bit-identical results whether evaluated here or as a numpy
         array expression -- which is what lets the vectorized medium backend
-        reproduce the scalar backends' event traces byte for byte.  Positions
+        reproduce the grid backend's event traces byte for byte.  Positions
         and ranges are metres (magnitudes ~1e0..1e4), so the overflow/underflow
         protection ``hypot`` adds is irrelevant here.
         """

@@ -24,6 +24,7 @@ from repro.mobility.highway import HighwayConfig
 from repro.mobility.manhattan import ManhattanConfig
 from repro.mobility.random_waypoint import RandomWaypointConfig
 from repro.roadnet.city import CityConfig
+from repro.sim.spatial import check_spatial_backend
 
 #: Number of random unicast flows a scenario offers when neither explicit
 #: ``flows`` nor a flow count is given.  The CLI's bare-kind fallback and the
@@ -106,12 +107,11 @@ class Scenario:
         flow_template: Deprecated ``cbr`` shim -- template for generated
             flows (other workloads borrow its timing defaults).
         mobility_step_s: Mobility update interval.
-        spatial_backend: Neighbour-lookup backend of the wireless medium:
-            ``"grid"`` (uniform-grid index, the default), ``"linear"``
-            (exhaustive oracle scan, exact but O(N) per frame) or
+        spatial_backend: Delivery backend of the wireless medium:
+            ``"grid"`` (uniform-grid index, the default) or
             ``"vectorized"`` (grid index plus a struct-of-arrays position
             store evaluating per-frame physics as numpy array expressions;
-            byte-identical traces to the other two, requires numpy).
+            byte-identical traces to ``"grid"``, requires numpy).
         monitors: Observability probes attached to the run, resolved by
             name through the monitor registry (:mod:`repro.monitors`):
             kinds such as ``"latency-dist"``, ``"timeseries"``,
@@ -163,6 +163,9 @@ class Scenario:
                 raise ValueError(f"{name} must be finite and >= 0 (got {value!r})")
         if self.max_vehicles is not None and self.max_vehicles < 0:
             raise ValueError(f"max_vehicles must be >= 0 (got {self.max_vehicles!r})")
+        # Rejected here, not at build time, so a sweep fails before its
+        # first cell runs.
+        check_spatial_backend(self.spatial_backend)
 
     def with_overrides(self, **overrides) -> "Scenario":
         """A copy of this scenario with the given attributes replaced."""

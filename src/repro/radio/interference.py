@@ -58,7 +58,7 @@ def dbm_to_mw_batch(powers_dbm):
     """Elementwise :func:`dbm_to_mw` over a numpy array.
 
     The vectorized medium backend needs its interference sums bit-identical
-    to the scalar backends', which rules out ``np.power``: its SIMD path
+    to the grid backend's, which rules out ``np.power``: its SIMD path
     differs from libm ``pow`` (what ``10.0 ** x`` calls) in the last ulp on
     this class of input.  ``np.float_power`` evaluates libm ``pow`` per
     element, so it reproduces the scalar conversion bit for bit at array

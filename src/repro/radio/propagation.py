@@ -67,7 +67,7 @@ class PropagationModel(ABC):
     #: draws).  The vectorized medium backend only takes its array fast path
     #: for deterministic models; stochastic ones keep the scalar per-receiver
     #: loop so the ``"radio"`` stream is consumed in exactly the same order
-    #: as the scalar backends.
+    #: as the grid backend.
     deterministic: bool = False
 
     @abstractmethod

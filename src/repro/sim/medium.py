@@ -8,12 +8,13 @@ still occupy the channel for everybody -- which is what makes flooding
 expensive and is the physical basis of Table I's "overhead / broadcast
 storm" column for connectivity-based routing.
 
-Receiver fan-out, carrier sensing and interference aggregation all go
-through a pluggable :mod:`~repro.sim.spatial` index (``"grid"`` by default,
-``"linear"`` as the exhaustive oracle).  Candidates from the index are
-re-filtered against live positions and visited in registration order, so
-with a finite-range propagation model (unit disk, the default) both
-backends produce byte-identical event traces.  A hard-edge channel (the
+Receiver fan-out goes through one
+:class:`~repro.sim.spatial.UniformGridIndex` over the registered nodes.
+Candidates from the grid are re-filtered against live positions and
+visited in registration order, so a frame reaches exactly the receivers an
+exhaustive scan finds (the test suite keeps that scan as its oracle).
+Carrier sensing and interference aggregation scan the few frames in flight
+with the grid's cell-granular test.  A hard-edge channel (the
 unit disk) is evaluated exactly up to its disk and no further: the disk
 radius is both the reception cutoff and the carrier-sense reach, so
 interferers are gathered within two disk radii of the sender.  Models
@@ -34,7 +35,8 @@ stream still decide per receiver, in candidate order.
 
 Between two mobility steps nothing moves, so every frame completion and
 every reachability query (``nodes_within``) from one sender position has
-the same answer.  The scalar paths therefore share *in-range tables*: per ``(position, radius)``, the
+the same answer.  Scalar frame completions and every ``nodes_within`` query
+therefore share *in-range tables*: per ``(position, radius)``, the
 registered nodes within ``radius`` as ``(node, node position, distance)``
 in registration order, built once with the exact filter above and reused
 until :meth:`~WirelessMedium.refresh_positions`, ``register`` or
@@ -59,14 +61,14 @@ workloads' frames travel this way.  A claimed reception runs at the exact
 point ``Node.deliver`` would have run and still draws the packet uid its
 copy would have taken, so traces are byte-identical either way.
 
-The third backend, ``"vectorized"``, keeps the grid index for candidate
-lookups but registers every node in a struct-of-arrays
+The ``"vectorized"`` backend keeps the grid index for candidate
+lookups but also registers every node in a struct-of-arrays
 :class:`~repro.sim.position_store.PositionStore` and evaluates the
 per-frame physics -- distances, received powers, interference sums and
 reception decisions -- as numpy array expressions over the candidate rows.
 Each array expression is chosen to be bit-identical to its scalar
 counterpart (see :mod:`~repro.sim.position_store`), so the vectorized
-backend reproduces the scalar backends' event traces byte for byte.  The
+backend reproduces the ``"grid"`` backend's event traces byte for byte.  The
 fast path applies when the propagation model is deterministic and the
 interference model is additive (or unused); stochastic channels fall back
 to the scalar per-receiver loop so RNG streams are consumed in exactly the
@@ -95,7 +97,7 @@ from repro.radio.reception import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.packet import BROADCAST, Packet, next_uid
-from repro.sim.spatial import UniformGridIndex, make_spatial_index
+from repro.sim.spatial import UniformGridIndex, check_spatial_backend
 from repro.sim.statistics import StatsCollector
 from repro.sim.trace import EventTrace
 
@@ -107,8 +109,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Default row-count threshold below which the vectorized completion hands
 #: frames to the scalar loop (see ``WirelessMedium.vectorized_min_rows``).
 #: Benchmarked: at N=100 (and marginally at N=400) the per-frame numpy
-#: dispatch overhead made "vectorized" slower than the scalar backends.
+#: dispatch overhead made "vectorized" slower than "grid".
 VECTORIZED_MIN_ROWS = 512
+
+#: Carrier sensing is this much more sensitive than frame decoding.
+CARRIER_SENSE_MARGIN_DB = 10.0
+#: How far a node may drift from its indexed position before a refresh
+#: without being missed by a query (the node grid's slack).
+POSITION_SLACK_M = 100.0
+#: Maximum staleness of indexed positions: queries lazily re-index every
+#: node once this much simulated time has passed.
+POSITION_REFRESH_S = 0.5
 
 #: ``receive(node, rx_power_dbm)``: one claimed frame's per-receiver hand-off.
 FrameReceiver = Callable[["Node", float], None]
@@ -151,15 +162,8 @@ class WirelessMedium:
         stack: A complete radio profile supplying propagation, reception,
             interference combination, MAC parameters and transmit power in
             one object.
-        spatial_backend: ``"grid"`` (default), ``"linear"`` or
-            ``"vectorized"`` -- how receiver and carrier-sense candidates
-            are looked up (and, for ``"vectorized"``, whether per-frame
-            physics runs as numpy array expressions; requires numpy).
-        cell_size_m: Grid cell size; defaults to the reception cutoff.
-        position_slack_m: How far a node may drift from its indexed position
-            before a refresh without being missed by a query.
-        position_refresh_s: Maximum staleness of indexed positions; queries
-            lazily re-index all nodes once this much simulated time passed.
+        spatial_backend: ``"grid"`` (default) or ``"vectorized"`` (per-frame
+            physics as numpy array expressions; requires numpy).
     """
 
     def __init__(
@@ -170,14 +174,11 @@ class WirelessMedium:
         stats: Optional[StatsCollector] = None,
         mac_config: Optional["MacConfig"] = None,
         trace: Optional[EventTrace] = None,
-        carrier_sense_margin_db: float = 10.0,
         spatial_backend: str = "grid",
-        cell_size_m: Optional[float] = None,
-        position_slack_m: float = 100.0,
-        position_refresh_s: float = 0.5,
         stack: Optional["RadioStack"] = None,
     ) -> None:
         self.sim = sim
+        check_spatial_backend(spatial_backend)
         # Imported here (not at module level) to break the import cycle
         # radio.mac -> sim.packet -> sim.medium -> radio.mac, which made
         # `import repro.radio` fail when it ran before `import repro.sim`.
@@ -206,17 +207,14 @@ class WirelessMedium:
         self.stats = stats if stats is not None else StatsCollector()
         self.mac_config = stack.mac
         self.trace = trace if trace is not None else EventTrace(enabled=False)
-        #: Carrier sensing is typically more sensitive than frame decoding.
         self.carrier_sense_threshold_dbm = (
-            self.reception.sensitivity_dbm - carrier_sense_margin_db
+            self.reception.sensitivity_dbm - CARRIER_SENSE_MARGIN_DB
         )
         self._nodes: Dict[int, "Node"] = {}
         self._transmissions: List[ActiveTransmission] = []
-        self._tx_by_uid: Dict[int, ActiveTransmission] = {}
         self._tx_counter = 0
         self._range_cache: Dict[float, float] = {}
         self._cs_range_cache: Dict[float, float] = {}
-        self.spatial_backend = spatial_backend
         self._vectorized = spatial_backend == "vectorized"
         if self._vectorized:
             from repro.sim.position_store import PositionStore, require_numpy
@@ -229,16 +227,13 @@ class WirelessMedium:
         #: Cached (ids, cx, cy) from the last vectorized re-index; lets the
         #: next refresh touch only nodes whose grid cell actually changed.
         self._cell_cache = None
-        if cell_size_m is None:
-            cell_size_m = self._default_cell_size()
-        self.position_refresh_s = position_refresh_s
-        self._node_index = make_spatial_index(
-            spatial_backend, cell_size_m, position_slack_m
-        )
-        #: Transmission positions are frozen at begin time, so no slack.
-        self._tx_index = make_spatial_index(spatial_backend, cell_size_m, 0.0)
-        #: Registration sequence: candidates are visited in this order so
-        #: both spatial backends consume random streams identically.
+        cutoff = self._reception_cutoff(self.stack.tx_power_dbm)
+        #: Grid cell side: the reception cutoff, so a receiver query touches
+        #: the 3x3 block of cells around the sender.
+        self._cell_size_m = cutoff if cutoff > 0 else 500.0
+        self._node_index = UniformGridIndex(self._cell_size_m, POSITION_SLACK_M)
+        #: Registration sequence: candidates are visited in this order, so
+        #: the visit order (and every RNG draw) does not depend on the index.
         self._node_seq: Dict[int, int] = {}
         self._seq_counter = 0
         #: (structure_version, per-row registration sequence) for the
@@ -270,10 +265,6 @@ class WirelessMedium:
         #: Python loop only once enough receivers amortize it, and the two
         #: paths are bit-identical so dispatch is free to pick either.
         self.vectorized_min_rows = VECTORIZED_MIN_ROWS
-
-    def _default_cell_size(self) -> float:
-        cutoff = self._reception_cutoff(self.stack.tx_power_dbm)
-        return cutoff if cutoff > 0 else 500.0
 
     # --------------------------------------------------------------- topology
     def register(self, node: "Node") -> None:
@@ -371,7 +362,7 @@ class WirelessMedium:
         store.touch()
         count = store.size
         index = self._node_index
-        size = index.cell_size_m
+        size = self._cell_size_m
         cx = np.floor(store.xs[:count] / size).astype(np.int64)
         cy = np.floor(store.ys[:count] / size).astype(np.int64)
         ids = store.ids()
@@ -385,7 +376,7 @@ class WirelessMedium:
         self._cell_cache = (ids, cx, cy)
 
     def _maybe_refresh_positions(self) -> None:
-        if self.sim.now - self._last_position_refresh >= self.position_refresh_s:
+        if self.sim.now - self._last_position_refresh >= POSITION_REFRESH_S:
             self.refresh_positions()
 
     def _disk(self, position: Vec2, radius: float) -> List[tuple]:
@@ -424,42 +415,33 @@ class WirelessMedium:
     def _transmissions_near(self, position: Vec2, radius: float) -> List[ActiveTransmission]:
         """Transmissions whose sender may be within ``radius``, in uid order.
 
-        With only a handful of frames in flight (the common case: frames
-        overlap for one airtime) a direct scan of ``_transmissions`` beats
-        the grid query plus uid sort plus dict lookups.  The scan applies
-        the *same cell-granular membership test* as
-        :meth:`~repro.sim.spatial.UniformGridIndex.query_ids` -- not an
-        exact distance test -- so the returned set is identical to the
-        grid's whichever path runs (stochastic propagation models see the
-        same interferer supersets either way).  ``_transmissions`` is
-        append-ordered by uid and pruning preserves order, so the scan is
-        already uid-sorted.
+        Frames overlap for about one airtime, so only a handful are ever in
+        flight and a direct scan of ``_transmissions`` is all the lookup
+        needs.  The scan applies the *cell-granular membership test* of
+        :meth:`~repro.sim.spatial.UniformGridIndex.query_ids` on the node
+        grid's cells -- not an exact distance test -- and that superset of
+        interferers is what models without a hard edge see.
+        ``_transmissions`` is append-ordered by uid and pruning preserves
+        order, so the result is uid-sorted.
         """
         transmissions = self._transmissions
-        index = self._tx_index
-        if len(transmissions) <= 32 and isinstance(index, UniformGridIndex):
-            reach = radius + index.slack_m
-            if not math.isfinite(reach):
-                return list(transmissions)
-            size = index.cell_size_m
-            floor = math.floor
-            cx_min = floor((position.x - reach) / size)
-            cx_max = floor((position.x + reach) / size)
-            cy_min = floor((position.y - reach) / size)
-            cy_max = floor((position.y + reach) / size)
-            result = []
-            for tx in transmissions:
-                sender = tx.sender_position
-                if (
-                    cx_min <= floor(sender.x / size) <= cx_max
-                    and cy_min <= floor(sender.y / size) <= cy_max
-                ):
-                    result.append(tx)
-            return result
-        ids = index.query_ids(position, radius)
-        ids.sort()
-        by_uid = self._tx_by_uid
-        return [by_uid[uid] for uid in ids]
+        if not math.isfinite(radius):
+            return list(transmissions)
+        size = self._cell_size_m
+        floor = math.floor
+        cx_min = floor((position.x - radius) / size)
+        cx_max = floor((position.x + radius) / size)
+        cy_min = floor((position.y - radius) / size)
+        cy_max = floor((position.y + radius) / size)
+        result = []
+        for tx in transmissions:
+            sender = tx.sender_position
+            if (
+                cx_min <= floor(sender.x / size) <= cx_max
+                and cy_min <= floor(sender.y / size) <= cy_max
+            ):
+                result.append(tx)
+        return result
 
     def nodes_in_range(self, node: "Node", range_m: float) -> List["Node"]:
         """Oracle: nodes whose current distance to ``node`` is within ``range_m``."""
@@ -470,45 +452,16 @@ class WirelessMedium:
     ) -> List["Node"]:
         """Registered nodes within ``radius`` metres of ``position``.
 
-        In registration order.  The scalar backends answer from the
-        in-range table for ``(position, radius)`` (see :meth:`_disk`), so
-        repeated queries from one position within a mobility step cost one
-        scan; the table is dropped on every position refresh and whenever a
-        node registers or leaves.
+        In registration order.  Answered from the in-range table for
+        ``(position, radius)`` (see :meth:`_disk`), so repeated queries from
+        one position within a mobility step cost one scan; the table is
+        dropped on every position refresh and whenever a node registers or
+        leaves.
         """
-        if self._vectorized:
-            return self._nodes_within_vectorized(position, radius, exclude)
         return [
             node
             for node, _, _ in self._disk(position, radius)
             if node.node_id != exclude
-        ]
-
-    def _nodes_within_vectorized(
-        self, position: Vec2, radius: float, exclude: Optional[int]
-    ) -> List["Node"]:
-        """Array-expression distance filter over the candidate rows.
-
-        Stored positions equal live positions at every event boundary (the
-        mobility step refreshes the store in the same callback that moves
-        the vehicles), and ``sqrt(dx*dx + dy*dy)`` is bit-identical to
-        :meth:`Vec2.distance_to`, so the result matches the scalar filter
-        exactly.
-        """
-        self._maybe_refresh_positions()
-        np = self._np
-        ids = self._node_index.query_ids(position, radius)
-        ids.sort(key=self._node_seq.__getitem__)
-        store = self.position_store
-        rows = store.rows_for(ids)
-        dx = store.xs[rows] - position.x
-        dy = store.ys[rows] - position.y
-        within = np.sqrt(dx * dx + dy * dy) <= radius
-        nodes = self._nodes
-        return [
-            nodes[node_id]
-            for node_id, ok in zip(ids, within)
-            if ok and node_id != exclude
         ]
 
     def nominal_range(self, tx_power_dbm: float = 20.0) -> float:
@@ -558,8 +511,6 @@ class WirelessMedium:
             uid=self._tx_counter,
         )
         self._transmissions.append(transmission)
-        self._tx_by_uid[transmission.uid] = transmission
-        self._tx_index.insert(transmission.uid, transmission.sender_position)
         if (
             self._max_tx_power_dbm is None
             or sender.tx_power_dbm > self._max_tx_power_dbm
@@ -806,7 +757,7 @@ class WirelessMedium:
         IEEE-754 ops vectorized, transcendentals evaluated per element with
         libm -- see :mod:`~repro.sim.position_store`).  Trace records, stats
         and deliveries then run in registration order over the survivors, so
-        the emitted event stream is byte-identical to the scalar backends'.
+        the emitted event stream is byte-identical to the scalar path's.
         Only entered for deterministic propagation with additive (or unused)
         interference; RNG-drawing reception models are still exact because
         :meth:`~repro.radio.reception.ReceptionModel.decide_batch` consumes
@@ -851,7 +802,7 @@ class WirelessMedium:
         # implies `d2 <= c*c` to within a couple of ulps, so widening the
         # squared cutoff by 1e-12 relative makes the prefilter a strict
         # superset; the exact per-candidate `sqrt(d2) <= c` test below then
-        # reproduces the scalar backends' membership bit for bit.
+        # reproduces the scalar path's membership bit for bit.
         np.less_equal(dx, cutoff * cutoff * (1.0 + 1e-12), out=keep)
         if transmission.sender_id in store:
             keep[store.row_of(transmission.sender_id)] = False
@@ -998,7 +949,7 @@ class WirelessMedium:
         ``table[j]`` carries the exact bits of ``mw_to_dbm`` applied to the
         running sum ``((contribution + contribution) + ...)`` of ``j`` terms
         -- the same left-to-right addition order the per-receiver fold (and
-        the scalar backends' ``combine_dbm``) uses, so indexing the table by
+        the scalar path's ``combine_dbm``) uses, so indexing the table by
         in-range counts reproduces the fold bit for bit.  Cached per
         contribution level and regrown when a frame sees more interferers.
         """
@@ -1101,19 +1052,6 @@ class WirelessMedium:
             if t.end >= now and (horizon is None or t.start < horizon):
                 horizon = t.start
         if horizon is None:
-            if transmissions:
-                self._transmissions = []
-                self._tx_by_uid.clear()
-                self._tx_index.clear()
-            return
-        by_uid = self._tx_by_uid
-        index = self._tx_index
-        keep: List[ActiveTransmission] = []
-        for t in transmissions:
-            if t.end > horizon:
-                keep.append(t)
-            else:
-                del by_uid[t.uid]
-                index.remove(t.uid)
-        if len(keep) != len(transmissions):
-            self._transmissions = keep
+            self._transmissions = []
+        else:
+            self._transmissions = [t for t in transmissions if t.end > horizon]

@@ -17,7 +17,7 @@ mobility models write whole position arrays through the store per step.
 Bit-exactness contract: the store never transforms values -- a row holds
 exactly the floats the scalar code would hold, and readers get them back
 unchanged (float64 round-trips through numpy arrays bit for bit).  That is
-what lets the vectorized backend reproduce the scalar backends' event traces
+what lets the vectorized backend reproduce the grid backend's event traces
 byte for byte.
 
 This module is the only place the core imports numpy; callers that want a

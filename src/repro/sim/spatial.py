@@ -1,106 +1,31 @@
-"""Spatial indices for the wireless medium's neighbour queries.
+"""The uniform-grid point index behind the wireless medium's neighbour queries.
 
-The hot paths of the simulation -- reception fan-out in
-:meth:`~repro.sim.medium.WirelessMedium._complete`, carrier sensing and
-interference aggregation, and :meth:`~repro.sim.network.Network.nodes_within`
--- all ask the same geometric question: *which items lie near this point?*
-The seed implementation answered it with a linear sweep over every node,
-which costs O(N) per frame and caps dense urban scenarios at a few hundred
-vehicles.
+Reception fan-out in :meth:`~repro.sim.medium.WirelessMedium._complete` and
+:meth:`~repro.sim.network.Network.nodes_within` ask the same geometric
+question: *which nodes lie near this point?*  An exhaustive scan answers it
+in O(N) per frame, which caps dense urban scenarios at a few hundred
+vehicles.  :class:`UniformGridIndex` hashes the plane into square cells and
+updates positions incrementally, so one query touches only the handful of
+cells around the query point.
 
-This module provides two interchangeable backends behind one tiny contract:
-
-* :class:`LinearScanIndex` -- the original exhaustive scan, kept as the
-  oracle the grid is validated against.
-* :class:`UniformGridIndex` -- a uniform-grid (cell hashing) index with
-  incremental position updates, sized so one query touches only the handful
-  of cells around the query point.
-
-The contract is deliberately loose to keep both backends exact: a query
-returns a **candidate superset** of item ids (every item whose *stored*
-position falls within ``radius`` plus the index's slack), and the caller
-re-filters candidates against live positions.  Because both backends return
-supersets that are filtered by the same exact distance test, they produce
-identical results whenever items have moved less than the slack since their
-last :meth:`SpatialIndex.update`.
+A query returns a **candidate superset** of item ids (every item whose
+*stored* position falls within ``radius`` plus the index's slack), and the
+caller re-filters candidates against live positions with an exact distance
+test.  The result is therefore the same set an exhaustive scan finds, as
+long as items have moved less than the slack since their last
+:meth:`UniformGridIndex.update`; the test suite keeps that scan as the
+oracle the grid is checked against.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from typing import Dict, List, Tuple
 
 from repro.geometry import Vec2
 
 
-class SpatialIndex(ABC):
-    """Point index mapping integer item ids to 2-D positions."""
-
-    @abstractmethod
-    def insert(self, item_id: int, position: Vec2) -> None:
-        """Add ``item_id`` at ``position`` (it must not already be present)."""
-
-    @abstractmethod
-    def update(self, item_id: int, position: Vec2) -> None:
-        """Move ``item_id`` to ``position`` (insert it when missing)."""
-
-    @abstractmethod
-    def remove(self, item_id: int) -> None:
-        """Drop ``item_id``; unknown ids are ignored."""
-
-    @abstractmethod
-    def query_ids(self, position: Vec2, radius: float) -> List[int]:
-        """Candidate ids whose stored position may lie within ``radius``.
-
-        The result is a superset: every item stored within ``radius`` (plus
-        the backend's slack) of ``position`` is included, possibly together
-        with items slightly beyond it.  Callers must re-check exact
-        distances against live positions.  Order is unspecified.
-        """
-
-    @abstractmethod
-    def clear(self) -> None:
-        """Drop every item."""
-
-    @abstractmethod
-    def __len__(self) -> int:
-        """Number of indexed items."""
-
-
-class LinearScanIndex(SpatialIndex):
-    """Oracle backend: every query returns every item (insertion order)."""
-
-    def __init__(self) -> None:
-        self._items: Dict[int, Vec2] = {}
-
-    def insert(self, item_id: int, position: Vec2) -> None:
-        """Remember ``item_id``; the position is kept only for bookkeeping."""
-        if item_id in self._items:
-            raise ValueError(f"item id {item_id} already indexed")
-        self._items[item_id] = position
-
-    def update(self, item_id: int, position: Vec2) -> None:
-        """Refresh the stored position (a no-op for query purposes)."""
-        self._items[item_id] = position
-
-    def remove(self, item_id: int) -> None:
-        """Forget ``item_id``."""
-        self._items.pop(item_id, None)
-
-    def query_ids(self, position: Vec2, radius: float) -> List[int]:
-        """All item ids -- the caller's exact filter does the real work."""
-        return list(self._items)
-
-    def clear(self) -> None:
-        """Drop every item."""
-        self._items.clear()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
-class UniformGridIndex(SpatialIndex):
+class UniformGridIndex:
     """Uniform-grid index: the plane is hashed into square cells.
 
     ``cell_size_m`` should be on the order of the query radius (the medium
@@ -204,21 +129,23 @@ class UniformGridIndex(SpatialIndex):
         return len(self._cell_of)
 
 
-#: Names accepted by :func:`make_spatial_index` (and the scenario field).
-#: ``"vectorized"`` keys the struct-of-arrays fast path in the medium; its
-#: candidate lookups still run on a :class:`UniformGridIndex`, so candidate
-#: sets (and therefore event traces) match the ``"grid"`` backend exactly.
-SPATIAL_BACKENDS = ("grid", "linear", "vectorized")
+#: Values of the medium's ``spatial_backend`` (and the scenario field).  Both
+#: look neighbours up on a :class:`UniformGridIndex`; ``"vectorized"`` adds
+#: the struct-of-arrays fast path in the medium, so candidate sets (and
+#: therefore event traces) match ``"grid"`` exactly.
+SPATIAL_BACKENDS = ("grid", "vectorized")
 
 
-def make_spatial_index(
-    backend: str, cell_size_m: float, slack_m: float = 0.0
-) -> SpatialIndex:
-    """Build the spatial index named by ``backend`` (see :data:`SPATIAL_BACKENDS`)."""
-    if backend in ("grid", "vectorized"):
-        return UniformGridIndex(cell_size_m, slack_m)
+def check_spatial_backend(backend: str) -> str:
+    """Return ``backend``, or raise ``ValueError`` naming the ``spatial_backend`` field."""
+    if backend in SPATIAL_BACKENDS:
+        return backend
     if backend == "linear":
-        return LinearScanIndex()
+        raise ValueError(
+            "spatial_backend 'linear' was retired: the exhaustive scan now lives "
+            "in the test suite as the oracle the grid is checked against; "
+            f"use one of {SPATIAL_BACKENDS}"
+        )
     raise ValueError(
-        f"unknown spatial backend {backend!r}; expected one of {SPATIAL_BACKENDS}"
+        f"spatial_backend must be one of {SPATIAL_BACKENDS} (got {backend!r})"
     )

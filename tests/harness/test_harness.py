@@ -67,6 +67,14 @@ class TestScenario:
         with pytest.raises(ValueError, match="max_vehicles"):
             _small_scenario(max_vehicles=-5)
 
+    def test_unknown_spatial_backend_rejected(self):
+        with pytest.raises(ValueError, match="spatial_backend must be one of"):
+            Scenario(spatial_backend="lineer")
+
+    def test_retired_linear_backend_named(self):
+        with pytest.raises(ValueError, match="spatial_backend 'linear' was retired"):
+            Scenario(spatial_backend="linear")
+
     def test_zero_horizon_and_fleet_stay_legal(self):
         scenario = _small_scenario(duration_s=0.0, drain_s=0.0, max_vehicles=0)
         assert (scenario.duration_s, scenario.drain_s, scenario.max_vehicles) == (0.0, 0.0, 0)

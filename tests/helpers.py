@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.geometry import Vec2
 from repro.protocols.base import ProtocolConfig
@@ -33,6 +33,56 @@ class LinearMotionProvider:
         return self._velocity
 
 
+class LinearScanIndex:
+    """Oracle node index: every query returns every registered node.
+
+    Duck-types the :class:`~repro.sim.spatial.UniformGridIndex` calls the
+    medium makes, so the medium's exact distance filter does all the work:
+    the O(N) scan the grid must agree with.
+    """
+
+    def __init__(self) -> None:
+        self._items: Dict[int, Vec2] = {}
+
+    def insert(self, item_id: int, position: Vec2) -> None:
+        if item_id in self._items:
+            raise ValueError(f"item id {item_id} already indexed")
+        self._items[item_id] = position
+
+    def update(self, item_id: int, position: Vec2) -> None:
+        self._items[item_id] = position
+
+    def remove(self, item_id: int) -> None:
+        self._items.pop(item_id, None)
+
+    def query_ids(self, position: Vec2, radius: float) -> List[int]:
+        return list(self._items)
+
+    def clear(self) -> None:
+        self._items.clear()
+
+
+#: Test-only backend name: a ``grid`` medium turned into the exhaustive-scan
+#: oracle by :func:`use_linear_scan`.
+LINEAR = "linear"
+
+
+def medium_backend(backend: str) -> str:
+    """The medium's ``spatial_backend`` for ``backend`` (the oracle runs on grid)."""
+    return "grid" if backend == LINEAR else backend
+
+
+def use_linear_scan(medium: WirelessMedium) -> WirelessMedium:
+    """Make ``medium`` scan exhaustively: every node is a receiver candidate
+    and every frame in flight an interference candidate."""
+    index = LinearScanIndex()
+    for node_id, node in medium.nodes.items():
+        index.insert(node_id, node.position)
+    medium._node_index = index
+    medium._transmissions_near = lambda position, radius: list(medium._transmissions)
+    return medium
+
+
 def build_static_network(
     positions: Sequence[Tuple[float, float]],
     protocol: Optional[str] = None,
@@ -49,7 +99,7 @@ def build_static_network(
 
     Returns ``(sim, network, stats, nodes)``.  When ``protocol`` is given the
     corresponding protocol is attached to every node and the network is ready
-    to ``start()``.
+    to ``start()``.  ``spatial_backend`` may be :data:`LINEAR`, the oracle.
     """
     sim = Simulator(seed=seed)
     stats = StatsCollector()
@@ -60,8 +110,10 @@ def build_static_network(
         reception=SnrThresholdReception(),
         stats=stats,
         trace=event_trace,
-        spatial_backend=spatial_backend,
+        spatial_backend=medium_backend(spatial_backend),
     )
+    if spatial_backend == LINEAR:
+        use_linear_scan(medium)
     network = Network(sim, medium=medium, stats=stats, trace=event_trace)
     nodes: List[Node] = []
     for index, (x, y) in enumerate(positions):

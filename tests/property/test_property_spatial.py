@@ -10,7 +10,7 @@ import random
 import pytest
 
 from repro.geometry import Vec2
-from tests.helpers import build_static_network, run_data_flow
+from tests.helpers import LINEAR, build_static_network, run_data_flow
 from tests.sim.test_medium_backends import normalized_records
 
 
@@ -37,7 +37,7 @@ class TestTraceEquivalence:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_flooding_traces_identical_across_backends(self, seed):
         grid_trace, grid_stats = flooded_run(seed, "grid")
-        linear_trace, linear_stats = flooded_run(seed, "linear")
+        linear_trace, linear_stats = flooded_run(seed, LINEAR)
         assert normalized_records(grid_trace) == normalized_records(linear_trace)
         assert grid_stats.summary() == linear_stats.summary()
 
@@ -48,7 +48,7 @@ class TestNeighborhoodEquivalence:
         rng = random.Random(seed)
         positions = random_positions(seed, count=80, side=3000.0)
         _, grid_net, _, _ = build_static_network(positions, spatial_backend="grid")
-        _, linear_net, _, _ = build_static_network(positions, spatial_backend="linear")
+        _, linear_net, _, _ = build_static_network(positions, spatial_backend=LINEAR)
         for _ in range(40):
             centre = Vec2(rng.uniform(-200, 3200), rng.uniform(-200, 3200))
             radius = rng.uniform(0.0, 900.0)
@@ -78,7 +78,7 @@ class TestNeighborhoodEquivalence:
             return sim, network
 
         grid_sim, grid_net = build("grid")
-        linear_sim, linear_net = build("linear")
+        linear_sim, linear_net = build(LINEAR)
         for until in (0.5, 1.0, 2.5, 5.0, 10.0):
             grid_sim.run(until=until)
             linear_sim.run(until=until)

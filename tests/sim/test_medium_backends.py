@@ -16,7 +16,7 @@ from repro.mobility.generator import TrafficDensity
 from repro.protocols.location import LocationService
 from repro.protocols.registry import make_protocol_factory
 from repro.sim.packet import BROADCAST, make_data_packet
-from tests.helpers import build_static_network
+from tests.helpers import LINEAR, build_static_network, medium_backend, use_linear_scan
 
 
 def normalized_records(trace):
@@ -53,6 +53,7 @@ def count_array_completions(medium):
 def run_seeded_scenario(spatial_backend, seed=11, vectorized_min_rows=None):
     """A 50-vehicle highway run with beacons and a few data flows, traced.
 
+    ``spatial_backend`` may be :data:`~tests.helpers.LINEAR`, the oracle.
     ``vectorized_min_rows`` overrides the medium's array-path row threshold;
     ``built.array_completions`` counts the frames completed on that path.
     """
@@ -63,10 +64,12 @@ def run_seeded_scenario(spatial_backend, seed=11, vectorized_min_rows=None):
         duration_s=8.0,
         drain_s=1.0,
         seed=seed,
-        spatial_backend=spatial_backend,
+        spatial_backend=medium_backend(spatial_backend),
     )
     built = runner.build(scenario)
     medium = built.network.medium
+    if spatial_backend == LINEAR:
+        use_linear_scan(medium)
     if vectorized_min_rows is not None:
         medium.vectorized_min_rows = vectorized_min_rows
     built.array_completions = count_array_completions(medium)
@@ -97,7 +100,7 @@ class TestBackendEquivalence:
         # Acceptance criterion of the grid index: same seed, same event
         # trace, record for record, on a 50-vehicle mobile scenario.
         grid = run_seeded_scenario("grid")
-        linear = run_seeded_scenario("linear")
+        linear = run_seeded_scenario(LINEAR)
         grid_records = normalized_records(grid.trace)
         linear_records = normalized_records(linear.trace)
         assert len(grid_records) > 1000  # the run actually did something
@@ -110,7 +113,7 @@ class TestBackendEquivalence:
 
 
 class TestNodesWithinBoundary:
-    @pytest.mark.parametrize("backend", ["grid", "linear"])
+    @pytest.mark.parametrize("backend", ["grid", LINEAR])
     def test_node_exactly_at_radius_is_included(self, backend):
         sim, network, stats, nodes = build_static_network(
             [(0, 0), (250.0, 0), (250.0001, 0)], spatial_backend=backend
@@ -122,7 +125,7 @@ class TestNodesWithinBoundary:
         )
         assert {n.node_id for n in without_origin} == {nodes[1].node_id}
 
-    @pytest.mark.parametrize("backend", ["grid", "linear"])
+    @pytest.mark.parametrize("backend", ["grid", LINEAR])
     def test_neighbors_of_uses_inclusive_radius(self, backend):
         sim, network, stats, nodes = build_static_network(
             [(0, 0), (250.0, 0)], comm_range=250.0, spatial_backend=backend

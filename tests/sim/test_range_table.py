@@ -25,9 +25,15 @@ from repro.sim.network import Network
 from repro.sim.node import StaticPositionProvider
 from repro.sim.statistics import StatsCollector
 from repro.sim.trace import EventTrace
-from tests.helpers import LinearMotionProvider, run_data_flow
+from tests.helpers import (
+    LINEAR,
+    LinearMotionProvider,
+    medium_backend,
+    run_data_flow,
+    use_linear_scan,
+)
 
-BACKENDS = ["grid", "linear"]
+BACKENDS = ["grid", LINEAR]
 RADII = (0.0, 80.0, 250.0, 400.0)
 
 
@@ -63,8 +69,10 @@ def _stepped_network(seed: int, backend: str, vehicles: int = 30, rsus: int = 4)
         for i in range(vehicles)
     ]
     medium = WirelessMedium(
-        sim, propagation=UnitDiskPropagation(250.0), spatial_backend=backend
+        sim, propagation=UnitDiskPropagation(250.0), spatial_backend=medium_backend(backend)
     )
+    if backend == LINEAR:
+        use_linear_scan(medium)
     network = Network(sim, medium=medium, mobility=RandomWalk(states, rng))
     for state in states:
         network.add_vehicle(VehiclePositionProvider(state))

@@ -1,15 +1,11 @@
-"""Unit tests for the spatial index backends."""
+"""Unit tests for the uniform-grid spatial index."""
 
 import random
 
 import pytest
 
 from repro.geometry import Vec2
-from repro.sim.spatial import (
-    LinearScanIndex,
-    UniformGridIndex,
-    make_spatial_index,
-)
+from repro.sim.spatial import UniformGridIndex
 
 
 def brute_force(points, position, radius):
@@ -91,33 +87,3 @@ class TestUniformGridIndex:
             UniformGridIndex(cell_size_m=0.0)
         with pytest.raises(ValueError):
             UniformGridIndex(cell_size_m=10.0, slack_m=-1.0)
-
-
-class TestLinearScanIndex:
-    def test_query_returns_everything(self):
-        index = LinearScanIndex()
-        for item_id in range(5):
-            index.insert(item_id, Vec2(item_id * 1000.0, 0.0))
-        assert index.query_ids(Vec2(0.0, 0.0), 1.0) == list(range(5))
-
-    def test_duplicate_insert_rejected(self):
-        index = LinearScanIndex()
-        index.insert(1, Vec2(0.0, 0.0))
-        with pytest.raises(ValueError):
-            index.insert(1, Vec2(0.0, 0.0))
-
-    def test_remove(self):
-        index = LinearScanIndex()
-        index.insert(1, Vec2(0.0, 0.0))
-        index.remove(1)
-        assert len(index) == 0
-
-
-class TestFactory:
-    def test_known_backends(self):
-        assert isinstance(make_spatial_index("grid", 100.0), UniformGridIndex)
-        assert isinstance(make_spatial_index("linear", 100.0), LinearScanIndex)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            make_spatial_index("octree", 100.0)

@@ -1,8 +1,8 @@
 """Vectorized-backend equivalence tests and position-store unit tests.
 
 The struct-of-arrays fast path is an invisible optimisation: for every
-scenario kind, radio stack and workload it must reproduce the scalar
-backends' event traces byte for byte -- identical per-frame decisions and
+scenario kind, radio stack and workload it must reproduce the grid
+backend's event traces byte for byte -- identical per-frame decisions and
 identical RNG consumption.  Stochastic radios exercise the scalar fallback
 inside the vectorized backend (same requirement, trivially met); the
 deterministic radios exercise the array fast path proper.
@@ -18,6 +18,7 @@ from repro.protocols.registry import make_protocol_factory
 from repro.sim import position_store
 from repro.sim.position_store import PositionStore, require_numpy
 from repro.workloads import WORKLOADS as WORKLOAD_REGISTRY
+from tests.helpers import LINEAR, medium_backend, use_linear_scan
 from tests.sim.test_medium_backends import (
     count_array_completions,
     normalized_records,
@@ -49,7 +50,7 @@ def run_workload_scenario(kind, spatial_backend, radio, workload, seed=9):
             duration_s=5.0,
             drain_s=1.0,
             seed=seed,
-            spatial_backend=spatial_backend,
+            spatial_backend=medium_backend(spatial_backend),
             radio_stack=radio,
             workload=workload,
         )
@@ -61,11 +62,13 @@ def run_workload_scenario(kind, spatial_backend, radio, workload, seed=9):
             duration_s=5.0,
             drain_s=1.0,
             seed=seed,
-            spatial_backend=spatial_backend,
+            spatial_backend=medium_backend(spatial_backend),
             radio_stack=radio,
             workload=workload,
         )
     built = runner.build(scenario)
+    if spatial_backend == LINEAR:
+        use_linear_scan(built.network.medium)
     if spatial_backend == "vectorized":
         built.network.medium.vectorized_min_rows = 0
     built.array_completions = count_array_completions(built.network.medium)
@@ -115,7 +118,7 @@ class TestCrossBackendTraces:
     def test_city_vectorized_matches_linear_oracle(self):
         # The exhaustive O(N) scan is the ground-truth oracle; one cell
         # suffices because grid-vs-linear equivalence is covered elsewhere.
-        linear = run_workload_scenario("city", "linear", "ideal-disk-250m", "cbr")
+        linear = run_workload_scenario("city", LINEAR, "ideal-disk-250m", "cbr")
         vec = run_workload_scenario("city", "vectorized", "ideal-disk-250m", "cbr")
         assert normalized_records(vec.trace) == normalized_records(linear.trace)
         assert vec.stats.summary() == linear.stats.summary()

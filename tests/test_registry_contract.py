@@ -22,10 +22,14 @@ from repro.protocols.base import RoutingProtocol
 from repro.protocols.location import LocationService
 from repro.protocols.registry import make_protocol_factory
 from repro.radio.interference import NO_SIGNAL_DBM
+from repro.radio.reception import SnrThresholdReception
 from repro.radio.registry import RADIOS
 from repro.radio.stack import RadioStack
 from repro.registry import KEBAB_CASE, Registry
+from repro.sim import medium as medium_module
+from repro.sim.spatial import SPATIAL_BACKENDS
 from repro.workloads import WORKLOADS, CbrWorkload
+from tests.sim.test_medium_backends import normalized_records
 
 SENTINEL = object()
 
@@ -296,3 +300,57 @@ def test_stepped_providers_hold_still_between_mobility_steps(kind, tmp_path):
     assert not moved, f"{kind}: stepped nodes {moved} moved between mobility steps"
     # The watched window is not vacuous: the next step does move vehicles.
     assert next_step != late, f"{kind}: no vehicle moved across a mobility step"
+
+
+# ------------------------------------------------ caches on == caches off
+# The range tables (kept while every provider is `stepped`) and decision
+# reuse (taken while the reception model is `deterministic`) are caches:
+# with both switched off by a test-only monkeypatch, every kind, workload
+# and backend must produce the same trace as with them on.
+
+
+def _cache_cell(kind, workload, backend, trace_path):
+    scenario = Scenario(
+        name=f"caches-{kind}",
+        kind=kind,
+        max_vehicles=12,
+        duration_s=6.0,
+        drain_s=0.5,
+        seed=4,
+        rsu_spacing_m=400.0,
+        default_flow_count=2,
+        workload=workload,
+        spatial_backend=backend,
+        trace_path=trace_path if kind == "trace" else None,
+    )
+    built = ExperimentRunner(trace_enabled=True, trace_max_records=200_000).build(scenario)
+    # Small cells only reach the vectorized array path with no row floor.
+    built.network.medium.vectorized_min_rows = 0
+    built.network.attach_protocols(
+        make_protocol_factory(
+            "Greedy",
+            location_service=LocationService(built.network),
+            road_graph=built.road_graph,
+        )
+    )
+    WORKLOADS.resolve(scenario.workload).build(
+        scenario, built, built.sim.rng.stream("traffic")
+    )
+    built.network.start()
+    built.sim.run(until=scenario.duration_s + scenario.drain_s)
+    return normalized_records(built.trace), built.stats.summary()
+
+
+@pytest.mark.parametrize("backend", SPATIAL_BACKENDS)
+@pytest.mark.parametrize("workload", ["cbr", "safety-beacon"])
+@pytest.mark.parametrize("kind", SCENARIOS.names())
+def test_caches_on_and_off_give_the_same_trace(kind, workload, backend, tmp_path, monkeypatch):
+    if backend == "vectorized":
+        pytest.importorskip("numpy")
+    trace_path = _tiny_trace(tmp_path / "trace.csv")
+    records, summary = _cache_cell(kind, workload, backend, trace_path)
+    assert records, f"{kind}: empty trace"
+    monkeypatch.setattr(medium_module, "_is_live", lambda node: True)
+    monkeypatch.setattr(SnrThresholdReception, "deterministic", False)
+    uncached = _cache_cell(kind, workload, backend, trace_path)
+    assert uncached == (records, summary), f"{kind}/{workload}/{backend}: caches changed the run"
