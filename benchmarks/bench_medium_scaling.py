@@ -52,7 +52,6 @@ from repro.roadnet.city import CityConfig
 from repro.sim.packet import BROADCAST, make_control_packet
 
 from benchmarks.common import report, run_once, sweep_workers
-from tests.helpers import LINEAR, medium_backend, use_linear_scan
 
 #: Vehicles per square metre: 16 per km^2 -- a city-scale map much larger
 #: than the radio range, which is exactly the regime the index targets (the
@@ -64,9 +63,9 @@ POPULATIONS = [100, 400, 1600]
 FRAMES_PER_NODE = 2
 BLOCK_SIZE_M = 200.0
 
-#: The columns Part A compares: the linear-scan oracle (the seed's O(N)
-#: baseline) and both spatial backends.
-BACKENDS = [LINEAR, "grid", "vectorized"]
+#: The columns Part A compares, as ``(spatial_backend, oracle)``: the
+#: linear-scan oracle (the seed's O(N) baseline) and both spatial backends.
+BACKENDS = [("grid", True), ("grid", False), ("vectorized", False)]
 
 #: Radio axis: the finite-range default (exact backend equivalence) and the
 #: Nakagami fading stack (grid sub-cutoff approximation regime).
@@ -101,37 +100,45 @@ def _city_blocks(n: int) -> int:
     return max(2, int(round(side_m / BLOCK_SIZE_M)))
 
 
-def _build_network(n: int, backend: str, radio: str, seed: int = 5):
-    """Instantiate a constant-density city scenario through the runner."""
+def _build_network(n: int, backend: str, radio: str, oracle: bool, seed: int = 5):
+    """Instantiate a constant-density city scenario through the runner.
+
+    With ``oracle`` the medium scans exhaustively (the test suite's oracle).
+    """
     blocks = _city_blocks(n)
     scenario = city_scenario(
         TrafficDensity.NORMAL,
-        name=f"bench-city-{n}-{backend}-{radio}",
+        name=f"bench-city-{n}-{'linear' if oracle else backend}-{radio}",
         city=CityConfig(blocks_x=blocks, blocks_y=blocks, block_size_m=BLOCK_SIZE_M),
         max_vehicles=n,
         seed=seed,
-        spatial_backend=medium_backend(backend),
+        spatial_backend=backend,
         radio_stack=radio,
     )
     built = ExperimentRunner().build(scenario)
-    if backend == LINEAR:
+    if oracle:
+        # Imported here so that importing this module (perf_smoke does, for
+        # the storm cell) does not pull in the test package.
+        from tests.helpers import use_linear_scan
+
         use_linear_scan(built.network.medium)
     return built.sim, built.network, built.stats
 
 
 class ScalingCell(NamedTuple):
-    """One (population, backend, radio) run of the scaling matrix (picklable)."""
+    """One (population, backend, oracle, radio) run of the scaling matrix (picklable)."""
 
     vehicles: int
     backend: str
+    oracle: bool
     radio: str
 
 
 #: The explicit run matrix this benchmark executes through the sweep layer.
 CELLS = [
-    ScalingCell(n, backend, radio)
+    ScalingCell(n, backend, oracle, radio)
     for n in POPULATIONS
-    for backend in BACKENDS
+    for backend, oracle in BACKENDS
     for radio in RADIOS
 ]
 
@@ -150,7 +157,9 @@ def run_scaling_cell(cell: ScalingCell) -> dict:
     beaconing or routing runs, so the timed event load is pure frame
     delivery through the medium under the cell's backend and radio stack.
     """
-    sim, network, stats = _build_network(cell.vehicles, cell.backend, cell.radio)
+    sim, network, stats = _build_network(
+        cell.vehicles, cell.backend, cell.radio, cell.oracle
+    )
     rng = random.Random(99)
     sends = []
     for node in network.nodes.values():
@@ -168,6 +177,7 @@ def run_scaling_cell(cell: ScalingCell) -> dict:
     return {
         "vehicles": cell.vehicles,
         "backend": cell.backend,
+        "oracle": cell.oracle,
         "radio": cell.radio,
         "wall_s": wall,
         "transmissions": stats.control_transmissions,
@@ -176,13 +186,15 @@ def run_scaling_cell(cell: ScalingCell) -> dict:
 
 def _sweep():
     outcomes = execute_cells(CELLS, run_scaling_cell, workers=WORKERS)
-    by_cell = {(o["vehicles"], o["backend"], o["radio"]): o for o in outcomes}
+    by_cell = {
+        (o["vehicles"], o["backend"], o["oracle"], o["radio"]): o for o in outcomes
+    }
     rows = []
     for n in POPULATIONS:
         for radio in RADIOS:
-            linear = by_cell[(n, LINEAR, radio)]
-            grid = by_cell[(n, "grid", radio)]
-            vectorized = by_cell[(n, "vectorized", radio)]
+            linear = by_cell[(n, "grid", True, radio)]
+            grid = by_cell[(n, "grid", False, radio)]
+            vectorized = by_cell[(n, "vectorized", False, radio)]
             frames = n * FRAMES_PER_NODE
             rows.append(
                 {

@@ -62,16 +62,6 @@ class LinearScanIndex:
         self._items.clear()
 
 
-#: Test-only backend name: a ``grid`` medium turned into the exhaustive-scan
-#: oracle by :func:`use_linear_scan`.
-LINEAR = "linear"
-
-
-def medium_backend(backend: str) -> str:
-    """The medium's ``spatial_backend`` for ``backend`` (the oracle runs on grid)."""
-    return "grid" if backend == LINEAR else backend
-
-
 def use_linear_scan(medium: WirelessMedium) -> WirelessMedium:
     """Make ``medium`` scan exhaustively: every node is a receiver candidate
     and every frame in flight an interference candidate."""
@@ -94,12 +84,14 @@ def build_static_network(
     rsu_positions: Iterable[Tuple[float, float]] = (),
     trace: bool = False,
     spatial_backend: str = "grid",
+    oracle: bool = False,
 ):
     """Build a network of nodes at fixed positions (or constant velocities).
 
     Returns ``(sim, network, stats, nodes)``.  When ``protocol`` is given the
     corresponding protocol is attached to every node and the network is ready
-    to ``start()``.  ``spatial_backend`` may be :data:`LINEAR`, the oracle.
+    to ``start()``.  With ``oracle`` the medium scans exhaustively (see
+    :func:`use_linear_scan`).
     """
     sim = Simulator(seed=seed)
     stats = StatsCollector()
@@ -110,9 +102,9 @@ def build_static_network(
         reception=SnrThresholdReception(),
         stats=stats,
         trace=event_trace,
-        spatial_backend=medium_backend(spatial_backend),
+        spatial_backend=spatial_backend,
     )
-    if spatial_backend == LINEAR:
+    if oracle:
         use_linear_scan(medium)
     network = Network(sim, medium=medium, stats=stats, trace=event_trace)
     nodes: List[Node] = []

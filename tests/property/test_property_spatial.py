@@ -10,7 +10,7 @@ import random
 import pytest
 
 from repro.geometry import Vec2
-from tests.helpers import LINEAR, build_static_network, run_data_flow
+from tests.helpers import build_static_network, run_data_flow
 from tests.sim.test_medium_backends import normalized_records
 
 
@@ -19,14 +19,14 @@ def random_positions(seed, count=60, side=2000.0):
     return [(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(count)]
 
 
-def flooded_run(seed, backend):
+def flooded_run(seed, oracle):
     """A flooding storm over a random topology, traced."""
     sim, network, stats, nodes = build_static_network(
         random_positions(seed),
         protocol="Flooding",
         seed=seed,
         trace=True,
-        spatial_backend=backend,
+        oracle=oracle,
     )
     network.start()
     run_data_flow(sim, stats, nodes[0], nodes[-1], packets=3, start=1.0, until=6.0)
@@ -36,8 +36,8 @@ def flooded_run(seed, backend):
 class TestTraceEquivalence:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_flooding_traces_identical_across_backends(self, seed):
-        grid_trace, grid_stats = flooded_run(seed, "grid")
-        linear_trace, linear_stats = flooded_run(seed, LINEAR)
+        grid_trace, grid_stats = flooded_run(seed, oracle=False)
+        linear_trace, linear_stats = flooded_run(seed, oracle=True)
         assert normalized_records(grid_trace) == normalized_records(linear_trace)
         assert grid_stats.summary() == linear_stats.summary()
 
@@ -47,8 +47,8 @@ class TestNeighborhoodEquivalence:
     def test_nodes_within_matches_oracle(self, seed):
         rng = random.Random(seed)
         positions = random_positions(seed, count=80, side=3000.0)
-        _, grid_net, _, _ = build_static_network(positions, spatial_backend="grid")
-        _, linear_net, _, _ = build_static_network(positions, spatial_backend=LINEAR)
+        _, grid_net, _, _ = build_static_network(positions)
+        _, linear_net, _, _ = build_static_network(positions, oracle=True)
         for _ in range(40):
             centre = Vec2(rng.uniform(-200, 3200), rng.uniform(-200, 3200))
             radius = rng.uniform(0.0, 900.0)
@@ -66,19 +66,19 @@ class TestNeighborhoodEquivalence:
             (rng.uniform(-30, 30), rng.uniform(-30, 30)) for _ in positions
         ]
 
-        def build(backend):
+        def build(oracle):
             sim, network, stats, nodes = build_static_network(
                 positions,
                 velocities=velocities,
                 seed=seed,
-                spatial_backend=backend,
+                oracle=oracle,
             )
             network.mobility = type("NullMobility", (), {"step": lambda *a, **k: None})()
             network.start()
             return sim, network
 
-        grid_sim, grid_net = build("grid")
-        linear_sim, linear_net = build(LINEAR)
+        grid_sim, grid_net = build(oracle=False)
+        linear_sim, linear_net = build(oracle=True)
         for until in (0.5, 1.0, 2.5, 5.0, 10.0):
             grid_sim.run(until=until)
             linear_sim.run(until=until)

@@ -16,7 +16,7 @@ from repro.mobility.generator import TrafficDensity
 from repro.protocols.location import LocationService
 from repro.protocols.registry import make_protocol_factory
 from repro.sim.packet import BROADCAST, make_data_packet
-from tests.helpers import LINEAR, build_static_network, medium_backend, use_linear_scan
+from tests.helpers import build_static_network, use_linear_scan
 
 
 def normalized_records(trace):
@@ -50,11 +50,13 @@ def count_array_completions(medium):
     return count
 
 
-def run_seeded_scenario(spatial_backend, seed=11, vectorized_min_rows=None):
+def run_seeded_scenario(
+    spatial_backend="grid", seed=11, vectorized_min_rows=None, oracle=False
+):
     """A 50-vehicle highway run with beacons and a few data flows, traced.
 
-    ``spatial_backend`` may be :data:`~tests.helpers.LINEAR`, the oracle.
-    ``vectorized_min_rows`` overrides the medium's array-path row threshold;
+    With ``oracle`` the medium scans exhaustively (see
+    :func:`~tests.helpers.use_linear_scan`).  ``vectorized_min_rows`` overrides the medium's array-path row threshold;
     ``built.array_completions`` counts the frames completed on that path.
     """
     runner = ExperimentRunner(trace_enabled=True, trace_max_records=500_000)
@@ -64,11 +66,11 @@ def run_seeded_scenario(spatial_backend, seed=11, vectorized_min_rows=None):
         duration_s=8.0,
         drain_s=1.0,
         seed=seed,
-        spatial_backend=medium_backend(spatial_backend),
+        spatial_backend=spatial_backend,
     )
     built = runner.build(scenario)
     medium = built.network.medium
-    if spatial_backend == LINEAR:
+    if oracle:
         use_linear_scan(medium)
     if vectorized_min_rows is not None:
         medium.vectorized_min_rows = vectorized_min_rows
@@ -100,7 +102,7 @@ class TestBackendEquivalence:
         # Acceptance criterion of the grid index: same seed, same event
         # trace, record for record, on a 50-vehicle mobile scenario.
         grid = run_seeded_scenario("grid")
-        linear = run_seeded_scenario(LINEAR)
+        linear = run_seeded_scenario(oracle=True)
         grid_records = normalized_records(grid.trace)
         linear_records = normalized_records(linear.trace)
         assert len(grid_records) > 1000  # the run actually did something
@@ -113,10 +115,10 @@ class TestBackendEquivalence:
 
 
 class TestNodesWithinBoundary:
-    @pytest.mark.parametrize("backend", ["grid", LINEAR])
-    def test_node_exactly_at_radius_is_included(self, backend):
+    @pytest.mark.parametrize("oracle", [False, True], ids=["grid", "linear"])
+    def test_node_exactly_at_radius_is_included(self, oracle):
         sim, network, stats, nodes = build_static_network(
-            [(0, 0), (250.0, 0), (250.0001, 0)], spatial_backend=backend
+            [(0, 0), (250.0, 0), (250.0001, 0)], oracle=oracle
         )
         within = network.nodes_within(Vec2(0.0, 0.0), 250.0)
         assert {n.node_id for n in within} == {nodes[0].node_id, nodes[1].node_id}
@@ -125,10 +127,10 @@ class TestNodesWithinBoundary:
         )
         assert {n.node_id for n in without_origin} == {nodes[1].node_id}
 
-    @pytest.mark.parametrize("backend", ["grid", LINEAR])
-    def test_neighbors_of_uses_inclusive_radius(self, backend):
+    @pytest.mark.parametrize("oracle", [False, True], ids=["grid", "linear"])
+    def test_neighbors_of_uses_inclusive_radius(self, oracle):
         sim, network, stats, nodes = build_static_network(
-            [(0, 0), (250.0, 0)], comm_range=250.0, spatial_backend=backend
+            [(0, 0), (250.0, 0)], comm_range=250.0, oracle=oracle
         )
         neighbors = network.neighbors_of(nodes[0])
         assert {n.node_id for n in neighbors} == {nodes[1].node_id}

@@ -25,15 +25,10 @@ from repro.sim.network import Network
 from repro.sim.node import StaticPositionProvider
 from repro.sim.statistics import StatsCollector
 from repro.sim.trace import EventTrace
-from tests.helpers import (
-    LINEAR,
-    LinearMotionProvider,
-    medium_backend,
-    run_data_flow,
-    use_linear_scan,
-)
+from tests.helpers import LinearMotionProvider, run_data_flow, use_linear_scan
 
-BACKENDS = ["grid", LINEAR]
+#: Each test runs on the grid and on the exhaustive-scan oracle.
+ORACLE = pytest.mark.parametrize("oracle", [False, True], ids=["grid", "linear"])
 RADII = (0.0, 80.0, 250.0, 400.0)
 
 
@@ -61,17 +56,15 @@ class RandomWalk:
             )
 
 
-def _stepped_network(seed: int, backend: str, vehicles: int = 30, rsus: int = 4):
+def _stepped_network(seed: int, oracle: bool, vehicles: int = 30, rsus: int = 4):
     rng = random.Random(seed)
     sim = Simulator(seed=seed)
     states = [
         VehicleState(vid=i, position=Vec2(rng.uniform(0, 1000), rng.uniform(0, 600)))
         for i in range(vehicles)
     ]
-    medium = WirelessMedium(
-        sim, propagation=UnitDiskPropagation(250.0), spatial_backend=medium_backend(backend)
-    )
-    if backend == LINEAR:
+    medium = WirelessMedium(sim, propagation=UnitDiskPropagation(250.0))
+    if oracle:
         use_linear_scan(medium)
     network = Network(sim, medium=medium, mobility=RandomWalk(states, rng))
     for state in states:
@@ -90,10 +83,10 @@ def _probe_positions(network: Network, rng: random.Random):
     return positions
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@ORACLE
 @pytest.mark.parametrize("seed", range(8))
-def test_disk_matches_fresh_scan_on_stepped_networks(seed, backend):
-    sim, network, _, rng = _stepped_network(seed, backend)
+def test_disk_matches_fresh_scan_on_stepped_networks(seed, oracle):
+    sim, network, _, rng = _stepped_network(seed, oracle)
     medium = network.medium
     served = []
 
@@ -124,10 +117,10 @@ def _cached_pair(medium: WirelessMedium, position: Vec2, radius: float):
     return first
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@ORACLE
 class TestInvalidation:
-    def test_remove_node(self, backend):
-        _, network, _, _ = _stepped_network(1, backend)
+    def test_remove_node(self, oracle):
+        _, network, _, _ = _stepped_network(1, oracle)
         medium = network.medium
         center = network.node(0).position
         before = _cached_pair(medium, center, 400.0)
@@ -138,8 +131,8 @@ class TestInvalidation:
         assert victim not in [node.node_id for node, _, _ in after]
         assert after == _scan(medium, center, 400.0)
 
-    def test_mid_run_add_vehicle(self, backend):
-        sim, network, _, _ = _stepped_network(2, backend)
+    def test_mid_run_add_vehicle(self, oracle):
+        sim, network, _, _ = _stepped_network(2, oracle)
         medium = network.medium
         center = network.node(0).position
         seen = {}
@@ -161,8 +154,8 @@ class TestInvalidation:
         assert seen["joined"] in [node for node, _, _ in seen["after"]]
         assert seen["after"] == _scan(medium, center, 250.0)
 
-    def test_refresh_positions(self, backend):
-        _, network, states, _ = _stepped_network(3, backend)
+    def test_refresh_positions(self, oracle):
+        _, network, states, _ = _stepped_network(3, oracle)
         medium = network.medium
         center = network.node(0).position
         before = _cached_pair(medium, center, 250.0)

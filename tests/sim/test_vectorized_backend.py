@@ -18,7 +18,7 @@ from repro.protocols.registry import make_protocol_factory
 from repro.sim import position_store
 from repro.sim.position_store import PositionStore, require_numpy
 from repro.workloads import WORKLOADS as WORKLOAD_REGISTRY
-from tests.helpers import LINEAR, medium_backend, use_linear_scan
+from tests.helpers import use_linear_scan
 from tests.sim.test_medium_backends import (
     count_array_completions,
     normalized_records,
@@ -36,8 +36,11 @@ ARRAY_PATH_RADIOS = {"ideal-disk-250m", "dsrc-highway-los"}
 WORKLOADS = ["cbr", "safety-beacon"]
 
 
-def run_workload_scenario(kind, spatial_backend, radio, workload, seed=9):
+def run_workload_scenario(kind, spatial_backend, radio, workload, seed=9, oracle=False):
     """A small traced run of ``kind`` under the given radio and workload.
+
+    With ``oracle`` the medium scans exhaustively (see
+    :func:`~tests.helpers.use_linear_scan`).
 
     The cells hold far fewer nodes than ``VECTORIZED_MIN_ROWS``, so the
     vectorized leg drops the row threshold to 0 to reach the array path;
@@ -50,7 +53,7 @@ def run_workload_scenario(kind, spatial_backend, radio, workload, seed=9):
             duration_s=5.0,
             drain_s=1.0,
             seed=seed,
-            spatial_backend=medium_backend(spatial_backend),
+            spatial_backend=spatial_backend,
             radio_stack=radio,
             workload=workload,
         )
@@ -62,12 +65,12 @@ def run_workload_scenario(kind, spatial_backend, radio, workload, seed=9):
             duration_s=5.0,
             drain_s=1.0,
             seed=seed,
-            spatial_backend=medium_backend(spatial_backend),
+            spatial_backend=spatial_backend,
             radio_stack=radio,
             workload=workload,
         )
     built = runner.build(scenario)
-    if spatial_backend == LINEAR:
+    if oracle:
         use_linear_scan(built.network.medium)
     if spatial_backend == "vectorized":
         built.network.medium.vectorized_min_rows = 0
@@ -118,7 +121,7 @@ class TestCrossBackendTraces:
     def test_city_vectorized_matches_linear_oracle(self):
         # The exhaustive O(N) scan is the ground-truth oracle; one cell
         # suffices because grid-vs-linear equivalence is covered elsewhere.
-        linear = run_workload_scenario("city", LINEAR, "ideal-disk-250m", "cbr")
+        linear = run_workload_scenario("city", "grid", "ideal-disk-250m", "cbr", oracle=True)
         vec = run_workload_scenario("city", "vectorized", "ideal-disk-250m", "cbr")
         assert normalized_records(vec.trace) == normalized_records(linear.trace)
         assert vec.stats.summary() == linear.stats.summary()
