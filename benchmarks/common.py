@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.harness.reporting import format_table, rows_to_csv, rows_to_json, sweep_to_json
 from repro.harness.runner import ExperimentRunner, RunRecord
-from repro.harness.scenario import FlowSpec, Scenario, highway_scenario, manhattan_scenario
+from repro.harness.scenario import Scenario, highway_scenario, manhattan_scenario
 from repro.harness.scenarios import scenario_from_name
 from repro.harness.sweep import SweepResult, aggregate_records, sweep_replications
 from repro.mobility.generator import TrafficDensity
@@ -29,6 +29,11 @@ RUNNER = ExperimentRunner()
 #: Replication seeds shared by the figure benchmarks (>= 5 per cell, so the
 #: reported 95% confidence intervals rest on a real t-distribution sample).
 FIGURE_SEEDS = (21, 22, 23, 24, 25)
+
+
+def _cbr_traffic(flows: int) -> Dict[str, object]:
+    """``cbr`` params of the benchmark scenarios: ``flows`` flows of 12 packets."""
+    return {"flow_count": flows, "packet_count": 12}
 
 
 def sweep_workers(var: str = "REPRO_SWEEP_WORKERS", default: int = 1) -> int:
@@ -74,9 +79,8 @@ def small_highway(
         density,
         duration_s=duration_s,
         max_vehicles=max_vehicles,
-        default_flow_count=flows,
+        workload_params=_cbr_traffic(flows),
         seed=seed,
-        flow_template=FlowSpec(start_time_s=5.0, interval_s=1.0, packet_count=12),
     )
     return scenario.with_overrides(**overrides) if overrides else scenario
 
@@ -103,10 +107,9 @@ def narrow_highway(
         density,
         duration_s=duration_s,
         max_vehicles=max_vehicles,
-        default_flow_count=flows,
+        workload_params=_cbr_traffic(flows),
         seed=seed,
         highway=config,
-        flow_template=FlowSpec(start_time_s=5.0, interval_s=1.0, packet_count=12),
     )
     return scenario.with_overrides(**overrides) if overrides else scenario
 
@@ -125,9 +128,8 @@ def small_manhattan(
         density,
         duration_s=duration_s,
         max_vehicles=max_vehicles,
-        default_flow_count=flows,
+        workload_params=_cbr_traffic(flows),
         seed=seed,
-        flow_template=FlowSpec(start_time_s=5.0, interval_s=1.0, packet_count=12),
     )
     return scenario.with_overrides(**overrides) if overrides else scenario
 

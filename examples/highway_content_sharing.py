@@ -16,8 +16,9 @@ Run with::
 from __future__ import annotations
 
 from repro.harness import ExperimentRunner, format_table
-from repro.harness.scenario import FlowSpec, highway_scenario
+from repro.harness.scenario import highway_scenario
 from repro.mobility.generator import TrafficDensity
+from repro.workloads.cbr import CbrFlow
 
 #: The protocols compared for the content-sharing workload.
 PROTOCOLS = ["AODV", "PBR", "Yan-TBP"]
@@ -25,16 +26,9 @@ PROTOCOLS = ["AODV", "PBR", "Yan-TBP"]
 
 def build_scenario():
     """Five source vehicles stream blocks to one receiving vehicle."""
-    scenario = highway_scenario(
-        TrafficDensity.NORMAL,
-        name="content-sharing",
-        duration_s=40.0,
-        max_vehicles=100,
-        seed=13,
-    )
     receiver_index = 0
-    scenario.flows = [
-        FlowSpec(
+    flows = [
+        CbrFlow(
             source_index=10 * (i + 1),
             destination_index=receiver_index,
             start_time_s=5.0 + i,
@@ -44,7 +38,14 @@ def build_scenario():
         )
         for i in range(5)
     ]
-    return scenario
+    return highway_scenario(
+        TrafficDensity.NORMAL,
+        name="content-sharing",
+        duration_s=40.0,
+        max_vehicles=100,
+        seed=13,
+        workload_params={"flows": flows},
+    )
 
 
 def main() -> None:

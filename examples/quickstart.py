@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 
 from repro.harness import ExperimentRunner, format_table
-from repro.harness.scenario import FlowSpec, highway_scenario
+from repro.harness.scenario import highway_scenario
 from repro.mobility.generator import TrafficDensity
 from repro.protocols import PROTOCOLS
 
@@ -32,9 +32,11 @@ def main() -> None:
         name="quickstart-highway",
         duration_s=30.0,
         max_vehicles=80,
-        default_flow_count=5,
         seed=7,
-        flow_template=FlowSpec(start_time_s=5.0, interval_s=1.0, packet_count=20),
+        # The default cbr traffic, spelled out: 5 flows of 20 packets at 1 Hz from 5 s.
+        workload_params={
+            "flow_count": 5, "start_time_s": 5.0, "interval_s": 1.0, "packet_count": 20
+        },
     )
 
     print(f"Running {protocol} on {scenario.name} "

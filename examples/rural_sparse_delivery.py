@@ -16,7 +16,7 @@ Run with::
 from __future__ import annotations
 
 from repro.harness import ExperimentRunner, format_table
-from repro.harness.scenario import FlowSpec, highway_scenario
+from repro.harness.scenario import highway_scenario
 from repro.mobility.generator import TrafficDensity
 
 CONFIGURATIONS = [
@@ -33,9 +33,8 @@ def build_scenario(**overrides):
         name="rural-sparse",
         duration_s=60.0,
         max_vehicles=40,
-        default_flow_count=5,
         seed=37,
-        flow_template=FlowSpec(start_time_s=5.0, interval_s=2.0, packet_count=25),
+        workload_params={"flow_count": 5, "interval_s": 2.0, "packet_count": 25},
     )
     return scenario.with_overrides(**overrides)
 

@@ -40,7 +40,7 @@ def main() -> None:
         seed=SEED,
         max_vehicles=50,
         duration_s=30.0,
-        default_flow_count=4,
+        workload_params={"flow_count": 4},
     )
 
     print("1. Recording the FCD trace of that scenario's mobility...")
@@ -69,7 +69,7 @@ def main() -> None:
         name="replayed-highway",
         seed=SEED,
         duration_s=live.duration_s,
-        default_flow_count=live.default_flow_count,
+        workload_params=live.workload_params,
     )
     runner = ExperimentRunner()
     replay_result = runner.run(replay, "Greedy")

@@ -17,25 +17,18 @@ Run with::
 from __future__ import annotations
 
 from repro.harness import ExperimentRunner, format_table
-from repro.harness.scenario import FlowSpec, manhattan_scenario
+from repro.harness.scenario import manhattan_scenario
 from repro.mobility.generator import TrafficDensity
+from repro.workloads.cbr import CbrFlow
 
 PROTOCOLS = ["Zone", "Grid-Gateway", "Flooding", "RSU-Relay"]
 
 
 def build_scenario(rsu_spacing=None):
     """An accident reporter streaming alerts to four interested vehicles downtown."""
-    scenario = manhattan_scenario(
-        TrafficDensity.NORMAL,
-        name="accident-alert",
-        duration_s=30.0,
-        max_vehicles=70,
-        seed=23,
-        rsu_spacing_m=rsu_spacing,
-    )
     reporter_index = 3
-    scenario.flows = [
-        FlowSpec(
+    flows = [
+        CbrFlow(
             source_index=reporter_index,
             destination_index=15 + 7 * i,
             start_time_s=5.0,
@@ -45,7 +38,15 @@ def build_scenario(rsu_spacing=None):
         )
         for i in range(4)
     ]
-    return scenario
+    return manhattan_scenario(
+        TrafficDensity.NORMAL,
+        name="accident-alert",
+        duration_s=30.0,
+        max_vehicles=70,
+        seed=23,
+        rsu_spacing_m=rsu_spacing,
+        workload_params={"flows": flows},
+    )
 
 
 def main() -> None:

@@ -30,9 +30,12 @@ Scenarios are selected either by ``--scenario`` (a preset name such as
 ``city-grid-2km-sparse``, a registered kind, or ``trace:<path>`` for FCD
 trace replay) or by the classic ``--kind`` / ``--density`` pair.  Traffic is
 selected by ``--workload`` (a workload kind such as ``safety-beacon`` or a
-preset such as ``safety-beacon-10hz``; the default is ``cbr``) and the
-channel by ``--radio`` (a radio kind such as ``nakagami`` or a preset such
-as ``dsrc-urban-nlos``; the default is ``ideal-disk-250m``).  The ``sweep``
+preset such as ``safety-beacon-10hz``; the default is ``cbr``) and shaped by
+``--flows`` / ``--packets-per-flow`` / ``--packet-interval`` / ``--warmup``
+where the workload reads them (a flag no selected workload takes is an
+error); the channel is selected by ``--radio`` (a radio kind such as
+``nakagami`` or a preset such as ``dsrc-urban-nlos``; the default is
+``ideal-disk-250m``).  The ``sweep``
 subcommand accepts several workloads and several radios as extra matrix
 axes.  Observability probes attach with ``--monitor`` (a fixed set per run,
 never a matrix axis; see ``list monitors``) and stream JSONL telemetry to
@@ -42,6 +45,7 @@ never a matrix axis; see ``list monitors``) and stream JSONL telemetry to
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from dataclasses import dataclass
@@ -58,7 +62,7 @@ from repro.harness.reporting import (
     sweep_to_json,
 )
 from repro.harness.runner import ExperimentRunner
-from repro.harness.scenario import DEFAULT_FLOW_COUNT, FlowSpec, Scenario
+from repro.harness.scenario import Scenario
 from repro.harness.scenarios import SCENARIOS, scenario_from_name
 from repro.harness.sweep import HEADLINE_METRICS, sweep_replications
 from repro.mobility.generator import TrafficDensity
@@ -68,6 +72,7 @@ from repro.registry import Registry
 from repro.sim.spatial import SPATIAL_BACKENDS
 from repro.store.store import ExperimentStore, read_record_log
 from repro.workloads import WORKLOADS
+from repro.workloads.registry import with_traffic
 
 #: Columns shown by the ``run`` and ``compare`` subcommands.
 SUMMARY_COLUMNS = [
@@ -83,6 +88,15 @@ SUMMARY_COLUMNS = [
     "backbone_transmissions",
 ]
 
+#: The traffic flags (argparse ``dest``) and their help; each workload kind
+#: maps them to its own keywords in ``traffic_keywords``.
+TRAFFIC_FLAGS = {
+    "flows": "number of flows or sessions",
+    "packets_per_flow": "packets per flow",
+    "packet_interval": "seconds between packets",
+    "warmup": "traffic start time in seconds",
+}
+
 
 def _build_scenario(args: argparse.Namespace) -> Scenario:
     """Resolve the CLI arguments into a scenario through the registry.
@@ -93,8 +107,10 @@ def _build_scenario(args: argparse.Namespace) -> Scenario:
     their ``None`` argparse default do not, so a preset keeps its advertised
     shape (population cap, duration, RSU plan, density) unless explicitly
     overridden.  Bare kinds -- via either flag -- get the documented CLI
-    fallbacks (duration 30 s, 100 vehicles, 5 flows, normal density), so
+    fallbacks (duration 30 s, 100 vehicles, normal density), so
     ``--scenario highway`` and ``--kind highway`` run the same experiment.
+    The traffic flags are not applied here: they set workload keywords
+    (see :func:`_run_scenario` and the ``traffic`` of a sweep).
     """
     explicit = {}
     if args.density is not None:
@@ -103,8 +119,6 @@ def _build_scenario(args: argparse.Namespace) -> Scenario:
         explicit["duration_s"] = args.duration
     if args.max_vehicles is not None:
         explicit["max_vehicles"] = args.max_vehicles
-    if args.flows is not None:
-        explicit["default_flow_count"] = args.flows
     if getattr(args, "seed", None) is not None:
         explicit["seed"] = args.seed
     if args.rsu_spacing is not None:
@@ -146,30 +160,41 @@ def _build_scenario(args: argparse.Namespace) -> Scenario:
             "density": density,
             "duration_s": 30.0,
             "max_vehicles": 100,
-            "default_flow_count": DEFAULT_FLOW_COUNT,
             "seed": 1,
         }
         overrides.update(explicit)
         scenario = scenario_from_name(kind, **overrides)
 
-    if any(
-        value is not None
-        for value in (args.warmup, args.packet_interval, args.packets_per_flow)
-    ):
-        template = scenario.flow_template
-        scenario = scenario.with_overrides(
-            flow_template=FlowSpec(
-                start_time_s=args.warmup if args.warmup is not None else template.start_time_s,
-                interval_s=args.packet_interval
-                if args.packet_interval is not None
-                else template.interval_s,
-                packet_count=args.packets_per_flow
-                if args.packets_per_flow is not None
-                else template.packet_count,
-                size_bytes=template.size_bytes,
-            )
-        )
     return scenario
+
+
+def _traffic_help(setting: str) -> str:
+    """A traffic flag's help: each workload keyword it sets, with its default."""
+    targets = []
+    for name in WORKLOADS.names():
+        keyword = WORKLOADS[name].traffic_keywords.get(setting)
+        if keyword is not None:
+            default = inspect.signature(WORKLOADS[name]).parameters[keyword].default
+            targets.append(f"{name} {keyword} (default {default})")
+    return f"{TRAFFIC_FLAGS[setting]}; sets {', '.join(targets)}, unless params fix it"
+
+
+def _traffic(args: argparse.Namespace) -> Dict[str, Any]:
+    """The traffic flags the user passed, keyed by ``dest``."""
+    return {name: getattr(args, name) for name in TRAFFIC_FLAGS if getattr(args, name) is not None}
+
+
+def _check_traffic(traffic: Dict[str, Any], scenarios: Sequence[Scenario]) -> bool:
+    """Refuse a flag that no scenario's workload takes: it would change nothing."""
+    for setting, value in traffic.items():
+        if all(with_traffic(scenario, {setting: value}) is scenario for scenario in scenarios):
+            names = ", ".join(repr(scenario.workload) for scenario in scenarios)
+            label = "workloads" if len(scenarios) > 1 else "workload"
+            flag = "--" + setting.replace("_", "-")
+            print(f"{flag} changes nothing: not read, or already fixed, by {label} {names}",
+                  file=sys.stderr)
+            return False
+    return True
 
 
 def _add_scenario_arguments(
@@ -226,20 +251,10 @@ def _add_scenario_arguments(
             "--spatial-backend", choices=SPATIAL_BACKENDS, default=None,
             help="medium spatial backend (default: grid; 'vectorized' needs numpy)",
         )
-    parser.add_argument(
-        "--flows", type=int, default=None,
-        help=f"number of random unicast flows (default: {DEFAULT_FLOW_COUNT})",
-    )
-    parser.add_argument(
-        "--packets-per-flow", type=int, default=None, help="packets per flow (default: 20)"
-    )
-    parser.add_argument(
-        "--packet-interval", type=float, default=None,
-        help="seconds between packets (default: 1.0)",
-    )
-    parser.add_argument(
-        "--warmup", type=float, default=None, help="flow start time in seconds (default: 5.0)"
-    )
+    for setting, value_type in zip(TRAFFIC_FLAGS, (int, int, float, float)):
+        parser.add_argument(
+            "--" + setting.replace("_", "-"), type=value_type, help=_traffic_help(setting)
+        )
     if include_seed:
         parser.add_argument(
             "--seed", type=int, default=None, help="master random seed (default: 1)"
@@ -310,21 +325,32 @@ def _resolve_scenario(args: argparse.Namespace) -> Optional[Scenario]:
     return None
 
 
+def _run_scenario(args: argparse.Namespace) -> Optional[Scenario]:
+    """The one scenario of ``run``/``compare``, traffic flags applied.
+
+    Prints the failure and returns None when a name is unknown or a flag
+    would change nothing.
+    """
+    scenario = _resolve_scenario(args)
+    if scenario is None or not _check_names(WORKLOADS, [scenario.workload]):
+        return None
+    if scenario.radio_stack and not _check_names(RADIOS, [scenario.radio_stack]):
+        return None
+    if scenario.monitors and not _check_names(MONITORS, list(scenario.monitors)):
+        return None
+    traffic = _traffic(args)
+    if not _check_telemetry(args, scenario) or not _check_traffic(traffic, [scenario]):
+        return None
+    return with_traffic(scenario, traffic)
+
+
 def _command_run(args: argparse.Namespace) -> int:
     if args.protocol not in PROTOCOLS.kinds:
         print(f"unknown protocol {args.protocol!r}", file=sys.stderr)
         print(f"available: {', '.join(PROTOCOLS.names())}", file=sys.stderr)
         return 2
-    scenario = _resolve_scenario(args)
+    scenario = _run_scenario(args)
     if scenario is None:
-        return 2
-    if not _check_names(WORKLOADS, [scenario.workload]):
-        return 2
-    if scenario.radio_stack and not _check_names(RADIOS, [scenario.radio_stack]):
-        return 2
-    if scenario.monitors and not _check_names(MONITORS, list(scenario.monitors)):
-        return 2
-    if not _check_telemetry(args, scenario):
         return 2
     runner = ExperimentRunner()
     profiler = None
@@ -367,16 +393,8 @@ def _command_compare(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown protocol(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
-    scenario = _resolve_scenario(args)
+    scenario = _run_scenario(args)
     if scenario is None:
-        return 2
-    if not _check_names(WORKLOADS, [scenario.workload]):
-        return 2
-    if scenario.radio_stack and not _check_names(RADIOS, [scenario.radio_stack]):
-        return 2
-    if scenario.monitors and not _check_names(MONITORS, list(scenario.monitors)):
-        return 2
-    if not _check_telemetry(args, scenario):
         return 2
     # One shared sink across the per-protocol runs: each run frames its own
     # lines with run_start/run_end, so a single JSONL file stays parseable.
@@ -420,7 +438,11 @@ def _command_sweep(args: argparse.Namespace) -> int:
     monitors = args.monitor if args.monitor else None
     if monitors and not _check_names(MONITORS, monitors):
         return 2
-    if not _check_telemetry(args, scenario):
+    traffic = _traffic(args)
+    # A flag is refused only when no cell takes it (``--workload cbr
+    # safety-beacon --flows 2`` runs); axis cells reset params as in build_matrix.
+    cells = [scenario.with_overrides(workload=w, workload_params={}) for w in workloads or []]
+    if not _check_telemetry(args, scenario) or not _check_traffic(traffic, cells or [scenario]):
         return 2
     try:
         result = sweep_replications(
@@ -436,6 +458,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
             store=args.store,
             resume=args.resume,
             shard=args.shard,
+            traffic=traffic,
         )
     except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)

@@ -19,8 +19,6 @@ from repro.harness.reporting import (
 )
 from repro.harness.runner import ExperimentRunner, RunRecord, RunResult
 from repro.harness.scenario import (
-    DEFAULT_FLOW_COUNT,
-    FlowSpec,
     Scenario,
     city_scenario,
     highway_scenario,
@@ -59,8 +57,6 @@ __all__ = [
     "ExperimentRunner",
     "RunRecord",
     "RunResult",
-    "DEFAULT_FLOW_COUNT",
-    "FlowSpec",
     "WORKLOADS",
     "Workload",
     "DEFAULT_RADIO",

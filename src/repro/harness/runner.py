@@ -379,7 +379,7 @@ class ExperimentRunner:
         """Run ``protocol_name`` through ``scenario`` and return the metrics.
 
         Application traffic comes from the scenario's workload: the ``cbr``
-        default reproduces the classic ``FlowSpec`` unicast flows, while any
+        default schedules the classic random-pair unicast flows, while any
         other registered kind or preset (``safety-beacon``, ``v2i``, ...)
         schedules its own traffic shape through the same protocol API.
         ``prebuilt`` forwards a staged mobility substrate to :meth:`build`;

@@ -2,7 +2,7 @@
 
 A :class:`Scenario` is a declarative description of one simulation setting:
 the mobility model and traffic density, the radio, the infrastructure, the
-application traffic and the run length.  The runner turns it into a live
+application workload and the run length.  The runner turns it into a live
 :class:`~repro.sim.network.Network`.
 
 The mobility substrate is named by the free-form ``kind`` string and resolved
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.mobility.generator import TrafficDensity
 from repro.mobility.highway import HighwayConfig
@@ -25,42 +25,6 @@ from repro.mobility.manhattan import ManhattanConfig
 from repro.mobility.random_waypoint import RandomWaypointConfig
 from repro.roadnet.city import CityConfig
 from repro.sim.spatial import check_spatial_backend
-
-#: Number of random unicast flows a scenario offers when neither explicit
-#: ``flows`` nor a flow count is given.  The CLI's bare-kind fallback and the
-#: :class:`Scenario` default both derive from this constant, so command-line
-#: and Python runs of the same scenario agree (they used to hardcode 5 and 6
-#: respectively).
-DEFAULT_FLOW_COUNT: int = 5
-
-
-@dataclass
-class FlowSpec:
-    """One constant-bit-rate application flow.
-
-    .. deprecated::
-        ``FlowSpec`` lists (``Scenario.flows`` / ``Scenario.flow_template`` /
-        ``Scenario.default_flow_count``) are the legacy shim of the workload
-        registry: they only describe ``cbr`` traffic and are consumed by
-        :class:`repro.workloads.cbr.CbrWorkload` (the default workload).
-        New traffic shapes use ``Scenario.workload`` /
-        ``Scenario.workload_params`` instead -- see :mod:`repro.workloads`.
-
-    Attributes:
-        source_index / destination_index: Indices into the scenario's vehicle
-            list (``None`` lets the runner pick distinct random vehicles).
-        start_time_s: When the first packet is sent.
-        interval_s: Inter-packet interval.
-        packet_count: Number of packets in the flow.
-        size_bytes: Payload size.
-    """
-
-    source_index: Optional[int] = None
-    destination_index: Optional[int] = None
-    start_time_s: float = 5.0
-    interval_s: float = 1.0
-    packet_count: int = 20
-    size_bytes: int = 512
 
 
 @dataclass
@@ -98,14 +62,9 @@ class Scenario:
             ``"event-burst"``, ``"v2i"``, or a preset such as
             ``"safety-beacon-10hz"``.
         workload_params: Keyword parameters handed to the workload's
-            constructor (on top of a preset's own parameters).
-        flows: Deprecated ``cbr`` shim -- explicit CBR flows; when empty,
-            ``default_flow_count`` random flows are generated.  Only
-            consulted by the ``cbr`` workload.
-        default_flow_count: Deprecated ``cbr`` shim -- number of random
-            flows when ``flows`` is empty (:data:`DEFAULT_FLOW_COUNT`).
-        flow_template: Deprecated ``cbr`` shim -- template for generated
-            flows (other workloads borrow its timing defaults).
+            constructor (on top of a preset's own parameters), e.g.
+            ``{"flow_count": 2}`` or ``{"flows": [CbrFlow(...)]}`` for
+            ``cbr``: traffic lives only in the workload.
         mobility_step_s: Mobility update interval.
         spatial_backend: Delivery backend of the wireless medium:
             ``"grid"`` (uniform-grid index, the default) or
@@ -141,9 +100,6 @@ class Scenario:
     bus_count: int = 0
     workload: str = "cbr"
     workload_params: Dict[str, object] = field(default_factory=dict)
-    flows: List[FlowSpec] = field(default_factory=list)
-    default_flow_count: int = DEFAULT_FLOW_COUNT
-    flow_template: FlowSpec = field(default_factory=FlowSpec)
     mobility_step_s: float = 0.5
     spatial_backend: str = "grid"
     monitors: Tuple[str, ...] = ()

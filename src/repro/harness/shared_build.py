@@ -49,7 +49,7 @@ import struct
 from dataclasses import dataclass, replace
 from typing import Dict, NamedTuple, Tuple
 
-from repro.harness.scenario import FlowSpec, Scenario
+from repro.harness.scenario import Scenario
 from repro.harness.scenarios import BuiltMobility, build_mobility
 from repro.sim.rng import RandomStreams
 
@@ -67,9 +67,9 @@ def mobility_build_key(scenario: Scenario) -> str:
 
     Neutralises every field :func:`~repro.harness.scenarios.build_mobility`
     cannot observe (verified: no scenario builder reads them), so sweep
-    cells that differ only by protocol, workload, radio, spatial backend,
-    bus designation, traffic shims or report naming map to the same staged
-    build.  Everything else -- kind, density, geometry configs,
+    cells that differ only by protocol, workload (traffic included),
+    radio, spatial backend, bus designation or report naming map to the
+    same staged build.  Everything else -- kind, density, geometry configs,
     ``max_vehicles``, ``rsu_spacing_m``, ``mobility_step_s`` and crucially
     the ``seed`` -- stays in the key via the dataclass ``repr``.
     """
@@ -82,9 +82,6 @@ def mobility_build_key(scenario: Scenario) -> str:
         radio_params={},
         spatial_backend="grid",
         bus_count=0,
-        flows=[],
-        default_flow_count=0,
-        flow_template=FlowSpec(),
     )
     return repr(core)
 

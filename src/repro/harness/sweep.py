@@ -43,6 +43,7 @@ from repro.radio.registry import DEFAULT_RADIO
 from repro.store.keys import cell_key, code_version, parse_shard, shard_of
 from repro.store.schema import RECORD_SCHEMA_VERSION, check_record_schema_version
 from repro.store.store import ExperimentStore
+from repro.workloads.registry import with_traffic
 
 if TYPE_CHECKING:  # pragma: no cover - staging is imported only when a sweep stages
     from repro.harness.shared_build import ArenaTicket, MobilityArena
@@ -96,6 +97,7 @@ def build_matrix(
     workloads: Optional[Sequence[str]] = None,
     radios: Optional[Sequence[str]] = None,
     spatial_backends: Optional[Sequence[str]] = None,
+    traffic: Optional[Dict[str, object]] = None,
 ) -> List[SweepCell]:
     """Expand scenarios x protocols x workloads x radios x seeds into cells.
 
@@ -112,7 +114,9 @@ def build_matrix(
     varied through the scenario *name* (``<name>-<backend>``) because the
     aggregation key is (scenario name, protocol, workload, radio) and the
     backends' byte-identical metrics would otherwise be merged into a single
-    cell with duplicated seeds.
+    cell with duplicated seeds.  ``traffic`` settings (``{"flows": 2}``)
+    apply per cell after the axis reset, through
+    :func:`repro.workloads.registry.with_traffic`.
     """
     if not seeds:
         raise ValueError("at least one replication seed is required")
@@ -171,6 +175,8 @@ def build_matrix(
                 for varied in varied_scenarios
                 for backend in spatial_backends
             ]
+        if traffic:
+            varied_scenarios = [with_traffic(varied, traffic) for varied in varied_scenarios]
         for protocol in protocol_names:
             for varied in varied_scenarios:
                 for seed in seeds:
@@ -462,6 +468,7 @@ def sweep_replications(
     monitors: Optional[Sequence[str]] = None,
     monitor_params: Optional[Dict[str, Dict[str, object]]] = None,
     telemetry: Optional[Union[str, Path]] = None,
+    traffic: Optional[Dict[str, object]] = None,
 ) -> SweepResult:
     """Run the scenario x protocol x workload x radio x seed matrix.
 
@@ -471,7 +478,8 @@ def sweep_replications(
     results are re-assembled in matrix order.  ``workloads`` adds the
     workload axis, ``radios`` the radio axis and ``spatial_backends`` the
     medium-backend axis; omitted, every cell keeps the scenario's own
-    workload / radio stack / spatial backend.
+    workload / radio stack / spatial backend.  ``traffic`` is passed to
+    :func:`build_matrix`.
 
     ``shared_mobility=True`` stages each distinct mobility build once in
     this process and publishes it through a shared-memory arena (see
@@ -530,6 +538,7 @@ def sweep_replications(
         workloads,
         radios,
         spatial_backends,
+        traffic,
     )
     total_cells = len(cells)
     keys: Optional[List[str]] = None

@@ -7,8 +7,8 @@ builds a run's offered traffic from ``(Scenario, BuiltScenario, rng)``, and
 
 Built-in kinds:
 
-* ``cbr`` -- constant-bit-rate unicast flows (the classic ``FlowSpec``
-  semantics; the default, trace-equivalent to the pre-registry runner),
+* ``cbr`` -- constant-bit-rate unicast flows (the default,
+  trace-equivalent to the pre-registry runner),
 * ``poisson`` -- open flow population with exponential inter-arrivals,
 * ``safety-beacon`` -- single-hop broadcast BSMs from every vehicle,
 * ``event-burst`` -- geo-scoped flooding of emergency warnings,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, ClassVar, Dict, List
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance for typing only
     from repro.harness.runner import BuiltScenario
@@ -49,6 +49,11 @@ class Workload(ABC):
     #: Registry key; stamped by ``@WORKLOADS.register``.
     workload_name: str = "base"
 
+    #: The shared traffic settings this kind reads (``flows``,
+    #: ``packets_per_flow``, ``packet_interval``, ``warmup``: the CLI flags
+    #: of those names), each mapped to the constructor keyword it sets.
+    traffic_keywords: ClassVar[Dict[str, str]] = {}
+
     @abstractmethod
     def build(
         self, scenario: "Scenario", built: "BuiltScenario", rng: random.Random
@@ -56,7 +61,7 @@ class Workload(ABC):
         """Register flows and schedule this run's application sends.
 
         Args:
-            scenario: The declarative scenario (duration, flow shim, radio).
+            scenario: The declarative scenario (duration, radio).
             built: The instantiated scenario; protocols are already attached
                 but the network has not started yet.
             rng: The simulator's ``"traffic"`` stream -- the only source of

@@ -1,10 +1,11 @@
-"""Constant-bit-rate unicast flows (the classic ``FlowSpec`` traffic)."""
+"""Constant-bit-rate unicast flows: the traffic of every Table I comparison."""
 
 from __future__ import annotations
 
 import random
 import warnings
-from typing import TYPE_CHECKING, Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.workloads.base import Workload
 from repro.workloads.registry import WORKLOADS
@@ -14,30 +15,47 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.scenario import Scenario
 
 
+@dataclass(frozen=True)
+class CbrFlow:
+    """One explicit ``cbr`` flow: vehicle-list indices (``None`` draws a
+    random pair) and timing (``None`` takes the workload's own value)."""
+
+    source_index: Optional[int] = None
+    destination_index: Optional[int] = None
+    start_time_s: Optional[float] = None
+    interval_s: Optional[float] = None
+    packet_count: Optional[int] = None
+    size_bytes: Optional[int] = None
+
+
 @WORKLOADS.register("cbr")
 class CbrWorkload(Workload):
     """Constant-bit-rate unicast flows between random (or pinned) vehicle pairs.
 
-    This is the pre-registry traffic model, byte-for-byte: explicit
-    ``Scenario.flows`` entries are honoured first; otherwise
-    ``Scenario.default_flow_count`` flows are stamped from
-    ``Scenario.flow_template``.  Endpoints left unpinned are drawn from the
-    ``"traffic"`` stream exactly the way the runner's retired
+    ``flow_count`` flows of ``packet_count`` packets, one every
+    ``interval_s`` from ``start_time_s``, each between a random vehicle
+    pair; explicit ``flows`` (:class:`CbrFlow` records, e.g. with pinned
+    endpoints) replace the random ones.  Endpoints left unpinned are drawn
+    from the ``"traffic"`` stream exactly the way the runner's retired
     ``_schedule_flows`` drew them, so default runs reproduce pre-redesign
     results seed for seed.
-
-    Constructor keywords (all optional) override the scenario's template:
-    ``flow_count``, ``start_time_s``, ``interval_s``, ``packet_count``,
-    ``size_bytes``.
     """
+
+    traffic_keywords = {
+        "flows": "flow_count",
+        "packets_per_flow": "packet_count",
+        "packet_interval": "interval_s",
+        "warmup": "start_time_s",
+    }
 
     def __init__(
         self,
-        flow_count: Optional[int] = None,
-        start_time_s: Optional[float] = None,
-        interval_s: Optional[float] = None,
-        packet_count: Optional[int] = None,
-        size_bytes: Optional[int] = None,
+        flow_count: int = 5,
+        start_time_s: float = 5.0,
+        interval_s: float = 1.0,
+        packet_count: int = 20,
+        size_bytes: int = 512,
+        flows: Sequence[CbrFlow] = (),
     ) -> None:
         # Named errors here, not a silent empty run (negative counts) or a
         # deep scheduler/MAC error (negative interval or size) mid-run.
@@ -47,41 +65,26 @@ class CbrWorkload(Workload):
             ("packet_count", packet_count),
             ("interval_s", interval_s),
         ):
-            if value is not None and value < 0:
+            if value < 0:
                 raise ValueError(f"{name} must be >= 0 (got {value})")
-        if size_bytes is not None and size_bytes <= 0:
+        if size_bytes <= 0:
             raise ValueError(f"size_bytes must be positive (got {size_bytes})")
         self.flow_count = flow_count
         self.start_time_s = start_time_s
         self.interval_s = interval_s
         self.packet_count = packet_count
         self.size_bytes = size_bytes
+        self.flows = tuple(flows)
 
-    def _specs(self, scenario: "Scenario") -> List:
-        from repro.harness.scenario import FlowSpec
-
-        specs = list(scenario.flows)
-        if not specs:
-            template = scenario.flow_template
-            count = self.flow_count if self.flow_count is not None else scenario.default_flow_count
-            specs = [
-                FlowSpec(
-                    start_time_s=self.start_time_s
-                    if self.start_time_s is not None
-                    else template.start_time_s,
-                    interval_s=self.interval_s
-                    if self.interval_s is not None
-                    else template.interval_s,
-                    packet_count=self.packet_count
-                    if self.packet_count is not None
-                    else template.packet_count,
-                    size_bytes=self.size_bytes
-                    if self.size_bytes is not None
-                    else template.size_bytes,
-                )
-                for _ in range(count)
-            ]
-        return specs
+    def _specs(self) -> List[CbrFlow]:
+        keys = ("start_time_s", "interval_s", "packet_count", "size_bytes")
+        own = {key: getattr(self, key) for key in keys}
+        if not self.flows:
+            return [CbrFlow(**own)] * self.flow_count
+        return [
+            replace(flow, **{key: own[key] for key in keys if getattr(flow, key) is None})
+            for flow in self.flows
+        ]
 
     def build(
         self, scenario: "Scenario", built: "BuiltScenario", rng: random.Random
@@ -91,7 +94,7 @@ class CbrWorkload(Workload):
         if len(vehicles) < 2:
             return flows
         sends = []
-        for flow_id, spec in enumerate(self._specs(scenario), start=1):
+        for flow_id, spec in enumerate(self._specs(), start=1):
             # Endpoints are resolved before the degenerate-start check so a
             # skipped flow still consumes exactly the draws the legacy
             # scheduler consumed -- later unpinned flows keep their pairs.

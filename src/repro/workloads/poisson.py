@@ -26,48 +26,55 @@ class PoissonWorkload(Workload):
 
     Constructor keywords:
         arrival_rate_per_s: Flow arrival rate; defaults to
-            ``default_flow_count`` arrivals spread over the post-start
-            window (``duration_s - start_time_s``) so the mean number of
-            flows matches the scenario's ``cbr`` shim.
+            ``max(flow_count, 1)`` arrivals spread over the post-start
+            window (``duration_s - start_time_s``).
         packets_per_flow: Exact packet count per flow -- only the *gaps*
-            between packets are random (the template's ``packet_count``
-            when omitted; packets past the duration are cut off).
-        mean_interval_s: Mean inter-packet gap (the template's
-            ``interval_s`` when omitted).
-        size_bytes: Payload size (the template's when omitted).
-        start_time_s: Arrivals begin here (the template's ``start_time_s``
-            when omitted).
+            between packets are random (packets past the duration are cut
+            off; zero schedules no traffic).
+        mean_interval_s: Mean inter-packet gap (zero sends each flow as
+            one burst).
+        size_bytes: Payload size.
+        start_time_s: Arrivals begin here.
+        flow_count: Mean number of flows when ``arrival_rate_per_s`` is
+            unset, so the mean matches a ``cbr`` run of the same count.
     """
+
+    traffic_keywords = {
+        "flows": "flow_count",
+        "packets_per_flow": "packets_per_flow",
+        "packet_interval": "mean_interval_s",
+        "warmup": "start_time_s",
+    }
 
     def __init__(
         self,
         arrival_rate_per_s: Optional[float] = None,
-        packets_per_flow: Optional[int] = None,
-        mean_interval_s: Optional[float] = None,
-        size_bytes: Optional[int] = None,
-        start_time_s: Optional[float] = None,
+        packets_per_flow: int = 20,
+        mean_interval_s: float = 1.0,
+        size_bytes: int = 512,
+        start_time_s: float = 5.0,
+        flow_count: int = 5,
     ) -> None:
         if arrival_rate_per_s is not None and arrival_rate_per_s <= 0:
             raise ValueError(
                 f"arrival_rate_per_s must be positive (got {arrival_rate_per_s})"
             )
-        if mean_interval_s is not None and mean_interval_s <= 0:
+        if mean_interval_s < 0:
             raise ValueError(
-                f"mean_interval_s must be positive (got {mean_interval_s})"
+                f"mean_interval_s must be >= 0 (got {mean_interval_s})"
             )
-        if packets_per_flow is not None and packets_per_flow < 1:
-            # A zero-packet flow would register one dead flow-table entry
-            # per arrival (the case the cbr degenerate-flow guard excludes).
+        if packets_per_flow < 0:
             raise ValueError(
-                f"packets_per_flow must be >= 1 (got {packets_per_flow})"
+                f"packets_per_flow must be >= 0 (got {packets_per_flow})"
             )
-        if size_bytes is not None and not size_bytes > 0:
+        if not size_bytes > 0:
             raise ValueError(f"size_bytes must be positive (got {size_bytes})")
         self.arrival_rate_per_s = arrival_rate_per_s
         self.packets_per_flow = packets_per_flow
         self.mean_interval_s = mean_interval_s
         self.size_bytes = size_bytes
         self.start_time_s = start_time_s
+        self.flow_count = flow_count
 
     def build(
         self, scenario: "Scenario", built: "BuiltScenario", rng: random.Random
@@ -76,8 +83,7 @@ class PoissonWorkload(Workload):
         vehicles = built.vehicle_nodes
         if len(vehicles) < 2:
             return flows
-        template = scenario.flow_template
-        start = self.start_time_s if self.start_time_s is not None else template.start_time_s
+        start = self.start_time_s
         window = scenario.duration_s - start
         if window <= 0:
             warnings.warn(
@@ -88,26 +94,16 @@ class PoissonWorkload(Workload):
                 stacklevel=2,
             )
             return flows
-        rate = (
-            self.arrival_rate_per_s
-            if self.arrival_rate_per_s is not None
-            else max(scenario.default_flow_count, 1) / window
-        )
-        packets = (
-            self.packets_per_flow if self.packets_per_flow is not None else template.packet_count
-        )
-        if packets < 1:
+        # A set rate is positive (see __init__), so ``or`` only replaces None.
+        rate = self.arrival_rate_per_s or max(self.flow_count, 1) / window
+        if self.packets_per_flow < 1:
             warnings.warn(
-                f"poisson flows of {packets} packets send nothing; no traffic scheduled",
+                "poisson flows of 0 packets send nothing; no traffic scheduled",
                 RuntimeWarning,
                 stacklevel=2,
             )
             return flows
-        mean_gap = (
-            self.mean_interval_s if self.mean_interval_s is not None else template.interval_s
-        )
-        size = self.size_bytes if self.size_bytes is not None else template.size_bytes
-
+        mean_gap = self.mean_interval_s
         flow_id = 0
         sends = []
         arrival = start + rng.expovariate(rate)
@@ -125,14 +121,14 @@ class PoissonWorkload(Workload):
                 }
             )
             send_time = arrival
-            for packet_index in range(packets):
+            for packet_index in range(self.packets_per_flow):
                 if send_time > scenario.duration_s:
                     break
                 sends.append(
                     (
                         send_time,
                         self.send_unicast,
-                        (built, source, destination, size, flow_id, packet_index + 1),
+                        (built, source, destination, self.size_bytes, flow_id, packet_index + 1),
                         0,
                     )
                 )

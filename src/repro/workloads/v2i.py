@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import warnings
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.workloads.base import Workload
 from repro.workloads.registry import WORKLOADS
@@ -33,19 +33,21 @@ class V2IWorkload(Workload):
     RSU) and ``2k`` (responses, RSU -> vehicle); responses are only offered
     when the request arrives, so the request flow's delivery ratio bounds
     the response flow's sample size.
-
-    Constructor keywords (scenario-template defaults when omitted):
-    ``session_count``, ``requests_per_session``, ``request_interval_s``,
-    ``start_time_s``, ``request_size_bytes`` (default 256),
-    ``response_size_bytes`` (default 1024).
     """
+
+    traffic_keywords = {
+        "flows": "session_count",
+        "packets_per_flow": "requests_per_session",
+        "packet_interval": "request_interval_s",
+        "warmup": "start_time_s",
+    }
 
     def __init__(
         self,
-        session_count: Optional[int] = None,
-        requests_per_session: Optional[int] = None,
-        request_interval_s: Optional[float] = None,
-        start_time_s: Optional[float] = None,
+        session_count: int = 5,
+        requests_per_session: int = 20,
+        request_interval_s: float = 1.0,
+        start_time_s: float = 5.0,
         request_size_bytes: int = 256,
         response_size_bytes: int = 1024,
     ) -> None:
@@ -77,26 +79,9 @@ class V2IWorkload(Workload):
                 stacklevel=2,
             )
             return flows
-        template = scenario.flow_template
-        sessions = (
-            self.session_count
-            if self.session_count is not None
-            else scenario.default_flow_count
-        )
-        requests = (
-            self.requests_per_session
-            if self.requests_per_session is not None
-            else template.packet_count
-        )
-        interval = (
-            self.request_interval_s
-            if self.request_interval_s is not None
-            else template.interval_s
-        )
-        start = self.start_time_s if self.start_time_s is not None else template.start_time_s
-        if start > scenario.duration_s:
+        if self.start_time_s > scenario.duration_s:
             warnings.warn(
-                f"v2i start time ({start:.1f}s) is past the scenario duration "
+                f"v2i start time ({self.start_time_s:.1f}s) is past the scenario duration "
                 f"({scenario.duration_s:.1f}s); no sessions scheduled",
                 RuntimeWarning,
                 stacklevel=2,
@@ -107,9 +92,9 @@ class V2IWorkload(Workload):
         for rsu in built.network.rsus:
             rsu.app_delivery_handler = self._make_responder(built, rsu, session_table)
         sends = []
-        for session in range(1, sessions + 1):
+        for session in range(1, self.session_count + 1):
             vehicle = vehicles[rng.randrange(len(vehicles))]
-            offset = rng.uniform(0.0, interval)
+            offset = rng.uniform(0.0, self.request_interval_s)
             request_flow = 2 * session - 1
             response_flow = 2 * session
             session_table[request_flow] = (vehicle.node_id, response_flow)
@@ -120,8 +105,10 @@ class V2IWorkload(Workload):
                     "destination": -1,  # anycast: nearest RSU at each send
                 }
             )
-            for request_index in range(requests):
-                send_time = start + offset + request_index * interval
+            for request_index in range(self.requests_per_session):
+                send_time = (
+                    self.start_time_s + offset + request_index * self.request_interval_s
+                )
                 if send_time > scenario.duration_s:
                     break
                 sends.append(

@@ -11,15 +11,11 @@ from repro.harness.compare import (
 )
 from repro.harness.reporting import format_table, rows_to_csv, summarize_results
 from repro.harness.runner import ExperimentRunner, RunResult
-from repro.harness.scenario import (
-    FlowSpec,
-    Scenario,
-    highway_scenario,
-    manhattan_scenario,
-)
+from repro.harness.scenario import Scenario, highway_scenario, manhattan_scenario
 from repro.harness.sweep import sweep_replications
 from repro.mobility.generator import TrafficDensity
 from repro.sim.statistics import StatsCollector
+from repro.workloads.cbr import CbrFlow, CbrWorkload
 
 
 def _small_scenario(**overrides) -> Scenario:
@@ -27,7 +23,7 @@ def _small_scenario(**overrides) -> Scenario:
         TrafficDensity.SPARSE,
         duration_s=12.0,
         max_vehicles=25,
-        default_flow_count=2,
+        workload_params={"flow_count": 2},
         seed=3,
     )
     return base.with_overrides(**overrides) if overrides else base
@@ -79,10 +75,23 @@ class TestScenario:
         scenario = _small_scenario(duration_s=0.0, drain_s=0.0, max_vehicles=0)
         assert (scenario.duration_s, scenario.drain_s, scenario.max_vehicles) == (0.0, 0.0, 0)
 
-    def test_flow_spec_defaults(self):
-        spec = FlowSpec()
-        assert spec.packet_count > 0
-        assert spec.interval_s > 0
+    @pytest.mark.parametrize("retired", ["flows", "default_flow_count", "flow_template"])
+    def test_retired_traffic_fields_are_named_errors(self, retired):
+        """Traffic moved to the workloads; the old fields fail by name."""
+        from repro.harness.scenarios import scenario_from_name
+
+        for make in (
+            lambda: Scenario(**{retired: None}),
+            lambda: _small_scenario(**{retired: None}),
+            lambda: scenario_from_name("highway-2km-normal", **{retired: None}),
+        ):
+            with pytest.raises(TypeError, match=retired):
+                make()
+
+    def test_cbr_traffic_defaults(self):
+        workload = CbrWorkload()
+        assert workload.packet_count > 0
+        assert workload.interval_s > 0
 
 
 class TestRunner:
@@ -120,17 +129,18 @@ class TestRunner:
         assert first.summary != second.summary
 
     def test_explicit_flows_are_used(self):
-        scenario = _small_scenario()
-        scenario.flows.append(
-            FlowSpec(source_index=0, destination_index=1, start_time_s=2.0, packet_count=3)
-        )
+        flow = CbrFlow(source_index=0, destination_index=1, start_time_s=2.0, packet_count=3)
+        scenario = _small_scenario(workload_params={"flows": [flow]})
         runner = ExperimentRunner()
         result = runner.run(scenario, "Flooding")
         assert result.summary["data_sent"] == 3.0
 
     def test_manhattan_scenario_runs(self):
         scenario = manhattan_scenario(
-            TrafficDensity.SPARSE, duration_s=10.0, max_vehicles=20, default_flow_count=2
+            TrafficDensity.SPARSE,
+            duration_s=10.0,
+            max_vehicles=20,
+            workload_params={"flow_count": 2},
         )
         runner = ExperimentRunner()
         result = runner.run(scenario, "Greedy")
@@ -154,7 +164,7 @@ class TestRunner:
             kind="random_waypoint",
             duration_s=10.0,
             max_vehicles=12,
-            default_flow_count=2,
+            workload_params={"flow_count": 2},
             seed=seed,
         )
 

@@ -174,7 +174,7 @@ class TestTraceReplayScenario:
 
     def test_trace_scenario_runs_a_protocol(self, tmp_path):
         path, _ = self._record(tmp_path)
-        scenario = trace_scenario(str(path), duration_s=8.0, default_flow_count=2)
+        scenario = trace_scenario(str(path), duration_s=8.0, workload_params={"flow_count": 2})
         result = ExperimentRunner().run(scenario, "Greedy")
         assert result.summary["data_sent"] > 0
         assert result.vehicle_count == 10

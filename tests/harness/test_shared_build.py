@@ -36,7 +36,6 @@ class TestMobilityBuildKey:
             _scenario(radio_params={"communication_range_m": 100.0}),
             _scenario(spatial_backend="vectorized"),
             _scenario(bus_count=2),
-            _scenario(default_flow_count=9),
         ):
             assert shared_build.mobility_build_key(variant) == (
                 shared_build.mobility_build_key(base)

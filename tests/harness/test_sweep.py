@@ -43,7 +43,7 @@ def _tiny_scenario(name: str = "tiny") -> Scenario:
         name=name,
         duration_s=6.0,
         max_vehicles=15,
-        default_flow_count=2,
+        workload_params={"flow_count": 2},
     )
 
 
@@ -139,6 +139,26 @@ class TestMatrix:
         # Without the axis the parameters survive untouched.
         (kept,) = build_matrix([base], ["P"], [1])
         assert kept.scenario.workload_params == {"interval_s": 0.1}
+
+    def test_traffic_applies_per_cell_after_the_axis_reset(self):
+        """Each axis entry takes the traffic settings its own kind reads,
+        below its preset's and its params' values."""
+        cells = build_matrix(
+            [_tiny_scenario()],
+            ["P"],
+            [1],
+            workloads=["cbr", "safety-beacon", "poisson-bursty", "v2i"],
+            traffic={"flows": 3, "packet_interval": 0.5},
+        )
+        assert [c.scenario.workload_params for c in cells] == [
+            {"flow_count": 3, "interval_s": 0.5},
+            {},
+            {"flow_count": 3},  # the preset fixes mean_interval_s
+            {"session_count": 3, "request_interval_s": 0.5},
+        ]
+        # Without an axis the scenario's own params win over the settings.
+        (kept,) = build_matrix([_tiny_scenario()], ["P"], [1], traffic={"flows": 7})
+        assert kept.scenario.workload_params == {"flow_count": 2}
 
     def test_radio_axis_expands_between_workload_and_seed(self):
         cells = build_matrix(
@@ -330,7 +350,11 @@ class TestSweepReplications:
 
     def test_workload_axis_aggregates_per_workload_cell(self):
         result = sweep_replications(
-            [_tiny_scenario()], ["Greedy"], [1, 2], workloads=["cbr", "safety-beacon"]
+            [_tiny_scenario()],
+            ["Greedy"],
+            [1, 2],
+            workloads=["cbr", "safety-beacon"],
+            traffic={"flows": 2},
         )
         assert len(result.records) == 4
         assert [(r.workload, r.seed) for r in result.records] == [
@@ -384,12 +408,9 @@ class TestSweepReplications:
         """The PR 2 equivalence guarantee extends to non-cbr workloads: the
         workload axis must not introduce schedule-dependent randomness."""
         scenarios = [_tiny_scenario().with_overrides(rsu_spacing_m=800.0)]
-        serial = sweep_replications(
-            scenarios, ["Greedy"], [1, 2], workers=1, workloads=["safety-beacon", "v2i"]
-        )
-        parallel = sweep_replications(
-            scenarios, ["Greedy"], [1, 2], workers=2, workloads=["safety-beacon", "v2i"]
-        )
+        kwargs = dict(workloads=["safety-beacon", "v2i"], traffic={"flows": 2})
+        serial = sweep_replications(scenarios, ["Greedy"], [1, 2], workers=1, **kwargs)
+        parallel = sweep_replications(scenarios, ["Greedy"], [1, 2], workers=2, **kwargs)
         strip = lambda record: dict(record.to_dict(), wall_clock_s=0.0)  # noqa: E731
         assert list(map(strip, serial.records)) == list(map(strip, parallel.records))
         assert [r.to_dict() for r in serial.replicated] == [

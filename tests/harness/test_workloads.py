@@ -1,27 +1,30 @@
 """Tests for the workload registry and the built-in traffic models."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.harness.runner import ExperimentRunner
-from repro.harness.scenario import DEFAULT_FLOW_COUNT, FlowSpec, Scenario, highway_scenario
+from repro.harness.scenario import Scenario, highway_scenario
 from repro.mobility.generator import TrafficDensity
 from repro.protocols.location import LocationService
 from repro.protocols.registry import make_protocol_factory
 from repro.sim.packet import BROADCAST
 from repro.workloads import WORKLOADS, CbrWorkload, SafetyBeaconWorkload, Workload
+from repro.workloads.cbr import CbrFlow
+from repro.workloads.registry import with_traffic
 
 
 def _small_scenario(**overrides) -> Scenario:
+    """A small highway run with two flows (or sessions) where the workload takes a count."""
     base = highway_scenario(
         TrafficDensity.SPARSE,
         duration_s=12.0,
         max_vehicles=25,
-        default_flow_count=2,
         seed=3,
     )
-    return base.with_overrides(**overrides) if overrides else base
+    return with_traffic(base.with_overrides(**overrides), {"flows": 2})
 
 
 class TestRegistry:
@@ -69,7 +72,17 @@ class TestRegistry:
         assert all(row["workload"] in WORKLOADS.kinds for row in preset_rows)
 
     def test_default_flow_count_is_unified(self):
-        assert Scenario().default_flow_count == DEFAULT_FLOW_COUNT
+        """The ``cbr`` constructor is the one source of the flow count: a
+        bare-kind CLI run and a default ``Scenario`` run the same flows."""
+        from repro.cli import _run_scenario, build_parser
+
+        args = build_parser().parse_args(
+            ["run", "Greedy", "--duration", "6", "--max-vehicles", "10"]
+        )
+        via_cli = ExperimentRunner().run(_run_scenario(args), "Greedy")
+        via_python = ExperimentRunner().run(Scenario(duration_s=6.0, max_vehicles=10), "Greedy")
+        assert len(via_cli.flow_details) == len(via_python.flow_details)
+        assert len(via_python.flow_details) == CbrWorkload().flow_count
 
 
 def _legacy_schedule_flows(built):
@@ -77,23 +90,34 @@ def _legacy_schedule_flows(built):
 
     The trace-equivalence acceptance test runs this frozen reference next to
     the registry-resolved ``cbr`` workload: both must produce the same
-    schedule (and therefore the same summary) for the same seed.
+    schedule (and therefore the same summary) for the same seed.  The
+    scenario fields it used to read (``flows``, ``flow_template``,
+    ``default_flow_count``) are now the workload's ``flows`` and constructor
+    values; a pinned flow's unset fields take the workload's values, as they
+    took the template's defaults.
     """
     import math
 
     scenario = built.scenario
+    workload = WORKLOADS.resolve(scenario.workload, **scenario.workload_params)
     rng = built.sim.rng.stream("traffic")
-    specs = list(scenario.flows)
+    timing = ("start_time_s", "interval_s", "packet_count", "size_bytes")
+    specs = [
+        replace(
+            flow,
+            **{name: getattr(workload, name) for name in timing if getattr(flow, name) is None},
+        )
+        for flow in workload.flows
+    ]
     if not specs:
-        template = scenario.flow_template
         specs = [
-            FlowSpec(
-                start_time_s=template.start_time_s,
-                interval_s=template.interval_s,
-                packet_count=template.packet_count,
-                size_bytes=template.size_bytes,
+            CbrFlow(
+                start_time_s=workload.start_time_s,
+                interval_s=workload.interval_s,
+                packet_count=workload.packet_count,
+                size_bytes=workload.size_bytes,
             )
-            for _ in range(scenario.default_flow_count)
+            for _ in range(workload.flow_count)
         ]
     flows = []
     vehicles = built.vehicle_nodes
@@ -179,13 +203,11 @@ class TestCbrTraceEquivalence:
         assert current.summary == legacy
 
     def test_explicit_flows_and_pinned_endpoints_match_legacy(self):
-        scenario = _small_scenario()
-        scenario.flows.extend(
-            [
-                FlowSpec(source_index=0, destination_index=4, start_time_s=2.0, packet_count=5),
-                FlowSpec(start_time_s=3.0, packet_count=4),
-            ]
-        )
+        flows = [
+            CbrFlow(source_index=0, destination_index=4, start_time_s=2.0, packet_count=5),
+            CbrFlow(start_time_s=3.0, packet_count=4),
+        ]
+        scenario = _small_scenario(workload_params={"flows": flows})
         legacy = _legacy_run_summary(scenario, "Greedy")
         current = ExperimentRunner().run(scenario, "Greedy")
         assert current.summary == legacy
@@ -193,13 +215,11 @@ class TestCbrTraceEquivalence:
 
 class TestCbrWorkload:
     def test_degenerate_flow_start_warns_and_is_excluded(self):
-        scenario = _small_scenario()
-        scenario.flows.extend(
-            [
-                FlowSpec(source_index=0, destination_index=1, start_time_s=2.0, packet_count=3),
-                FlowSpec(source_index=2, destination_index=3, start_time_s=12.5, packet_count=3),
-            ]
-        )
+        flows = [
+            CbrFlow(source_index=0, destination_index=1, start_time_s=2.0, packet_count=3),
+            CbrFlow(source_index=2, destination_index=3, start_time_s=12.5, packet_count=3),
+        ]
+        scenario = _small_scenario(workload_params={"flows": flows})
         runner = ExperimentRunner()
         with pytest.warns(RuntimeWarning, match="past the"):
             result = runner.run(scenario, "Flooding")
@@ -212,11 +232,8 @@ class TestCbrWorkload:
         legacy scheduler consumed for it, so the surviving unpinned flows
         keep their legacy endpoints."""
         def with_flows():
-            scenario = _small_scenario()
-            scenario.flows.extend(
-                [FlowSpec(start_time_s=50.0, packet_count=3), FlowSpec(packet_count=3)]
-            )
-            return scenario
+            flows = [CbrFlow(start_time_s=50.0, packet_count=3), CbrFlow(packet_count=3)]
+            return _small_scenario(workload_params={"flows": flows})
 
         runner = ExperimentRunner()
         built = runner.build(with_flows())
@@ -235,10 +252,8 @@ class TestCbrWorkload:
         """The guard boundary agrees with the scheduling loop (and the
         legacy scheduler): a start exactly at duration_s is not degenerate
         -- it sends its first packet at t == duration."""
-        scenario = _small_scenario()
-        scenario.flows.append(
-            FlowSpec(source_index=0, destination_index=1, start_time_s=12.0, packet_count=3)
-        )
+        flow = CbrFlow(source_index=0, destination_index=1, start_time_s=12.0, packet_count=3)
+        scenario = _small_scenario(workload_params={"flows": [flow]})
         result = ExperimentRunner().run(scenario, "Flooding")
         assert len(result.flow_details) == 1
         assert result.summary["data_sent"] == 1.0
@@ -503,7 +518,7 @@ class TestParameterValidation:
 
     def test_zero_repeat_interval_and_default_poisson_size_are_legal(self):
         assert WORKLOADS.resolve("event-burst", repeat_interval_s=0.0).repeat_interval_s == 0.0
-        assert WORKLOADS.resolve("poisson").size_bytes is None
+        assert WORKLOADS.resolve("poisson").size_bytes == 512
 
     def test_bad_size_fails_a_preset_run_by_name(self):
         from repro.harness.scenarios import scenario_from_name

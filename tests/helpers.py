@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from unittest import mock
 
 from repro.geometry import Vec2
 from repro.protocols.base import ProtocolConfig
@@ -11,6 +13,7 @@ from repro.radio.propagation import UnitDiskPropagation
 from repro.radio.reception import SnrThresholdReception
 from repro.roadnet.graph import RoadGraph
 from repro.sim.engine import Simulator
+from repro.sim import medium as medium_module
 from repro.sim.medium import WirelessMedium
 from repro.sim.network import Network
 from repro.sim.node import Node, StaticPositionProvider
@@ -71,6 +74,20 @@ def use_linear_scan(medium: WirelessMedium) -> WirelessMedium:
     medium._node_index = index
     medium._transmissions_near = lambda position, radius: list(medium._transmissions)
     return medium
+
+
+@contextmanager
+def caches_off() -> Iterator[None]:
+    """Switch off the medium's two caches for the duration of the block.
+
+    Every node counts as live, so no in-range table is reused between
+    mobility steps, and no reception model is ``deterministic``, so no
+    reception decision is reused.  A cached run must equal its uncached twin.
+    """
+    with mock.patch.object(medium_module, "_is_live", lambda node: True), mock.patch.object(
+        SnrThresholdReception, "deterministic", False
+    ):
+        yield
 
 
 def build_static_network(

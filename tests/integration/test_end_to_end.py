@@ -10,18 +10,22 @@ import pytest
 from repro.core.taxonomy import PROTOCOLS, Category
 from repro.harness.compare import DEFAULT_REPRESENTATIVES, category_comparison
 from repro.harness.runner import ExperimentRunner
-from repro.harness.scenario import FlowSpec, highway_scenario, manhattan_scenario
+from repro.harness.scenario import highway_scenario, manhattan_scenario
 from repro.mobility.generator import TrafficDensity
 
 
-def _scenario(density=TrafficDensity.NORMAL, **overrides):
+def _scenario(density=TrafficDensity.NORMAL, flow_count=3, **overrides):
     base = highway_scenario(
         density,
         duration_s=15.0,
         max_vehicles=40,
-        default_flow_count=3,
         seed=11,
-        flow_template=FlowSpec(start_time_s=4.0, interval_s=1.0, packet_count=8),
+        workload_params={
+            "flow_count": flow_count,
+            "start_time_s": 4.0,
+            "interval_s": 1.0,
+            "packet_count": 8,
+        },
     )
     return base.with_overrides(**overrides) if overrides else base
 
@@ -32,7 +36,7 @@ RUNNER = ExperimentRunner()
 class TestEveryProtocolRuns:
     @pytest.mark.parametrize("protocol", PROTOCOLS.names())
     def test_protocol_completes_a_highway_run(self, protocol):
-        scenario = _scenario(duration_s=12.0, max_vehicles=30, default_flow_count=2)
+        scenario = _scenario(duration_s=12.0, max_vehicles=30, flow_count=2)
         if protocol == "Bus-Ferry":
             scenario = scenario.with_overrides(bus_count=2)
         if protocol == "RSU-Relay":
@@ -75,7 +79,7 @@ class TestTableOneShapes:
         assert per_discovery_cost(by_name["Yan-TBP"]) < per_discovery_cost(by_name["AODV"])
 
     def test_geographic_beaconing_is_persistent_overhead(self):
-        result = RUNNER.run(_scenario(default_flow_count=1), "Greedy")
+        result = RUNNER.run(_scenario(flow_count=1), "Greedy")
         assert result.summary["beacon_transmissions"] > result.summary["data_transmissions"]
 
     def test_category_comparison_produces_rows_for_all_categories(self):
@@ -107,7 +111,7 @@ class TestUrbanScenario:
             TrafficDensity.NORMAL,
             duration_s=15.0,
             max_vehicles=40,
-            default_flow_count=3,
+            workload_params={"flow_count": 3},
             rsu_spacing_m=400.0,
             seed=5,
         )

@@ -36,6 +36,7 @@ from repro.harness.sweep import sweep_replications
 from repro.mobility.generator import TrafficDensity
 from repro.monitors import check_telemetry_schema_version
 from repro.workloads import WORKLOADS
+from repro.workloads.registry import with_traffic
 
 REPO_SRC = Path(__file__).parents[2] / "src"
 GOLDEN_PATH = Path(__file__).parent.parent / "harness" / "data" / "zero_monitor_golden.json"
@@ -170,7 +171,7 @@ def _sweep_scenario() -> Scenario:
         name="monitor-sweep",
         duration_s=6.0,
         max_vehicles=15,
-        default_flow_count=2,
+        workload_params={"flow_count": 2},
         seed=1,
     )
 
@@ -226,12 +227,12 @@ def test_invariant_probe_passes_on_every_builtin_workload(workload):
         name=f"invariant-{workload}",
         duration_s=6.0,
         max_vehicles=12,
-        default_flow_count=2,
         seed=3,
         rsu_spacing_m=600.0,  # so the v2i workload has infrastructure
         workload=workload,
         monitors=("invariant",),
         monitor_params={"invariant": {"checkpoint_interval_s": 1.0}},
     )
+    scenario = with_traffic(scenario, {"flows": 2})
     result = ExperimentRunner().run(scenario, "Greedy")
     assert result.extra["invariant_violations"] == 0.0

@@ -19,19 +19,20 @@ from repro.harness.scenario import Scenario, highway_scenario
 from repro.mobility.generator import TrafficDensity
 from repro.sim.node import Node
 from repro.workloads import WORKLOADS
+from repro.workloads.registry import with_traffic
 
 
 def _tiny_scenario(workload: str, seed: int) -> Scenario:
-    return highway_scenario(
+    scenario = highway_scenario(
         TrafficDensity.SPARSE,
         name="workload-prop",
         duration_s=6.0,
         max_vehicles=10,
-        default_flow_count=2,
         seed=seed,
         rsu_spacing_m=600.0,  # so the v2i workload has infrastructure
         workload=workload,
     )
+    return with_traffic(scenario, {"flows": 2})
 
 
 def _describe(arg: object) -> object:

@@ -35,7 +35,7 @@ def _golden_scenario(make, label: str, seed: int) -> Scenario:
         TrafficDensity.SPARSE,
         duration_s=10.0,
         max_vehicles=18,
-        default_flow_count=2,
+        workload_params={"flow_count": 2},
         seed=seed,
         name=f"{label}-golden",
     )

@@ -23,7 +23,7 @@ def _scenario(**overrides):
         name="keys",
         duration_s=6.0,
         max_vehicles=15,
-        default_flow_count=2,
+        workload_params={"flow_count": 2},
         **overrides,
     )
 

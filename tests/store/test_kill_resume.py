@@ -44,7 +44,7 @@ from repro.mobility.generator import TrafficDensity
 
 scenario = highway_scenario(
     TrafficDensity.SPARSE, name="kill", duration_s=6.0,
-    max_vehicles=15, default_flow_count=2,
+    max_vehicles=15, workload_params={{"flow_count": 2}},
 )
 sweep_replications(
     [scenario], {protocols!r}, {seeds!r},
@@ -59,7 +59,7 @@ def _tiny_scenario() -> Scenario:
         name="kill",
         duration_s=6.0,
         max_vehicles=15,
-        default_flow_count=2,
+        workload_params={"flow_count": 2},
     )
 
 

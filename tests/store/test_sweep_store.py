@@ -22,7 +22,7 @@ def _tiny_scenario(name: str = "tiny") -> Scenario:
         name=name,
         duration_s=6.0,
         max_vehicles=15,
-        default_flow_count=2,
+        workload_params={"flow_count": 2},
     )
 
 

@@ -109,9 +109,9 @@ class TestParser:
         assert scenario.density is TrafficDensity.NORMAL
         assert scenario.duration_s == 30.0
         assert scenario.max_vehicles == 100
-        assert scenario.default_flow_count == 5
         assert scenario.seed == 1
-        assert scenario.flow_template.packet_count == 20
+        # Traffic is the cbr workload's own defaults: nothing on the scenario.
+        assert (scenario.workload, scenario.workload_params) == ("cbr", {})
 
     def test_bare_kind_via_scenario_matches_kind_flag(self):
         """--scenario highway and --kind highway must run the same experiment
@@ -218,13 +218,17 @@ class TestParser:
         assert args.radio == ["ideal-disk-250m", "dsrc-urban-nlos"]
 
     def test_cli_and_scenario_flow_count_defaults_agree(self):
-        """Regression: the CLI hardcoded 5 while Scenario defaulted to 6."""
-        from repro.cli import _build_scenario
-        from repro.harness.scenario import DEFAULT_FLOW_COUNT, Scenario
+        """Regression: the CLI hardcoded 5 while Scenario defaulted to 6.
+        Both now resolve to the cbr constructor's own default."""
+        from repro.cli import _run_scenario
+        from repro.harness.scenario import Scenario
+        from repro.workloads import WORKLOADS
+
+        def flow_count(scenario):
+            return WORKLOADS.resolve(scenario.workload, **scenario.workload_params).flow_count
 
         args = build_parser().parse_args(["run", "Greedy"])
-        assert _build_scenario(args).default_flow_count == DEFAULT_FLOW_COUNT
-        assert Scenario().default_flow_count == DEFAULT_FLOW_COUNT
+        assert flow_count(_run_scenario(args)) == flow_count(Scenario()) == 5
 
 
 class TestCommands:
@@ -634,3 +638,84 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "city-grid-2km-sparse" in output
         assert "delivery_ratio_mean" in output
+
+
+#: One short run for the traffic-flag tests (RSUs so v2i has a counterpart).
+_SMALL_RUN = ["--duration", "6", "--max-vehicles", "12", "--density", "sparse",
+              "--rsu-spacing", "500"]
+
+
+class TestTrafficFlags:
+    """The four traffic flags set workload keywords; a flag that would
+    change nothing is refused by name."""
+
+    @pytest.mark.parametrize(
+        "workload, params",
+        [
+            ("cbr", {"flow_count": 2, "packet_count": 4, "interval_s": 0.5,
+                     "start_time_s": 1.0}),
+            ("poisson", {"flow_count": 2, "packets_per_flow": 4, "mean_interval_s": 0.5,
+                         "start_time_s": 1.0}),
+            ("v2i", {"session_count": 2, "requests_per_session": 4,
+                     "request_interval_s": 0.5, "start_time_s": 1.0}),
+        ],
+    )
+    def test_flags_equal_the_workload_params(self, workload, params):
+        from repro.cli import _run_scenario
+        from repro.harness.runner import ExperimentRunner
+        from repro.harness.scenario import Scenario
+        from repro.mobility.generator import TrafficDensity
+
+        args = build_parser().parse_args(
+            ["run", "Greedy", "--workload", workload, "--flows", "2",
+             "--packets-per-flow", "4", "--packet-interval", "0.5", "--warmup", "1.0",
+             *_SMALL_RUN]
+        )
+        via_flags = ExperimentRunner().run(_run_scenario(args), "Greedy")
+        in_python = Scenario(
+            name="highway-sparse",
+            density=TrafficDensity.SPARSE,
+            duration_s=6.0,
+            max_vehicles=12,
+            rsu_spacing_m=500.0,
+            workload=workload,
+            workload_params=params,
+        )
+        direct = ExperimentRunner().run(in_python, "Greedy")
+        assert via_flags.summary["data_sent"] > 0
+        assert via_flags.to_record().summary == direct.to_record().summary
+
+    @pytest.mark.parametrize("command", [["run", "Greedy"], ["compare", "AODV", "Greedy"]])
+    def test_flag_the_workload_does_not_read_is_refused(self, command, capsys):
+        code = main([*command, "--workload", "safety-beacon", "--flows", "9", *_SMALL_RUN])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--flows changes nothing" in err
+        assert "'safety-beacon'" in err
+
+    @pytest.mark.parametrize("command", [["run", "Greedy"], ["compare", "AODV", "Greedy"]])
+    def test_flag_the_preset_fixes_is_refused(self, command, capsys):
+        code = main(
+            [*command, "--workload", "poisson-bursty", "--packet-interval", "0.5", *_SMALL_RUN]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--packet-interval changes nothing" in err
+        assert "'poisson-bursty'" in err
+
+    def test_sweep_refuses_a_flag_only_when_no_cell_takes_it(self, capsys):
+        refused = main(
+            ["sweep", "Greedy", "--workload", "safety-beacon", "event-burst",
+             "--seeds", "1", "--flows", "2", *_SMALL_RUN]
+        )
+        assert refused == 2
+        err = capsys.readouterr().err
+        assert "--flows changes nothing" in err
+        assert "'safety-beacon', 'event-burst'" in err
+        # The cbr cells take --flows, so the mixed matrix runs (the CI form).
+        taken = main(
+            ["sweep", "Greedy", "--workload", "cbr", "safety-beacon",
+             "--seeds", "1", "--flows", "2", *_SMALL_RUN]
+        )
+        assert taken == 0
+        assert "safety-beacon" in capsys.readouterr().out

@@ -22,13 +22,13 @@ from repro.protocols.base import RoutingProtocol
 from repro.protocols.location import LocationService
 from repro.protocols.registry import make_protocol_factory
 from repro.radio.interference import NO_SIGNAL_DBM
-from repro.radio.reception import SnrThresholdReception
 from repro.radio.registry import RADIOS
 from repro.radio.stack import RadioStack
 from repro.registry import KEBAB_CASE, Registry
-from repro.sim import medium as medium_module
 from repro.sim.spatial import SPATIAL_BACKENDS
 from repro.workloads import WORKLOADS, CbrWorkload
+from repro.workloads.registry import with_traffic
+from tests.helpers import caches_off
 from tests.sim.test_medium_backends import normalized_records
 
 SENTINEL = object()
@@ -167,6 +167,18 @@ def test_location_service_flag_matches_constructor(name):
     assert protocol_class.uses_location_service is accepts
 
 
+@pytest.mark.parametrize("name", WORKLOADS.names())
+def test_traffic_keywords_are_constructor_keywords(name):
+    # The CLI traffic flags land as these keywords; a wrong one is a
+    # TypeError at run time, and an unknown setting a flag nobody reads.
+    from repro.cli import TRAFFIC_FLAGS
+
+    kind = WORKLOADS[name]
+    assert set(kind.traffic_keywords) <= set(TRAFFIC_FLAGS)
+    parameters = inspect.signature(kind.__init__).parameters
+    assert all(keyword in parameters for keyword in kind.traffic_keywords.values())
+
+
 # ------------------------------------------------- capability flags, checked
 # The medium trusts two class-level promises of a radio stack: a
 # `deterministic` reception model lets it reuse one receiver's decision for
@@ -265,7 +277,6 @@ def test_stepped_providers_hold_still_between_mobility_steps(kind, tmp_path):
         drain_s=0.0,
         seed=4,
         rsu_spacing_m=400.0,
-        default_flow_count=2,
         trace_path=_tiny_trace(tmp_path / "trace.csv") if kind == "trace" else None,
     )
     built = ExperimentRunner().build(scenario)
@@ -276,7 +287,7 @@ def test_stepped_providers_hold_still_between_mobility_steps(kind, tmp_path):
             road_graph=built.road_graph,
         )
     )
-    WORKLOADS.resolve(scenario.workload).build(
+    WORKLOADS.resolve(scenario.workload, flow_count=2).build(
         scenario, built, built.sim.rng.stream("traffic")
     )
     nodes = [
@@ -305,7 +316,7 @@ def test_stepped_providers_hold_still_between_mobility_steps(kind, tmp_path):
 # ------------------------------------------------ caches on == caches off
 # The range tables (kept while every provider is `stepped`) and decision
 # reuse (taken while the reception model is `deterministic`) are caches:
-# with both switched off by a test-only monkeypatch, every kind, workload
+# with both switched off by `tests.helpers.caches_off`, every kind, workload
 # and backend must produce the same trace as with them on.
 
 
@@ -318,11 +329,11 @@ def _cache_cell(kind, workload, backend, trace_path):
         drain_s=0.5,
         seed=4,
         rsu_spacing_m=400.0,
-        default_flow_count=2,
         workload=workload,
         spatial_backend=backend,
         trace_path=trace_path if kind == "trace" else None,
     )
+    scenario = with_traffic(scenario, {"flows": 2})
     built = ExperimentRunner(trace_enabled=True, trace_max_records=200_000).build(scenario)
     # Small cells only reach the vectorized array path with no row floor.
     built.network.medium.vectorized_min_rows = 0
@@ -333,7 +344,7 @@ def _cache_cell(kind, workload, backend, trace_path):
             road_graph=built.road_graph,
         )
     )
-    WORKLOADS.resolve(scenario.workload).build(
+    WORKLOADS.resolve(scenario.workload, **scenario.workload_params).build(
         scenario, built, built.sim.rng.stream("traffic")
     )
     built.network.start()
@@ -344,13 +355,12 @@ def _cache_cell(kind, workload, backend, trace_path):
 @pytest.mark.parametrize("backend", SPATIAL_BACKENDS)
 @pytest.mark.parametrize("workload", ["cbr", "safety-beacon"])
 @pytest.mark.parametrize("kind", SCENARIOS.names())
-def test_caches_on_and_off_give_the_same_trace(kind, workload, backend, tmp_path, monkeypatch):
+def test_caches_on_and_off_give_the_same_trace(kind, workload, backend, tmp_path):
     if backend == "vectorized":
         pytest.importorskip("numpy")
     trace_path = _tiny_trace(tmp_path / "trace.csv")
     records, summary = _cache_cell(kind, workload, backend, trace_path)
     assert records, f"{kind}: empty trace"
-    monkeypatch.setattr(medium_module, "_is_live", lambda node: True)
-    monkeypatch.setattr(SnrThresholdReception, "deterministic", False)
-    uncached = _cache_cell(kind, workload, backend, trace_path)
+    with caches_off():
+        uncached = _cache_cell(kind, workload, backend, trace_path)
     assert uncached == (records, summary), f"{kind}/{workload}/{backend}: caches changed the run"
