@@ -1,12 +1,8 @@
 """Package metadata and dependency declaration.
 
-``numpy`` powers the vectorized spatial backend of the wireless medium
-(``spatial_backend="vectorized"``); the scalar ``grid`` backend
-runs without it, but it is cheap and the struct-of-arrays fast path is the
-recommended configuration at scale, so it is a hard dependency of the
-installed package.  The import-time gate for environments that run from a
-bare checkout without numpy lives in
-:func:`repro.sim.position_store.require_numpy`.
+The simulator is pure Python; ``networkx`` (road graphs) is its one
+runtime dependency.  The test suite additionally uses ``pytest`` and
+``hypothesis`` (and ``numpy`` as a reference in one property test).
 """
 
 from setuptools import find_packages, setup
@@ -23,7 +19,6 @@ setup(
     python_requires=">=3.10",
     install_requires=[
         "networkx",
-        "numpy",
     ],
     entry_points={
         "console_scripts": [

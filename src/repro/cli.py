@@ -69,7 +69,6 @@ from repro.mobility.generator import TrafficDensity
 from repro.monitors import MONITORS, JsonlFileSink
 from repro.radio.registry import RADIOS
 from repro.registry import Registry
-from repro.sim.spatial import SPATIAL_BACKENDS
 from repro.store.store import ExperimentStore, read_record_log
 from repro.workloads import WORKLOADS
 from repro.workloads.registry import with_traffic
@@ -139,9 +138,6 @@ def _build_scenario(args: argparse.Namespace) -> Scenario:
     if isinstance(radio, str):
         explicit["radio_stack"] = radio
         explicit["radio_params"] = {}
-    backend = getattr(args, "spatial_backend", None)
-    if isinstance(backend, str):
-        explicit["spatial_backend"] = backend
     # Monitors are a fixed per-run set on every subcommand (never a matrix
     # axis), so the list lands on the scenario as-is.
     monitor = getattr(args, "monitor", None)
@@ -231,12 +227,6 @@ def _add_scenario_arguments(
             help="radio kinds/presets swept as a matrix axis "
                  "(default: the scenario's own, ideal-disk-250m; see 'list radios')",
         )
-        parser.add_argument(
-            "--spatial-backend", choices=SPATIAL_BACKENDS, nargs="+",
-            default=None, metavar="NAME",
-            help="medium spatial backends swept as a matrix axis "
-                 f"(default: the scenario's own, grid; one of {', '.join(SPATIAL_BACKENDS)})",
-        )
     else:
         parser.add_argument(
             "--workload", type=str, default=None, metavar="NAME",
@@ -246,10 +236,6 @@ def _add_scenario_arguments(
             "--radio", type=str, default=None, metavar="NAME",
             help="radio stack kind or preset "
                  "(default: ideal-disk-250m; see 'list radios')",
-        )
-        parser.add_argument(
-            "--spatial-backend", choices=SPATIAL_BACKENDS, default=None,
-            help="medium spatial backend (default: grid; 'vectorized' needs numpy)",
         )
     for setting, value_type in zip(TRAFFIC_FLAGS, (int, int, float, float)):
         parser.add_argument(
@@ -434,7 +420,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
             return 2
     elif scenario.radio_stack and not _check_names(RADIOS, [scenario.radio_stack]):
         return 2
-    spatial_backends = args.spatial_backend if args.spatial_backend else None
     monitors = args.monitor if args.monitor else None
     if monitors and not _check_names(MONITORS, monitors):
         return 2
@@ -452,7 +437,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
             workers=args.workers,
             workloads=workloads,
             radios=radios,
-            spatial_backends=spatial_backends,
             monitors=monitors,
             telemetry=args.telemetry,
             store=args.store,
@@ -468,7 +452,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
         f"Sweep on {scenario.name}: {len(args.protocols)} protocol(s) x "
         f"{len(workloads) if workloads else 1} workload(s) x "
         f"{len(radios) if radios else 1} radio(s) x "
-        f"{len(spatial_backends) if spatial_backends else 1} backend(s) x "
         f"{len(args.seeds)} seed(s), workers={args.workers}"
     )
     print(format_table(rows, title=title))

@@ -1,11 +1,10 @@
 """Static-analysis devtools: the determinism & registry-contract linter.
 
-The platform's core promise -- byte-identical traces across spatial
-backends, serial-vs-parallel sweeps, and radio presets -- rests on a small
-set of authoring-time invariants (all randomness flows from
-:mod:`repro.sim.rng`, dBm<->mW conversions stay on the libm bit-exactness
-path, no ambient wall-clock or environment state in the simulation core,
-every pluggable component is registered).  Historically those invariants
+The platform's core promise -- byte-identical traces across runs,
+serial-vs-parallel sweeps, and radio presets -- rests on a small set of
+authoring-time invariants (all randomness flows from :mod:`repro.sim.rng`,
+no ambient wall-clock or environment state in the simulation core, every
+pluggable component is registered).  Historically those invariants
 were tribal knowledge enforced by regression tests after the fact; this
 package makes them machine-checked at authoring time.
 

@@ -1,8 +1,8 @@
 """Shared AST helpers: import tracking and dotted-name resolution.
 
 The determinism rules all reason about *which module* a call is rooted in
-(``random.Random`` vs a local ``rng.random()``, ``np.log10`` vs
-``math.log10``).  :class:`ImportMap` records what each local name is bound
+(``random.Random`` vs a local ``rng.random()``, ``np.random.seed`` vs
+``random.seed``).  :class:`ImportMap` records what each local name is bound
 to by the module's import statements, and :func:`dotted_name` resolves an
 attribute chain back to its fully qualified origin, so rules never
 pattern-match on surface spelling alone (``import numpy as np``,
@@ -15,16 +15,6 @@ import ast
 from typing import Dict, Optional
 
 
-def _callable_name(node: ast.expr) -> Optional[str]:
-    """Trailing name of a called expression (``require_numpy`` for both the
-    plain and the attribute-qualified spelling), or None."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
 class ImportMap:
     """Local name -> fully qualified module/attribute bindings for a module."""
 
@@ -33,26 +23,10 @@ class ImportMap:
 
     @classmethod
     def from_tree(cls, tree: ast.AST) -> "ImportMap":
-        """Collect every ``import`` / ``from ... import`` binding in ``tree``.
-
-        Also understands the repo's numpy gate: modules that must run
-        without numpy bind it as ``np = require_numpy(...)`` (see
-        :func:`repro.sim.position_store.require_numpy`) instead of
-        importing it, and calls through that binding are numpy calls all
-        the same.
-        """
+        """Collect every ``import`` / ``from ... import`` binding in ``tree``."""
         imports = cls()
         for node in ast.walk(tree):
-            if isinstance(node, ast.Assign):
-                value = node.value
-                if (
-                    isinstance(value, ast.Call)
-                    and _callable_name(value.func) == "require_numpy"
-                ):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            imports._bindings[target.id] = "numpy"
-            elif isinstance(node, ast.Import):
+            if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.asname is not None:
                         imports._bindings[alias.asname] = alias.name

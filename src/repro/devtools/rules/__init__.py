@@ -8,7 +8,6 @@ built-in workload modules.
 from __future__ import annotations
 
 from repro.devtools.rules import (  # noqa: F401  (imported for registration)
-    bitexact,
     determinism,
     meta,
     registry_contract,
@@ -17,7 +16,6 @@ from repro.devtools.rules import (  # noqa: F401  (imported for registration)
 )
 
 __all__ = [
-    "bitexact",
     "determinism",
     "meta",
     "registry_contract",

@@ -53,12 +53,11 @@ class Vec2:
         """Euclidean length.
 
         Computed as ``sqrt(x*x + y*y)`` rather than ``math.hypot``: IEEE-754
-        multiply, add and sqrt are all correctly rounded, so this expression
-        produces bit-identical results whether evaluated here or as a numpy
-        array expression -- which is what lets the vectorized medium backend
-        reproduce the grid backend's event traces byte for byte.  Positions
-        and ranges are metres (magnitudes ~1e0..1e4), so the overflow/underflow
-        protection ``hypot`` adds is irrelevant here.
+        multiply, add and sqrt are all correctly rounded, so the value does
+        not depend on the platform's ``hypot``, and the event traces pinned
+        by the golden fixtures stay byte for byte.  Positions and ranges are
+        metres (magnitudes ~1e0..1e4), so the overflow/underflow protection
+        ``hypot`` adds is irrelevant here.
         """
         return math.sqrt(self.x * self.x + self.y * self.y)
 

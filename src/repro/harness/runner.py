@@ -310,7 +310,6 @@ class ExperimentRunner:
             stack=radio_stack,
             stats=stats,
             trace=trace,
-            spatial_backend=scenario.spatial_backend,
         )
         # The scenario kind is resolved through the scenario registry
         # (repro.harness.scenarios); every builder draws its stochastic
@@ -341,17 +340,6 @@ class ExperimentRunner:
         for position in built_mobility.rsu_positions:
             rsu = network.add_rsu(position)
             rsu.tx_power_dbm = radio_stack.tx_power_dbm
-        # Under the vectorized backend, array-capable mobility models write
-        # whole position arrays through the medium's store each step instead
-        # of having their rows re-pulled one by one on every refresh.
-        if medium.position_store is not None and hasattr(mobility, "bind_store"):
-            mobility.bind_store(
-                medium.position_store,
-                {
-                    vehicle.vid: node.node_id
-                    for vehicle, node in zip(mobility.vehicles, vehicle_nodes)
-                },
-            )
         return BuiltScenario(
             scenario,
             sim,

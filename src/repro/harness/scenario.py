@@ -24,7 +24,6 @@ from repro.mobility.highway import HighwayConfig
 from repro.mobility.manhattan import ManhattanConfig
 from repro.mobility.random_waypoint import RandomWaypointConfig
 from repro.roadnet.city import CityConfig
-from repro.sim.spatial import check_spatial_backend
 
 
 @dataclass
@@ -66,11 +65,6 @@ class Scenario:
             ``{"flow_count": 2}`` or ``{"flows": [CbrFlow(...)]}`` for
             ``cbr``: traffic lives only in the workload.
         mobility_step_s: Mobility update interval.
-        spatial_backend: Delivery backend of the wireless medium:
-            ``"grid"`` (uniform-grid index, the default) or
-            ``"vectorized"`` (grid index plus a struct-of-arrays position
-            store evaluating per-frame physics as numpy array expressions;
-            byte-identical traces to ``"grid"``, requires numpy).
         monitors: Observability probes attached to the run, resolved by
             name through the monitor registry (:mod:`repro.monitors`):
             kinds such as ``"latency-dist"``, ``"timeseries"``,
@@ -101,7 +95,6 @@ class Scenario:
     workload: str = "cbr"
     workload_params: Dict[str, object] = field(default_factory=dict)
     mobility_step_s: float = 0.5
-    spatial_backend: str = "grid"
     monitors: Tuple[str, ...] = ()
     monitor_params: Dict[str, Dict[str, object]] = field(default_factory=dict)
 
@@ -119,9 +112,6 @@ class Scenario:
                 raise ValueError(f"{name} must be finite and >= 0 (got {value!r})")
         if self.max_vehicles is not None and self.max_vehicles < 0:
             raise ValueError(f"max_vehicles must be >= 0 (got {self.max_vehicles!r})")
-        # Rejected here, not at build time, so a sweep fails before its
-        # first cell runs.
-        check_spatial_backend(self.spatial_backend)
 
     def with_overrides(self, **overrides) -> "Scenario":
         """A copy of this scenario with the given attributes replaced."""

@@ -1,7 +1,7 @@
 """Shared-memory staging of built mobility for parallel sweeps.
 
-A sweep matrix multiplies one scenario by protocols, workloads, radios,
-backends and seeds -- yet every cell sharing a (scenario core, seed) pair
+A sweep matrix multiplies one scenario by protocols, workloads, radios
+and seeds -- yet every cell sharing a (scenario core, seed) pair
 rebuilds the *identical* mobility substrate from scratch in its worker
 process: road graph, vehicle placement, desired speeds, all of it.  For
 city-scale scenarios that build dwarfs the pickled cell description the
@@ -12,7 +12,7 @@ publishes it through :mod:`multiprocessing.shared_memory`:
 
 * :func:`mobility_build_key` -- the canonical "scenario core" key: every
   field that cannot influence :func:`~repro.harness.scenarios.build_mobility`
-  (protocol, workload, radio, backend, naming, traffic shims) is neutralised,
+  (protocol, workload, radio, naming) is neutralised,
   so cells differing only along those axes share one staged build.  The seed
   stays in the key: different seeds are different substrates.
 * :class:`MobilityArena` -- parent-side staging.  Per distinct key it derives
@@ -68,7 +68,7 @@ def mobility_build_key(scenario: Scenario) -> str:
     Neutralises every field :func:`~repro.harness.scenarios.build_mobility`
     cannot observe (verified: no scenario builder reads them), so sweep
     cells that differ only by protocol, workload (traffic included),
-    radio, spatial backend, bus designation or report naming map to the
+    radio, bus designation or report naming map to the
     same staged build.  Everything else -- kind, density, geometry configs,
     ``max_vehicles``, ``rsu_spacing_m``, ``mobility_step_s`` and crucially
     the ``seed`` -- stays in the key via the dataclass ``repr``.
@@ -80,7 +80,6 @@ def mobility_build_key(scenario: Scenario) -> str:
         workload_params={},
         radio_stack=None,
         radio_params={},
-        spatial_backend="grid",
         bus_count=0,
     )
     return repr(core)

@@ -96,25 +96,19 @@ def build_matrix(
     protocol_configs: Optional[Dict[str, ProtocolConfig]] = None,
     workloads: Optional[Sequence[str]] = None,
     radios: Optional[Sequence[str]] = None,
-    spatial_backends: Optional[Sequence[str]] = None,
     traffic: Optional[Dict[str, object]] = None,
 ) -> List[SweepCell]:
     """Expand scenarios x protocols x workloads x radios x seeds into cells.
 
     The matrix order is deterministic (scenario-major, then protocol, then
-    workload, then radio, then spatial backend, then seed), which fixes both
+    workload, then radio, then seed), which fixes both
     the execution schedule and the ordering of every downstream report.
     ``workloads`` is an optional sweep axis of workload kind/preset names;
     when omitted every cell keeps the scenario's own ``workload`` (``"cbr"``
     by default).  ``radios`` is the optional radio axis (radio kind/preset
     names resolved through :mod:`repro.radio.registry`); when omitted every
     cell keeps the scenario's own radio stack (``ideal-disk-250m`` by
-    default).  ``spatial_backends`` is the optional medium-backend axis
-    (names from :data:`repro.sim.spatial.SPATIAL_BACKENDS`); backends are
-    varied through the scenario *name* (``<name>-<backend>``) because the
-    aggregation key is (scenario name, protocol, workload, radio) and the
-    backends' byte-identical metrics would otherwise be merged into a single
-    cell with duplicated seeds.  ``traffic`` settings (``{"flows": 2}``)
+    default).  ``traffic`` settings (``{"flows": 2}``)
     apply per cell after the axis reset, through
     :func:`repro.workloads.registry.with_traffic`.
     """
@@ -130,9 +124,6 @@ def build_matrix(
     if radios is not None and len(set(radios)) != len(radios):
         # Same reasoning as seeds: a repeated radio duplicates cells.
         raise ValueError("sweep radios must be unique")
-    if spatial_backends is not None and len(set(spatial_backends)) != len(spatial_backends):
-        # Same reasoning as seeds: a repeated backend duplicates cells.
-        raise ValueError("sweep spatial backends must be unique")
     names = [scenario.name for scenario in scenarios]
     duplicates = sorted({name for name in names if names.count(name) > 1})
     if duplicates:
@@ -164,16 +155,6 @@ def build_matrix(
                 varied.with_overrides(radio_stack=radio, radio_params={})
                 for varied in varied_scenarios
                 for radio in radios
-            ]
-        if spatial_backends is not None:
-            # Backends ride on the scenario name so identical-by-construction
-            # metrics still land in distinct aggregation cells.
-            varied_scenarios = [
-                varied.with_overrides(
-                    spatial_backend=backend, name=f"{varied.name}-{backend}"
-                )
-                for varied in varied_scenarios
-                for backend in spatial_backends
             ]
         if traffic:
             varied_scenarios = [with_traffic(varied, traffic) for varied in varied_scenarios]
@@ -460,7 +441,6 @@ def sweep_replications(
     protocol_configs: Optional[Dict[str, ProtocolConfig]] = None,
     workloads: Optional[Sequence[str]] = None,
     radios: Optional[Sequence[str]] = None,
-    spatial_backends: Optional[Sequence[str]] = None,
     shared_mobility: bool = False,
     store: Optional[Union[str, Path, ExperimentStore]] = None,
     resume: bool = True,
@@ -476,9 +456,8 @@ def sweep_replications(
     out over a process pool.  Both schedules produce identical
     :class:`SweepResult` contents because every cell is seeded explicitly and
     results are re-assembled in matrix order.  ``workloads`` adds the
-    workload axis, ``radios`` the radio axis and ``spatial_backends`` the
-    medium-backend axis; omitted, every cell keeps the scenario's own
-    workload / radio stack / spatial backend.  ``traffic`` is passed to
+    workload axis and ``radios`` the radio axis; omitted, every cell keeps
+    the scenario's own workload / radio stack.  ``traffic`` is passed to
     :func:`build_matrix`.
 
     ``shared_mobility=True`` stages each distinct mobility build once in
@@ -537,7 +516,6 @@ def sweep_replications(
         protocol_configs,
         workloads,
         radios,
-        spatial_backends,
         traffic,
     )
     total_cells = len(cells)
@@ -585,9 +563,6 @@ def sweep_replications(
                     "seeds": [int(seed) for seed in seeds],
                     "workloads": list(workloads) if workloads is not None else None,
                     "radios": list(radios) if radios is not None else None,
-                    "spatial_backends": (
-                        list(spatial_backends) if spatial_backends is not None else None
-                    ),
                     "monitors": list(monitors) if monitors else None,
                     "total_cells": total_cells,
                     "shard": shard_spec,

@@ -78,14 +78,6 @@ class GraphWalkMobility:
             raise ValueError("graph-walk mobility needs at least one road segment")
         self._next_vid = 0
         self.time = 0.0
-        self._store = None
-        self._node_id_of: Dict[int, int] = {}
-        #: Per-vehicle cached edge geometry (aligned with ``self.vehicles``):
-        #: the current edge, its endpoint coordinate arrays, its length and
-        #: the heading along it.  Rebuilt lazily, refreshed on edge changes.
-        self._cache_edge: List[Optional[Tuple[str, str]]] = []
-        self._headings: List[float] = []
-        self._ox = self._oy = self._tx = self._ty = self._elen = None
 
     # ----------------------------------------------------------------- fleet
     def add_vehicle(
@@ -119,97 +111,12 @@ class GraphWalkMobility:
         self.vehicles.append(vehicle)
         return vehicle
 
-    def bind_store(self, store, node_ids: Dict[int, int]) -> None:
-        """Switch to array placement through a position store.
-
-        Speed relaxation and intersection choices stay scalar (they draw
-        from the mobility RNG per vehicle in list order), but the edge
-        interpolation that turns longitudinal progress into plane positions
-        -- the bulk of the per-step arithmetic -- becomes one whole-array
-        expression over cached edge geometry, written through ``store``.
-        ``node_ids`` maps vehicle vid to registered node id; the rows become
-        *managed* so the medium stops re-pulling them on refresh.
-        """
-        self._store = store
-        self._node_id_of = dict(node_ids)
-        for vehicle in self.vehicles:
-            store.set_managed(self._node_id_of[vehicle.vid])
-
     # ------------------------------------------------------------------ step
     def step(self, dt: float, now: float = 0.0) -> None:
         """Advance every vehicle by ``dt`` seconds."""
-        if self._store is not None:
-            self._step_array(dt, now)
-            return
         self.time = now
         for vehicle in self.vehicles:
             self._step_vehicle(vehicle, dt)
-
-    def _step_array(self, dt: float, now: float) -> None:
-        """Scalar kinematics, whole-array placement (see :meth:`bind_store`).
-
-        The interpolation ``origin + alpha * (target - origin)`` with
-        ``alpha = min(1, progress / length)`` uses only exact IEEE-754 ops,
-        so positions are bit-identical to :meth:`_place`; headings are
-        cached per edge change because :func:`math.atan2` of unchanged
-        endpoint coordinates cannot change either.
-        """
-        self.time = now
-        vehicles = self.vehicles
-        if not vehicles:
-            return
-        import numpy as np
-
-        if self._ox is None or len(self._cache_edge) != len(vehicles):
-            self._rebuild_geometry_cache()
-        edges = self._edges
-        cache_edge = self._cache_edge
-        for i, vehicle in enumerate(vehicles):
-            self._advance_kinematics(vehicle, dt)
-            if cache_edge[i] != edges[vehicle.vid]:
-                self._refresh_geometry(i, vehicle)
-        count = len(vehicles)
-        progress = np.fromiter(
-            (v.route_progress for v in vehicles), np.float64, count=count
-        )
-        alpha = np.minimum(1.0, progress / self._elen)
-        xs = self._ox + alpha * (self._tx - self._ox)
-        ys = self._oy + alpha * (self._ty - self._oy)
-        store = self._store
-        rows = store.rows_for(self._node_id_of[v.vid] for v in vehicles)
-        store.xs[rows] = xs
-        store.ys[rows] = ys
-        store.touch()
-        headings = self._headings
-        for i, vehicle in enumerate(vehicles):
-            vehicle.position = Vec2(float(xs[i]), float(ys[i]))
-            vehicle.heading = headings[i]
-
-    def _rebuild_geometry_cache(self) -> None:
-        import numpy as np
-
-        count = len(self.vehicles)
-        self._cache_edge = [None] * count
-        self._headings = [0.0] * count
-        self._ox = np.zeros(count)
-        self._oy = np.zeros(count)
-        self._tx = np.zeros(count)
-        self._ty = np.zeros(count)
-        self._elen = np.ones(count)
-        for i, vehicle in enumerate(self.vehicles):
-            self._refresh_geometry(i, vehicle)
-
-    def _refresh_geometry(self, i: int, vehicle: VehicleState) -> None:
-        start, end = self._edges[vehicle.vid]
-        origin = self.graph.position_of(start)
-        target = self.graph.position_of(end)
-        self._cache_edge[i] = (start, end)
-        self._ox[i] = origin.x
-        self._oy[i] = origin.y
-        self._tx[i] = target.x
-        self._ty[i] = target.y
-        self._elen[i] = self._edge_length(start, end)
-        self._headings[i] = math.atan2(target.y - origin.y, target.x - origin.x)
 
     # -------------------------------------------------------------- internals
     def _edge_length(self, a: str, b: str) -> float:

@@ -77,8 +77,6 @@ class HighwayMobility:
         self.vehicles: List[VehicleState] = []
         self._next_vid = 0
         self.time = 0.0
-        self._store = None
-        self._node_id_of: Dict[int, int] = {}
 
     # --------------------------------------------------------------- geometry
     def lane_direction(self, lane: int) -> int:
@@ -144,21 +142,6 @@ class HighwayMobility:
                 return vehicle
         raise KeyError(vid)
 
-    def bind_store(self, store, node_ids: Dict[int, int]) -> None:
-        """Switch the integration phase to array stepping through ``store``.
-
-        Car following and lane changing stay scalar -- they are
-        neighbour-relative and draw from the mobility RNG in vehicle order --
-        but the speed/position integration (the per-vehicle arithmetic bulk)
-        becomes whole-array expressions written through the store.
-        ``node_ids`` maps vehicle vid to registered node id; the rows become
-        *managed* so the medium stops re-pulling them on refresh.
-        """
-        self._store = store
-        self._node_id_of = dict(node_ids)
-        for vehicle in self.vehicles:
-            store.set_managed(self._node_id_of[vehicle.vid])
-
     # ------------------------------------------------------------------ step
     def step(self, dt: float, now: float = 0.0) -> None:
         """Advance every vehicle by ``dt`` seconds."""
@@ -186,9 +169,6 @@ class HighwayMobility:
             if self._rng.random() < change_probability:
                 self._maybe_change_lane(vehicle, by_lane)
         # 3. Integrate.
-        if self._store is not None:
-            self._integrate_array(dt)
-            return
         for vehicle in self.vehicles:
             new_speed = max(0.0, vehicle.speed + vehicle.acceleration * dt)
             distance = (vehicle.speed + new_speed) * 0.5 * dt
@@ -196,52 +176,6 @@ class HighwayMobility:
             vehicle.route_progress = (vehicle.route_progress + distance) % self.config.length_m
             vehicle.heading = self.lane_heading(vehicle.lane)
             vehicle.position = self._position_for(vehicle.lane, vehicle.route_progress)
-
-    def _integrate_array(self, dt: float) -> None:
-        """Whole-array twin of the scalar integration loop.
-
-        ``max``, the trapezoidal distance update, the ring modulo and the
-        lane mapping are all exact IEEE-754 ops (``np.maximum`` / ``np.mod``
-        match their scalar counterparts bit for bit), so vehicles land on
-        bit-identical positions; lane headings and lateral offsets come from
-        the same :meth:`lane_heading` / :meth:`lane_y` scalars via lookup.
-        """
-        vehicles = self.vehicles
-        if not vehicles:
-            return
-        store = self._store
-        import numpy as np
-
-        cfg = self.config
-        count = len(vehicles)
-        speeds = np.fromiter((v.speed for v in vehicles), np.float64, count=count)
-        accels = np.fromiter(
-            (v.acceleration for v in vehicles), np.float64, count=count
-        )
-        progress = np.fromiter(
-            (v.route_progress for v in vehicles), np.float64, count=count
-        )
-        lanes = np.fromiter((v.lane for v in vehicles), np.int64, count=count)
-        new_speeds = np.maximum(0.0, speeds + accels * dt)
-        distances = (speeds + new_speeds) * 0.5 * dt
-        new_progress = (progress + distances) % cfg.length_m
-        s = new_progress % cfg.length_m
-        eastbound = lanes < cfg.lanes_per_direction
-        xs = np.where(eastbound, s, cfg.length_m - s)
-        lane_ys = [self.lane_y(lane) for lane in range(cfg.total_lanes)]
-        lane_headings = [self.lane_heading(lane) for lane in range(cfg.total_lanes)]
-        ys = np.fromiter(
-            (lane_ys[v.lane] for v in vehicles), np.float64, count=count
-        )
-        rows = store.rows_for(self._node_id_of[v.vid] for v in vehicles)
-        store.xs[rows] = xs
-        store.ys[rows] = ys
-        store.touch()
-        for i, vehicle in enumerate(vehicles):
-            vehicle.speed = float(new_speeds[i])
-            vehicle.route_progress = float(new_progress[i])
-            vehicle.heading = lane_headings[vehicle.lane]
-            vehicle.position = Vec2(float(xs[i]), lane_ys[vehicle.lane])
 
     # -------------------------------------------------------------- internals
     def _vehicles_by_lane(self) -> Dict[int, List[VehicleState]]:

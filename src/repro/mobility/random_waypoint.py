@@ -8,7 +8,6 @@ in an unconstrained setting.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -59,8 +58,6 @@ class RandomWaypointMobility:
         self._pause_until: Dict[int, float] = {}
         self._next_vid = 0
         self.time = 0.0
-        self._store = None
-        self._node_id_of: Dict[int, int] = {}
 
     def add_vehicle(self, position: Optional[Vec2] = None) -> VehicleState:
         """Add a node at ``position`` (random position by default)."""
@@ -72,26 +69,8 @@ class RandomWaypointMobility:
         self._assign_new_leg(vehicle)
         return vehicle
 
-    def bind_store(self, store, node_ids: Dict[int, int]) -> None:
-        """Switch to array stepping through a position store.
-
-        ``node_ids`` maps every vehicle's vid to its registered node id.
-        From the next :meth:`step` on, positions advance as whole-array
-        expressions written through ``store`` (whose rows become *managed*,
-        so the medium stops re-pulling them on refresh); the scalar
-        :class:`VehicleState` fields are still written back each step because
-        protocols and the waypoint bookkeeping read them.
-        """
-        self._store = store
-        self._node_id_of = dict(node_ids)
-        for vehicle in self.vehicles:
-            store.set_managed(self._node_id_of[vehicle.vid])
-
     def step(self, dt: float, now: float = 0.0) -> None:
         """Advance every node by ``dt`` seconds."""
-        if self._store is not None:
-            self._step_array(dt, now)
-            return
         self.time = now
         for vehicle in self.vehicles:
             if self._pause_until.get(vehicle.vid, 0.0) > now:
@@ -110,81 +89,6 @@ class RandomWaypointMobility:
                 direction = to_target.normalized()
                 vehicle.position = vehicle.position + direction * travel
                 vehicle.heading = direction.angle()
-
-    def _step_array(self, dt: float, now: float) -> None:
-        """Whole-array twin of the scalar :meth:`step` body.
-
-        Distances, travel and the leg advance are array expressions over the
-        store rows (exact IEEE-754 ops, so bit-identical to the scalar
-        arithmetic); arrivals are then handled per vehicle in list order so
-        waypoint/speed draws consume the mobility RNG exactly as the scalar
-        loop would.
-        """
-        self.time = now
-        vehicles = self.vehicles
-        if not vehicles:
-            return
-        store = self._store
-        import numpy as np
-
-        node_id_of = self._node_id_of
-        rows = store.rows_for(node_id_of[v.vid] for v in vehicles)
-        xs = store.xs[rows]
-        ys = store.ys[rows]
-        targets = self._targets
-        tx = np.fromiter(
-            (targets[v.vid].x for v in vehicles), np.float64, count=len(vehicles)
-        )
-        ty = np.fromiter(
-            (targets[v.vid].y for v in vehicles), np.float64, count=len(vehicles)
-        )
-        speeds = np.fromiter(
-            (v.speed for v in vehicles), np.float64, count=len(vehicles)
-        )
-        active = np.ones(len(vehicles), dtype=bool)
-        if self.config.pause_time_s > 0:
-            pause_until = self._pause_until
-            for i, vehicle in enumerate(vehicles):
-                if pause_until.get(vehicle.vid, 0.0) > now:
-                    vehicle.speed = 0.0
-                    active[i] = False
-        dx = tx - xs
-        dy = ty - ys
-        distances = np.sqrt(dx * dx + dy * dy)
-        travel = speeds * dt
-        arriving = active & (travel >= distances)
-        moving = active & ~arriving
-        move_idx = np.nonzero(moving)[0]
-        if len(move_idx):
-            mdx = dx[move_idx]
-            mdy = dy[move_idx]
-            mdist = distances[move_idx]
-            # Mirror Vec2.normalized(): directions below the degeneracy
-            # threshold collapse to the zero vector.
-            tiny = mdist < 1e-12
-            safe = np.where(tiny, 1.0, mdist)
-            ux = np.where(tiny, 0.0, mdx / safe)
-            uy = np.where(tiny, 0.0, mdy / safe)
-            mtravel = travel[move_idx]
-            nx = xs[move_idx] + ux * mtravel
-            ny = ys[move_idx] + uy * mtravel
-            store.xs[rows[move_idx]] = nx
-            store.ys[rows[move_idx]] = ny
-            for k, i in enumerate(move_idx):
-                vehicle = vehicles[i]
-                vehicle.position = Vec2(float(nx[k]), float(ny[k]))
-                vehicle.heading = math.atan2(float(uy[k]), float(ux[k]))
-        for i in np.nonzero(arriving)[0]:
-            vehicle = vehicles[i]
-            target = targets[vehicle.vid]
-            vehicle.position = target
-            if self.config.pause_time_s > 0:
-                self._pause_until[vehicle.vid] = now + self.config.pause_time_s
-            self._assign_new_leg(vehicle)
-            row = rows[i]
-            store.xs[row] = target.x
-            store.ys[row] = target.y
-        store.touch()
 
     def _assign_new_leg(self, vehicle: VehicleState) -> None:
         target = self._random_point()

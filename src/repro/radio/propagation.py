@@ -29,12 +29,7 @@ from abc import ABC, abstractmethod
 from typing import Optional
 
 from repro.geometry import Vec2
-from repro.radio.interference import (
-    NO_SIGNAL_DBM,
-    dbm_to_mw,
-    dbm_to_mw_batch,
-    mw_to_dbm,
-)
+from repro.radio.interference import NO_SIGNAL_DBM, dbm_to_mw, mw_to_dbm
 
 #: Speed of light (m/s), used to derive the carrier wavelength.
 SPEED_OF_LIGHT = 299_792_458.0
@@ -43,31 +38,12 @@ SPEED_OF_LIGHT = 299_792_458.0
 DEFAULT_FREQUENCY_HZ = 5.9e9
 
 
-def _log10_elementwise(values):
-    """Elementwise ``math.log10`` over a numpy array.
-
-    ``np.log10`` and libm ``log10`` disagree in the last ulp for a few percent
-    of inputs; the vectorized medium backend needs received powers bit-identical
-    to the scalar path, so log-based models take the libm value per element.
-    The surrounding arithmetic (multiply, divide, subtract, compare) is
-    correctly rounded in IEEE-754 and therefore safe to vectorize.
-    """
-    from repro.sim.position_store import require_numpy
-
-    np = require_numpy("_log10_elementwise")
-    return np.fromiter(
-        (math.log10(v) for v in values), dtype=np.float64, count=len(values)
-    )
-
-
 class PropagationModel(ABC):
     """Base class for propagation models."""
 
     #: True when :meth:`rx_power_dbm` is a pure function of distance (no RNG
-    #: draws).  The vectorized medium backend only takes its array fast path
-    #: for deterministic models; stochastic ones keep the scalar per-receiver
-    #: loop so the ``"radio"`` stream is consumed in exactly the same order
-    #: as the grid backend.
+    #: draws); a stochastic model consumes the ``"radio"`` stream once per
+    #: evaluation, in receiver order.
     deterministic: bool = False
 
     @abstractmethod
@@ -79,51 +55,22 @@ class PropagationModel(ABC):
 
         Every bundled model's received power depends on geometry only through
         the transmitter-receiver distance; this entry point lets callers that
-        already computed the distance (the vectorized medium backend) skip
+        already computed the distance (the medium's in-range tables) skip
         rebuilding positions.  The default synthesizes positions ``distance``
         apart; subclasses override it with the direct formula.
         """
         return self.rx_power_dbm(tx_power_dbm, Vec2(0.0, 0.0), Vec2(distance, 0.0))
 
-    def rx_power_dbm_batch(self, tx_power_dbm: float, distances):
-        """Received powers (float64 array) for a float64 array of distances.
-
-        The base implementation loops :meth:`rx_power_dbm_from_distance` per
-        element, which is exact for every model -- including stochastic ones,
-        whose RNG draws then happen in element order, matching a scalar loop
-        over the same distances.  Deterministic subclasses override this with
-        true array expressions.
-        """
-        from repro.sim.position_store import require_numpy
-
-        np = require_numpy("rx_power_dbm_batch")
-        return np.fromiter(
-            (self.rx_power_dbm_from_distance(tx_power_dbm, float(d)) for d in distances),
-            dtype=np.float64,
-            count=len(distances),
-        )
-
-    def rx_power_mw_batch(self, tx_power_dbm: float, distances):
-        """Received powers in *milliwatts* for a float64 array of distances.
-
-        Interference folding works in linear units, so the vectorized medium
-        sums these directly.  The default is the dBm batch pushed through the
-        exact conversion (bit-identical to converting element by element);
-        models whose in-range power is a single level (:class:`UnitDisk\\
-        Propagation`) override it to skip the per-element libm ``pow`` calls.
-        """
-        return dbm_to_mw_batch(self.rx_power_dbm_batch(tx_power_dbm, distances))
-
     def constant_rx_profile(self, tx_power_dbm: float):
-        """``(rx_power_mw, cutoff_m)`` when reception is one constant level
-        inside a disk and exactly zero outside, else ``None``.
+        """``(rx_power_dbm, cutoff_m)`` when reception is one constant level
+        inside a disk and ``NO_SIGNAL_DBM`` outside, else ``None``.
 
-        The vectorized medium uses this to collapse an interference fold
-        over k same-power transmitters into a table lookup: every receiver's
-        linear-domain sum is the sequential sum of ``count`` copies of
-        ``rx_power_mw`` (zero contributions are exact no-ops in IEEE-754),
-        so only the in-range *count* matters.  Models with any distance
-        dependence inside the disk must return ``None``.
+        ``rx_power_dbm`` is the value :meth:`rx_power_dbm` returns anywhere
+        inside the disk.  The medium uses the profile to cut reception and
+        carrier sensing exactly at the disk, and to fold the interference of
+        k same-power transmitters into ``combine([rx_power_dbm] * k)``: only
+        a receiver's in-range interferer *count* matters.  Models with any
+        distance dependence inside the disk must return ``None``.
         """
         return None
 
@@ -185,36 +132,9 @@ class UnitDiskPropagation(PropagationModel):
             return tx_power_dbm
         return NO_SIGNAL_DBM
 
-    def rx_power_dbm_batch(self, tx_power_dbm: float, distances):
-        """Vectorized disk test (a pure comparison, trivially bit-exact)."""
-        from repro.sim.position_store import require_numpy
-
-        np = require_numpy("rx_power_dbm_batch")
-        return np.where(
-            np.asarray(distances, dtype=np.float64) <= self.communication_range,
-            float(tx_power_dbm),
-            NO_SIGNAL_DBM,
-        )
-
-    def rx_power_mw_batch(self, tx_power_dbm: float, distances):
-        """Disk test straight to mW: one scalar conversion, no per-element pow.
-
-        ``dbm_to_mw`` is the same libm ``pow`` the batch conversion applies
-        per element, evaluated once and broadcast -- identical bits wherever
-        the disk test passes, exact 0.0 elsewhere.
-        """
-        from repro.sim.position_store import require_numpy
-
-        np = require_numpy("rx_power_mw_batch")
-        return np.where(
-            np.asarray(distances, dtype=np.float64) <= self.communication_range,
-            dbm_to_mw(float(tx_power_dbm)),
-            0.0,
-        )
-
     def constant_rx_profile(self, tx_power_dbm: float):
-        """One in-disk power level: exactly what the count-fold needs."""
-        return (dbm_to_mw(float(tx_power_dbm)), self.communication_range)
+        """The transmit power inside the disk: exactly what the count-fold needs."""
+        return (tx_power_dbm, self.communication_range)
 
     def mean_rx_power_dbm(self, tx_power_dbm: float, distance: float) -> float:
         """Transmit power inside the disk, no signal outside."""
@@ -243,14 +163,6 @@ class FreeSpacePropagation(PropagationModel):
         distance = max(distance, 1.0)
         return 20.0 * math.log10(4.0 * math.pi * distance / self.wavelength)
 
-    def path_loss_db_batch(self, distances):
-        """Elementwise :meth:`path_loss_db` (bit-identical; see module notes)."""
-        from repro.sim.position_store import require_numpy
-
-        np = require_numpy("path_loss_db_batch")
-        clamped = np.maximum(np.asarray(distances, dtype=np.float64), 1.0)
-        return 20.0 * _log10_elementwise(4.0 * math.pi * clamped / self.wavelength)
-
     def rx_power_dbm(self, tx_power_dbm: float, tx_pos: Vec2, rx_pos: Vec2) -> float:
         """Transmit power minus Friis path loss."""
         return tx_power_dbm - self.path_loss_db(tx_pos.distance_to(rx_pos))
@@ -258,10 +170,6 @@ class FreeSpacePropagation(PropagationModel):
     def rx_power_dbm_from_distance(self, tx_power_dbm: float, distance: float) -> float:
         """Transmit power minus Friis path loss."""
         return tx_power_dbm - self.path_loss_db(distance)
-
-    def rx_power_dbm_batch(self, tx_power_dbm: float, distances):
-        """Transmit power minus Friis path loss, elementwise."""
-        return tx_power_dbm - self.path_loss_db_batch(distances)
 
     def mean_rx_power_dbm(self, tx_power_dbm: float, distance: float) -> float:
         """Transmit power minus Friis path loss."""
@@ -300,21 +208,6 @@ class TwoRayGroundPropagation(PropagationModel):
         # Pr = Pt * (h_t^2 h_r^2) / d^4  ->  loss = 40 log10(d) - 20 log10(h_t h_r)
         return 40.0 * math.log10(distance) - 20.0 * math.log10(h * h)
 
-    def path_loss_db_batch(self, distances):
-        """Elementwise :meth:`path_loss_db` (bit-identical; see module notes)."""
-        from repro.sim.position_store import require_numpy
-
-        np = require_numpy("path_loss_db_batch")
-        clamped = np.maximum(np.asarray(distances, dtype=np.float64), 1.0)
-        loss = np.empty(len(clamped))
-        near = clamped <= self.crossover_distance
-        loss[near] = self.free_space.path_loss_db_batch(clamped[near])
-        far = ~near
-        if far.any():
-            h = self.antenna_height_m
-            loss[far] = 40.0 * _log10_elementwise(clamped[far]) - 20.0 * math.log10(h * h)
-        return loss
-
     def rx_power_dbm(self, tx_power_dbm: float, tx_pos: Vec2, rx_pos: Vec2) -> float:
         """Transmit power minus two-ray path loss."""
         return tx_power_dbm - self.path_loss_db(tx_pos.distance_to(rx_pos))
@@ -322,10 +215,6 @@ class TwoRayGroundPropagation(PropagationModel):
     def rx_power_dbm_from_distance(self, tx_power_dbm: float, distance: float) -> float:
         """Transmit power minus two-ray path loss."""
         return tx_power_dbm - self.path_loss_db(distance)
-
-    def rx_power_dbm_batch(self, tx_power_dbm: float, distances):
-        """Transmit power minus two-ray path loss, elementwise."""
-        return tx_power_dbm - self.path_loss_db_batch(distances)
 
     def mean_rx_power_dbm(self, tx_power_dbm: float, distance: float) -> float:
         """Transmit power minus two-ray path loss."""
@@ -384,18 +273,6 @@ class LogNormalShadowing(PropagationModel):
             distance / self.reference_distance
         )
 
-    def mean_path_loss_db_batch(self, distances):
-        """Elementwise :meth:`mean_path_loss_db` (bit-identical)."""
-        from repro.sim.position_store import require_numpy
-
-        np = require_numpy("mean_path_loss_db_batch")
-        clamped = np.maximum(
-            np.asarray(distances, dtype=np.float64), self.reference_distance
-        )
-        return self.reference_loss_db + 10.0 * self.path_loss_exponent * _log10_elementwise(
-            clamped / self.reference_distance
-        )
-
     def rx_power_dbm(self, tx_power_dbm: float, tx_pos: Vec2, rx_pos: Vec2) -> float:
         """Transmit power minus mean path loss minus a Gaussian shadowing draw."""
         distance = tx_pos.distance_to(rx_pos)
@@ -406,12 +283,6 @@ class LogNormalShadowing(PropagationModel):
         """Transmit power minus mean path loss minus a Gaussian shadowing draw."""
         shadowing = self._draw_rng().gauss(0.0, self.sigma_db) if self.sigma_db > 0 else 0.0
         return tx_power_dbm - self.mean_path_loss_db(distance) - shadowing
-
-    def rx_power_dbm_batch(self, tx_power_dbm: float, distances):
-        """Array powers: vectorized when deterministic, element-order draws else."""
-        if self.sigma_db > 0:
-            return PropagationModel.rx_power_dbm_batch(self, tx_power_dbm, distances)
-        return tx_power_dbm - self.mean_path_loss_db_batch(distances)
 
     def mean_rx_power_dbm(self, tx_power_dbm: float, distance: float) -> float:
         """Transmit power minus mean path loss (no shadowing draw)."""

@@ -31,19 +31,6 @@ class ReceptionDecision(Enum):
     COLLISION = "collision"
 
 
-#: Integer decision codes returned by :meth:`ReceptionModel.decide_batch`
-#: (kept as plain ints so decision arrays stay dense int8).
-BATCH_RECEIVED = 0
-BATCH_WEAK_SIGNAL = 1
-BATCH_COLLISION = 2
-
-_DECISION_CODES = {
-    ReceptionDecision.RECEIVED: BATCH_RECEIVED,
-    ReceptionDecision.WEAK_SIGNAL: BATCH_WEAK_SIGNAL,
-    ReceptionDecision.COLLISION: BATCH_COLLISION,
-}
-
-
 @dataclass
 class ReceptionOutcome:
     """Decision plus the SINR that produced it (for tracing/analysis)."""
@@ -68,8 +55,8 @@ class ReceptionModel(ABC):
 
     #: True when :meth:`decide` is a pure function of its signal and
     #: interference arguments (no RNG draws, no state): the medium then
-    #: reuses one receiver's outcome for the next receiver with equal
-    #: inputs.  Mirrors ``PropagationModel.deterministic``.
+    #: reuses one frame's outcome for every receiver with equal inputs.
+    #: Mirrors ``PropagationModel.deterministic``.
     deterministic = False
 
     def __init__(
@@ -81,12 +68,12 @@ class ReceptionModel(ABC):
         _require_finite("noise_floor_dbm", noise_floor_dbm)
         self.sensitivity_dbm = sensitivity_dbm
         self.noise_floor_dbm = noise_floor_dbm
-        #: (noise_floor_dbm, quiet-channel dBm, noise mW): the derived noise
-        #: constants, recomputed only if the noise floor is reassigned.
+        #: (noise_floor_dbm, quiet-channel dBm): the derived noise constant,
+        #: recomputed only if the noise floor is reassigned.
         self._noise_cache = None
 
     def _noise_terms(self):
-        """``(noise dBm, quiet-channel noise-plus-interference dBm, noise mW)``.
+        """``(noise dBm, quiet-channel noise-plus-interference dBm)``.
 
         The quiet-channel term is ``combine_dbm([noise, NO_SIGNAL_DBM])``
         evaluated once per noise floor: the same scalar chain on the same
@@ -95,7 +82,7 @@ class ReceptionModel(ABC):
         cache = self._noise_cache
         if cache is None or cache[0] != self.noise_floor_dbm:
             noise = self.noise_floor_dbm
-            cache = (noise, combine_dbm([noise, NO_SIGNAL_DBM]), dbm_to_mw(noise))
+            cache = (noise, combine_dbm([noise, NO_SIGNAL_DBM]))
             self._noise_cache = cache
         return cache
 
@@ -117,27 +104,6 @@ class ReceptionModel(ABC):
         rng: Optional[random.Random] = None,
     ) -> ReceptionOutcome:
         """Decide whether a frame with the given signal/interference is received."""
-
-    def decide_batch(self, rx_power_dbm, interference_dbm, rng=None):
-        """Decision codes (int8 array) for arrays of signal and interference.
-
-        Returns ``BATCH_RECEIVED`` / ``BATCH_WEAK_SIGNAL`` / ``BATCH_COLLISION``
-        per element.  The base implementation loops :meth:`decide` in element
-        order, which is exact for every model and consumes the RNG exactly as
-        a scalar loop over the same inputs would; deterministic subclasses
-        override it with array expressions.
-        """
-        from repro.sim.position_store import require_numpy
-
-        np = require_numpy("decide_batch")
-        count = len(rx_power_dbm)
-        codes = np.empty(count, dtype=np.int8)
-        for i in range(count):
-            outcome = self.decide(
-                float(rx_power_dbm[i]), float(interference_dbm[i]), rng
-            )
-            codes[i] = _DECISION_CODES[outcome.decision]
-        return codes
 
 
 class SnrThresholdReception(ReceptionModel):
@@ -161,12 +127,6 @@ class SnrThresholdReception(ReceptionModel):
         super().__init__(sensitivity_dbm, noise_floor_dbm)
         _require_finite("snr_threshold_db", snr_threshold_db)
         self.snr_threshold_db = snr_threshold_db
-        #: interference dBm -> noise-plus-interference dBm, memoised across
-        #: :meth:`decide_batch` calls (the distinct interference levels a
-        #: disk channel produces repeat frame after frame).  Valid for the
-        #: noise terms object in ``_npi_memo_terms``; reset when they change.
-        self._npi_memo = {}
-        self._npi_memo_terms = None
 
     def decide(
         self,
@@ -181,70 +141,6 @@ class SnrThresholdReception(ReceptionModel):
         if sinr < self.snr_threshold_db:
             return ReceptionOutcome(ReceptionDecision.COLLISION, sinr)
         return ReceptionOutcome(ReceptionDecision.RECEIVED, sinr)
-
-    def decide_batch(self, rx_power_dbm, interference_dbm, rng=None):
-        """Vectorized threshold test, bit-identical to :meth:`decide`.
-
-        The noise-plus-interference term depends only on the element's
-        interference level: ``combine([noise, NO_SIGNAL])`` for a quiet
-        channel, else the same noise-mW-plus-interference-mW round trip
-        :func:`combine_dbm` computes.  Both are pure scalar chains, so they
-        are evaluated once per *distinct* level and memoised across calls
-        (a disk channel produces the same handful of levels frame after
-        frame) -- applying the identical scalar chain to equal inputs is
-        bit-identical to evaluating it per element, whatever the
-        duplication pattern.  The SINR subtraction and both comparisons are
-        exact in IEEE-754.
-        """
-        from repro.sim.position_store import require_numpy
-
-        np = require_numpy("decide_batch")
-        rx = np.asarray(rx_power_dbm, dtype=np.float64)
-        interference = np.asarray(interference_dbm, dtype=np.float64)
-        cache = self._noise_terms()
-        if cache is not self._npi_memo_terms:
-            self._npi_memo = {}
-            self._npi_memo_terms = cache
-        memo = self._npi_memo
-        size = interference.size
-        if size >= 16:
-            ordered = np.sort(interference)
-            distinct = np.empty(size, dtype=bool)
-            distinct[0] = True
-            np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
-            unique = ordered[distinct]
-            npi_unique = np.empty(unique.size)
-            for index, level in enumerate(unique.tolist()):
-                value = memo.get(level)
-                if value is None:
-                    value = (
-                        cache[1]
-                        if level == NO_SIGNAL_DBM
-                        else mw_to_dbm(cache[2] + dbm_to_mw(level))
-                    )
-                    memo[level] = value
-                npi_unique[index] = value
-            noise_plus_interference = npi_unique[
-                np.searchsorted(unique, interference)
-            ]
-        else:
-            values = []
-            for level in interference.tolist():
-                value = memo.get(level)
-                if value is None:
-                    value = (
-                        cache[1]
-                        if level == NO_SIGNAL_DBM
-                        else mw_to_dbm(cache[2] + dbm_to_mw(level))
-                    )
-                    memo[level] = value
-                values.append(value)
-            noise_plus_interference = np.array(values, dtype=np.float64)
-        sinr = rx - noise_plus_interference
-        codes = np.zeros(len(rx), dtype=np.int8)  # BATCH_RECEIVED everywhere...
-        codes[sinr < self.snr_threshold_db] = BATCH_COLLISION
-        codes[rx < self.sensitivity_dbm] = BATCH_WEAK_SIGNAL
-        return codes
 
 
 class ProbabilisticReception(ReceptionModel):
@@ -314,9 +210,6 @@ __all__ = [
     "ReceptionModel",
     "SnrThresholdReception",
     "ProbabilisticReception",
-    "BATCH_RECEIVED",
-    "BATCH_WEAK_SIGNAL",
-    "BATCH_COLLISION",
     "DEFAULT_NOISE_FLOOR_DBM",
     "DEFAULT_SENSITIVITY_DBM",
     "mw_to_dbm",

@@ -25,20 +25,31 @@ interference sums, the same bounded-range tradeoff (a 2x margin over the
 nominal range) that :meth:`WirelessMedium._reception_cutoff` applies to
 their reception.
 
-The scalar completion decides once per run of identical inputs: when the
-reception model is ``deterministic`` (a pure function of signal and
-interference, like the SNR threshold), a receiver whose received power
-and interference equal the previous receiver's reuses its outcome.  On a
-quiet unit-disk frame every receiver has the same inputs, so the frame
-costs one decision.  Models that draw from the ``"phy-reception"``
-stream still decide per receiver, in candidate order.
+A hard-edge channel gives every receiver of a frame the same power, and
+an overlapping frame contributes one level inside its own disk and nothing
+outside it.  So while every overlapping frame shares one transmit power, a
+receiver's interference depends only on its *interferer count* -- how many
+overlapping frames' in-range tables (below) hold it -- and is
+``interference.combine([level] * count)``, kept per level and count.  Under
+a ``deterministic`` reception model (a pure function of signal and
+interference, like the SNR threshold) the frame is decided once per
+interferer count, and an untraced broadcast whose outcomes read "received
+with no interferer, collision with any" is settled in bulk: its receivers
+are its own table minus every interferer table, and its collisions are
+counted in one call before the deliveries.  Every other
+channel sums each receiver's interferer powers, and a deterministic model
+decides once per run of identical inputs: a receiver whose received power
+and interference equal the previous receiver's reuses its outcome.  Models
+that draw from the ``"phy-reception"`` stream still decide per receiver, in
+candidate order.
 
 Between two mobility steps nothing moves, so every frame completion and
 every reachability query (``nodes_within``) from one sender position has
-the same answer.  Scalar frame completions and every ``nodes_within`` query
+the same answer.  Frame completions and every ``nodes_within`` query
 therefore share *in-range tables*: per ``(position, radius)``, the
-registered nodes within ``radius`` as ``(node, node position, distance)``
-in registration order, built once with the exact filter above and reused
+registered nodes within ``radius`` in registration order, as parallel
+lists of nodes, node positions and distances (a few containers per table
+instead of one tuple per entry), built once with the exact filter above and reused
 until :meth:`~WirelessMedium.refresh_positions`, ``register`` or
 ``unregister`` drops them all.  Transmit power never enters a table (the
 reception cutoff is part of the key), and stochastic propagation still
@@ -60,44 +71,21 @@ opener's ``receive`` -- no copy, no per-node dispatch.  HELLO beacons
 workloads' frames travel this way.  A claimed reception runs at the exact
 point ``Node.deliver`` would have run and still draws the packet uid its
 copy would have taken, so traces are byte-identical either way.
-
-The ``"vectorized"`` backend keeps the grid index for candidate
-lookups but also registers every node in a struct-of-arrays
-:class:`~repro.sim.position_store.PositionStore` and evaluates the
-per-frame physics -- distances, received powers, interference sums and
-reception decisions -- as numpy array expressions over the candidate rows.
-Each array expression is chosen to be bit-identical to its scalar
-counterpart (see :mod:`~repro.sim.position_store`), so the vectorized
-backend reproduces the ``"grid"`` backend's event traces byte for byte.  The
-fast path applies when the propagation model is deterministic and the
-interference model is additive (or unused); stochastic channels fall back
-to the scalar per-receiver loop so RNG streams are consumed in exactly the
-scalar order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.geometry import Vec2
-from repro.radio.interference import (
-    NO_SIGNAL_DBM,
-    dbm_to_mw_batch,
-    mw_to_dbm,
-    mw_to_dbm_batch,
-)
+from repro.radio.interference import NO_SIGNAL_DBM
 from repro.radio.propagation import PropagationModel
-from repro.radio.reception import (
-    BATCH_COLLISION,
-    BATCH_RECEIVED,
-    ReceptionDecision,
-    ReceptionModel,
-)
+from repro.radio.reception import ReceptionDecision, ReceptionModel
 from repro.sim.engine import Simulator
 from repro.sim.packet import BROADCAST, Packet, next_uid
-from repro.sim.spatial import UniformGridIndex, check_spatial_backend
+from repro.sim.spatial import UniformGridIndex
 from repro.sim.statistics import StatsCollector
 from repro.sim.trace import EventTrace
 
@@ -106,20 +94,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.radio.stack import RadioStack
     from repro.sim.node import Node
 
-#: Default row-count threshold below which the vectorized completion hands
-#: frames to the scalar loop (see ``WirelessMedium.vectorized_min_rows``).
-#: Benchmarked: at N=100 (and marginally at N=400) the per-frame numpy
-#: dispatch overhead made "vectorized" slower than "grid".
-VECTORIZED_MIN_ROWS = 512
-
 #: Carrier sensing is this much more sensitive than frame decoding.
 CARRIER_SENSE_MARGIN_DB = 10.0
-#: How far a node may drift from its indexed position before a refresh
-#: without being missed by a query (the node grid's slack).
+#: How far a live node may drift from its indexed position before a
+#: refresh without being missed by a query (the node grid's slack).
 POSITION_SLACK_M = 100.0
 #: Maximum staleness of indexed positions: queries lazily re-index every
 #: node once this much simulated time has passed.
 POSITION_REFRESH_S = 0.5
+
+#: ``(nodes, node positions, distances)``: one in-range table (see
+#: :meth:`WirelessMedium._disk`).
+InRangeTable = Tuple[List["Node"], List[Vec2], List[float]]
 
 #: ``receive(node, rx_power_dbm)``: one claimed frame's per-receiver hand-off.
 FrameReceiver = Callable[["Node", float], None]
@@ -162,8 +148,6 @@ class WirelessMedium:
         stack: A complete radio profile supplying propagation, reception,
             interference combination, MAC parameters and transmit power in
             one object.
-        spatial_backend: ``"grid"`` (default) or ``"vectorized"`` (per-frame
-            physics as numpy array expressions; requires numpy).
     """
 
     def __init__(
@@ -174,11 +158,9 @@ class WirelessMedium:
         stats: Optional[StatsCollector] = None,
         mac_config: Optional["MacConfig"] = None,
         trace: Optional[EventTrace] = None,
-        spatial_backend: str = "grid",
         stack: Optional["RadioStack"] = None,
     ) -> None:
         self.sim = sim
-        check_spatial_backend(spatial_backend)
         # Imported here (not at module level) to break the import cycle
         # radio.mac -> sim.packet -> sim.medium -> radio.mac, which made
         # `import repro.radio` fail when it ran before `import repro.sim`.
@@ -215,56 +197,35 @@ class WirelessMedium:
         self._tx_counter = 0
         self._range_cache: Dict[float, float] = {}
         self._cs_range_cache: Dict[float, float] = {}
-        self._vectorized = spatial_backend == "vectorized"
-        if self._vectorized:
-            from repro.sim.position_store import PositionStore, require_numpy
-
-            self._np = require_numpy()
-            self.position_store: Optional["PositionStore"] = PositionStore()
-        else:
-            self._np = None
-            self.position_store = None
-        #: Cached (ids, cx, cy) from the last vectorized re-index; lets the
-        #: next refresh touch only nodes whose grid cell actually changed.
-        self._cell_cache = None
         cutoff = self._reception_cutoff(self.stack.tx_power_dbm)
         #: Grid cell side: the reception cutoff, so a receiver query touches
         #: the 3x3 block of cells around the sender.
         self._cell_size_m = cutoff if cutoff > 0 else 500.0
-        self._node_index = UniformGridIndex(self._cell_size_m, POSITION_SLACK_M)
+        self._node_index = UniformGridIndex(self._cell_size_m)
         #: Registration sequence: candidates are visited in this order, so
         #: the visit order (and every RNG draw) does not depend on the index.
         self._node_seq: Dict[int, int] = {}
+        #: node id -> (node, position) as of the last refresh (or
+        #: registration): what tables are built from while no live node is
+        #: registered (see :meth:`_disk`).
+        self._snapshot: Dict[int, tuple] = {}
         self._seq_counter = 0
-        #: (structure_version, per-row registration sequence) for the
-        #: vectorized candidate ordering; rebuilt only when rows move.
-        self._row_seq_cache = None
         self._last_position_refresh = -float("inf")
         #: (x, y, radius) -> in-range table (see :meth:`_disk`); dropped
         #: whenever geometry or membership can change.
-        self._disks: Dict[tuple, List[tuple]] = {}
+        self._disks: Dict[tuple, InRangeTable] = {}
+        #: (x, y, radius) -> the nodes of that in-range table, as a set (see
+        #: :meth:`_disk_nodes`); kept and dropped with ``_disks``.
+        self._disk_sets: Dict[tuple, frozenset] = {}
         #: Registered nodes whose position provider is not ``stepped``: while
         #: any is present, in-range tables are never kept.
         self._live_nodes = 0
         self._max_tx_power_dbm: Optional[float] = None
         #: ptype -> frame opener (see :meth:`claim_frames`).
         self._claims: Dict[str, FrameOpener] = {}
-        #: Pooled per-frame scratch arrays for `_complete_vectorized`
-        #: (two float64 buffers and one bool buffer, grown on demand);
-        #: reception at 10 Hz x N nodes would otherwise allocate four
-        #: store-sized arrays per frame.
-        self._frame_scratch_arrays = None
-        #: Row-order node list twin of ``_row_seq_cache`` (see
-        #: :meth:`_node_row_list`).
-        self._node_row_cache = None
-        #: contribution mW -> (dBm fold table, max count); see
-        #: :meth:`_fold_table`.
-        self._fold_tables: Dict[float, tuple] = {}
-        #: Below this many stored rows the vectorized completion routes to
-        #: the scalar loop: per-frame numpy dispatch overhead beats the
-        #: Python loop only once enough receivers amortize it, and the two
-        #: paths are bit-identical so dispatch is free to pick either.
-        self.vectorized_min_rows = VECTORIZED_MIN_ROWS
+        #: interferer level -> ``combine([level] * count)`` by count (see
+        #: :meth:`_interference_levels`).
+        self._interference_by_count: Dict[float, List[float]] = {}
 
     # --------------------------------------------------------------- topology
     def register(self, node: "Node") -> None:
@@ -274,24 +235,14 @@ class WirelessMedium:
         from repro.radio.mac import CsmaCaMac
 
         self._nodes[node.node_id] = node
-        self._disks.clear()
+        self._drop_tables()
         if _is_live(node):
             self._live_nodes += 1
         self._seq_counter += 1
         self._node_seq[node.node_id] = self._seq_counter
-        self._node_index.insert(node.node_id, node.position)
-        if self.position_store is not None:
-            from repro.sim.node import StaticPositionProvider
-
-            self.position_store.add(
-                node.node_id,
-                node.position,
-                velocity=node.velocity,
-                tx_power_dbm=node.tx_power_dbm,
-                static=isinstance(node._position_provider, StaticPositionProvider),
-            )
-            node.bind_position_store(self.position_store)
-            self._cell_cache = None
+        position = node.position
+        self._snapshot[node.node_id] = (node, position)
+        self._node_index.insert(node.node_id, position)
         node.mac = CsmaCaMac(
             node, self, self.mac_config, self.sim.rng.stream(f"mac-{node.node_id}")
         )
@@ -299,14 +250,12 @@ class WirelessMedium:
     def unregister(self, node_id: int) -> None:
         """Detach a node (e.g. a vehicle leaving the scenario)."""
         node = self._nodes.pop(node_id, None)
-        self._disks.clear()
+        self._drop_tables()
         if node is not None and _is_live(node):
             self._live_nodes -= 1
         self._node_seq.pop(node_id, None)
+        self._snapshot.pop(node_id, None)
         self._node_index.remove(node_id)
-        if self.position_store is not None and node_id in self.position_store:
-            self.position_store.remove(node_id)
-            self._cell_cache = None
 
     @property
     def nodes(self) -> Dict[int, "Node"]:
@@ -335,82 +284,88 @@ class WirelessMedium:
 
         Also drops every in-range table: positions may have changed.
         """
-        self._disks.clear()
-        if self._vectorized:
-            self._refresh_positions_vectorized()
-            self._last_position_refresh = self.sim.now
-            return
+        self._drop_tables()
         index = self._node_index
+        snapshot = self._snapshot
         for node_id, node in self._nodes.items():
-            index.update(node_id, node.position)
+            position = node.position
+            index.update(node_id, position)
+            snapshot[node_id] = (node, position)
         self._last_position_refresh = self.sim.now
 
-    def _refresh_positions_vectorized(self) -> None:
-        """Bulk re-index from the position store.
-
-        Rows owned by an array-capable mobility model are already current;
-        everything else dynamic is pulled from its node's scalar position
-        first.  Grid cells for all rows come from one ``floor(x / size)``
-        array expression (bit-identical to the scalar ``_cell``), and only
-        nodes whose cell changed since the last refresh touch the index.
-        """
-        np = self._np
-        store = self.position_store
-        nodes = self._nodes
-        for node_id in store.unmanaged_dynamic_ids():
-            store.set_position(node_id, nodes[node_id].position)
-        store.touch()
-        count = store.size
-        index = self._node_index
-        size = self._cell_size_m
-        cx = np.floor(store.xs[:count] / size).astype(np.int64)
-        cy = np.floor(store.ys[:count] / size).astype(np.int64)
-        ids = store.ids()
-        cache = self._cell_cache
-        if cache is not None and cache[0] == ids:
-            moved = np.nonzero((cx != cache[1]) | (cy != cache[2]))[0]
-        else:
-            moved = range(count)
-        for i in moved:
-            index.update_cell(ids[i], (int(cx[i]), int(cy[i])))
-        self._cell_cache = (ids, cx, cy)
+    def _drop_tables(self) -> None:
+        self._disks.clear()
+        self._disk_sets.clear()
 
     def _maybe_refresh_positions(self) -> None:
         if self.sim.now - self._last_position_refresh >= POSITION_REFRESH_S:
             self.refresh_positions()
 
-    def _disk(self, position: Vec2, radius: float) -> List[tuple]:
-        """In-range table: ``(node, node position, distance)`` within ``radius``.
+    def _disk(self, position: Vec2, radius: float) -> InRangeTable:
+        """In-range table: ``(nodes, node positions, distances)`` within ``radius``.
 
-        Entries are the registered nodes whose live position lies within
-        ``radius`` of ``position``, in registration order.  Between two
+        The parallel lists hold the registered nodes whose live position
+        lies within ``radius`` of ``position``, in registration order.  Between two
         position refreshes no stepped node moves, so the table for a
         ``(position, radius)`` key is built once (grid candidates, exact
-        distance test) and served to every later query with that key;
+        distance test) from the positions recorded at the last refresh and
+        served to every later query with that key;
         :meth:`refresh_positions`, :meth:`register` and :meth:`unregister`
         drop all tables.  While a node with a live (continuously moving)
-        position provider is registered, every call scans afresh.  Callers
-        must not mutate the returned list.
+        position provider is registered, every call scans afresh, reading
+        live positions from grid candidates widened by the drift slack.
+        Callers must not mutate the returned lists.
         """
         self._maybe_refresh_positions()
         key = (position.x, position.y, radius)
         disk = self._disks.get(key)
         if disk is not None:
             return disk
-        ids = self._node_index.query_ids(position, radius)
+        live = self._live_nodes
+        ids = self._node_index.query_ids(
+            position, radius + POSITION_SLACK_M if live else radius
+        )
         ids.sort(key=self._node_seq.__getitem__)
-        nodes = self._nodes
-        distance_to = position.distance_to
-        disk = []
-        for node_id in ids:
-            node = nodes[node_id]
-            node_position = node.position
-            distance = distance_to(node_position)
+        if live:
+            nodes = self._nodes
+            candidates = [(nodes[node_id], nodes[node_id].position) for node_id in ids]
+        else:
+            snapshot = self._snapshot
+            candidates = [snapshot[node_id] for node_id in ids]
+        # ``Vec2.distance_to`` inlined: the same operations in the same order.
+        x = position.x
+        y = position.y
+        sqrt = math.sqrt
+        nodes_in: List["Node"] = []
+        positions_in: List[Vec2] = []
+        distances_in: List[float] = []
+        for node, node_position in candidates:
+            dx = x - node_position.x
+            dy = y - node_position.y
+            distance = sqrt(dx * dx + dy * dy)
             if distance <= radius:
-                disk.append((node, node_position, distance))
-        if not self._live_nodes:
+                nodes_in.append(node)
+                positions_in.append(node_position)
+                distances_in.append(distance)
+        disk = (nodes_in, positions_in, distances_in)
+        if not live:
             self._disks[key] = disk
         return disk
+
+    def _disk_nodes(self, position: Vec2, radius: float) -> frozenset:
+        """The nodes of the in-range table for ``(position, radius)``, as a set.
+
+        Kept as long as the table is, so set algebra over the tables of
+        overlapping frames costs one pass per table per mobility step.
+        """
+        self._maybe_refresh_positions()
+        key = (position.x, position.y, radius)
+        nodes = self._disk_sets.get(key)
+        if nodes is None:
+            nodes = frozenset(self._disk(position, radius)[0])
+            if not self._live_nodes:
+                self._disk_sets[key] = nodes
+        return nodes
 
     def _transmissions_near(self, position: Vec2, radius: float) -> List[ActiveTransmission]:
         """Transmissions whose sender may be within ``radius``, in uid order.
@@ -460,7 +415,7 @@ class WirelessMedium:
         """
         return [
             node
-            for node, _, _ in self._disk(position, radius)
+            for node in self._disk(position, radius)[0]
             if node.node_id != exclude
         ]
 
@@ -572,17 +527,6 @@ class WirelessMedium:
         return deliver_claimed
 
     def _complete(self, transmission: ActiveTransmission) -> None:
-        if (
-            self._vectorized
-            and self.propagation.deterministic
-            and (
-                not self.interference.uses_contributions
-                or self.interference.additive_mw
-            )
-            and self.position_store.size >= self.vectorized_min_rows
-        ):
-            self._complete_vectorized(transmission)
-            return
         now = self.sim.now
         self._prune(now)
         cutoff = self._reception_cutoff(transmission.tx_power_dbm)
@@ -611,37 +555,76 @@ class WirelessMedium:
             ]
         else:
             interferers = []
+        # The in-range table carries each receiver's distance, which the
+        # received power shares (every bundled model depends on geometry
+        # only through it, and draws its RNG in receiver order).
+        receivers = self._disk(sender_position, cutoff)
         trace = self.trace
         tracing = trace.enabled
         decide = self.reception.decide
+        sender_id = transmission.sender_id
+        deliver = self._frame_deliverer(transmission)
+        fold = self._count_fold(transmission, interferers)
+        outcomes = None
+        if fold is not None:
+            rx_level, level, reach = fold
+            disk_nodes = self._disk_nodes
+            blockers = [disk_nodes(other.sender_position, reach) for other in interferers]
+            levels = self._interference_levels(level, len(blockers))
+            if self.reception.deterministic:
+                # One decision per interferer count.
+                outcomes = [decide(rx_level, interference, rng) for interference in levels]
+                if (
+                    not is_unicast
+                    and not tracing
+                    and outcomes[0].ok
+                    and all(
+                        outcome.decision is ReceptionDecision.COLLISION
+                        for outcome in outcomes[1:]
+                    )
+                ):
+                    self._deliver_in_bulk(
+                        transmission, cutoff, receivers, blockers, rx_level, deliver
+                    )
+                    return
+            # Only receivers that some interferer reaches get a count.
+            counts: Dict["Node", int] = {}
+            heard = disk_nodes(sender_position, cutoff) if blockers else frozenset()
+            for nodes in blockers:
+                for node in heard.intersection(nodes):  # repro-lint: ok DET-002 -- tallies only; receivers are walked in table order
+                    counts[node] = counts.get(node, 0) + 1
         # Equal inputs give equal outcomes under a deterministic model (see
         # the module docstring); RNG-drawing models decide per receiver.
         reuse_decisions = self.reception.deterministic
         last_rx_power = last_interference = outcome = None
-        sender_id = transmission.sender_id
-        deliver = self._frame_deliverer(transmission)
-        # The in-range table carries each receiver's distance, which the
-        # received power shares (every bundled model depends on geometry
-        # only through it, and draws its RNG in receiver order).
-        for node, receiver_position, distance in self._disk(sender_position, cutoff):
+        for node, receiver_position, distance in zip(*receivers):
             if node.node_id == sender_id:
                 continue
-            rx_power = rx_power_from_distance(tx_power_dbm, distance)
-            if rx_power <= NO_SIGNAL_DBM:
-                continue
-            # With no overlapping frame the sum is NO_SIGNAL_DBM anyway.
-            if interferers:
-                interference = self._interference_at(receiver_position, interferers)
+            if fold is not None:
+                rx_power = rx_level
+                if rx_power <= NO_SIGNAL_DBM:
+                    continue
+                if outcomes is not None:
+                    outcome = outcomes[counts.get(node, 0)]
+                else:
+                    outcome = decide(rx_power, levels[counts.get(node, 0)], rng)
             else:
-                interference = NO_SIGNAL_DBM
-            if (
-                not reuse_decisions
-                or rx_power != last_rx_power
-                or interference != last_interference
-            ):
-                outcome = decide(rx_power, interference, rng)
-                last_rx_power = rx_power
-                last_interference = interference
+                rx_power = rx_power_from_distance(tx_power_dbm, distance)
+                if rx_power <= NO_SIGNAL_DBM:
+                    continue
+                # With no overlapping frame the sum is NO_SIGNAL_DBM anyway.
+                if interferers:
+                    interference = self._interference_at(receiver_position, interferers)
+                else:
+                    interference = NO_SIGNAL_DBM
+                if (
+                    not reuse_decisions
+                    or rx_power != last_rx_power
+                    or interference != last_interference
+                ):
+                    outcome = decide(rx_power, interference, rng)
+                    last_rx_power = rx_power
+                    last_interference = interference
             intended = (
                 transmission.next_hop == BROADCAST
                 or transmission.next_hop == node.node_id
@@ -680,290 +663,88 @@ class WirelessMedium:
                     transmission.packet, transmission.next_hop, unicast_delivered
                 )
 
-    def _node_row_list(self):
-        """Node objects in row order, cached across position writes.
+    def _count_fold(
+        self, transmission: ActiveTransmission, interferers: List[ActiveTransmission]
+    ) -> Optional[tuple]:
+        """``(rx level, interferer level, interferer reach)``, or ``None``.
 
-        The delivery loops map surviving rows to receivers once per frame;
-        a plain list index beats the ``row -> id -> node`` double lookup on
-        that path.  Invalidation piggybacks on ``structure_version`` (rows
-        are added or removed far more rarely than frames complete).
+        Not ``None`` when the frame's channel has a hard edge (one constant
+        received power inside a disk, see
+        :meth:`~repro.radio.propagation.PropagationModel.constant_rx_profile`)
+        and every overlapping frame shares one transmit power with a hard
+        edge too.  A receiver's interference is then ``combine([level] *
+        count)``, where ``count`` is the number of interferers whose
+        in-range table for ``reach`` holds it -- exactly the contributions
+        :meth:`_interference_at` would gather.  With no interferer (or a
+        silent level) every count is zero.
         """
-        store = self.position_store
-        cache = self._node_row_cache
-        if cache is not None and cache[0] == store.structure_version:
-            return cache[1]
-        nodes = self._nodes
-        row_nodes = [nodes[node_id] for node_id in store.ids_view()]
-        self._node_row_cache = (store.structure_version, row_nodes)
-        return row_nodes
+        propagation = self.propagation
+        profile = propagation.constant_rx_profile(transmission.tx_power_dbm)
+        if profile is None:
+            return None
+        if not interferers:
+            return profile[0], NO_SIGNAL_DBM, 0.0
+        tx_power_dbm = interferers[0].tx_power_dbm
+        for other in interferers:
+            if other.tx_power_dbm != tx_power_dbm:
+                return None
+        other_profile = propagation.constant_rx_profile(tx_power_dbm)
+        if other_profile is None:
+            return None
+        if other_profile[0] <= NO_SIGNAL_DBM:
+            return profile[0], NO_SIGNAL_DBM, 0.0
+        return profile[0], other_profile[0], other_profile[1]
 
-    def _row_seq_array(self):
-        """``(seq-per-row, already-sorted)`` cached across position writes.
+    def _interference_levels(self, level: float, max_count: int) -> List[float]:
+        """``combine([level] * count)`` for every count from 0 to ``max_count``.
 
-        Ordering candidates is a per-frame operation; the id->seq dict walk
-        is only paid when the row<->id mapping actually changed (node joined
-        or left), which is rare next to frame completions.  While no node
-        has left, rows sit in registration order and the per-frame argsort
-        can be skipped entirely (``already-sorted`` is True).
+        Index ``count``; index 0 is ``NO_SIGNAL_DBM`` (no contribution).
+        Each entry is the interference model's own ``combine`` of the same
+        list :meth:`_interference_at` builds, so it carries the same bits.
+        Kept per level and grown on demand.
         """
-        store = self.position_store
-        cache = self._row_seq_cache
-        if cache is not None and cache[0] == store.structure_version:
-            return cache[1], cache[2]
-        np = self._np
-        seq = self._node_seq
-        arr = np.fromiter(
-            (seq[node_id] for node_id in store.ids()),
-            dtype=np.int64,
-            count=store.size,
-        )
-        is_sorted = bool(np.all(arr[1:] > arr[:-1])) if len(arr) > 1 else True
-        self._row_seq_cache = (store.structure_version, arr, is_sorted)
-        return arr, is_sorted
+        levels = self._interference_by_count.get(level)
+        if levels is None:
+            levels = self._interference_by_count[level] = [NO_SIGNAL_DBM]
+        combine = self.interference.combine
+        while len(levels) <= max_count:
+            levels.append(combine([level] * len(levels)))
+        return levels[: max_count + 1]
 
-    def _frame_scratch(self, count: int):
-        """Pooled per-frame work buffers, grown (never shrunk) on demand.
+    def _deliver_in_bulk(
+        self,
+        transmission: ActiveTransmission,
+        cutoff: float,
+        receivers: InRangeTable,
+        blockers: List[frozenset],
+        rx_level: float,
+        deliver: FrameReceiver,
+    ) -> None:
+        """Settle an untraced broadcast received alone and lost to any interferer.
 
-        Returns ``count``-length views over two float64 buffers and one
-        bool buffer.  Safe to reuse across frames: every value is fully
-        overwritten before it is read, and nothing outlives the frame
-        (downstream consumers index them into fresh result arrays).
+        ``receivers`` is the frame's in-range table and ``blockers`` holds
+        each interferer's in-range nodes: receivers in no blocker receive,
+        the rest collide.  Every receiver is intended and no trace record
+        interleaves, so the collisions are counted in one call before the
+        deliveries, which run in registration order.  (Broadcast frames
+        never hit the weak-signal counter: it only fires for the addressed
+        next hop.)
         """
-        np = self._np
-        arrays = self._frame_scratch_arrays
-        if arrays is None or arrays[0].size < count:
-            capacity = max(64, count)
-            current = 0 if arrays is None else arrays[0].size
-            if current:
-                while current < capacity:
-                    current *= 2
-                capacity = current
-            arrays = (
-                np.empty(capacity),
-                np.empty(capacity),
-                np.empty(capacity, dtype=bool),
-            )
-            self._frame_scratch_arrays = arrays
-        return arrays[0][:count], arrays[1][:count], arrays[2][:count]
-
-    def _complete_vectorized(self, transmission: ActiveTransmission) -> None:
-        """Array-expression twin of the scalar :meth:`_complete` body.
-
-        Distances to *every* stored row are evaluated as one array
-        expression (cheaper than walking grid buckets and re-sorting their
-        candidate lists in Python), then received powers, interference sums
-        and reception decisions run over the in-cutoff survivors -- each
-        expression chosen to be bit-identical to the scalar path (exact
-        IEEE-754 ops vectorized, transcendentals evaluated per element with
-        libm -- see :mod:`~repro.sim.position_store`).  Trace records, stats
-        and deliveries then run in registration order over the survivors, so
-        the emitted event stream is byte-identical to the scalar path's.
-        Only entered for deterministic propagation with additive (or unused)
-        interference; RNG-drawing reception models are still exact because
-        :meth:`~repro.radio.reception.ReceptionModel.decide_batch` consumes
-        the ``"phy-reception"`` stream in candidate order like the scalar
-        loop (the scalar loop skips out-of-cutoff and no-signal candidates
-        before drawing, so filtering first preserves the stream).
-        """
-        now = self.sim.now
-        self._prune(now)
-        cutoff = self._reception_cutoff(transmission.tx_power_dbm)
-        rng = self.sim.rng.stream("phy-reception")
-        is_unicast = transmission.next_hop != BROADCAST
-        unicast_delivered = False
-        np = self._np
-        store = self.position_store
-        if self.interference.uses_contributions:
-            interferers = [
-                other
-                for other in self._transmissions_near(
-                    transmission.sender_position, cutoff + self._carrier_sense_reach()
-                )
-                if other.uid != transmission.uid
-                and other.end > transmission.start
-                and other.start < transmission.end
-            ]
-        else:
-            interferers = []
-        self._maybe_refresh_positions()
-        sender_position = transmission.sender_position
-        count = store.size
-        dx, dy, keep = self._frame_scratch(count)
-        # In-place twins of `(xs-x)^2 + (ys-y)^2`: the same elementwise
-        # IEEE-754 ops, written into pooled buffers instead of fresh
-        # allocations per frame.
-        np.subtract(store.xs[:count], sender_position.x, out=dx)
-        np.subtract(store.ys[:count], sender_position.y, out=dy)
-        np.multiply(dx, dx, out=dx)
-        np.multiply(dy, dy, out=dy)
-        np.add(dx, dy, out=dx)
-        # Prefilter on *squared* distance so the sqrt only runs over the
-        # few in-range rows instead of the whole store.  `sqrt(d2) <= c`
-        # implies `d2 <= c*c` to within a couple of ulps, so widening the
-        # squared cutoff by 1e-12 relative makes the prefilter a strict
-        # superset; the exact per-candidate `sqrt(d2) <= c` test below then
-        # reproduces the scalar path's membership bit for bit.
-        np.less_equal(dx, cutoff * cutoff * (1.0 + 1e-12), out=keep)
-        if transmission.sender_id in store:
-            keep[store.row_of(transmission.sender_id)] = False
-        prelim = keep.nonzero()[0]
-        prelim_distances = np.sqrt(dx[prelim])
-        in_range = prelim_distances <= cutoff
-        candidates = prelim[in_range]
-        candidate_distances = prelim_distances[in_range]
-        if candidates.size > 1:
-            # Visit candidates in registration order, like the scalar loop
-            # (rows come back in row order, which IS registration order
-            # until a node leaves and its slot gets recycled).
-            row_seq, already_sorted = self._row_seq_array()
-            if not already_sorted:
-                order = np.argsort(row_seq[candidates], kind="stable")
-                candidates = candidates[order]
-                candidate_distances = candidate_distances[order]
-        rx_powers = self.propagation.rx_power_dbm_batch(
-            transmission.tx_power_dbm, candidate_distances
-        )
-        signal = rx_powers > NO_SIGNAL_DBM
-        kept_rows = candidates[signal]
-        rx_kept = rx_powers[signal]
-        row_ids = store.ids_view()
-        if interferers and len(kept_rows):
-            kept_xs = store.xs[kept_rows]
-            kept_ys = store.ys[kept_rows]
-            # One (interferer x receiver) distance matrix instead of a
-            # python loop of per-interferer arrays; subtraction, multiply
-            # and sqrt are elementwise-exact, so each entry carries the
-            # same bits the per-interferer expression produced.
-            other_xs = np.array([o.sender_position.x for o in interferers])
-            other_ys = np.array([o.sender_position.y for o in interferers])
-            odx = kept_xs[np.newaxis, :] - other_xs[:, np.newaxis]
-            ody = kept_ys[np.newaxis, :] - other_ys[:, np.newaxis]
-            other_distances = np.sqrt(odx * odx + ody * ody)
-            # Contributions go straight to linear units: the fold below sums
-            # in mW, and the propagation model's mW batch is bit-identical
-            # to converting its dBm batch element by element (out-of-range
-            # entries land on exact 0.0, and 0.0 + x == x in the fold).
-            tx_powers = [o.tx_power_dbm for o in interferers]
-            same_power = len(set(tx_powers)) == 1
-            profile = (
-                self.propagation.constant_rx_profile(tx_powers[0])
-                if same_power
-                else None
-            )
-            if profile is not None:
-                # Disk channels contribute one exact mW level in range and
-                # exact zero beyond it, and zero terms are no-ops in the
-                # sequential fold -- so a receiver's folded interference
-                # depends only on its in-range interferer *count*.  Look the
-                # fold (and its dBm conversion) up in a table of iterative
-                # sums, which is bit-identical to running the fold.
-                contribution_mw, reach = profile
-                counts = (other_distances <= reach).sum(axis=0)
-                interference_kept = self._fold_table(
-                    contribution_mw, len(interferers)
-                )[counts]
-            else:
-                if same_power:
-                    contributions_mw = self.propagation.rx_power_mw_batch(
-                        tx_powers[0], other_distances.ravel()
-                    ).reshape(other_distances.shape)
-                else:
-                    contributions_mw = np.empty_like(other_distances)
-                    for i, other in enumerate(interferers):
-                        contributions_mw[i] = self.propagation.rx_power_mw_batch(
-                            other.tx_power_dbm, other_distances[i]
-                        )
-                # Fold row by row: the scalar path sums contributions in
-                # interferer order, and float addition is order-sensitive.
-                total_mw = np.zeros(len(kept_rows))
-                for i in range(len(interferers)):
-                    total_mw += contributions_mw[i]
-                interference_kept = mw_to_dbm_batch(total_mw)
-        else:
-            interference_kept = np.full(len(kept_rows), NO_SIGNAL_DBM)
-        codes = self.reception.decide_batch(rx_kept, interference_kept, rng)
-        nodes = self._nodes
-        packet = transmission.packet
         sender_id = transmission.sender_id
-        next_hop = transmission.next_hop
-        trace = self.trace if self.trace.enabled else None
-        if not is_unicast and trace is None and not isinstance(codes, list):
-            # Broadcast with tracing off (the beacon-storm hot case): every
-            # receiver is intended, no trace records interleave with
-            # deliveries, and the loss counters are pure tallies -- so count
-            # collisions in bulk and walk only the received indices, mapping
-            # rows straight to nodes for those.  (Broadcast frames never hit
-            # the weak-signal counter: it only fires for the addressed next
-            # hop.)
-            collisions = int(np.count_nonzero(codes == BATCH_COLLISION))
-            if collisions:
-                self.stats.collision(collisions)
-            received = (codes == BATCH_RECEIVED).nonzero()[0]
-            if not received.size:
-                return
-            row_nodes = self._node_row_list()
-            deliver = self._frame_deliverer(transmission)
-            for row, rx_power in zip(
-                kept_rows[received].tolist(), rx_kept[received].tolist()
-            ):
-                deliver(row_nodes[row], rx_power)
+        if not blockers:
+            for node in receivers[0]:
+                if node.node_id != sender_id:
+                    deliver(node, rx_level)
             return
-        rx_list = rx_kept.tolist()
-        kept_ids = [row_ids[row] for row in kept_rows.tolist()]
-        code_list = codes.tolist() if hasattr(codes, "tolist") else list(codes)
-        deliver = self._frame_deliverer(transmission)
-        for j, node_id in enumerate(kept_ids):
-            code = code_list[j]
-            intended = not is_unicast or next_hop == node_id
-            if code == BATCH_RECEIVED:
-                if intended:
-                    if is_unicast:
-                        unicast_delivered = True
-                    if trace is not None:
-                        trace.record(
-                            now,
-                            "rx",
-                            node_id,
-                            ptype=packet.ptype,
-                            sender=sender_id,
-                            uid=packet.uid,
-                        )
-                    deliver(nodes[node_id], rx_list[j])
-            elif code == BATCH_COLLISION:
-                if intended:
-                    self.stats.collision()
-                    if trace is not None:
-                        trace.record(
-                            now, "collision", node_id, sender=sender_id, uid=packet.uid
-                        )
-            elif intended and next_hop == node_id:
-                self.stats.weak_signal()
-        if is_unicast:
-            sender = nodes.get(sender_id)
-            if sender is not None and sender.mac is not None:
-                sender.mac.notify_unicast_result(packet, next_hop, unicast_delivered)
-
-    def _fold_table(self, contribution_mw: float, max_count: int):
-        """dBm results of sequentially folding 0..``max_count`` equal mW terms.
-
-        ``table[j]`` carries the exact bits of ``mw_to_dbm`` applied to the
-        running sum ``((contribution + contribution) + ...)`` of ``j`` terms
-        -- the same left-to-right addition order the per-receiver fold (and
-        the scalar path's ``combine_dbm``) uses, so indexing the table by
-        in-range counts reproduces the fold bit for bit.  Cached per
-        contribution level and regrown when a frame sees more interferers.
-        """
-        np = self._np
-        entry = self._fold_tables.get(contribution_mw)
-        if entry is None or entry[1] < max_count:
-            total = 0.0
-            sums_mw = [0.0]
-            for _ in range(max_count):
-                total += contribution_mw
-                sums_mw.append(total)
-            entry = (np.array([mw_to_dbm(m) for m in sums_mw]), max_count)
-            self._fold_tables[contribution_mw] = entry
-        return entry[0]
+        heard = self._disk_nodes(transmission.sender_position, cutoff)
+        sender = self._nodes.get(sender_id)
+        received = heard.difference((sender,), *blockers)
+        collisions = len(heard) - (sender in heard) - len(received)
+        if collisions:
+            self.stats.collision(collisions)
+        for node in receivers[0]:
+            if node in received:
+                deliver(node, rx_level)
 
     def _interference_at(
         self, position: Vec2, interferers: List[ActiveTransmission]

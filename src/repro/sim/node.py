@@ -83,10 +83,8 @@ class Node:
         self.network: Optional["Network"] = None
         self.protocol: Optional["RoutingProtocol"] = None
         self.mac = None  # assigned by WirelessMedium.register()
-        self._tx_power_dbm: float = 20.0
-        #: Struct-of-arrays store this node's row lives in (vectorized medium
-        #: backend only); tx-power writes are mirrored into it.
-        self._position_store = None
+        #: Transmit power in dBm; can be overridden per node before start.
+        self.tx_power_dbm: float = 20.0
         #: Retired application-layer frame hook, always ``None``: workloads
         #: now claim their frame types on the medium (see
         #: :meth:`~repro.sim.medium.WirelessMedium.claim_frames`) and
@@ -99,21 +97,6 @@ class Node:
         self.app_delivery_handler: Optional[Callable[[Packet], None]] = None
 
     # ------------------------------------------------------------- kinematics
-    @property
-    def tx_power_dbm(self) -> float:
-        """Transmit power in dBm; can be overridden per node before start."""
-        return self._tx_power_dbm
-
-    @tx_power_dbm.setter
-    def tx_power_dbm(self, value: float) -> None:
-        self._tx_power_dbm = value
-        if self._position_store is not None:
-            self._position_store.set_tx_power(self.node_id, value)
-
-    def bind_position_store(self, store) -> None:
-        """Mirror future tx-power writes into ``store`` (vectorized backend)."""
-        self._position_store = store
-
     @property
     def position(self) -> Vec2:
         """Current position (metres)."""

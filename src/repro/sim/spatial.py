@@ -64,15 +64,7 @@ class UniformGridIndex:
 
     def update(self, item_id: int, position: Vec2) -> None:
         """Move ``item_id``; cheap when it stays inside its current cell."""
-        self.update_cell(item_id, self._cell(position))
-
-    def update_cell(self, item_id: int, new_cell: Tuple[int, int]) -> None:
-        """Move ``item_id`` to a precomputed cell coordinate.
-
-        The vectorized medium backend computes every node's cell in one
-        ``floor(position / cell_size)`` array expression (bit-identical to
-        :meth:`_cell`) and only calls this for items whose cell changed.
-        """
+        new_cell = self._cell(position)
         old_cell = self._cell_of.get(item_id)
         if old_cell == new_cell:
             return
@@ -128,24 +120,3 @@ class UniformGridIndex:
     def __len__(self) -> int:
         return len(self._cell_of)
 
-
-#: Values of the medium's ``spatial_backend`` (and the scenario field).  Both
-#: look neighbours up on a :class:`UniformGridIndex`; ``"vectorized"`` adds
-#: the struct-of-arrays fast path in the medium, so candidate sets (and
-#: therefore event traces) match ``"grid"`` exactly.
-SPATIAL_BACKENDS = ("grid", "vectorized")
-
-
-def check_spatial_backend(backend: str) -> str:
-    """Return ``backend``, or raise ``ValueError`` naming the ``spatial_backend`` field."""
-    if backend in SPATIAL_BACKENDS:
-        return backend
-    if backend == "linear":
-        raise ValueError(
-            "spatial_backend 'linear' was retired: the exhaustive scan now lives "
-            "in the test suite as the oracle the grid is checked against; "
-            f"use one of {SPATIAL_BACKENDS}"
-        )
-    raise ValueError(
-        f"spatial_backend must be one of {SPATIAL_BACKENDS} (got {backend!r})"
-    )

@@ -325,8 +325,9 @@ class StatsCollector:
     def collision(self, count: int = 1) -> None:
         """Record ``count`` frames lost to interference at some receiver.
 
-        The vectorized delivery path counts a whole frame's collisions in
-        one call; the scalar paths record them one at a time.
+        The medium counts a whole broadcast's collisions in one call when it
+        settles the frame in bulk (see :mod:`repro.sim.medium`); every other
+        delivery records them one at a time.
         """
         self.mac_collisions += count
         if self.tap is not None:

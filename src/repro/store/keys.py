@@ -1,7 +1,7 @@
 """Content-addressed cell keys for the experiment store.
 
 A sweep cell is a pure function of its inputs: the scenario (which carries
-the workload, radio, spatial backend and seed), the protocol and its
+the workload, radio and seed), the protocol and its
 configuration, and the simulator code itself.  :func:`cell_key` digests all
 of them into one stable hex key, so that
 
@@ -112,7 +112,7 @@ def cell_key(
 ) -> str:
     """Stable content key of one sweep cell.
 
-    Digests (scenario incl. workload/radio/backend/seed, protocol,
+    Digests (scenario incl. workload/radio/seed, protocol,
     protocol config, code version) into a sha256 hex string.  ``code``
     defaults to :func:`code_version` of the installed package.
     """

@@ -54,6 +54,11 @@ class Workload(ABC):
     #: of those names), each mapped to the constructor keyword it sets.
     traffic_keywords: ClassVar[Dict[str, str]] = {}
 
+    #: Constructor keywords that, once given a value, make another keyword
+    #: a no-op, mapped to that keyword (``cbr``'s pinned ``flows`` replace
+    #: ``flow_count``).  A traffic setting never fills a no-op keyword.
+    traffic_overrides: ClassVar[Dict[str, str]] = {}
+
     @abstractmethod
     def build(
         self, scenario: "Scenario", built: "BuiltScenario", rng: random.Random

@@ -47,6 +47,7 @@ class CbrWorkload(Workload):
         "packet_interval": "interval_s",
         "warmup": "start_time_s",
     }
+    traffic_overrides = {"flows": "flow_count"}
 
     def __init__(
         self,

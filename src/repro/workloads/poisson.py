@@ -45,6 +45,7 @@ class PoissonWorkload(Workload):
         "packet_interval": "mean_interval_s",
         "warmup": "start_time_s",
     }
+    traffic_overrides = {"arrival_rate_per_s": "flow_count"}
 
     def __init__(
         self,

@@ -25,11 +25,16 @@ WORKLOADS: Registry[Type[Workload]] = Registry("workload", name_attr="workload_n
 
 def with_traffic(scenario: "Scenario", traffic: Mapping[str, object]) -> "Scenario":
     """``scenario`` with each ``traffic`` setting its workload reads added to
-    ``workload_params``, unless the preset's or its own params fix it; the
-    same object when no setting applies."""
+    ``workload_params``, unless the preset's or its own params fix it or
+    make it a no-op (:attr:`~repro.workloads.base.Workload.traffic_overrides`);
+    the same object when no setting applies."""
     preset = WORKLOADS.presets.get(scenario.workload)
-    keywords = WORKLOADS[preset.kind if preset else scenario.workload].traffic_keywords
-    fixed = set(scenario.workload_params).union(preset.defaults if preset else ())
+    kind = WORKLOADS[preset.kind if preset else scenario.workload]
+    keywords = kind.traffic_keywords
+    given = {**(preset.defaults if preset else {}), **scenario.workload_params}
+    fixed = set(given).union(
+        ignored for keyword, ignored in kind.traffic_overrides.items() if given.get(keyword)
+    )
     params = {
         keywords[setting]: value
         for setting, value in traffic.items()

@@ -51,6 +51,15 @@ class V2IWorkload(Workload):
         request_size_bytes: int = 256,
         response_size_bytes: int = 1024,
     ) -> None:
+        # Named errors here, not a silent empty run (negative counts) or a
+        # deep scheduler error (negative interval) mid-run.
+        for name, value in (
+            ("session_count", session_count),
+            ("requests_per_session", requests_per_session),
+            ("request_interval_s", request_interval_s),
+        ):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0 (got {value})")
         for name, size in (
             ("request_size_bytes", request_size_bytes),
             ("response_size_bytes", response_size_bytes),

@@ -2,7 +2,7 @@
 
 from repro.devtools.pragmas import Pragma, extract_pragmas
 
-KNOWN = ("RNG-001", "DET-001", "BITX-001")
+KNOWN = ("RNG-001", "DET-001", "DET-002")
 
 
 class TestWellFormedPragmas:
@@ -18,7 +18,7 @@ class TestWellFormedPragmas:
         assert errors == []
         assert pragmas[0].rule_ids == ("RNG-001", "DET-001")
         assert pragmas[0].suppresses("DET-001", 1)
-        assert not pragmas[0].suppresses("BITX-001", 1)
+        assert not pragmas[0].suppresses("DET-002", 1)
 
     def test_suppression_is_line_scoped(self):
         text = "a = 1\nb = f()  # repro-lint: ok RNG-001 -- here only\nc = 2\n"

@@ -63,13 +63,11 @@ class TestScenario:
         with pytest.raises(ValueError, match="max_vehicles"):
             _small_scenario(max_vehicles=-5)
 
-    def test_unknown_spatial_backend_rejected(self):
-        with pytest.raises(ValueError, match="spatial_backend must be one of"):
-            Scenario(spatial_backend="lineer")
-
-    def test_retired_linear_backend_named(self):
-        with pytest.raises(ValueError, match="spatial_backend 'linear' was retired"):
-            Scenario(spatial_backend="linear")
+    @pytest.mark.parametrize("backend", ["grid", "vectorized", "linear"])
+    def test_retired_spatial_backend_is_a_named_error(self, backend):
+        """One delivery path: the backend field fails by name, whatever its value."""
+        with pytest.raises(TypeError, match="spatial_backend"):
+            Scenario(spatial_backend=backend)
 
     def test_zero_horizon_and_fleet_stay_legal(self):
         scenario = _small_scenario(duration_s=0.0, drain_s=0.0, max_vehicles=0)

@@ -34,7 +34,6 @@ class TestMobilityBuildKey:
             _scenario(workload_params={"interval_s": 0.5}),
             _scenario(radio_stack="dsrc-highway-los"),
             _scenario(radio_params={"communication_range_m": 100.0}),
-            _scenario(spatial_backend="vectorized"),
             _scenario(bus_count=2),
         ):
             assert shared_build.mobility_build_key(variant) == (

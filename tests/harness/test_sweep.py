@@ -186,9 +186,9 @@ class TestMatrix:
                 [_tiny_scenario()], ["P"], [1], radios=["nakagami", "nakagami"]
             )
 
-    def test_retired_backend_rejected_before_any_cell(self):
-        with pytest.raises(ValueError, match="spatial_backend 'linear' was retired"):
-            build_matrix([_tiny_scenario()], ["P"], [1], spatial_backends=["linear"])
+    def test_retired_backend_axis_rejected_before_any_cell(self):
+        with pytest.raises(TypeError, match="spatial_backends"):
+            build_matrix([_tiny_scenario()], ["P"], [1], spatial_backends=["grid"])
 
     def test_radio_axis_resets_foreign_radio_params(self):
         """Same reset logic as the workload axis: radio_params parameterise

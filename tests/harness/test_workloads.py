@@ -510,11 +510,20 @@ class TestParameterValidation:
             ("event-burst", "repeat_interval_s", float("inf")),
             ("v2i", "request_size_bytes", -1),
             ("v2i", "response_size_bytes", 0),
+            ("v2i", "session_count", -1),
+            ("v2i", "requests_per_session", -1),
+            ("v2i", "request_interval_s", -0.5),
         ],
     )
     def test_sizes_and_repeat_interval_rejected(self, kind, param, value):
         with pytest.raises(ValueError, match=param):
             WORKLOADS.resolve(kind, **{param: value})
+
+    def test_v2i_zero_counts_and_interval_are_legal(self):
+        workload = WORKLOADS.resolve(
+            "v2i", session_count=0, requests_per_session=0, request_interval_s=0.0
+        )
+        assert (workload.session_count, workload.request_interval_s) == (0, 0.0)
 
     def test_zero_repeat_interval_and_default_poisson_size_are_legal(self):
         assert WORKLOADS.resolve("event-burst", repeat_interval_s=0.0).repeat_interval_s == 0.0

@@ -78,15 +78,18 @@ def use_linear_scan(medium: WirelessMedium) -> WirelessMedium:
 
 @contextmanager
 def caches_off() -> Iterator[None]:
-    """Switch off the medium's two caches for the duration of the block.
+    """Switch off the medium's shortcuts for the duration of the block.
 
     Every node counts as live, so no in-range table is reused between
-    mobility steps, and no reception model is ``deterministic``, so no
-    reception decision is reused.  A cached run must equal its uncached twin.
+    mobility steps or built from recorded positions; no reception model is
+    ``deterministic``, so no reception decision is reused; and no frame is
+    count-folded, so every receiver's interference comes from
+    ``_interference_at`` and every decision from ``decide``.  A run with
+    the shortcuts must equal its twin without them.
     """
     with mock.patch.object(medium_module, "_is_live", lambda node: True), mock.patch.object(
         SnrThresholdReception, "deterministic", False
-    ):
+    ), mock.patch.object(WirelessMedium, "_count_fold", lambda self, *args: None):
         yield
 
 
@@ -100,7 +103,6 @@ def build_static_network(
     road_graph: Optional[RoadGraph] = None,
     rsu_positions: Iterable[Tuple[float, float]] = (),
     trace: bool = False,
-    spatial_backend: str = "grid",
     oracle: bool = False,
 ):
     """Build a network of nodes at fixed positions (or constant velocities).
@@ -119,7 +121,6 @@ def build_static_network(
         reception=SnrThresholdReception(),
         stats=stats,
         trace=event_trace,
-        spatial_backend=spatial_backend,
     )
     if oracle:
         use_linear_scan(medium)

@@ -98,7 +98,6 @@ def _key(label: str, seed: int) -> str:
 
 def _run(protocol: str, preset: str, overrides: dict, seed: int):
     scenario = scenario_from_name(preset, seed=seed, **overrides)
-    assert scenario.spatial_backend == "grid"
     return ExperimentRunner().run(scenario, protocol)
 
 

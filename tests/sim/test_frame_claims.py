@@ -4,9 +4,10 @@
 to its opener: ``open_frame(packet, sender_id)`` runs at most once per frame,
 at the first successful intended receiver, and the ``receive(node,
 rx_power_dbm)`` it returns is called where ``Node.deliver`` would have been.
-Every delivery loop honours claims -- the scalar completion and both loops
-of the vectorized one (the untraced broadcast fast loop and the general
-loop) -- so each behaviour below is checked on all three.
+Every delivery loop honours claims -- the per-receiver reference loop (with
+the medium's shortcuts off), the count-folded receiver walk (traced) and the
+bulk broadcast settlement (untraced) -- so each behaviour below is checked
+on all three.
 """
 
 from __future__ import annotations
@@ -30,17 +31,27 @@ from repro.sim.packet import BROADCAST, Packet, make_control_packet, next_uid
 from repro.sim.statistics import StatsCollector
 from repro.sim.trace import EventTrace
 from repro.workloads import WORKLOADS
+from tests.helpers import caches_off, use_linear_scan
 
-#: (spatial backend, trace enabled): grid runs the scalar completion; the
-#: vectorized backend (forced onto its array path) runs its broadcast fast
-#: loop untraced and its general loop traced.
-LOOPS = [("grid", False), ("vectorized", False), ("vectorized", True)]
-LOOP_IDS = ["scalar", "vectorized-fast", "vectorized-general"]
+#: (delivery loop, trace enabled): ``reference`` runs with
+#: ``tests.helpers.caches_off``; with the shortcuts on, a hard-edge channel
+#: settles broadcasts in bulk untraced and walks its receivers traced.
+LOOPS = [("reference", False), ("count", False), ("count", True)]
+LOOP_IDS = ["reference", "count-bulk", "count-walk"]
 
 
-def _network(positions, backend, traced, propagation=None):
-    if backend == "vectorized":
-        pytest.importorskip("numpy")
+@pytest.fixture(autouse=True)
+def _delivery_loop(request):
+    """Run the ``reference`` leg of a test with the medium's shortcuts off."""
+    callspec = getattr(request.node, "callspec", None)
+    if callspec is not None and callspec.params.get("loop") == "reference":
+        with caches_off():
+            yield
+    else:
+        yield
+
+
+def _network(positions, loop, traced, propagation=None):
     sim = Simulator(seed=3)
     stats = StatsCollector()
     trace = EventTrace(enabled=traced)
@@ -50,9 +61,7 @@ def _network(positions, backend, traced, propagation=None):
         reception=SnrThresholdReception(),
         stats=stats,
         trace=trace,
-        spatial_backend=backend,
     )
-    medium.vectorized_min_rows = 0
     network = Network(sim, medium=medium, stats=stats, trace=trace)
     nodes = [
         network.add_vehicle(StaticPositionProvider(Vec2(x, y))) for x, y in positions
@@ -104,12 +113,12 @@ def _send(sim, sender, ptype, at, next_hop=BROADCAST, size_bytes=64, headers=Non
     return packet
 
 
-@pytest.mark.parametrize("backend,traced", LOOPS, ids=LOOP_IDS)
+@pytest.mark.parametrize("loop,traced", LOOPS, ids=LOOP_IDS)
 class TestClaimedDelivery:
-    def test_open_runs_once_per_received_frame(self, backend, traced):
+    def test_open_runs_once_per_received_frame(self, loop, traced):
         # Node 3 is alone, 5 km away: nobody hears its frame.
         sim, network, nodes = _network(
-            [(0, 0), (100, 0), (200, 0), (5000, 0)], backend, traced
+            [(0, 0), (100, 0), (200, 0), (5000, 0)], loop, traced
         )
         claim = _Recorder()
         network.medium.claim_frames("PING", claim)
@@ -121,11 +130,11 @@ class TestClaimedDelivery:
         assert unheard.uid not in {uid for uid, _ in claim.opened}
 
     def test_receive_sees_ok_intended_receivers_in_registration_order(
-        self, backend, traced
+        self, loop, traced
     ):
         # Registered out of positional order; the sender is node 2.
         sim, network, nodes = _network(
-            [(150, 0), (50, 0), (100, 0), (200, 0), (0, 0)], backend, traced
+            [(150, 0), (50, 0), (100, 0), (200, 0), (0, 0)], loop, traced
         )
         claim = _Recorder()
         network.medium.claim_frames("PING", claim)
@@ -136,18 +145,18 @@ class TestClaimedDelivery:
         assert all(uid == packet.uid for uid, _, _ in claim.received)
         assert all(isinstance(rx, float) for _, _, rx in claim.received)
 
-    def test_unicast_reaches_only_the_next_hop(self, backend, traced):
-        sim, network, nodes = _network([(0, 0), (100, 0), (200, 0)], backend, traced)
+    def test_unicast_reaches_only_the_next_hop(self, loop, traced):
+        sim, network, nodes = _network([(0, 0), (100, 0), (200, 0)], loop, traced)
         claim = _Recorder()
         network.medium.claim_frames("PING", claim)
         _send(sim, nodes[0], "PING", 1.0, next_hop=nodes[2].node_id)
         sim.run(until=2.0)
         assert [node_id for _, node_id, _ in claim.received] == [nodes[2].node_id]
 
-    def test_collisions_open_nothing(self, backend, traced):
+    def test_collisions_open_nothing(self, loop, traced):
         # Hidden terminals 400 m apart; the middle node hears both long
         # frames at once.
-        sim, network, nodes = _network([(0, 0), (200, 0), (400, 0)], backend, traced)
+        sim, network, nodes = _network([(0, 0), (200, 0), (400, 0)], loop, traced)
         claim = _Recorder()
         network.medium.claim_frames("PING", claim)
         _send(sim, nodes[0], "PING", 1.0, size_bytes=1500)
@@ -156,13 +165,13 @@ class TestClaimedDelivery:
         assert network.stats.mac_collisions > 0
         assert claim.opened == [] and claim.received == []
 
-    def test_weak_signal_receivers_are_skipped(self, backend, traced):
+    def test_weak_signal_receivers_are_skipped(self, loop, traced):
         propagation = FreeSpacePropagation()
         probe = WirelessMedium(Simulator(seed=1), propagation=propagation)
         nominal = probe.nominal_range(20.0)
         sim, network, nodes = _network(
             [(0, 0), (0.5 * nominal, 0), (1.5 * nominal, 0)],
-            backend,
+            loop,
             traced,
             propagation=propagation,
         )
@@ -175,8 +184,8 @@ class TestClaimedDelivery:
         # The unicast is retried; each attempt is one weak-signal loss.
         assert network.stats.phy_weak_signal >= 1
 
-    def test_unclaimed_ptypes_get_fresh_copies_through_deliver(self, backend, traced):
-        sim, network, nodes = _network([(0, 0), (100, 0), (200, 0)], backend, traced)
+    def test_unclaimed_ptypes_get_fresh_copies_through_deliver(self, loop, traced):
+        sim, network, nodes = _network([(0, 0), (100, 0), (200, 0)], loop, traced)
         claim = _Recorder()
         network.medium.claim_frames("PING", claim)
         seen = []
@@ -196,9 +205,9 @@ class TestClaimedDelivery:
         assert all(copy.rx_power_dbm is not None for copy in copies)
         assert {uid for uid, _ in claim.opened} == {ping.uid}
 
-    def test_in_place_header_mutation_stays_with_its_receiver(self, backend, traced):
+    def test_in_place_header_mutation_stays_with_its_receiver(self, loop, traced):
         sim, network, nodes = _network(
-            [(0, 0), (100, 0), (200, 0), (300, 0)], backend, traced
+            [(0, 0), (100, 0), (200, 0), (300, 0)], loop, traced
         )
         seen = []
         for node in nodes:
@@ -212,13 +221,13 @@ class TestClaimedDelivery:
         ]
         assert packet.headers["path"] == [sender.node_id]
 
-    def test_rx_power_is_stamped_on_each_receivers_own_copy(self, backend, traced):
+    def test_rx_power_is_stamped_on_each_receivers_own_copy(self, loop, traced):
         propagation = FreeSpacePropagation()
         probe = WirelessMedium(Simulator(seed=1), propagation=propagation)
         nominal = probe.nominal_range(20.0)
         offsets = [0.1 * nominal, 0.3 * nominal, 0.5 * nominal]
         sim, network, nodes = _network(
-            [(0, 0)] + [(x, 0) for x in offsets], backend, traced, propagation=propagation
+            [(0, 0)] + [(x, 0) for x in offsets], loop, traced, propagation=propagation
         )
         seen = []
         for node in nodes:
@@ -235,10 +244,10 @@ class TestClaimedDelivery:
         assert expected == sorted(expected, reverse=True)
         assert packet.rx_power_dbm is None
 
-    def test_uid_numbering_matches_an_unclaimed_run(self, backend, traced):
+    def test_uid_numbering_matches_an_unclaimed_run(self, loop, traced):
         def uids_drawn(claimed):
             sim, network, nodes = _network(
-                [(0, 0), (100, 0), (200, 0), (300, 0)], backend, traced
+                [(0, 0), (100, 0), (200, 0), (300, 0)], loop, traced
             )
             if claimed:
                 network.medium.claim_frames("PING", _Recorder())
@@ -249,8 +258,8 @@ class TestClaimedDelivery:
         # Three receivers each draw one uid, claimed or not.
         assert uids_drawn(claimed=True) == uids_drawn(claimed=False) == 4
 
-    def test_a_later_claim_replaces_the_earlier_one(self, backend, traced):
-        sim, network, nodes = _network([(0, 0), (100, 0)], backend, traced)
+    def test_a_later_claim_replaces_the_earlier_one(self, loop, traced):
+        sim, network, nodes = _network([(0, 0), (100, 0)], loop, traced)
         first, second = _Recorder(), _Recorder()
         network.medium.claim_frames("PING", first)
         network.medium.claim_frames("PING", second)
@@ -259,7 +268,7 @@ class TestClaimedDelivery:
         assert first.opened == [] and len(second.opened) == 1
 
 
-def _storm_cell(backend):
+def _storm_cell():
     """The safety-beacon storm preset, cut down: HELLO and BSM claims both run."""
     return scenario_from_name(
         "city-core-1km-congested",
@@ -269,20 +278,22 @@ def _storm_cell(backend):
         max_vehicles=60,
         workload="safety-beacon-10hz",
         workload_params={"start_time_s": 0.5},
-        spatial_backend=backend,
     )
 
 
-def _run_storm(backend, traced):
+def _run_storm(oracle, traced):
     """``(summary, extra, trace digest, uids drawn)`` of one storm cell.
 
-    Trace uids are taken relative to the first uid the run draws, so two
-    runs in one process compare equal exactly when they number alike.
+    With ``oracle`` the medium scans exhaustively (see
+    :func:`~tests.helpers.use_linear_scan`).  Trace uids are taken relative
+    to the first uid the run draws, so two runs in one process compare
+    equal exactly when they number alike.
     """
-    scenario = _storm_cell(backend)
+    scenario = _storm_cell()
     runner = ExperimentRunner(trace_enabled=traced, trace_max_records=None)
     built = runner.build(scenario)
-    built.network.medium.vectorized_min_rows = 0
+    if oracle:
+        use_linear_scan(built.network.medium)
     factory = make_protocol_factory(
         "Greedy",
         location_service=LocationService(built.network),
@@ -312,11 +323,9 @@ def _run_storm(backend, traced):
 
 
 @pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
-def test_grid_and_vectorized_storms_are_identical(traced):
-    pytest.importorskip("numpy")
-    grid = _run_storm("grid", traced)
-    vectorized = _run_storm("vectorized", traced)
-    assert grid == vectorized
-    summary, extra, _, _ = grid
+def test_storm_matches_the_linear_scan_oracle(traced):
+    run = _run_storm(False, traced)
+    assert run == _run_storm(True, traced)
+    summary, extra, _, _ = run
     assert summary["beacon_transmissions"] > 0
     assert extra["mean_beacon_receivers"] > 0

@@ -1,8 +1,8 @@
-"""Spatial-backend equivalence and regression tests for the wireless medium.
+"""Oracle equivalence and regression tests for the wireless medium.
 
-The grid backend must be an invisible optimisation: with a deterministic
-propagation model it has to reproduce the linear oracle's event trace
-byte-for-byte.  The regression tests pin the satellite bugfixes that rode
+The grid index must be an invisible optimisation: with a deterministic
+propagation model the medium has to reproduce the linear-scan oracle's
+event trace byte-for-byte.  The regression tests pin the satellite bugfixes that rode
 along with the index: the prune horizon, rx-power threading and node
 removal teardown.
 """
@@ -15,6 +15,8 @@ from repro.harness.scenario import highway_scenario
 from repro.mobility.generator import TrafficDensity
 from repro.protocols.location import LocationService
 from repro.protocols.registry import make_protocol_factory
+from repro.sim.engine import Simulator
+from repro.sim.medium import WirelessMedium
 from repro.sim.packet import BROADCAST, make_data_packet
 from tests.helpers import build_static_network, use_linear_scan
 
@@ -37,27 +39,11 @@ def normalized_records(trace):
     return normalized
 
 
-def count_array_completions(medium):
-    """Count the medium's array-path completions from here on (a one-cell list)."""
-    count = [0]
-    complete_vectorized = medium._complete_vectorized
-
-    def counting(transmission):
-        count[0] += 1
-        complete_vectorized(transmission)
-
-    medium._complete_vectorized = counting
-    return count
-
-
-def run_seeded_scenario(
-    spatial_backend="grid", seed=11, vectorized_min_rows=None, oracle=False
-):
+def run_seeded_scenario(seed=11, oracle=False):
     """A 50-vehicle highway run with beacons and a few data flows, traced.
 
     With ``oracle`` the medium scans exhaustively (see
-    :func:`~tests.helpers.use_linear_scan`).  ``vectorized_min_rows`` overrides the medium's array-path row threshold;
-    ``built.array_completions`` counts the frames completed on that path.
+    :func:`~tests.helpers.use_linear_scan`).
     """
     runner = ExperimentRunner(trace_enabled=True, trace_max_records=500_000)
     scenario = highway_scenario(
@@ -66,15 +52,10 @@ def run_seeded_scenario(
         duration_s=8.0,
         drain_s=1.0,
         seed=seed,
-        spatial_backend=spatial_backend,
     )
     built = runner.build(scenario)
-    medium = built.network.medium
     if oracle:
-        use_linear_scan(medium)
-    if vectorized_min_rows is not None:
-        medium.vectorized_min_rows = vectorized_min_rows
-    built.array_completions = count_array_completions(medium)
+        use_linear_scan(built.network.medium)
     factory = make_protocol_factory(
         "Greedy",
         location_service=LocationService(built.network),
@@ -101,7 +82,7 @@ class TestBackendEquivalence:
     def test_grid_matches_linear_trace_on_seeded_scenario(self):
         # Acceptance criterion of the grid index: same seed, same event
         # trace, record for record, on a 50-vehicle mobile scenario.
-        grid = run_seeded_scenario("grid")
+        grid = run_seeded_scenario()
         linear = run_seeded_scenario(oracle=True)
         grid_records = normalized_records(grid.trace)
         linear_records = normalized_records(linear.trace)
@@ -109,9 +90,11 @@ class TestBackendEquivalence:
         assert grid_records == linear_records
         assert grid.stats.summary() == linear.stats.summary()
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            build_static_network([(0, 0)], spatial_backend="kdtree")
+    def test_spatial_backend_keyword_is_gone(self):
+        # One delivery path: the retired backend switch is an unknown
+        # keyword, named by Python's own TypeError.
+        with pytest.raises(TypeError, match="spatial_backend"):
+            WirelessMedium(Simulator(seed=1), spatial_backend="grid")
 
 
 class TestNodesWithinBoundary:
@@ -342,7 +325,7 @@ class TestRadioStackWiring:
 
 
 def test_default_grid_cell_imports_no_numpy():
-    """The default (grid, pure-Python) delivery path must not need numpy."""
+    """No module of the package needs numpy, and neither does a run."""
     import os
     import subprocess
     import sys
@@ -350,16 +333,18 @@ def test_default_grid_cell_imports_no_numpy():
 
     src = Path(__file__).resolve().parents[2] / "src"
     script = (
-        "import sys\n"
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import repro\n"
+        "for module in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    importlib.import_module(module.name)\n"
         "from repro.harness.runner import ExperimentRunner\n"
         "from repro.harness.scenarios import scenario_from_name\n"
         "scenario = scenario_from_name('city-core-1km-congested', seed=1, duration_s=0.6,\n"
         "    drain_s=0.1, max_vehicles=30, workload='safety-beacon-10hz',\n"
         "    workload_params={'start_time_s': 0.3})\n"
-        "assert scenario.spatial_backend == 'grid'\n"
         "result = ExperimentRunner().run(scenario, 'Greedy')\n"
         "assert result.summary['data_sent'] > 0\n"
-        "print('numpy' in sys.modules)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script],
@@ -367,6 +352,5 @@ def test_default_grid_cell_imports_no_numpy():
         capture_output=True,
         text=True,
         timeout=120,
-        check=True,
     )
-    assert done.stdout.strip().splitlines()[-1] == "False"
+    assert done.returncode == 0, done.stderr

@@ -1,8 +1,9 @@
 """The medium's in-range tables against a fresh linear scan.
 
-``WirelessMedium._disk`` serves every receiver fan-out and scalar
-``nodes_within`` query from a table of ``(node, position, distance)`` built
-once per ``(position, radius)`` between two position refreshes.  The oracle
+``WirelessMedium._disk`` serves every receiver fan-out and
+``nodes_within`` query from a table of nodes, positions and distances
+(parallel lists) built once per ``(position, radius)`` between two
+position refreshes.  The oracle
 here is the plainest possible scan over every registered node; it lives in
 the tests on purpose, so the program keeps one implementation.
 """
@@ -30,6 +31,11 @@ from tests.helpers import LinearMotionProvider, run_data_flow, use_linear_scan
 #: Each test runs on the grid and on the exhaustive-scan oracle.
 ORACLE = pytest.mark.parametrize("oracle", [False, True], ids=["grid", "linear"])
 RADII = (0.0, 80.0, 250.0, 400.0)
+
+
+def _entries(table):
+    """An in-range table's ``(node, position, distance)`` entries, in order."""
+    return list(zip(*table))
 
 
 def _scan(medium: WirelessMedium, position: Vec2, radius: float):
@@ -95,7 +101,9 @@ def test_disk_matches_fresh_scan_on_stepped_networks(seed, oracle):
             for radius in RADII:
                 key = (position.x, position.y, radius)
                 served.append(key in medium._disks)
-                assert medium._disk(position, radius) == _scan(medium, position, radius)
+                assert _entries(medium._disk(position, radius)) == _scan(
+                    medium, position, radius
+                )
                 exclude = rng.choice(list(network.nodes))
                 assert medium.nodes_within(position, radius, exclude=exclude) == [
                     node for node, _, _ in _scan(medium, position, radius)
@@ -124,12 +132,12 @@ class TestInvalidation:
         medium = network.medium
         center = network.node(0).position
         before = _cached_pair(medium, center, 400.0)
-        victim = before[-1][0].node_id
+        victim = before[0][-1].node_id
         network.remove_node(victim)
         after = medium._disk(center, 400.0)
         assert after is not before
-        assert victim not in [node.node_id for node, _, _ in after]
-        assert after == _scan(medium, center, 400.0)
+        assert victim not in [node.node_id for node in after[0]]
+        assert _entries(after) == _scan(medium, center, 400.0)
 
     def test_mid_run_add_vehicle(self, oracle):
         sim, network, _, _ = _stepped_network(2, oracle)
@@ -151,8 +159,8 @@ class TestInvalidation:
         network.start()
         sim.run(until=0.8)
         assert seen["after"] is not seen["before"]
-        assert seen["joined"] in [node for node, _, _ in seen["after"]]
-        assert seen["after"] == _scan(medium, center, 250.0)
+        assert seen["joined"] in seen["after"][0]
+        assert _entries(seen["after"]) == _scan(medium, center, 250.0)
 
     def test_refresh_positions(self, oracle):
         _, network, states, _ = _stepped_network(3, oracle)
@@ -163,8 +171,8 @@ class TestInvalidation:
         medium.refresh_positions()
         after = medium._disk(center, 250.0)
         assert after is not before
-        assert after == _scan(medium, center, 250.0)
-        assert network.node(0) not in [node for node, _, _ in after]
+        assert _entries(after) == _scan(medium, center, 250.0)
+        assert network.node(0) not in after[0]
 
 
 class UnflaggedProvider:
@@ -196,7 +204,7 @@ def test_provider_without_stepped_counts_as_live(provider):
     first = medium._disk(center, 250.0)
     assert medium._disk(center, 250.0) is not first
     assert not medium._disks
-    assert live in [node for node, _, _ in first]
+    assert live in first[0]
     network.remove_node(live.node_id)
     assert medium._live_nodes == 0
     _cached_pair(medium, center, 250.0)

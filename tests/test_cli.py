@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _check_traffic, build_parser, main
+from repro.harness.scenario import Scenario
+from repro.workloads.cbr import CbrFlow
+from repro.workloads.registry import with_traffic
 
 
 class TestParser:
@@ -702,6 +705,26 @@ class TestTrafficFlags:
         err = capsys.readouterr().err
         assert "--packet-interval changes nothing" in err
         assert "'poisson-bursty'" in err
+
+    def test_negative_v2i_flows_fail_by_name(self, capsys):
+        code = main(["run", "Greedy", "--workload", "v2i", "--flows", "-1", *_SMALL_RUN])
+        assert code == 2
+        assert "session_count must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "workload, params",
+        [
+            ("poisson", {"arrival_rate_per_s": 0.5}),
+            ("cbr", {"flows": [CbrFlow(source_index=0, destination_index=1)]}),
+        ],
+    )
+    def test_flows_flag_is_refused_where_a_param_makes_it_a_no_op(
+        self, workload, params, capsys
+    ):
+        scenario = Scenario(workload=workload, workload_params=params)
+        assert with_traffic(scenario, {"flows": 9}) is scenario
+        assert not _check_traffic({"flows": 9}, [scenario])
+        assert "--flows changes nothing" in capsys.readouterr().err
 
     def test_sweep_refuses_a_flag_only_when_no_cell_takes_it(self, capsys):
         refused = main(

@@ -15,17 +15,17 @@ from repro.devtools.registry import LINT_RULES
 from repro.geometry import Vec2
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scenario import Scenario
-from repro.harness.scenarios import SCENARIOS, BuiltMobility
+from repro.harness.scenarios import SCENARIOS, BuiltMobility, scenario_from_name
 from repro.mobility.fcd_trace import FcdSample, write_fcd_trace
 from repro.monitors import MONITORS, Monitor
 from repro.protocols.base import RoutingProtocol
 from repro.protocols.location import LocationService
 from repro.protocols.registry import make_protocol_factory
 from repro.radio.interference import NO_SIGNAL_DBM
+from repro.radio.reception import ProbabilisticReception
 from repro.radio.registry import RADIOS
 from repro.radio.stack import RadioStack
 from repro.registry import KEBAB_CASE, Registry
-from repro.sim.spatial import SPATIAL_BACKENDS
 from repro.workloads import WORKLOADS, CbrWorkload
 from repro.workloads.registry import with_traffic
 from tests.helpers import caches_off
@@ -182,8 +182,8 @@ def test_traffic_keywords_are_constructor_keywords(name):
 # ------------------------------------------------- capability flags, checked
 # The medium trusts two class-level promises of a radio stack: a
 # `deterministic` reception model lets it reuse one receiver's decision for
-# the next receiver with equal inputs, and a `deterministic` propagation
-# model lets it take the vectorized array path.  A wrong flag changes
+# every receiver with equal inputs, and `constant_rx_profile` lets it fold
+# interference into an interferer count.  A wrong flag changes
 # results silently, so every registered stack is held to what it declares.
 
 #: Every radio preset, and every kind at its default parameters.
@@ -314,13 +314,16 @@ def test_stepped_providers_hold_still_between_mobility_steps(kind, tmp_path):
 
 
 # ------------------------------------------------ caches on == caches off
-# The range tables (kept while every provider is `stepped`) and decision
-# reuse (taken while the reception model is `deterministic`) are caches:
-# with both switched off by `tests.helpers.caches_off`, every kind, workload
-# and backend must produce the same trace as with them on.
+# The range tables (kept and built from recorded positions while every
+# provider is `stepped`), decision reuse (taken while the reception model is
+# `deterministic`) and the count-fold with its bulk broadcast settlement
+# (taken on hard-edge channels) are shortcuts: with all of them switched off
+# by `tests.helpers.caches_off`, every kind and workload must produce the
+# same run as with them on.  Traced runs compare their event traces; untraced
+# runs take the bulk broadcast path and compare their summaries.
 
 
-def _cache_cell(kind, workload, backend, trace_path):
+def _cache_cell(kind, workload, traced, trace_path):
     scenario = Scenario(
         name=f"caches-{kind}",
         kind=kind,
@@ -330,13 +333,13 @@ def _cache_cell(kind, workload, backend, trace_path):
         seed=4,
         rsu_spacing_m=400.0,
         workload=workload,
-        spatial_backend=backend,
         trace_path=trace_path if kind == "trace" else None,
     )
-    scenario = with_traffic(scenario, {"flows": 2})
-    built = ExperimentRunner(trace_enabled=True, trace_max_records=200_000).build(scenario)
-    # Small cells only reach the vectorized array path with no row floor.
-    built.network.medium.vectorized_min_rows = 0
+    return _run_cache_cell(with_traffic(scenario, {"flows": 2}), traced)
+
+
+def _run_cache_cell(scenario, traced):
+    built = ExperimentRunner(trace_enabled=traced, trace_max_records=200_000).build(scenario)
     built.network.attach_protocols(
         make_protocol_factory(
             "Greedy",
@@ -352,15 +355,52 @@ def _cache_cell(kind, workload, backend, trace_path):
     return normalized_records(built.trace), built.stats.summary()
 
 
-@pytest.mark.parametrize("backend", SPATIAL_BACKENDS)
+def _same_with_caches_off(cell, label):
+    records, summary = cell()
+    assert summary["data_sent"] > 0, f"{label}: no traffic"
+    with caches_off():
+        uncached = cell()
+    assert uncached == (records, summary), f"{label}: caches changed the run"
+    return records
+
+
+@pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
 @pytest.mark.parametrize("workload", ["cbr", "safety-beacon"])
 @pytest.mark.parametrize("kind", SCENARIOS.names())
-def test_caches_on_and_off_give_the_same_trace(kind, workload, backend, tmp_path):
-    if backend == "vectorized":
-        pytest.importorskip("numpy")
+def test_caches_on_and_off_give_the_same_trace(kind, workload, traced, tmp_path):
     trace_path = _tiny_trace(tmp_path / "trace.csv")
-    records, summary = _cache_cell(kind, workload, backend, trace_path)
-    assert records, f"{kind}: empty trace"
-    with caches_off():
-        uncached = _cache_cell(kind, workload, backend, trace_path)
-    assert uncached == (records, summary), f"{kind}/{workload}/{backend}: caches changed the run"
+    records = _same_with_caches_off(
+        lambda: _cache_cell(kind, workload, traced, trace_path), f"{kind}/{workload}"
+    )
+    assert bool(records) == traced, f"{kind}: trace recording is {traced}"
+
+
+#: Hard-edge stacks whose levels are not the default's: 23 dBm is a
+#: non-integer number of mW, so the interference folds run through real
+#: rounding; probabilistic reception draws from the RNG per receiver.  They
+#: run on the congested city core, where hundreds of frames overlap.
+HARD_EDGE_STACKS = {
+    "unit-disk-23dbm": {"tx_power_dbm": 23.0},
+    "unit-disk-23dbm-probabilistic": {
+        "tx_power_dbm": 23.0,
+        "reception": ProbabilisticReception(),
+    },
+}
+
+
+@pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+@pytest.mark.parametrize("workload", ["cbr", "safety-beacon-10hz"])
+@pytest.mark.parametrize("stack", sorted(HARD_EDGE_STACKS))
+def test_caches_on_and_off_agree_on_hard_edge_stacks(stack, workload, traced):
+    scenario = scenario_from_name(
+        "city-core-1km-congested",
+        seed=4,
+        duration_s=1.5,
+        drain_s=0.2,
+        max_vehicles=60,
+        workload=workload,
+        workload_params={"start_time_s": 0.3},
+        radio_stack="unit_disk",
+        radio_params=HARD_EDGE_STACKS[stack],
+    )
+    _same_with_caches_off(lambda: _run_cache_cell(scenario, traced), f"{stack}/{workload}")
