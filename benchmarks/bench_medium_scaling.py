@@ -195,16 +195,12 @@ def run_scaling_cell(cell: ScalingCell) -> dict:
     """
     sim, network, stats = _build_network(cell.vehicles, cell.radio, cell.oracle)
     rng = random.Random(99)
-    sends = []
     for node in network.nodes.values():
         for _ in range(FRAMES_PER_NODE):
             packet = make_control_packet(
                 "bench", "HELLO", node.node_id, BROADCAST, size_bytes=32
             )
-            sends.append(
-                (rng.uniform(0.0, 2.0), node.send, (packet, BROADCAST), 0)
-            )
-    sim.schedule_at_many(sends)
+            sim.schedule_at(rng.uniform(0.0, 2.0), node.send, packet, BROADCAST)
     started = time.perf_counter()
     sim.run(until=5.0)
     wall = time.perf_counter() - started
@@ -298,22 +294,15 @@ def run_storm_cell(vehicles: int = STORM_VEHICLES) -> dict:
     airtime = medium.mac_config.frame_airtime(STORM_BEACON_BYTES)
     period = 1.0 / STORM_BEACON_HZ
     rng = random.Random(99)
-    sends = []
     for node in network.nodes.values():
         offset = rng.uniform(0.0, period)
         for k in range(STORM_BEACONS_PER_NODE):
             packet = make_control_packet(
                 "bench", "BSM", node.node_id, BROADCAST, size_bytes=STORM_BEACON_BYTES
             )
-            sends.append(
-                (
-                    offset + k * period,
-                    medium.begin_transmission,
-                    (node, packet, BROADCAST, airtime),
-                    0,
-                )
+            sim.schedule_at(
+                offset + k * period, medium.begin_transmission, node, packet, BROADCAST, airtime
             )
-    sim.schedule_at_many(sends)
     probe_before = _probe_s()
     started = time.perf_counter()
     sim.run(until=STORM_BEACONS_PER_NODE * period + 2.0 * period)

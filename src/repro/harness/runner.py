@@ -239,19 +239,10 @@ class ExperimentRunner:
     def build(
         self,
         scenario: Scenario,
-        prebuilt=None,
         telemetry=None,
         run_context: Optional[Dict[str, object]] = None,
     ) -> BuiltScenario:
         """Instantiate the mobility, radio, network and infrastructure of a scenario.
-
-        ``prebuilt`` is an optional
-        :class:`~repro.harness.shared_build.PrebuiltMobility`: a staged
-        mobility substrate (plus its post-build ``"mobility"`` stream)
-        mapped out of a sweep's shared-memory arena.  Supplying it skips
-        the mobility build entirely; everything downstream is byte-exact
-        with a monolithic build because the adopted stream continues from
-        the same state and the staged objects carry the same floats.
 
         ``telemetry`` is a sink spec for monitor JSONL telemetry (a path,
         callable, :class:`~repro.monitors.telemetry.TelemetrySink`, or
@@ -260,11 +251,6 @@ class ExperimentRunner:
         protocol name) for the ``run_start`` telemetry header.
         """
         sim = Simulator(seed=scenario.seed)
-        if prebuilt is not None:
-            # Must precede any stream("mobility") call: the staged stream
-            # already advanced through the build, and consumers must see it
-            # (not a fresh derivation that would replay the build draws).
-            sim.rng.adopt("mobility", prebuilt.mobility_rng)
         stats = StatsCollector()
         trace = EventTrace(enabled=self.trace_enabled, max_records=self.trace_max_records)
         # The radio stack is resolved through the radio registry
@@ -314,10 +300,7 @@ class ExperimentRunner:
         # The scenario kind is resolved through the scenario registry
         # (repro.harness.scenarios); every builder draws its stochastic
         # choices from the simulator's "mobility" stream.
-        if prebuilt is not None:
-            built_mobility = prebuilt.built
-        else:
-            built_mobility = build_mobility(scenario, sim.rng.stream("mobility"))
+        built_mobility = build_mobility(scenario, sim.rng.stream("mobility"))
         mobility = built_mobility.mobility
         road_graph = built_mobility.road_graph
         network = Network(
@@ -361,7 +344,6 @@ class ExperimentRunner:
         scenario: Scenario,
         protocol_name: str,
         protocol_config: Optional[ProtocolConfig] = None,
-        prebuilt=None,
         telemetry=None,
     ) -> RunResult:
         """Run ``protocol_name`` through ``scenario`` and return the metrics.
@@ -370,7 +352,6 @@ class ExperimentRunner:
         default schedules the classic random-pair unicast flows, while any
         other registered kind or preset (``safety-beacon``, ``v2i``, ...)
         schedules its own traffic shape through the same protocol API.
-        ``prebuilt`` forwards a staged mobility substrate to :meth:`build`;
         ``telemetry`` forwards a monitor telemetry sink spec (path,
         callable, or sink -- only consulted when ``scenario.monitors`` is
         non-empty).
@@ -378,7 +359,6 @@ class ExperimentRunner:
         started_wall = time.perf_counter()
         built = self.build(
             scenario,
-            prebuilt=prebuilt,
             telemetry=telemetry,
             run_context={"protocol": protocol_name},
         )

@@ -13,9 +13,8 @@ module provides the machinery for that:
 * :func:`aggregate_records` folds the per-seed
   :class:`~repro.harness.runner.RunRecord` list into per-cell
   :class:`ReplicatedResult` objects (per-metric mean / stddev / 95% CI),
-* :func:`run_cell` is the one cell worker: it runs a cell (against its
-  staged mobility build when the sweep stages one) and returns the record
-  plus the telemetry lines its monitors emitted,
+* :func:`run_cell` is the one cell worker: it runs a cell and returns the
+  record plus the telemetry lines its monitors emitted,
 * :func:`sweep_replications` ties it all together and returns a
   :class:`SweepResult`.
 
@@ -29,11 +28,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
-)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.harness.runner import ExperimentRunner, RunRecord
 from repro.harness.scenario import Scenario
@@ -44,9 +41,6 @@ from repro.store.keys import cell_key, code_version, parse_shard, shard_of
 from repro.store.schema import RECORD_SCHEMA_VERSION, check_record_schema_version
 from repro.store.store import ExperimentStore
 from repro.workloads.registry import with_traffic
-
-if TYPE_CHECKING:  # pragma: no cover - staging is imported only when a sweep stages
-    from repro.harness.shared_build import ArenaTicket, MobilityArena
 
 _CellT = TypeVar("_CellT")
 _ResultT = TypeVar("_ResultT")
@@ -77,16 +71,11 @@ def t_critical_95(n: int) -> float:
 # --------------------------------------------------------------- run matrix
 @dataclass(frozen=True)
 class SweepCell:
-    """One run of the matrix: a scenario (carrying its seed) under one protocol.
-
-    ``ticket`` points at the cell's staged mobility build when the sweep
-    stages one (``shared_mobility=True``); ``None`` rebuilds mobility.
-    """
+    """One run of the matrix: a scenario (carrying its seed) under one protocol."""
 
     scenario: Scenario
     protocol: str
     protocol_config: Optional[ProtocolConfig] = None
-    ticket: Optional["ArenaTicket"] = None
 
 
 def build_matrix(
@@ -118,6 +107,9 @@ def build_matrix(
         # Repeating a seed reruns the identical deterministic cell: the
         # aggregate would report extra replications with zero added variance.
         raise ValueError("replication seeds must be unique")
+    if len(set(protocol_names)) != len(protocol_names):
+        # Same reasoning as seeds: a repeated protocol duplicates cells.
+        raise ValueError("sweep protocols must be unique")
     if workloads is not None and len(set(workloads)) != len(workloads):
         # Same reasoning as seeds: a repeated workload duplicates cells.
         raise ValueError("sweep workloads must be unique")
@@ -176,25 +168,17 @@ def run_cell(cell: SweepCell) -> Tuple[RunRecord, List[str]]:
 
     Module-level (not a closure) so ``ProcessPoolExecutor`` can ship it to
     worker processes; a fresh :class:`ExperimentRunner` per cell guarantees
-    runs cannot contaminate each other through runner state.  A cell with
-    a ``ticket`` adopts its staged mobility build instead of rebuilding it
-    (record-identical, see :mod:`repro.harness.shared_build`).  Telemetry
-    is buffered in memory and shipped back with the record; the sweep's
-    in-order result hook writes it to the sink, so the telemetry file of a
-    ``workers=N`` sweep is byte-identical to the serial one.  Unmonitored
-    cells emit no lines.
+    runs cannot contaminate each other through runner state, and every
+    cell builds its own mobility.  Telemetry is buffered in memory and
+    shipped back with the record; the sweep's in-order result hook writes
+    it to the sink, so the telemetry file of a ``workers=N`` sweep is
+    byte-identical to the serial one.  Unmonitored cells emit no lines.
     """
-    prebuilt = None
-    if cell.ticket is not None:
-        from repro.harness.shared_build import load_prebuilt
-
-        prebuilt = load_prebuilt(cell.ticket)
     sink = BufferSink()
     result = ExperimentRunner().run(
         cell.scenario,
         cell.protocol,
         protocol_config=cell.protocol_config,
-        prebuilt=prebuilt,
         telemetry=sink,
     )
     return result.to_record(), sink.lines
@@ -441,7 +425,6 @@ def sweep_replications(
     protocol_configs: Optional[Dict[str, ProtocolConfig]] = None,
     workloads: Optional[Sequence[str]] = None,
     radios: Optional[Sequence[str]] = None,
-    shared_mobility: bool = False,
     store: Optional[Union[str, Path, ExperimentStore]] = None,
     resume: bool = True,
     shard: Optional[Union[str, Tuple[int, int]]] = None,
@@ -453,21 +436,12 @@ def sweep_replications(
     """Run the scenario x protocol x workload x radio x seed matrix.
 
     ``workers=1`` runs serially in-process; ``workers > 1`` fans the cells
-    out over a process pool.  Both schedules produce identical
-    :class:`SweepResult` contents because every cell is seeded explicitly and
-    results are re-assembled in matrix order.  ``workloads`` adds the
-    workload axis and ``radios`` the radio axis; omitted, every cell keeps
-    the scenario's own workload / radio stack.  ``traffic`` is passed to
-    :func:`build_matrix`.
-
-    ``shared_mobility=True`` stages each distinct mobility build once in
-    this process and publishes it through a shared-memory arena (see
-    :mod:`repro.harness.shared_build`): workers map the staged substrate
-    instead of rebuilding it per cell, which cuts per-cell setup to one
-    pickle load while keeping the records and telemetry byte-identical
-    (pinned by the staged-equality suite).  It combines with every other
-    option, ``telemetry`` included.  The arena lives exactly as long as
-    the sweep.
+    out over a process pool; fewer than 1 is a ``ValueError``.  Both
+    schedules produce identical :class:`SweepResult` contents because every
+    cell is seeded explicitly and results are re-assembled in matrix order.
+    ``workloads`` adds the workload axis and ``radios`` the radio axis;
+    omitted, every cell keeps the scenario's own workload / radio stack.
+    ``traffic`` is passed to :func:`build_matrix`.
 
     ``store`` (a directory path or :class:`ExperimentStore`) streams every
     completed cell into a content-addressed record log as it finishes, so
@@ -493,6 +467,8 @@ def sweep_replications(
     and parallel sweeps produce byte-identical files); cells reused from
     the store emit no telemetry (they did not run).
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1 (got {workers})")
     if monitors:
         monitor_set = tuple(monitors)
         params = dict(monitor_params or {})
@@ -601,22 +577,9 @@ def sweep_replications(
 
         on_result = _stream_result
 
-    arena: Optional["MobilityArena"] = None
     try:
-        if shared_mobility:
-            from repro.harness import shared_build
-
-            arena = shared_build.MobilityArena()
-            pending_cells = [
-                replace(cell, ticket=arena.stage(cell.scenario)) for cell in pending_cells
-            ]
         fresh = execute_cells(pending_cells, run_cell, workers=workers, on_result=on_result)
     finally:
-        if arena is not None:
-            # Serial runs attach in *this* process; drop those mappings
-            # with the arena (worker processes die with the pool).
-            shared_build.detach_all()
-            arena.close()
         if exp_store is not None:
             exp_store.close()
         if telemetry_owned and telemetry_sink is not None:

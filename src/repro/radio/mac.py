@@ -196,15 +196,10 @@ class CsmaCaMac:
         duration = self.config.frame_airtime(packet.size_bytes)
         self._transmitting = True
         self.frames_sent += 1
-        # One bulk insert for the frame's two timers (medium completion,
-        # then our transmission-done) -- same order, and therefore the same
-        # event sequence numbers, as the two schedule calls it replaces.
-        completion = self.medium.begin_transmission(
-            self.node, packet, next_hop, duration, schedule_completion=False
-        )
-        self.medium.sim.schedule_many(
-            [completion, (duration, self._transmission_done, (), 0)]
-        )
+        # The medium schedules the frame's completion first, so at the same
+        # instant it fires before our transmission-done timer.
+        self.medium.begin_transmission(self.node, packet, next_hop, duration)
+        self.medium.sim.schedule(duration, self._transmission_done)
 
     def _transmission_done(self) -> None:
         self._transmitting = False

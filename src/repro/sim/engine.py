@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.rng import RandomStreams
@@ -79,42 +79,6 @@ class Simulator:
             )
         return self._queue.push(time, callback, args, priority)
 
-    def schedule_many(
-        self,
-        items: Iterable[tuple[float, Callable[..., Any], tuple[Any, ...], int]],
-    ) -> list[Event]:
-        """Bulk variant of :meth:`schedule`.
-
-        ``items`` holds ``(delay, callback, args, priority)`` tuples; all
-        events are pushed in one queue call, in iteration order, so the
-        resulting trace is byte-identical to an equivalent loop of
-        :meth:`schedule` calls.
-        """
-        now = self._now
-        batch = []
-        for delay, callback, args, priority in items:
-            if not 0.0 <= delay < _INF:
-                raise SimulationError(
-                    f"event delay must be finite and non-negative (got {delay})"
-                )
-            batch.append((now + delay, callback, args, priority))
-        return self._queue.push_many(batch)
-
-    def schedule_at_many(
-        self,
-        items: Iterable[tuple[float, Callable[..., Any], tuple[Any, ...], int]],
-    ) -> list[Event]:
-        """Bulk variant of :meth:`schedule_at` (absolute times)."""
-        now = self._now
-        batch = []
-        for time, callback, args, priority in items:
-            if not now <= time < _INF:
-                raise SimulationError(
-                    f"event time must be finite and not in the past (time={time}, now={now})"
-                )
-            batch.append((time, callback, args, priority))
-        return self._queue.push_many(batch)
-
     def schedule_periodic(
         self,
         interval: float,
@@ -139,35 +103,6 @@ class Simulator:
         first_delay = start_delay if start_delay is not None else interval
         task.start(first_delay)
         return task
-
-    def schedule_periodic_many(
-        self,
-        specs: Sequence[tuple[float, Callable[..., Any], tuple[Any, ...]]],
-        *,
-        start_delay: Optional[float] = None,
-        jitter: float = 0.0,
-        rng_stream: str = "periodic-jitter",
-    ) -> list["PeriodicTask"]:
-        """Start a fleet of periodic tasks with one bulk queue insert.
-
-        ``specs`` holds ``(interval, callback, args)`` tuples sharing the
-        jitter configuration (the shape of per-node hello/beacon timers).
-        Jitter is drawn in spec order and events are pushed in spec order,
-        so the trace is byte-identical to an equivalent loop of
-        :meth:`schedule_periodic` calls.
-        """
-        tasks: list[PeriodicTask] = []
-        batch = []
-        now = self._now
-        for interval, callback, args in specs:
-            task = PeriodicTask(self, interval, callback, tuple(args), jitter, rng_stream)
-            first_delay = start_delay if start_delay is not None else interval
-            batch.append((now + task._initial_delay(first_delay), task._fire, (), 0))
-            tasks.append(task)
-        events = self._queue.push_many(batch)
-        for task, event in zip(tasks, events):
-            task._event = event
-        return tasks
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run the event loop.
@@ -257,15 +192,12 @@ class PeriodicTask:
         The first firing gets a one-off phase offset in ``[0, jitter]``;
         subsequent periods use a centred draw (see :meth:`_fire`).
         """
-        self._event = self._sim.schedule(self._initial_delay(first_delay), self._fire)
-
-    def _initial_delay(self, first_delay: float) -> float:
         if not -_INF < first_delay < _INF:
             raise SimulationError(f"periodic start delay must be finite (got {first_delay})")
         delay = max(0.0, first_delay)
         if self._jitter > 0:
             delay += self._rng.uniform(0.0, self._jitter)
-        return delay
+        self._event = self._sim.schedule(delay, self._fire)
 
     def cancel(self) -> None:
         """Stop the task; a pending firing is cancelled as well."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 #: Compaction never triggers below this many pending events; filtering a
 #: tiny queue costs more bookkeeping than the dead entries do.
@@ -99,17 +99,6 @@ class EventQueue:
         event = Event(time, priority, seq, callback, args, False, self)
         heappush(self._heap, (time, priority, seq, event))
         return event
-
-    def push_many(
-        self,
-        items: Iterable[tuple[float, Callable[..., Any], tuple[Any, ...], int]],
-    ) -> list[Event]:
-        """Push ``(time, callback, args, priority)`` tuples in order.
-
-        Equivalent to a loop of :meth:`push` calls; returns the events.
-        """
-        push = self.push
-        return [push(time, callback, args, priority) for time, callback, args, priority in items]
 
     def pop(self) -> Event:
         """Remove and return the earliest *live* event.

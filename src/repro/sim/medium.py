@@ -444,15 +444,8 @@ class WirelessMedium:
         packet: Packet,
         next_hop: int,
         duration: float,
-        schedule_completion: bool = True,
-    ) -> tuple:
-        """Put a frame on the air; reception is evaluated when it ends.
-
-        Returns the frame's completion entry ``(delay, callback, args,
-        priority)``.  With ``schedule_completion=False`` the caller takes
-        over scheduling it -- the MAC batches the entry together with its
-        own transmission-done timer through ``Simulator.schedule_many``.
-        """
+    ) -> None:
+        """Put a frame on the air; reception is evaluated when it ends."""
         now = self.sim.now
         self._tx_counter += 1
         transmission = ActiveTransmission(
@@ -487,10 +480,7 @@ class WirelessMedium:
                 next_hop=next_hop,
                 uid=packet.uid,
             )
-        entry = (duration, self._complete, (transmission,), 0)
-        if schedule_completion:
-            self.sim.schedule(duration, self._complete, transmission)
-        return entry
+        self.sim.schedule(duration, self._complete, transmission)
 
     # ------------------------------------------------------------- completion
     def _frame_deliverer(self, transmission: ActiveTransmission) -> FrameReceiver:

@@ -41,26 +41,6 @@ class RandomStreams:
         self._streams[name] = stream
         return stream
 
-    def adopt(self, name: str, stream: random.Random) -> random.Random:
-        """Install a pre-advanced stream object under ``name``.
-
-        The shared-memory sweep stages mobility once per distinct scenario
-        core: the parent derives the ``"mobility"`` stream exactly as
-        :meth:`stream` would, advances it through the build, and ships the
-        resulting :class:`random.Random` (pickled together with the built
-        model, preserving shared references) to workers -- which adopt it
-        here so the run continues the stream from the post-build state
-        instead of replaying the build draws.  Adopting a stream that was
-        already created (or adopted) raises: by then a consumer may hold
-        the old object and the two would silently diverge.
-        """
-        if name in self._streams:
-            raise ValueError(
-                f"stream {name!r} already created; adopt must precede first use"
-            )
-        self._streams[name] = stream
-        return stream
-
     def spawn(self, name: str) -> "RandomStreams":
         """Create a child :class:`RandomStreams` keyed by ``name``.
 

@@ -94,7 +94,6 @@ class CbrWorkload(Workload):
         vehicles = built.vehicle_nodes
         if len(vehicles) < 2:
             return flows
-        sends = []
         for flow_id, spec in enumerate(self._specs(), start=1):
             # Endpoints are resolved before the degenerate-start check so a
             # skipped flow still consumes exactly the draws the legacy
@@ -132,22 +131,14 @@ class CbrWorkload(Workload):
                 send_time = spec.start_time_s + packet_index * spec.interval_s
                 if send_time > scenario.duration_s:
                     break
-                sends.append(
-                    (
-                        send_time,
-                        self.send_unicast,
-                        (
-                            built,
-                            source,
-                            destination,
-                            spec.size_bytes,
-                            flow_id,
-                            packet_index + 1,
-                        ),
-                        0,
-                    )
+                built.sim.schedule_at(
+                    send_time,
+                    self.send_unicast,
+                    built,
+                    source,
+                    destination,
+                    spec.size_bytes,
+                    flow_id,
+                    packet_index + 1,
                 )
-        # One bulk queue insert for the whole traffic matrix; push order
-        # matches the legacy per-packet loop, so the trace is unchanged.
-        built.sim.schedule_at_many(sends)
         return flows

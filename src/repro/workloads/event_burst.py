@@ -109,7 +109,6 @@ class EventBurstWorkload(Workload):
             rng.uniform(window_start, window_end) for _ in range(self.event_count)
         )
         epicenters = [rng.randrange(len(vehicles)) for _ in range(self.event_count)]
-        sends = []
         for flow_id, (trigger_time, vehicle_index) in enumerate(
             zip(triggers, epicenters), start=1
         ):
@@ -117,17 +116,16 @@ class EventBurstWorkload(Workload):
             flows.append(
                 {"flow_id": flow_id, "source": source.node_id, "destination": BROADCAST}
             )
-            sends.append(
-                (
-                    trigger_time,
-                    self._trigger_event,
-                    (built, source, flow_id, scopes, rebroadcast_done, live_keys),
-                    0,
-                )
+            built.sim.schedule_at(
+                trigger_time,
+                self._trigger_event,
+                built,
+                source,
+                flow_id,
+                scopes,
+                rebroadcast_done,
+                live_keys,
             )
-        # One bulk queue insert, in trigger order -- trace-identical to the
-        # legacy per-event loop.
-        built.sim.schedule_at_many(sends)
         return flows
 
     def _trigger_event(

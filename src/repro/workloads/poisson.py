@@ -106,7 +106,6 @@ class PoissonWorkload(Workload):
             return flows
         mean_gap = self.mean_interval_s
         flow_id = 0
-        sends = []
         arrival = start + rng.expovariate(rate)
         while arrival <= scenario.duration_s:
             flow_id += 1
@@ -125,19 +124,18 @@ class PoissonWorkload(Workload):
             for packet_index in range(self.packets_per_flow):
                 if send_time > scenario.duration_s:
                     break
-                sends.append(
-                    (
-                        send_time,
-                        self.send_unicast,
-                        (built, source, destination, self.size_bytes, flow_id, packet_index + 1),
-                        0,
-                    )
+                built.sim.schedule_at(
+                    send_time,
+                    self.send_unicast,
+                    built,
+                    source,
+                    destination,
+                    self.size_bytes,
+                    flow_id,
+                    packet_index + 1,
                 )
                 send_time += rng.expovariate(1.0 / mean_gap) if mean_gap > 0 else 0.0
             arrival += rng.expovariate(rate)
-        # Bulk insert after all RNG draws: draw order above is untouched and
-        # push order matches the legacy loop, so traces are unchanged.
-        built.sim.schedule_at_many(sends)
         return flows
 
 

@@ -95,7 +95,6 @@ class SafetyBeaconWorkload(Workload):
         built.network.medium.claim_frames(
             BSM_PTYPE, self._frame_opener(built, expected)
         )
-        sends = []
         for index, node in enumerate(vehicles):
             flow_id = index + 1
             # A random phase per vehicle desynchronises the beacon instants,
@@ -118,18 +117,10 @@ class SafetyBeaconWorkload(Workload):
             seq = 0
             while send_time <= scenario.duration_s:
                 seq += 1
-                sends.append(
-                    (
-                        send_time,
-                        self._send_beacon,
-                        (built, node, flow_id, seq, expected),
-                        0,
-                    )
+                built.sim.schedule_at(
+                    send_time, self._send_beacon, built, node, flow_id, seq, expected
                 )
                 send_time += self.interval_s
-        # Bulk insert of the whole beacon schedule; push order matches the
-        # legacy per-beacon loop, so traces are byte-identical.
-        built.sim.schedule_at_many(sends)
         return flows
 
     def _send_beacon(

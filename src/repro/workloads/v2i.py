@@ -100,7 +100,6 @@ class V2IWorkload(Workload):
         session_table: Dict[int, Tuple[int, int]] = {}
         for rsu in built.network.rsus:
             rsu.app_delivery_handler = self._make_responder(built, rsu, session_table)
-        sends = []
         for session in range(1, self.session_count + 1):
             vehicle = vehicles[rng.randrange(len(vehicles))]
             offset = rng.uniform(0.0, self.request_interval_s)
@@ -120,16 +119,9 @@ class V2IWorkload(Workload):
                 )
                 if send_time > scenario.duration_s:
                     break
-                sends.append(
-                    (
-                        send_time,
-                        self._send_request,
-                        (built, vehicle, request_flow, request_index + 1),
-                        0,
-                    )
+                built.sim.schedule_at(
+                    send_time, self._send_request, built, vehicle, request_flow, request_index + 1
                 )
-        # One bulk queue insert per build, in the legacy scheduling order.
-        built.sim.schedule_at_many(sends)
         return flows
 
     def _send_request(

@@ -15,7 +15,7 @@ from repro.harness.reporting import (
     sweep_to_csv,
     sweep_to_json,
 )
-from repro.harness.runner import RunRecord
+from repro.harness.runner import ExperimentRunner, RunRecord
 from repro.harness.scenario import Scenario, highway_scenario
 from repro.harness.sweep import (
     MetricAggregate,
@@ -88,17 +88,26 @@ class TestMatrix:
         with pytest.raises(ValueError):
             build_matrix([_tiny_scenario()], ["P"], [])
 
-    def test_duplicate_seeds_rejected(self):
-        """A repeated seed reruns an identical deterministic cell, faking
-        replications with zero added variance."""
+    @pytest.mark.parametrize(
+        "scenario_names, protocols, seeds, axes",
+        [
+            # A repeated seed reruns an identical deterministic cell, faking
+            # replications with zero added variance; a repeated protocol,
+            # workload or radio does the same to every one of its cells.
+            (["a"], ["P"], [5, 5], {}),
+            (["a"], ["Greedy", "Greedy"], [1, 2], {}),
+            (["a"], ["P"], [1], {"workloads": ["cbr", "cbr"]}),
+            (["a"], ["P"], [1], {"radios": ["nakagami", "nakagami"]}),
+            # Aggregation keys on the scenario name; two scenarios sharing
+            # one would be merged into a single corrupted cell.
+            (["dup", "dup"], ["P"], [1], {}),
+        ],
+        ids=["seeds", "protocols", "workloads", "radios", "scenario-names"],
+    )
+    def test_duplicate_axis_entries_rejected(self, scenario_names, protocols, seeds, axes):
+        scenarios = [_tiny_scenario(name) for name in scenario_names]
         with pytest.raises(ValueError, match="unique"):
-            build_matrix([_tiny_scenario()], ["P"], [5, 5])
-
-    def test_duplicate_scenario_names_rejected(self):
-        """Aggregation keys on the scenario name; two scenarios sharing one
-        would be merged into a single corrupted cell."""
-        with pytest.raises(ValueError, match="unique"):
-            build_matrix([_tiny_scenario("dup"), _tiny_scenario("dup")], ["P"], [1])
+            build_matrix(scenarios, protocols, seeds, **axes)
 
     def test_cells_are_picklable(self):
         cells = build_matrix([_tiny_scenario()], ["Greedy"], [1])
@@ -122,10 +131,6 @@ class TestMatrix:
         base = _tiny_scenario().with_overrides(workload="poisson")
         cells = build_matrix([base], ["P"], [1])
         assert cells[0].scenario.workload == "poisson"
-
-    def test_duplicate_workloads_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            build_matrix([_tiny_scenario()], ["P"], [1], workloads=["cbr", "cbr"])
 
     def test_workload_axis_resets_foreign_workload_params(self):
         """The scenario's own workload_params belong to its workload; axis
@@ -179,12 +184,6 @@ class TestMatrix:
             ("cbr", "dsrc-urban-nlos", 2),
         ]
         assert combos[4][0] == "safety-beacon"
-
-    def test_duplicate_radios_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            build_matrix(
-                [_tiny_scenario()], ["P"], [1], radios=["nakagami", "nakagami"]
-            )
 
     def test_retired_backend_axis_rejected_before_any_cell(self):
         with pytest.raises(TypeError, match="spatial_backends"):
@@ -340,6 +339,19 @@ class TestSweepReplications:
         (replicated,) = result.replicated
         assert replicated.seeds == (1, 2, 3)
         assert replicated.metric("delivery_ratio").n == 3
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_counts_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            sweep_replications([_tiny_scenario()], ["Greedy"], [1], workers=workers)
+
+    def test_retired_staging_keywords_are_named_errors(self):
+        """Every cell builds its own mobility; the staging keywords fail by name."""
+        scenario = _tiny_scenario()
+        with pytest.raises(TypeError, match="shared_mobility"):
+            sweep_replications([scenario], ["Greedy"], [1], shared_mobility=True)
+        with pytest.raises(TypeError, match="prebuilt"):
+            ExperimentRunner().run(scenario, "Greedy", prebuilt=None)
 
     def test_run_cell_uses_a_fresh_runner(self):
         cell = build_matrix([_tiny_scenario()], ["Greedy"], [1])[0]

@@ -1,6 +1,6 @@
 """Property tests: the event queue against a plain-list reference model.
 
-Random push / push_many / cancel / pop / pop_due / peek scripts run against
+Random push / cancel / pop / pop_due / peek scripts run against
 :class:`EventQueue` and against :class:`_ReferenceQueue`, a deliberately
 naive list that pops the ``min`` by ``(time, priority, seq)`` and skips
 cancelled events.  The observable traces must match element for element.
@@ -17,17 +17,13 @@ _times = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
 _priorities = st.integers(min_value=-2, max_value=2)
 
 _push_op = st.tuples(st.just("push"), _times, _priorities)
-_push_many_op = st.tuples(
-    st.just("push_many"),
-    st.lists(st.tuples(_times, _priorities), min_size=0, max_size=5),
-)
 _cancel_op = st.tuples(st.just("cancel"), st.integers(min_value=0))
 _pop_op = st.tuples(st.just("pop"))
 _pop_due_op = st.tuples(st.just("pop_due"), _times)
 _peek_op = st.tuples(st.just("peek"))
 
 _ops = st.lists(
-    st.one_of(_push_op, _push_many_op, _cancel_op, _pop_op, _pop_due_op, _peek_op),
+    st.one_of(_push_op, _cancel_op, _pop_op, _pop_due_op, _peek_op),
     min_size=1,
     max_size=60,
 )
@@ -58,9 +54,6 @@ class _ReferenceQueue:
         event = Event(time=time, priority=priority, seq=self._seq, callback=callback, args=args)
         self._events.append(event)
         return event
-
-    def push_many(self, items):
-        return [self.push(time, callback, args, prio) for time, callback, args, prio in items]
 
     def _front(self):
         while self._events:
@@ -106,9 +99,6 @@ def _run(queue, ops):
         if kind == "push":
             _, time, priority = op
             handles.append(queue.push(time, lambda: None, (), priority))
-        elif kind == "push_many":
-            batch = [(time, (lambda: None), (), priority) for time, priority in op[1]]
-            handles.extend(queue.push_many(batch))
         elif kind == "cancel":
             if handles:
                 handles[op[1] % len(handles)].cancel()
@@ -156,19 +146,6 @@ class TestEventQueueMatchesReference:
             return [_key(e) for e in snapshot if not e.cancelled]
 
         assert live_snapshot(EventQueue()) == live_snapshot(_ReferenceQueue())
-
-    @given(
-        items=st.lists(st.tuples(_times, _priorities), min_size=1, max_size=40),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_push_many_equals_push_loop(self, items):
-        batched = EventQueue()
-        looped = EventQueue()
-        batched.push_many([(t, (lambda: None), (), p) for t, p in items])
-        for t, p in items:
-            looped.push(t, lambda: None, (), p)
-        drain = lambda q: [_key(q.pop_due(None)) for _ in range(q.live_count)]
-        assert drain(batched) == drain(looped)
 
     @given(times=st.lists(_times, min_size=1, max_size=30))
     @settings(max_examples=100, deadline=None)

@@ -202,16 +202,12 @@ class TestSimulator:
         # "cannot convert float NaN to integer" ValueError.
         with pytest.raises(SimulationError, match="finite and non-negative"):
             sim.schedule(delay, lambda: None)
-        with pytest.raises(SimulationError, match="finite and non-negative"):
-            sim.schedule_many([(delay, lambda: None, (), 0)])
         assert sim.live_events == 0
 
     @pytest.mark.parametrize("time", [float("nan"), float("inf")])
     def test_schedule_at_rejects_non_finite_time(self, sim, time):
         with pytest.raises(SimulationError, match="finite"):
             sim.schedule_at(time, lambda: None)
-        with pytest.raises(SimulationError, match="finite"):
-            sim.schedule_at_many([(time, lambda: None, (), 0)])
         assert sim.live_events == 0
 
 
@@ -268,8 +264,6 @@ class TestPeriodicTask:
         # at t=0 until max_events ran out.
         with pytest.raises(SimulationError, match="interval"):
             sim.schedule_periodic(interval, lambda: None)
-        with pytest.raises(SimulationError, match="interval"):
-            sim.schedule_periodic_many([(interval, lambda: None, ())])
         assert sim.live_events == 0
 
     @pytest.mark.parametrize("jitter", [float("nan"), float("inf"), -0.5])
@@ -277,8 +271,6 @@ class TestPeriodicTask:
         # A negative jitter used to be silently ignored.
         with pytest.raises(SimulationError, match="jitter"):
             sim.schedule_periodic(1.0, lambda: None, jitter=jitter)
-        with pytest.raises(SimulationError, match="jitter"):
-            sim.schedule_periodic_many([(1.0, lambda: None, ())], jitter=jitter)
         assert sim.live_events == 0
 
     @pytest.mark.parametrize("start_delay", [float("nan"), float("inf")])

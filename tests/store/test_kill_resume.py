@@ -3,12 +3,9 @@
 The interrupted process is a real subprocess killed with SIGKILL (no
 cleanup handlers run), covering the whole crash path: fsync'd per-record
 appends, truncated-tail tolerance, and content-addressed resume -- with
-``workers=2`` and ``shared_mobility=True``, the most machinery the sweep
-can have in flight when it dies.
+``workers=2``, so pool workers are in flight when the sweep dies.
 """
 
-import contextlib
-import glob
 import json
 import os
 import signal
@@ -48,7 +45,7 @@ scenario = highway_scenario(
 )
 sweep_replications(
     [scenario], {protocols!r}, {seeds!r},
-    workers=2, shared_mobility=True, store={store!r},
+    workers=2, store={store!r},
 )
 """
 
@@ -70,10 +67,6 @@ def _complete_lines(path: Path) -> int:
     return data.count(b"\n")
 
 
-def _shm_segments() -> set:
-    return set(glob.glob("/dev/shm/psm_*"))
-
-
 def test_kill_and_resume_is_byte_identical(tmp_path):
     store_dir = tmp_path / "store"
     records = store_dir / RECORDS_FILE
@@ -86,7 +79,6 @@ def test_kill_and_resume_is_byte_identical(tmp_path):
     )
     # New session: SIGKILL to the group takes the pool workers down with the
     # parent, exactly like a crashed box or an impatient operator.
-    shm_before = _shm_segments()
     victim = subprocess.Popen(
         [sys.executable, "-c", script],
         env=env,
@@ -106,12 +98,6 @@ def test_kill_and_resume_is_byte_identical(tmp_path):
         if victim.poll() is None:
             os.killpg(victim.pid, signal.SIGKILL)
         victim.wait(timeout=30)
-        # SIGKILL also takes down the victim's multiprocessing resource
-        # tracker, so its shared-mobility segments leak -- reap them here
-        # or they trip the /dev/shm leak check in later test runs.
-        for stale in _shm_segments() - shm_before:
-            with contextlib.suppress(OSError):
-                os.unlink(stale)
 
     landed = _complete_lines(records)
     assert landed >= 1
@@ -123,7 +109,6 @@ def test_kill_and_resume_is_byte_identical(tmp_path):
         PROTOCOLS,
         SEEDS,
         workers=2,
-        shared_mobility=True,
         store=store_dir,
     )
     # Only the missing cells ran (duplicate keys would mean re-execution).
@@ -131,9 +116,7 @@ def test_kill_and_resume_is_byte_identical(tmp_path):
     assert resumed.executed_cells == len(PROTOCOLS) * len(SEEDS) - landed
     assert ExperimentStore(store_dir).verify().duplicate_keys == 0
 
-    scratch = sweep_replications(
-        [scenario], PROTOCOLS, SEEDS, workers=2, shared_mobility=True
-    )
+    scratch = sweep_replications([scenario], PROTOCOLS, SEEDS, workers=2)
     # Byte-identical final aggregates, interrupted+resumed vs uninterrupted.
     assert json.dumps(
         [cell.to_dict() for cell in resumed.replicated], sort_keys=True

@@ -107,22 +107,6 @@ class TestStoreEquivalence:
             key for key, _ in parallel.entries()
         ]
 
-    def test_shared_mobility_store_matches_plain(self, tmp_path):
-        scenario = _tiny_scenario()
-        sweep_replications([scenario], ["Greedy"], [1, 2], store=tmp_path / "plain")
-        sweep_replications(
-            [scenario],
-            ["Greedy"],
-            [1, 2],
-            store=tmp_path / "staged",
-            shared_mobility=True,
-            workers=2,
-        )
-        assert (
-            ExperimentStore(tmp_path / "plain").content_digest()
-            == ExperimentStore(tmp_path / "staged").content_digest()
-        )
-
     def test_union_of_shards_equals_full_store(self, tmp_path):
         scenario = _tiny_scenario()
         full = sweep_replications(

@@ -421,9 +421,19 @@ class TestCommands:
     def test_sweep_unknown_protocol_fails(self, capsys):
         assert main(["sweep", "Bogus"]) == 2
 
-    def test_sweep_duplicate_seeds_fail_cleanly(self, capsys):
-        assert main(["sweep", "Greedy", "--seeds", "5", "5"]) == 2
-        assert "unique" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["Greedy", "--seeds", "5", "5"], "seeds must be unique"),
+            (["Greedy", "Greedy", "--seeds", "1", "2"], "protocols must be unique"),
+            (["Greedy", "--seeds", "1", "--workers", "0"], "workers"),
+            (["Greedy", "--seeds", "1", "--workers", "-2"], "workers"),
+        ],
+        ids=["duplicate-seeds", "duplicate-protocols", "workers-0", "workers-negative"],
+    )
+    def test_sweep_bad_matrix_fails_cleanly(self, capsys, argv, message):
+        assert main(["sweep", *argv]) == 2
+        assert message in capsys.readouterr().err
 
     def test_list_scenarios_lists_kinds_and_presets(self, capsys):
         assert main(["list", "scenarios"]) == 0
