@@ -430,6 +430,65 @@ class TestSweepReplications:
         ]
 
 
+def _mobility_scenario(**overrides) -> Scenario:
+    base = dict(name="cell-mobility", kind="highway", duration_s=4.0, seed=11, max_vehicles=10)
+    base.update(overrides)
+    return Scenario(**base)
+
+
+def _mobility_state(built):
+    """The built substrate as plain numbers, plus the mobility stream's next draw."""
+    vehicles = tuple(
+        (v.position.x, v.position.y, v.velocity.x, v.velocity.y)
+        for v in built.network.mobility.vehicles
+    )
+    return vehicles, built.sim.rng.stream("mobility").random()
+
+
+class TestCellMobility:
+    """Every sweep cell builds its own mobility from its own streams, so the
+    substrate a cell sees depends only on the scenario's mobility axes."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"name": "renamed"},
+            {"workload": "safety-beacon"},
+            {"workload_params": {"interval_s": 0.5}},
+            {"radio_stack": "dsrc-highway-los"},
+            {"radio_params": {"communication_range_m": 100.0}},
+            {"bus_count": 2},
+        ],
+        ids=["name", "workload", "workload-params", "radio", "radio-params", "buses"],
+    )
+    def test_non_mobility_axes_leave_the_build_unchanged(self, overrides):
+        runner = ExperimentRunner()
+        base = _mobility_state(runner.build(_mobility_scenario()))
+        assert _mobility_state(runner.build(_mobility_scenario(**overrides))) == base
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"seed": 12}, {"max_vehicles": 11}, {"kind": "manhattan"}],
+        ids=["seed", "max-vehicles", "kind"],
+    )
+    def test_mobility_axes_change_the_build(self, overrides):
+        runner = ExperimentRunner()
+        base = _mobility_state(runner.build(_mobility_scenario()))
+        assert _mobility_state(runner.build(_mobility_scenario(**overrides))) != base
+
+    def test_each_build_owns_its_mobility(self):
+        runner = ExperimentRunner()
+        first = runner.build(_mobility_scenario())
+        second = runner.build(_mobility_scenario())
+        assert first.network.mobility is not second.network.mobility
+        first.sim.run(until=2.0)
+        # Advancing one cell's vehicles leaves the other's untouched.
+        assert _mobility_state(second) == _mobility_state(
+            runner.build(_mobility_scenario())
+        )
+        assert _mobility_state(first) != _mobility_state(second)
+
+
 class TestPersistence:
     def _sweep_result(self):
         records = [
