@@ -11,7 +11,10 @@ code *before* that path was last reworked:
   benchmark runs, at seeds 1 and 2;
 * one grid cell for each non-default radio preset and the ``nakagami``
   kind, so hard-edge and soft-edge channels, deterministic and random,
-  are all pinned.
+  are all pinned;
+* one 10 s highway cell per on-demand protocol (and GVGrid) at seeds 1
+  and 2, long enough that discovery retries, give-ups, multipath
+  failovers and preemptive rebuilds all happen.
 
 Regenerate (only for a deliberate, explained behaviour change) with::
 
@@ -39,6 +42,27 @@ _SMALL_CELL = {
     "max_vehicles": 40,
     "workload_params": _CBR,
 }
+#: Ten seconds of sparse traffic on the highway preset: long enough for every
+#: on-demand protocol to retry, give up, fail over and rebuild routes.
+_REPAIR_CELL = {
+    "duration_s": 10.0,
+    "max_vehicles": 40,
+    "workload_params": {"flow_count": 4, "packet_count": 6},
+}
+#: The on-demand protocols, plus GVGrid (the one beaconing protocol not
+#: pinned above).
+_REPAIR_PROTOCOLS = (
+    "AODV",
+    "ROVER",
+    "DSR",
+    "DisjLi",
+    "PBR",
+    "Taleb",
+    "Abedi",
+    "NiuDe",
+    "Yan-TBP",
+    "GVGrid",
+)
 _STORM = {
     "duration_s": 1.0,
     "drain_s": 0.2,
@@ -83,6 +107,9 @@ CELLS = [
         {**_SMALL_CELL, "radio_stack": "nakagami"},
         (1,),
     ),
+] + [
+    (f"repairs-{protocol}", protocol, "highway-2km-normal", _REPAIR_CELL, (1, 2))
+    for protocol in _REPAIR_PROTOCOLS
 ]
 
 PARAMS = [
