@@ -6,18 +6,31 @@ protocols by name and the Fig. 1 benchmark enumerates the taxonomy.
 
 Shared building blocks live at this level:
 
-* :mod:`repro.protocols.base` -- the :class:`RoutingProtocol` interface.
+* :mod:`repro.protocols.base` -- the :class:`RoutingProtocol` interface,
+  which also starts and stops a protocol's beacons.
 * :mod:`repro.protocols.neighbors` -- HELLO beaconing and neighbour tables.
-* :mod:`repro.protocols.discovery` -- duplicate caches, route tables and
-  pending-packet buffers shared by the on-demand protocols.
+* :mod:`repro.protocols.discovery` -- the on-demand routing core: the
+  discovery lifecycle (:class:`OnDemandProtocol`), source-route forwarding
+  (:class:`SourceRoutingProtocol`), and the duplicate caches, route tables
+  and pending-packet buffers they use.
+* :mod:`repro.protocols.relay` -- the data receive and greedy next hop of
+  the beacon-driven hop-by-hop relays (:class:`RelayProtocol`).
 * :mod:`repro.protocols.location` -- the idealised location service the
   geographic protocols assume (GPS plus a location lookup).
 """
 
 from repro.protocols.base import ProtocolConfig, RoutingProtocol
-from repro.protocols.discovery import DuplicateCache, PendingPacketBuffer, RouteEntry, RouteTable
+from repro.protocols.discovery import (
+    DuplicateCache,
+    OnDemandProtocol,
+    PendingPacketBuffer,
+    RouteEntry,
+    RouteTable,
+    SourceRoutingProtocol,
+)
 from repro.protocols.location import LocationService
 from repro.protocols.neighbors import BeaconService, NeighborEntry, NeighborTable
+from repro.protocols.relay import RelayProtocol
 
 # Import the category subpackages for their registration side effects.
 from repro.protocols import connectivity as connectivity  # noqa: F401
@@ -33,6 +46,9 @@ __all__ = [
     "ProtocolConfig",
     "RoutingProtocol",
     "DuplicateCache",
+    "OnDemandProtocol",
+    "SourceRoutingProtocol",
+    "RelayProtocol",
     "PendingPacketBuffer",
     "RouteEntry",
     "RouteTable",

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.taxonomy import Category
+from repro.protocols.neighbors import BeaconService
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.packet import BROADCAST, Packet, make_control_packet, make_data_packet
@@ -38,7 +39,9 @@ class RoutingProtocol(ABC):
 
     A protocol instance runs on exactly one node.  Subclasses implement
     :meth:`handle_packet` (frames received over the air) and route data
-    packets handed to :meth:`send_data` by the application layer.
+    packets handed to :meth:`send_data` by the application layer.  A
+    protocol that beacons sets :attr:`beacons` (see :meth:`beacon_service`);
+    :meth:`start` and :meth:`stop` then start and stop it.
     """
 
     #: Registry name and Fig. 1 taxonomy entry; stamped by ``@register_protocol``.
@@ -65,15 +68,33 @@ class RoutingProtocol(ABC):
         self.rng = self.sim.rng.stream(f"protocol-{self.protocol_name}-{node.node_id}")
         self._started = False
         self._flow_seq = 0
+        #: HELLO beaconing and the neighbour table, for protocols that beacon.
+        self.beacons: Optional[BeaconService] = None
 
     # ----------------------------------------------------------------- set up
+    def beacon_service(self, **options) -> BeaconService:
+        """A HELLO service at the configured interval and neighbour timeout."""
+        return BeaconService(
+            self,
+            interval_s=self.config.hello_interval_s,
+            timeout_s=self.config.neighbor_timeout_s,
+            **options,
+        )
+
     def start(self) -> None:
-        """Called once when the simulation starts; schedule timers here."""
+        """Called once when the simulation starts: starts beaconing, if any.
+
+        Subclasses with timers of their own schedule them after this.
+        """
         self._started = True
+        if self.beacons is not None:
+            self.beacons.start()
 
     def stop(self) -> None:
-        """Called when the run ends; cancel timers here if needed."""
+        """Called when the run ends: stops beaconing, if any."""
         self._started = False
+        if self.beacons is not None:
+            self.beacons.stop()
 
     # -------------------------------------------------------------- data path
     def send_data(

@@ -10,20 +10,14 @@ maintenance* with HELLO-based link sensing and RERRs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.taxonomy import Category, register_protocol
-from repro.protocols.base import ProtocolConfig, RoutingProtocol
-from repro.protocols.discovery import (
-    DuplicateCache,
-    PendingPacketBuffer,
-    RouteEntry,
-    RouteTable,
-)
-from repro.protocols.neighbors import BeaconService
+from repro.protocols.base import ProtocolConfig
+from repro.protocols.discovery import OnDemandProtocol, RouteEntry, RouteTable
 from repro.sim.network import Network
 from repro.sim.node import Node
-from repro.sim.packet import BROADCAST, Packet
+from repro.sim.packet import Packet
 
 
 @dataclass
@@ -56,7 +50,7 @@ class AodvConfig(ProtocolConfig):
     "On-demand distance-vector routing with flooded RREQ and unicast RREP.",
     paper_reference="[6], Sec. III.B",
 )
-class AodvProtocol(RoutingProtocol):
+class AodvProtocol(OnDemandProtocol):
     """Ad hoc On-demand Distance Vector routing."""
 
     def __init__(
@@ -67,32 +61,9 @@ class AodvProtocol(RoutingProtocol):
     ) -> None:
         super().__init__(node, network, config if config is not None else AodvConfig())
         self.routes = RouteTable()
-        self.pending = PendingPacketBuffer()
-        self._rreq_cache = DuplicateCache(lifetime_s=10.0)
         self._sequence = 0
-        self._rreq_id = 0
-        #: destination -> (start time, retries) of an in-flight discovery.
-        self._discoveries: Dict[int, Dict[str, float]] = {}
-        self.beacons: Optional[BeaconService] = None
         if self.config.use_hello:
-            self.beacons = BeaconService(
-                self,
-                interval_s=self.config.hello_interval_s,
-                timeout_s=self.config.neighbor_timeout_s,
-            )
-
-    # ------------------------------------------------------------------ setup
-    def start(self) -> None:
-        """Start HELLO beaconing if enabled."""
-        super().start()
-        if self.beacons is not None:
-            self.beacons.start()
-
-    def stop(self) -> None:
-        """Stop beaconing."""
-        super().stop()
-        if self.beacons is not None:
-            self.beacons.stop()
+            self.beacons = self.beacon_service()
 
     # ------------------------------------------------------------------- data
     def route_data(self, packet: Packet) -> None:
@@ -108,9 +79,7 @@ class AodvProtocol(RoutingProtocol):
         if route is not None:
             # The route exists but its next hop disappeared: treat as broken.
             self._handle_broken_link(route.next_hop)
-        if not self.pending.add(packet, self.now):
-            self.stats.buffer_drop()
-        self._ensure_discovery(destination)
+        self._await_route(packet)
 
     # -------------------------------------------------------------- reception
     def handle_packet(self, packet: Packet, sender_id: int) -> None:
@@ -126,48 +95,23 @@ class AodvProtocol(RoutingProtocol):
             self._handle_data(packet, sender_id)
 
     # -------------------------------------------------------------- discovery
-    def _ensure_discovery(self, destination: int) -> None:
-        state = self._discoveries.get(destination)
-        if state is not None:
-            return
-        self._start_discovery(destination, retries=0)
+    def _has_route(self, destination: int) -> bool:
+        return self.routes.get(destination, self.now) is not None
 
-    def _start_discovery(self, destination: int, retries: int) -> None:
-        self._rreq_id += 1
+    def _send_request(self, destination: int, **zone: float) -> None:
+        """Flood an RREQ under a fresh sequence number (``zone``: extra headers)."""
         self._sequence += 1
-        self._discoveries[destination] = {"started": self.now, "retries": retries}
-        self.stats.route_discovery_started()
         rreq = self.make_control(
             "RREQ",
             size_bytes=self.config.rreq_size_bytes,
-            rreq_id=self._rreq_id,
+            rreq_id=self._request_id,
             origin=self.node.node_id,
             origin_seq=self._sequence,
             target=destination,
             hop_count=0,
+            **zone,
         )
-        # Mark our own RREQ as seen so we do not rebroadcast it.
-        self._rreq_cache.seen((self.node.node_id, self._rreq_id), self.now)
         self.broadcast(rreq)
-        self.sim.schedule(
-            self.config.discovery_timeout_s, self._discovery_timeout, destination, self._rreq_id
-        )
-
-    def _discovery_timeout(self, destination: int, rreq_id: int) -> None:
-        state = self._discoveries.get(destination)
-        if state is None:
-            return
-        if self.routes.get(destination, self.now) is not None:
-            self._discoveries.pop(destination, None)
-            return
-        retries = int(state["retries"])
-        if retries < self.config.max_discovery_retries:
-            self._start_discovery(destination, retries=retries + 1)
-        else:
-            self._discoveries.pop(destination, None)
-            dropped = self.pending.drop_all(destination)
-            for _ in range(dropped):
-                self.stats.no_route_drop()
 
     def _handle_rreq(self, packet: Packet, sender_id: int) -> None:
         headers = packet.headers
@@ -175,7 +119,7 @@ class AodvProtocol(RoutingProtocol):
         key = (origin, headers["rreq_id"])
         if origin == self.node.node_id:
             return
-        if self._rreq_cache.seen(key, self.now):
+        if self._request_cache.seen(key, self.now):
             return
         hop_count = headers["hop_count"] + 1
         # Install / refresh the reverse route toward the origin.
@@ -230,11 +174,7 @@ class AodvProtocol(RoutingProtocol):
             self.now,
         )
         if origin == self.node.node_id:
-            state = self._discoveries.pop(target, None)
-            if state is not None:
-                self.stats.route_discovery_completed(self.now - state["started"])
-            for data_packet in self.pending.pop_all(target, self.now):
-                self.route_data(data_packet)
+            self._complete_discovery(target)
             return
         reverse = self.routes.get(origin, self.now)
         if reverse is None:

@@ -11,7 +11,10 @@ Mechanics: the RREQ accumulates the traversed path (like DSR); the
 destination collects the copies that arrive within a short window, greedily
 selects up to ``max_paths`` node-disjoint ones (shortest first), and returns
 one RREP per selected path.  The source stores all of them and moves to the
-next path whenever the current one loses its next hop.
+next path whenever the current one loses its next hop.  Intermediate nodes
+cannot fail over (only the source holds the alternate paths): a hop whose
+next node is gone drops the packet, and the source's next packet switches
+paths.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.taxonomy import Category, register_protocol
-from repro.protocols.base import ProtocolConfig, RoutingProtocol
-from repro.protocols.discovery import DuplicateCache, PendingPacketBuffer
-from repro.protocols.neighbors import BeaconService
+from repro.protocols.base import ProtocolConfig
+from repro.protocols.discovery import SourceRoutingProtocol
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.packet import Packet
@@ -58,7 +60,7 @@ class DisjLiConfig(ProtocolConfig):
     "disjoint paths and the source fails over between them.",
     paper_reference="[12], Sec. III.B",
 )
-class DisjLiProtocol(RoutingProtocol):
+class DisjLiProtocol(SourceRoutingProtocol):
     """Node-disjoint multipath source routing."""
 
     def __init__(
@@ -70,46 +72,10 @@ class DisjLiProtocol(RoutingProtocol):
         super().__init__(node, network, config if config is not None else DisjLiConfig())
         #: destination -> (list of node-disjoint paths, expiry, active index).
         self._path_sets: Dict[int, Dict[str, object]] = {}
-        self.pending = PendingPacketBuffer()
-        self._rreq_cache = DuplicateCache(lifetime_s=10.0)
-        self._rreq_id = 0
-        self._discoveries: Dict[int, Dict[str, float]] = {}
         #: Destination-side: (origin, rreq_id) -> collected candidate paths.
         self._candidates: Dict[Tuple[int, int], List[List[int]]] = {}
-        self.beacons = BeaconService(
-            self,
-            interval_s=self.config.hello_interval_s,
-            timeout_s=self.config.neighbor_timeout_s,
-        )
+        self.beacons = self.beacon_service()
         self.failovers = 0
-
-    # ------------------------------------------------------------------ setup
-    def start(self) -> None:
-        """Start HELLO beaconing (used for next-hop liveness checks)."""
-        super().start()
-        self.beacons.start()
-
-    def stop(self) -> None:
-        """Stop beaconing."""
-        super().stop()
-        self.beacons.stop()
-
-    # ------------------------------------------------------------------- data
-    def route_data(self, packet: Packet) -> None:
-        """Send on the active disjoint path, failing over or discovering as needed."""
-        destination = packet.destination
-        if destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
-        path = self._active_path(destination)
-        if path is not None:
-            packet.headers["src_route"] = list(path)
-            packet.headers["route_index"] = 0
-            self._forward_on_route(packet)
-            return
-        if not self.pending.add(packet, self.now):
-            self.stats.buffer_drop()
-        self._ensure_discovery(destination)
 
     # -------------------------------------------------------------- reception
     def handle_packet(self, packet: Packet, sender_id: int) -> None:
@@ -123,7 +89,7 @@ class DisjLiProtocol(RoutingProtocol):
             self._handle_data(packet, sender_id)
 
     # --------------------------------------------------------------- multipath
-    def _active_path(self, destination: int) -> Optional[List[int]]:
+    def _route_to(self, destination: int) -> Optional[List[int]]:
         """The currently usable path toward ``destination`` (with failover)."""
         entry = self._path_sets.get(destination)
         if entry is None or entry["expiry"] < self.now:  # type: ignore[operator]
@@ -163,44 +129,17 @@ class DisjLiProtocol(RoutingProtocol):
         return chosen
 
     # -------------------------------------------------------------- discovery
-    def _ensure_discovery(self, destination: int) -> None:
-        if destination in self._discoveries:
-            return
-        self._start_discovery(destination, retries=0)
-
-    def _start_discovery(self, destination: int, retries: int) -> None:
+    def _send_request(self, destination: int) -> None:
         cfg: DisjLiConfig = self.config  # type: ignore[assignment]
-        self._rreq_id += 1
-        self._discoveries[destination] = {"started": self.now, "retries": retries}
-        self.stats.route_discovery_started()
         rreq = self.make_control(
             "RREQ",
             size_bytes=cfg.rreq_size_bytes,
-            rreq_id=self._rreq_id,
+            rreq_id=self._request_id,
             origin=self.node.node_id,
             target=destination,
             route=[self.node.node_id],
         )
-        self._rreq_cache.seen((self.node.node_id, self._rreq_id), self.now)
         self.broadcast(rreq)
-        self.sim.schedule(cfg.discovery_timeout_s, self._discovery_timeout, destination)
-
-    def _discovery_timeout(self, destination: int) -> None:
-        cfg: DisjLiConfig = self.config  # type: ignore[assignment]
-        state = self._discoveries.get(destination)
-        if state is None:
-            return
-        if self._active_path(destination) is not None:
-            self._discoveries.pop(destination, None)
-            return
-        retries = int(state["retries"])
-        if retries < cfg.max_discovery_retries:
-            self._start_discovery(destination, retries=retries + 1)
-        else:
-            self._discoveries.pop(destination, None)
-            dropped = self.pending.drop_all(destination)
-            for _ in range(dropped):
-                self.stats.no_route_drop()
 
     def _handle_rreq(self, packet: Packet, sender_id: int) -> None:
         cfg: DisjLiConfig = self.config  # type: ignore[assignment]
@@ -224,7 +163,7 @@ class DisjLiProtocol(RoutingProtocol):
             else:
                 candidates.append(route)
             return
-        if self._rreq_cache.seen((origin, headers["rreq_id"]), self.now):
+        if self._request_cache.seen((origin, headers["rreq_id"]), self.now):
             return
         if packet.ttl <= 1:
             self.stats.ttl_drop()
@@ -270,48 +209,6 @@ class DisjLiProtocol(RoutingProtocol):
                 paths.sort(key=len)
             entry["expiry"] = self.now + cfg.route_lifetime_s
             entry["active"] = 0
-            state = self._discoveries.pop(target, None)
-            if state is not None:
-                self.stats.route_discovery_completed(self.now - state["started"])
-            for data_packet in self.pending.pop_all(target, self.now):
-                self.route_data(data_packet)
+            self._complete_discovery(target)
             return
-        index = headers["route_index"]
-        if index <= 0 or index >= len(route) or route[index] != self.node.node_id:
-            return
-        forwarded = packet.forwarded()
-        forwarded.headers["route_index"] = index - 1
-        self.unicast(forwarded, route[index - 1])
-
-    # ------------------------------------------------------------- forwarding
-    def _handle_data(self, packet: Packet, sender_id: int) -> None:
-        if packet.destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
-        if packet.ttl <= 1:
-            self.stats.ttl_drop()
-            return
-        route: List[int] = packet.headers.get("src_route", [])
-        try:
-            index = route.index(self.node.node_id)
-        except ValueError:
-            return
-        forwarded = packet.forwarded()
-        forwarded.headers["route_index"] = index
-        self._forward_on_route(forwarded)
-
-    def _forward_on_route(self, packet: Packet) -> None:
-        route: List[int] = packet.headers["src_route"]
-        index = packet.headers.get("route_index", 0)
-        if index >= len(route) - 1:
-            return
-        next_hop = route[index + 1]
-        if not self.beacons.table.contains(next_hop, self.now):
-            self.stats.link_break()
-            # Intermediate nodes cannot fail over (only the source holds the
-            # alternate paths); the packet is lost and the source's next
-            # packet will switch paths.
-            self.stats.no_route_drop()
-            return
-        packet.headers["route_index"] = index + 1
-        self.unicast(packet, next_hop)
+        self._relay_reply(packet, route)

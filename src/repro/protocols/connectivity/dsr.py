@@ -2,7 +2,9 @@
 
 DSR discovers complete source routes: the RREQ accumulates the list of nodes
 it traverses, the destination returns that list in an RREP, and data packets
-carry the full route in their header.  The origin keeps a route cache.
+carry the full route in their header.  The origin keeps a route cache.  A hop
+whose next node has left its beacon table broadcasts a RERR naming the broken
+link, and every node drops the cached routes that use it.
 """
 
 from __future__ import annotations
@@ -11,9 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.taxonomy import Category, register_protocol
-from repro.protocols.base import ProtocolConfig, RoutingProtocol
-from repro.protocols.discovery import DuplicateCache, PendingPacketBuffer
-from repro.protocols.neighbors import BeaconService
+from repro.protocols.base import ProtocolConfig
+from repro.protocols.discovery import SourceRoutingProtocol
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.packet import Packet
@@ -27,13 +28,11 @@ class DsrConfig(ProtocolConfig):
         route_cache_lifetime_s: How long a cached source route stays usable.
         discovery_timeout_s: Time to wait for an RREP before retrying.
         max_discovery_retries: RREQ retries before giving up.
-        use_hello: Enable HELLO beacons for next-hop liveness checks.
     """
 
     route_cache_lifetime_s: float = 15.0
     discovery_timeout_s: float = 1.0
     max_discovery_retries: int = 2
-    use_hello: bool = True
     rreq_size_bytes: int = 48
     rrep_size_bytes: int = 64
     rerr_size_bytes: int = 32
@@ -47,7 +46,7 @@ class DsrConfig(ProtocolConfig):
     "On-demand source routing with route caches and full-path headers.",
     paper_reference="[7], Sec. III.B",
 )
-class DsrProtocol(RoutingProtocol):
+class DsrProtocol(SourceRoutingProtocol):
     """Dynamic Source Routing."""
 
     def __init__(
@@ -59,47 +58,7 @@ class DsrProtocol(RoutingProtocol):
         super().__init__(node, network, config if config is not None else DsrConfig())
         #: destination -> (path, expiry)
         self._cache: Dict[int, tuple[List[int], float]] = {}
-        self.pending = PendingPacketBuffer()
-        self._rreq_cache = DuplicateCache(lifetime_s=10.0)
-        self._rreq_id = 0
-        self._discoveries: Dict[int, Dict[str, float]] = {}
-        self.beacons: Optional[BeaconService] = None
-        if self.config.use_hello:
-            self.beacons = BeaconService(
-                self,
-                interval_s=self.config.hello_interval_s,
-                timeout_s=self.config.neighbor_timeout_s,
-            )
-
-    # ------------------------------------------------------------------ setup
-    def start(self) -> None:
-        """Start HELLO beaconing if enabled."""
-        super().start()
-        if self.beacons is not None:
-            self.beacons.start()
-
-    def stop(self) -> None:
-        """Stop beaconing."""
-        super().stop()
-        if self.beacons is not None:
-            self.beacons.stop()
-
-    # ------------------------------------------------------------------- data
-    def route_data(self, packet: Packet) -> None:
-        """Attach a cached source route or buffer the packet and discover one."""
-        destination = packet.destination
-        if destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
-        path = self._cached_path(destination)
-        if path is not None:
-            packet.headers["src_route"] = list(path)
-            packet.headers["route_index"] = 0
-            self._forward_on_route(packet)
-            return
-        if not self.pending.add(packet, self.now):
-            self.stats.buffer_drop()
-        self._ensure_discovery(destination)
+        self.beacons = self.beacon_service()
 
     # -------------------------------------------------------------- reception
     def handle_packet(self, packet: Packet, sender_id: int) -> None:
@@ -115,7 +74,8 @@ class DsrProtocol(RoutingProtocol):
             self._handle_data(packet, sender_id)
 
     # -------------------------------------------------------------- discovery
-    def _cached_path(self, destination: int) -> Optional[List[int]]:
+    def _route_to(self, destination: int) -> Optional[List[int]]:
+        """The cached path toward ``destination``; an expired one is purged."""
         entry = self._cache.get(destination)
         if entry is None:
             return None
@@ -125,44 +85,16 @@ class DsrProtocol(RoutingProtocol):
             return None
         return path
 
-    def _ensure_discovery(self, destination: int) -> None:
-        if destination in self._discoveries:
-            return
-        self._start_discovery(destination, retries=0)
-
-    def _start_discovery(self, destination: int, retries: int) -> None:
-        self._rreq_id += 1
-        self._discoveries[destination] = {"started": self.now, "retries": retries}
-        self.stats.route_discovery_started()
+    def _send_request(self, destination: int) -> None:
         rreq = self.make_control(
             "RREQ",
             size_bytes=self.config.rreq_size_bytes,
-            rreq_id=self._rreq_id,
+            rreq_id=self._request_id,
             origin=self.node.node_id,
             target=destination,
             route=[self.node.node_id],
         )
-        self._rreq_cache.seen((self.node.node_id, self._rreq_id), self.now)
         self.broadcast(rreq)
-        self.sim.schedule(
-            self.config.discovery_timeout_s, self._discovery_timeout, destination
-        )
-
-    def _discovery_timeout(self, destination: int) -> None:
-        state = self._discoveries.get(destination)
-        if state is None:
-            return
-        if self._cached_path(destination) is not None:
-            self._discoveries.pop(destination, None)
-            return
-        retries = int(state["retries"])
-        if retries < self.config.max_discovery_retries:
-            self._start_discovery(destination, retries=retries + 1)
-        else:
-            self._discoveries.pop(destination, None)
-            dropped = self.pending.drop_all(destination)
-            for _ in range(dropped):
-                self.stats.no_route_drop()
 
     def _handle_rreq(self, packet: Packet, sender_id: int) -> None:
         headers = packet.headers
@@ -172,7 +104,7 @@ class DsrProtocol(RoutingProtocol):
         route: List[int] = list(headers["route"])
         if self.node.node_id in route:
             return
-        if self._rreq_cache.seen((origin, headers["rreq_id"]), self.now):
+        if self._request_cache.seen((origin, headers["rreq_id"]), self.now):
             return
         route.append(self.node.node_id)
         target = headers["target"]
@@ -206,19 +138,9 @@ class DsrProtocol(RoutingProtocol):
         target = headers["target"]
         if origin == self.node.node_id:
             self._cache[target] = (route, self.now + self.config.route_cache_lifetime_s)
-            state = self._discoveries.pop(target, None)
-            if state is not None:
-                self.stats.route_discovery_completed(self.now - state["started"])
-            for data_packet in self.pending.pop_all(target, self.now):
-                self.route_data(data_packet)
+            self._complete_discovery(target)
             return
-        index = headers["route_index"]
-        if index <= 0 or route[index] != self.node.node_id:
-            # We are not on the reverse path (stale unicast); ignore.
-            return
-        forwarded = packet.forwarded()
-        forwarded.headers["route_index"] = index - 1
-        self.unicast(forwarded, route[index - 1])
+        self._relay_reply(packet, route)
 
     def _handle_rerr(self, packet: Packet, sender_id: int) -> None:
         broken_from = packet.headers.get("broken_from")
@@ -241,35 +163,8 @@ class DsrProtocol(RoutingProtocol):
         return False
 
     # ------------------------------------------------------------- forwarding
-    def _handle_data(self, packet: Packet, sender_id: int) -> None:
-        if packet.destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
-        if packet.ttl <= 1:
-            self.stats.ttl_drop()
-            return
-        route: List[int] = packet.headers.get("src_route", [])
-        try:
-            index = route.index(self.node.node_id)
-        except ValueError:
-            return
-        forwarded = packet.forwarded()
-        forwarded.headers["route_index"] = index
-        self._forward_on_route(forwarded)
-
-    def _forward_on_route(self, packet: Packet) -> None:
-        route: List[int] = packet.headers["src_route"]
-        index = packet.headers.get("route_index", 0)
-        if index >= len(route) - 1:
-            return
-        next_hop = route[index + 1]
-        if self.beacons is not None and not self.beacons.table.contains(next_hop, self.now):
-            self.stats.link_break()
-            self.stats.no_route_drop()
-            self._send_rerr(self.node.node_id, next_hop, packet.source)
-            return
-        packet.headers["route_index"] = index + 1
-        self.unicast(packet, next_hop)
+    def _route_broken(self, packet: Packet, next_hop: int) -> None:
+        self._send_rerr(self.node.node_id, next_hop, packet.source)
 
     def _send_rerr(self, broken_from: int, broken_to: int, source: int) -> None:
         rerr = self.make_control(

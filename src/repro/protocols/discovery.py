@@ -1,10 +1,42 @@
-"""Shared machinery for on-demand route discovery.
+"""The on-demand routing core: route discovery and source-route forwarding.
 
-AODV, DSR and all the mobility/probability protocols that do on-demand
-discovery need the same three pieces of bookkeeping: a duplicate cache for
-flooded request identifiers, a table of discovered routes, and a buffer of
-data packets waiting for a route.  Implementing them once keeps the protocol
-classes focused on their actual routing metric.
+AODV, ROVER, DSR, DisjLi and the metric-accumulating protocols (PBR, Taleb,
+Abedi, NiuDe, Yan-TBP) share AODV's two phases (Sec. III.B): a *discovery*
+that floods or probes a request for a destination, then *route
+maintenance*.  :class:`OnDemandProtocol` runs the discovery lifecycle once
+for all of them:
+
+* **start** -- a fresh request id, the discovery's start time and retry
+  count in ``_discoveries``, one ``route_discovery_started``, the request
+  itself, then a timeout ``discovery_timeout_s`` later;
+* **retry** -- a timeout that finds no usable route starts the next
+  attempt, up to ``max_discovery_retries`` retries;
+* **give up** -- after the last attempt every packet buffered for the
+  destination is counted as a ``no_route`` drop;
+* **completion** -- the protocol calls :meth:`~OnDemandProtocol._complete_discovery`
+  when a reply installs a route: the latency is recorded and the buffered
+  packets (``pending``) go out through ``route_data`` in the order they
+  were buffered.
+
+Each protocol supplies two hooks: how it sends its request
+(:meth:`~OnDemandProtocol._send_request`: AODV bumps its sequence number,
+ROVER adds zone headers, Yan-TBP sends ticket probes) and whether it holds
+a usable route (:meth:`~OnDemandProtocol._has_route`).
+
+:class:`SourceRoutingProtocol` adds the forwarding DSR, DisjLi and the
+metric-accumulating protocols share: the source attaches the whole path
+(``src_route``) to each data packet and every hop passes it to the next
+node on the path while that node is still in its beacon table.  When it is
+not, the hop counts a link break and a ``no_route`` drop and calls the one
+break hook, :meth:`~SourceRoutingProtocol._route_broken` (DSR sends a RERR,
+DisjLi just drops, the metric protocols record a route-lifetime sample).
+
+Beacons are managed by :class:`~repro.protocols.base.RoutingProtocol`:
+a protocol that sets ``beacons`` has them started and stopped with it.
+
+The bookkeeping pieces live here too: a duplicate cache for flooded
+request identifiers, a table of discovered routes, and a buffer of data
+packets waiting for a route.
 """
 
 from __future__ import annotations
@@ -12,6 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
+from repro.protocols.base import ProtocolConfig, RoutingProtocol
+from repro.sim.network import Network
+from repro.sim.node import Node
 from repro.sim.packet import Packet
 
 
@@ -170,3 +205,155 @@ class PendingPacketBuffer:
 
     def __len__(self) -> int:
         return sum(len(queue) for queue in self._buffers.values())
+
+
+class OnDemandProtocol(RoutingProtocol):
+    """Base of the protocols that discover routes on demand.
+
+    The config must provide ``discovery_timeout_s`` and
+    ``max_discovery_retries``.  Subclasses implement :meth:`_send_request`
+    and :meth:`_has_route`, buffer packets that have no route with
+    :meth:`_await_route`, and call :meth:`_complete_discovery` once a reply
+    installs a route.
+    """
+
+    def __init__(self, node: Node, network: Network, config: ProtocolConfig) -> None:
+        super().__init__(node, network, config)
+        self.pending = PendingPacketBuffer()
+        #: Requests already seen, keyed by ``(origin, request id)``.
+        self._request_cache = DuplicateCache(lifetime_s=10.0)
+        self._request_id = 0
+        #: destination -> (start time, retries) of the discovery in flight.
+        self._discoveries: Dict[int, Tuple[float, int]] = {}
+
+    # ------------------------------------------------------------------ hooks
+    def _send_request(self, destination: int) -> None:
+        """Send the request (id ``self._request_id``) for ``destination``."""
+        raise NotImplementedError
+
+    def _has_route(self, destination: int) -> bool:
+        """Whether a usable route toward ``destination`` is held."""
+        raise NotImplementedError
+
+    # -------------------------------------------------------------- lifecycle
+    def _await_route(self, packet: Packet) -> None:
+        """Buffer ``packet`` and make sure a discovery for it is running."""
+        if not self.pending.add(packet, self.now):
+            self.stats.buffer_drop()
+        self._discover(packet.destination)
+
+    def _discover(self, destination: int) -> None:
+        """Start a discovery for ``destination`` unless one is in flight."""
+        if destination not in self._discoveries:
+            self._start_discovery(destination, retries=0)
+
+    def _start_discovery(self, destination: int, retries: int) -> None:
+        self._request_id += 1
+        self._discoveries[destination] = (self.now, retries)
+        self.stats.route_discovery_started()
+        # Mark our own request as seen so we never relay it.
+        self._request_cache.seen((self.node.node_id, self._request_id), self.now)
+        self._send_request(destination)
+        self.sim.schedule(self.config.discovery_timeout_s, self._discovery_timeout, destination)
+
+    def _discovery_timeout(self, destination: int) -> None:
+        state = self._discoveries.get(destination)
+        if state is None:
+            return
+        if self._has_route(destination):
+            del self._discoveries[destination]
+            return
+        retries = state[1]
+        if retries < self.config.max_discovery_retries:
+            self._start_discovery(destination, retries=retries + 1)
+            return
+        del self._discoveries[destination]
+        for _ in range(self.pending.drop_all(destination)):
+            self.stats.no_route_drop()
+
+    def _complete_discovery(self, destination: int) -> None:
+        """A route toward ``destination`` was installed: record it, send the backlog."""
+        state = self._discoveries.pop(destination, None)
+        if state is not None:
+            self.stats.route_discovery_completed(self.now - state[0])
+        for packet in self.pending.pop_all(destination, self.now):
+            self.route_data(packet)
+
+
+class SourceRoutingProtocol(OnDemandProtocol):
+    """On-demand discovery of whole paths that data packets carry in their header.
+
+    Subclasses set ``beacons`` (the forwarder's liveness check), implement
+    :meth:`_route_to`, and may react to a broken hop in
+    :meth:`_route_broken`.
+    """
+
+    # ------------------------------------------------------------------ hooks
+    def _route_to(self, destination: int) -> Optional[List[int]]:
+        """The path (this node first) to send on toward ``destination``, or None."""
+        raise NotImplementedError
+
+    def _route_broken(self, packet: Packet, next_hop: int) -> None:
+        """React to ``next_hop`` having left the route ``packet`` follows.
+
+        Called after the link break and the packet's drop are counted; the
+        default does nothing more.
+        """
+
+    def _has_route(self, destination: int) -> bool:
+        return self._route_to(destination) is not None
+
+    # ------------------------------------------------------------------- data
+    def route_data(self, packet: Packet) -> None:
+        """Send on the route toward the destination, or buffer and discover one."""
+        destination = packet.destination
+        if destination == self.node.node_id:
+            self.deliver_locally(packet)
+            return
+        path = self._route_to(destination)
+        if path is None:
+            self._await_route(packet)
+            return
+        packet.headers["src_route"] = list(path)
+        packet.headers["route_index"] = 0
+        self._forward_on_route(packet)
+
+    def _handle_data(self, packet: Packet, sender_id: int) -> None:
+        if packet.destination == self.node.node_id:
+            self.deliver_locally(packet)
+            return
+        if packet.ttl <= 1:
+            self.stats.ttl_drop()
+            return
+        route: List[int] = packet.headers.get("src_route", [])
+        try:
+            index = route.index(self.node.node_id)
+        except ValueError:
+            return
+        forwarded = packet.forwarded()
+        forwarded.headers["route_index"] = index
+        self._forward_on_route(forwarded)
+
+    def _forward_on_route(self, packet: Packet) -> None:
+        route: List[int] = packet.headers["src_route"]
+        index = packet.headers.get("route_index", 0)
+        if index >= len(route) - 1:
+            return
+        next_hop = route[index + 1]
+        if not self.beacons.table.contains(next_hop, self.now):
+            self.stats.link_break()
+            self.stats.no_route_drop()
+            self._route_broken(packet, next_hop)
+            return
+        packet.headers["route_index"] = index + 1
+        self.unicast(packet, next_hop)
+
+    def _relay_reply(self, packet: Packet, path: List[int]) -> None:
+        """Pass a reply one hop back along ``path`` toward the request's origin."""
+        index = packet.headers["route_index"]
+        if index <= 0 or index >= len(path) or path[index] != self.node.node_id:
+            # We are not on the reverse path (stale unicast); ignore.
+            return
+        forwarded = packet.forwarded()
+        forwarded.headers["route_index"] = index - 1
+        self.unicast(forwarded, path[index - 1])

@@ -16,10 +16,9 @@ from typing import List, Optional, Tuple
 
 from repro.core.taxonomy import Category, register_protocol
 from repro.geometry import Vec2
-from repro.protocols.base import ProtocolConfig, RoutingProtocol
-from repro.protocols.discovery import DuplicateCache
+from repro.protocols.base import ProtocolConfig
 from repro.protocols.location import LocationService
-from repro.protocols.neighbors import BeaconService, NeighborEntry
+from repro.protocols.relay import RelayProtocol
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.packet import Packet
@@ -55,10 +54,8 @@ class GreedyConfig(ProtocolConfig):
     "store-carry recovery at local maxima.",
     paper_reference="[23][24], Sec. VI.B",
 )
-class GreedyProtocol(RoutingProtocol):
+class GreedyProtocol(RelayProtocol):
     """Greedy geographic forwarding."""
-
-    uses_location_service = True
 
     def __init__(
         self,
@@ -67,16 +64,10 @@ class GreedyProtocol(RoutingProtocol):
         config: Optional[GreedyConfig] = None,
         location_service: Optional[LocationService] = None,
     ) -> None:
-        super().__init__(node, network, config if config is not None else GreedyConfig())
-        self.location = (
-            location_service if location_service is not None else LocationService(network)
+        super().__init__(
+            node, network, config if config is not None else GreedyConfig(), location_service
         )
-        self.beacons = BeaconService(
-            self,
-            interval_s=self.config.hello_interval_s,
-            timeout_s=self.config.neighbor_timeout_s,
-        )
-        self._seen = DuplicateCache(lifetime_s=30.0)
+        self.beacons = self.beacon_service()
         self._carried: List[Tuple[float, Packet]] = []
         self._carry_task = None
 
@@ -84,7 +75,6 @@ class GreedyProtocol(RoutingProtocol):
     def start(self) -> None:
         """Start beaconing and, if enabled, the carried-packet retry loop."""
         super().start()
-        self.beacons.start()
         cfg: GreedyConfig = self.config  # type: ignore[assignment]
         if cfg.carry_on_local_maximum:
             self._carry_task = self.sim.schedule_periodic(
@@ -96,36 +86,11 @@ class GreedyProtocol(RoutingProtocol):
             )
 
     def stop(self) -> None:
-        """Stop timers."""
+        """Stop beaconing and the retry loop."""
         super().stop()
-        self.beacons.stop()
         if self._carry_task is not None:
             self._carry_task.cancel()
             self._carry_task = None
-
-    # ------------------------------------------------------------------- data
-    def route_data(self, packet: Packet) -> None:
-        """Forward greedily toward the destination's position."""
-        if packet.destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
-        self._seen.seen((packet.flow_key, self.node.node_id), self.now)
-        self._forward(packet)
-
-    # -------------------------------------------------------------- reception
-    def handle_packet(self, packet: Packet, sender_id: int) -> None:
-        """Handle data frames (HELLOs reach the beacon service directly)."""
-        if not packet.is_data:
-            return
-        if packet.destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
-        if self._seen.seen((packet.flow_key, self.node.node_id), self.now):
-            return
-        if packet.ttl <= 1:
-            self.stats.ttl_drop()
-            return
-        self._forward(packet.forwarded())
 
     # -------------------------------------------------------------- internals
     def select_next_hop(

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.taxonomy import Category, register_protocol
-from repro.geometry import Vec2
-from repro.protocols.base import ProtocolConfig, RoutingProtocol
-from repro.protocols.discovery import DuplicateCache
+from repro.protocols.base import ProtocolConfig
 from repro.protocols.location import LocationService
-from repro.protocols.neighbors import BeaconService, NeighborEntry
+from repro.protocols.neighbors import NeighborEntry
+from repro.protocols.relay import RelayProtocol
 from repro.roadnet.zones import GridPartition
 from repro.sim.network import Network
 from repro.sim.node import Node
@@ -50,10 +49,14 @@ class GridGatewayConfig(ProtocolConfig):
     "CarNet/LORA-DCBF-style grid routing: per-cell gateways forward packets between cells.",
     paper_reference="[20][26], Sec. VI.B",
 )
-class GridGatewayProtocol(RoutingProtocol):
-    """Grid-cell gateway forwarding."""
+class GridGatewayProtocol(RelayProtocol):
+    """Grid-cell gateway forwarding.
 
-    uses_location_service = True
+    Data frames are unicast gateway to gateway, so being handed one means
+    the previous hop chose this node as its gateway: the node relays it.
+    The "members do not retransmit" rule is kept by senders addressing only
+    gateways, not by dropping explicitly addressed frames.
+    """
 
     def __init__(
         self,
@@ -62,28 +65,14 @@ class GridGatewayProtocol(RoutingProtocol):
         config: Optional[GridGatewayConfig] = None,
         location_service: Optional[LocationService] = None,
     ) -> None:
-        super().__init__(node, network, config if config is not None else GridGatewayConfig())
-        self.location = (
-            location_service if location_service is not None else LocationService(network)
+        super().__init__(
+            node,
+            network,
+            config if config is not None else GridGatewayConfig(),
+            location_service,
         )
         self.grid = GridPartition(self.config.cell_size_m)  # type: ignore[arg-type]
-        self.beacons = BeaconService(
-            self,
-            interval_s=self.config.hello_interval_s,
-            timeout_s=self.config.neighbor_timeout_s,
-        )
-        self._seen = DuplicateCache(lifetime_s=30.0)
-
-    # ------------------------------------------------------------------ setup
-    def start(self) -> None:
-        """Start beaconing."""
-        super().start()
-        self.beacons.start()
-
-    def stop(self) -> None:
-        """Stop beaconing."""
-        super().stop()
-        self.beacons.stop()
+        self.beacons = self.beacon_service()
 
     # --------------------------------------------------------------- gateways
     def is_gateway(self) -> bool:
@@ -124,34 +113,6 @@ class GridGatewayProtocol(RoutingProtocol):
                 best_per_cell[cell] = (distance, entry)
         return [entry for _, entry in best_per_cell.values()]
 
-    # ------------------------------------------------------------------- data
-    def route_data(self, packet: Packet) -> None:
-        """Forward via gateway neighbours toward the destination's cell."""
-        if packet.destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
-        self._seen.seen((packet.flow_key, self.node.node_id), self.now)
-        self._forward(packet)
-
-    # -------------------------------------------------------------- reception
-    def handle_packet(self, packet: Packet, sender_id: int) -> None:
-        """Handle data; non-gateway members do not retransmit."""
-        if not packet.is_data:
-            return
-        if packet.destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
-        if self._seen.seen((packet.flow_key, self.node.node_id), self.now):
-            return
-        if packet.ttl <= 1:
-            self.stats.ttl_drop()
-            return
-        # Data frames are unicast gateway-to-gateway, so being handed this
-        # packet means the previous hop selected us as its gateway; relay it.
-        # (The "members do not retransmit" rule is enforced by senders only
-        # addressing gateways, not by dropping explicitly addressed frames.)
-        self._forward(packet.forwarded())
-
     # -------------------------------------------------------------- internals
     def _forward(self, packet: Packet) -> None:
         cfg: GridGatewayConfig = self.config  # type: ignore[assignment]
@@ -164,29 +125,14 @@ class GridGatewayProtocol(RoutingProtocol):
         if packet.destination in by_id:
             self.unicast(packet, packet.destination)
             return
-        own_distance = self.node.position.distance_to(destination_position)
-        next_hop = self._best_progress(
-            self.gateway_neighbors(), destination_position, own_distance
+        next_hop = self._closest_neighbor(
+            self.gateway_neighbors(), destination_position, cfg.max_neighbor_distance_m
         )
         if next_hop is None and cfg.allow_member_fallback:
-            next_hop = self._best_progress(neighbors, destination_position, own_distance)
+            next_hop = self._closest_neighbor(
+                neighbors, destination_position, cfg.max_neighbor_distance_m
+            )
         if next_hop is None:
             self.stats.no_route_drop()
             return
         self.unicast(packet, next_hop)
-
-    def _best_progress(
-        self, candidates: List[NeighborEntry], destination_position: Vec2, own_distance: float
-    ) -> Optional[int]:
-        cfg: GridGatewayConfig = self.config  # type: ignore[assignment]
-        best_id: Optional[int] = None
-        best_distance = own_distance
-        for entry in candidates:
-            predicted = entry.predicted_position(self.now)
-            if self.node.position.distance_to(predicted) > cfg.max_neighbor_distance_m:
-                continue
-            distance = predicted.distance_to(destination_position)
-            if distance < best_distance:
-                best_distance = distance
-                best_id = entry.node_id
-        return best_id

@@ -65,34 +65,17 @@ class RoverProtocol(AodvProtocol):
         )
 
     # ------------------------------------------------------------- discovery
-    def _start_discovery(self, destination: int, retries: int) -> None:
+    def _send_request(self, destination: int, **zone: float) -> None:
         """As AODV, but stamp the discovery zone into the request."""
-        cfg: RoverConfig = self.config  # type: ignore[assignment]
         destination_position = self.location.position_of(destination)
-        self._rreq_id += 1
-        self._sequence += 1
-        self._discoveries[destination] = {"started": self.now, "retries": retries}
-        self.stats.route_discovery_started()
-        headers = dict(
-            rreq_id=self._rreq_id,
-            origin=self.node.node_id,
-            origin_seq=self._sequence,
-            target=destination,
-            hop_count=0,
-        )
         if destination_position is not None:
-            headers.update(
+            zone.update(
                 zone_src_x=self.node.position.x,
                 zone_src_y=self.node.position.y,
                 zone_dst_x=destination_position.x,
                 zone_dst_y=destination_position.y,
             )
-        rreq = self.make_control("RREQ", size_bytes=cfg.rreq_size_bytes, **headers)
-        self._rreq_cache.seen((self.node.node_id, self._rreq_id), self.now)
-        self.broadcast(rreq)
-        self.sim.schedule(
-            cfg.discovery_timeout_s, self._discovery_timeout, destination, self._rreq_id
-        )
+        super()._send_request(destination, **zone)
 
     def _discovery_zone(self, packet: Packet) -> Optional[CorridorZone]:
         headers = packet.headers

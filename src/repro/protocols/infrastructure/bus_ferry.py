@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.taxonomy import Category, register_protocol
-from repro.protocols.base import ProtocolConfig, RoutingProtocol
+from repro.protocols.base import ProtocolConfig
 from repro.protocols.discovery import DuplicateCache
 from repro.protocols.location import LocationService
-from repro.protocols.neighbors import BeaconService, NeighborEntry
+from repro.protocols.neighbors import NeighborEntry
+from repro.protocols.relay import RelayProtocol
 from repro.sim.network import Network
 from repro.sim.node import Node, NodeKind
 from repro.sim.packet import Packet
@@ -48,10 +49,8 @@ class BusFerryConfig(ProtocolConfig):
     "Buses on regular routes store, carry and forward packets collected from cars.",
     paper_reference="[19], Sec. V",
 )
-class BusFerryProtocol(RoutingProtocol):
+class BusFerryProtocol(RelayProtocol):
     """Store-carry-forward routing with buses as high-capacity ferries."""
-
-    uses_location_service = True
 
     def __init__(
         self,
@@ -60,17 +59,14 @@ class BusFerryProtocol(RoutingProtocol):
         config: Optional[BusFerryConfig] = None,
         location_service: Optional[LocationService] = None,
     ) -> None:
-        super().__init__(node, network, config if config is not None else BusFerryConfig())
-        self.location = (
-            location_service if location_service is not None else LocationService(network)
+        super().__init__(
+            node, network, config if config is not None else BusFerryConfig(), location_service
         )
-        self.beacons = BeaconService(
-            self,
-            interval_s=self.config.hello_interval_s,
-            timeout_s=self.config.neighbor_timeout_s,
-            extra_fields=lambda: {"is_bus": self.node.kind is NodeKind.BUS},
+        self.beacons = self.beacon_service(
+            extra_fields=lambda: {"is_bus": self.node.kind is NodeKind.BUS}
         )
         self._buffer: List[Tuple[float, Packet]] = []
+        # Packets are carried for up to ``buffer_timeout_s``; remember relays as long.
         self._seen = DuplicateCache(lifetime_s=60.0)
         self._delivery_task = None
 
@@ -89,7 +85,6 @@ class BusFerryProtocol(RoutingProtocol):
     def start(self) -> None:
         """Start beaconing and the periodic carried-packet delivery check."""
         super().start()
-        self.beacons.start()
         self._delivery_task = self.sim.schedule_periodic(
             self.config.delivery_check_interval_s,
             self._try_deliver_buffered,
@@ -101,7 +96,6 @@ class BusFerryProtocol(RoutingProtocol):
     def stop(self) -> None:
         """Stop beaconing and the delivery loop."""
         super().stop()
-        self.beacons.stop()
         if self._delivery_task is not None:
             self._delivery_task.cancel()
             self._delivery_task = None
@@ -128,41 +122,11 @@ class BusFerryProtocol(RoutingProtocol):
                 return
         self._carry(packet)
 
-    # -------------------------------------------------------------- reception
-    def handle_packet(self, packet: Packet, sender_id: int) -> None:
-        """Handle data frames (HELLOs reach the beacon service directly)."""
-        if not packet.is_data:
-            return
-        if packet.destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
-        if self._seen.seen((packet.flow_key, self.node.node_id), self.now):
-            return
-        if packet.ttl <= 1:
-            self.stats.ttl_drop()
-            return
-        self.route_data(packet.forwarded())
+    def _forward(self, packet: Packet) -> None:
+        """Relayed packets take the same path as originated ones."""
+        self.route_data(packet)
 
     # -------------------------------------------------------------- internals
-    def _greedy_next_hop(
-        self, destination: int, neighbors: List[NeighborEntry]
-    ) -> Optional[int]:
-        destination_position = self.location.position_of(destination)
-        if destination_position is None:
-            return None
-        own_distance = self.node.position.distance_to(destination_position)
-        best_id: Optional[int] = None
-        best_distance = own_distance
-        for entry in neighbors:
-            predicted = entry.predicted_position(self.now)
-            if self.node.position.distance_to(predicted) > 230.0:
-                continue
-            distance = predicted.distance_to(destination_position)
-            if distance < best_distance:
-                best_distance = distance
-                best_id = entry.node_id
-        return best_id
-
     @staticmethod
     def _nearest_bus(neighbors: List[NeighborEntry]) -> Optional[NeighborEntry]:
         buses = [entry for entry in neighbors if entry.extra.get("is_bus")]
@@ -171,14 +135,12 @@ class BusFerryProtocol(RoutingProtocol):
         return buses[0]
 
     def _carry(self, packet: Packet) -> None:
-        cfg: BusFerryConfig = self.config  # type: ignore[assignment]
         self._expire_buffer()
         if len(self._buffer) >= self.buffer_capacity:
             self.stats.buffer_drop()
             return
         self.stats.store_carry()
         self._buffer.append((self.now, packet))
-        del cfg
 
     def _try_deliver_buffered(self) -> None:
         if not self._buffer:

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.taxonomy import Category, register_protocol
-from repro.protocols.base import ProtocolConfig, RoutingProtocol
-from repro.protocols.discovery import DuplicateCache
+from repro.protocols.base import ProtocolConfig
 from repro.protocols.location import LocationService
-from repro.protocols.neighbors import BeaconService, NeighborEntry
+from repro.protocols.neighbors import NeighborEntry
+from repro.protocols.relay import RelayProtocol
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.packet import Packet
@@ -54,10 +54,8 @@ class RsuRelayConfig(ProtocolConfig):
     "nodes that relay and buffer packets.",
     paper_reference="[17], Sec. V",
 )
-class RsuRelayProtocol(RoutingProtocol):
+class RsuRelayProtocol(RelayProtocol):
     """Infrastructure relay routing over RSUs and their backbone."""
-
-    uses_location_service = True
 
     def __init__(
         self,
@@ -66,32 +64,15 @@ class RsuRelayProtocol(RoutingProtocol):
         config: Optional[RsuRelayConfig] = None,
         location_service: Optional[LocationService] = None,
     ) -> None:
-        super().__init__(node, network, config if config is not None else RsuRelayConfig())
-        self.location = (
-            location_service if location_service is not None else LocationService(network)
+        super().__init__(
+            node, network, config if config is not None else RsuRelayConfig(), location_service
         )
-        self.beacons = BeaconService(
-            self,
-            interval_s=self.config.hello_interval_s,
-            timeout_s=self.config.neighbor_timeout_s,
-            on_beacon=self._on_beacon,
-        )
+        # Both vehicles and RSUs beacon.
+        self.beacons = self.beacon_service(on_beacon=self._on_beacon)
         #: RSU-side: vehicle id -> (serving RSU id, registration time).
         self.registry: Dict[int, Tuple[int, float]] = {}
         #: RSU-side: buffered packets waiting for their destination.
         self._buffer: List[Tuple[float, Packet]] = []
-        self._seen = DuplicateCache(lifetime_s=30.0)
-
-    # ------------------------------------------------------------------ setup
-    def start(self) -> None:
-        """Start beaconing (both vehicles and RSUs beacon)."""
-        super().start()
-        self.beacons.start()
-
-    def stop(self) -> None:
-        """Stop beaconing."""
-        super().stop()
-        self.beacons.stop()
 
     # ------------------------------------------------------------------- data
     def route_data(self, packet: Packet) -> None:
@@ -104,21 +85,11 @@ class RsuRelayProtocol(RoutingProtocol):
         else:
             self._vehicle_route(packet)
 
-    # -------------------------------------------------------------- reception
-    def handle_packet(self, packet: Packet, sender_id: int) -> None:
-        """Handle data received over the air (HELLOs reach the beacon service)."""
-        if not packet.is_data:
-            return
-        if packet.destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
-        if self._seen.seen((packet.flow_key, self.node.node_id), self.now):
-            return
-        if packet.ttl <= 1:
-            self.stats.ttl_drop()
-            return
-        self.route_data(packet.forwarded())
+    def _forward(self, packet: Packet) -> None:
+        """Relayed packets take the same path as originated ones."""
+        self.route_data(packet)
 
+    # -------------------------------------------------------------- reception
     def _on_beacon(self, entry: NeighborEntry) -> None:
         """An RSU registers every vehicle it hears and flushes what it holds for it."""
         if self.node.is_infrastructure and not entry.is_rsu:
@@ -192,25 +163,6 @@ class RsuRelayProtocol(RoutingProtocol):
             self.unicast(packet, nearest_entry.node_id)
             return
         self.stats.no_route_drop()
-
-    def _greedy_next_hop(
-        self, destination: int, neighbors: List[NeighborEntry]
-    ) -> Optional[int]:
-        destination_position = self.location.position_of(destination)
-        if destination_position is None:
-            return None
-        own_distance = self.node.position.distance_to(destination_position)
-        best_id: Optional[int] = None
-        best_distance = own_distance
-        for entry in neighbors:
-            predicted = entry.predicted_position(self.now)
-            if self.node.position.distance_to(predicted) > 230.0:
-                continue
-            distance = predicted.distance_to(destination_position)
-            if distance < best_distance:
-                best_distance = distance
-                best_id = entry.node_id
-        return best_id
 
     # -------------------------------------------------------------- RSU side
     def _register_vehicle(self, entry: NeighborEntry) -> None:

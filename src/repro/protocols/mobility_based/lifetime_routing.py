@@ -17,8 +17,11 @@ Sec. IV.B of the paper for Taleb:
    the] duration of the routing path").
 
 Subclasses customise the metric (hook :meth:`link_metric`), the forwarding
-rule (hook :meth:`should_forward_request`) and the ranking at the
-destination (hook :meth:`path_score`).
+rule (hook :meth:`should_forward_request`, or :meth:`_relay_request` for a
+different relay altogether, as Yan-TBP's ticket probes) and the ranking at
+the destination (hook :meth:`path_score`).  The discovery lifecycle and the
+source-route forwarding come from :mod:`repro.protocols.discovery`; a hop
+that finds its next node gone retires the route and records its lifetime.
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.geometry import Vec2
-from repro.protocols.base import ProtocolConfig, RoutingProtocol
-from repro.protocols.discovery import DuplicateCache, PendingPacketBuffer
-from repro.protocols.neighbors import BeaconService
+from repro.protocols.base import ProtocolConfig
+from repro.protocols.discovery import SourceRoutingProtocol
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.packet import Packet
@@ -74,7 +76,7 @@ class DiscoveredRoute:
     expires_at: float
 
 
-class PathMetricDiscoveryProtocol(RoutingProtocol):
+class PathMetricDiscoveryProtocol(SourceRoutingProtocol):
     """Base class: flooded discovery that accumulates a per-path mobility metric."""
 
     def __init__(
@@ -85,17 +87,9 @@ class PathMetricDiscoveryProtocol(RoutingProtocol):
     ) -> None:
         super().__init__(node, network, config if config is not None else PathDiscoveryConfig())
         self.routes: Dict[int, DiscoveredRoute] = {}
-        self.pending = PendingPacketBuffer()
-        self._request_cache = DuplicateCache(lifetime_s=10.0)
-        self._request_id = 0
-        self._discoveries: Dict[int, Dict[str, float]] = {}
         #: (origin, request_id) -> list of (score, headers) candidates at the destination.
         self._reply_candidates: Dict[Tuple[int, int], List[Tuple[float, dict]]] = {}
-        self.beacons = BeaconService(
-            self,
-            interval_s=self.config.hello_interval_s,
-            timeout_s=self.config.neighbor_timeout_s,
-        )
+        self.beacons = self.beacon_service()
 
     # ------------------------------------------------------------------ hooks
     def initial_metric(self) -> float:
@@ -125,36 +119,29 @@ class PathMetricDiscoveryProtocol(RoutingProtocol):
         """Score used by the destination to rank candidate paths (higher wins)."""
         return metric
 
-    # ------------------------------------------------------------------ setup
-    def start(self) -> None:
-        """Start neighbour beaconing."""
-        super().start()
-        self.beacons.start()
-
-    def stop(self) -> None:
-        """Stop beaconing."""
-        super().stop()
-        self.beacons.stop()
-
-    # ------------------------------------------------------------------- data
-    def route_data(self, packet: Packet) -> None:
-        """Send on the discovered source route, or discover one first."""
-        destination = packet.destination
-        if destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
+    # ------------------------------------------------------------------ routes
+    def _route_to(self, destination: int) -> Optional[List[int]]:
+        """The discovered path toward ``destination``; an expired one is retired."""
         route = self.routes.get(destination)
-        if route is not None and route.expires_at > self.now:
-            packet.headers["src_route"] = list(route.path)
-            packet.headers["route_index"] = 0
-            self._forward_on_route(packet)
-            return
+        if route is None:
+            return None
+        if route.expires_at > self.now:
+            return route.path
+        self._retire_route(destination)
+        return None
+
+    def _has_route(self, destination: int) -> bool:
+        route = self.routes.get(destination)
+        return route is not None and route.expires_at > self.now
+
+    def _retire_route(self, destination: int) -> None:
+        """Forget the route toward ``destination``, recording how long it lived."""
+        route = self.routes.pop(destination, None)
         if route is not None:
             self.stats.route_lifetime(self.now - route.established_at)
-            del self.routes[destination]
-        if not self.pending.add(packet, self.now):
-            self.stats.buffer_drop()
-        self._ensure_discovery(destination)
+
+    def _route_broken(self, packet: Packet, next_hop: int) -> None:
+        self._retire_route(packet.destination)
 
     # -------------------------------------------------------------- reception
     def handle_packet(self, packet: Packet, sender_id: int) -> None:
@@ -168,16 +155,12 @@ class PathMetricDiscoveryProtocol(RoutingProtocol):
             self._handle_data(packet, sender_id)
 
     # -------------------------------------------------------------- discovery
-    def _ensure_discovery(self, destination: int) -> None:
-        if destination in self._discoveries:
-            return
-        self._start_discovery(destination, retries=0)
+    def _send_request(self, destination: int) -> None:
+        self.broadcast(self._make_request(destination))
 
-    def _start_discovery(self, destination: int, retries: int) -> None:
-        self._request_id += 1
-        self._discoveries[destination] = {"started": self.now, "retries": retries}
-        self.stats.route_discovery_started()
-        request = self.make_control(
+    def _make_request(self, destination: int, **extra) -> Packet:
+        """A request for ``destination`` carrying this node's kinematics."""
+        return self.make_control(
             "MREQ",
             size_bytes=self.config.request_size_bytes,
             request_id=self._request_id,
@@ -190,31 +173,12 @@ class PathMetricDiscoveryProtocol(RoutingProtocol):
             prev_vx=self.node.velocity.x,
             prev_vy=self.node.velocity.y,
             origin_group=self._own_group_tag(),
+            **extra,
         )
-        self._request_cache.seen((self.node.node_id, self._request_id), self.now)
-        self.broadcast(request)
-        self.sim.schedule(self.config.discovery_timeout_s, self._discovery_timeout, destination)
 
     def _own_group_tag(self) -> str:
         """Tag describing this node's mobility group (used by Taleb)."""
         return ""
-
-    def _discovery_timeout(self, destination: int) -> None:
-        state = self._discoveries.get(destination)
-        if state is None:
-            return
-        route = self.routes.get(destination)
-        if route is not None and route.expires_at > self.now:
-            self._discoveries.pop(destination, None)
-            return
-        retries = int(state["retries"])
-        if retries < self.config.max_discovery_retries:
-            self._start_discovery(destination, retries=retries + 1)
-        else:
-            self._discoveries.pop(destination, None)
-            dropped = self.pending.drop_all(destination)
-            for _ in range(dropped):
-                self.stats.no_route_drop()
 
     def _handle_request(self, packet: Packet, sender_id: int) -> None:
         headers = packet.headers
@@ -235,17 +199,29 @@ class PathMetricDiscoveryProtocol(RoutingProtocol):
         )
         metric = self.accumulate_metric(headers["metric"], link_value)
         path.append(self.node.node_id)
-        target = headers["target"]
-        if target == self.node.node_id:
+        if headers["target"] == self.node.node_id:
             self._collect_reply_candidate(origin, headers["request_id"], path, metric)
             return
-        if self._request_cache.seen((origin, headers["request_id"]), self.now):
+        self._relay_request(packet, sender_id, path, metric)
+
+    def _relay_request(
+        self, packet: Packet, sender_id: int, path: List[int], metric: float
+    ) -> None:
+        """Rebroadcast a request this node extended to ``path`` with ``metric``."""
+        headers = packet.headers
+        if self._request_cache.seen((headers["origin"], headers["request_id"]), self.now):
             return
         if not self.should_forward_request(headers, sender_id):
             return
         if packet.ttl <= 1:
             self.stats.ttl_drop()
             return
+        forwarded = self._extended(packet, path, metric)
+        jitter = self.rng.uniform(0.0, self.config.request_forward_jitter_s)
+        self.sim.schedule(jitter, self.broadcast, forwarded)
+
+    def _extended(self, packet: Packet, path: List[int], metric: float, **extra) -> Packet:
+        """The next hop's copy of a request: ``path``, ``metric``, our kinematics."""
         forwarded = packet.forwarded()
         forwarded.headers.update(
             path=path,
@@ -254,9 +230,9 @@ class PathMetricDiscoveryProtocol(RoutingProtocol):
             prev_y=self.node.position.y,
             prev_vx=self.node.velocity.x,
             prev_vy=self.node.velocity.y,
+            **extra,
         )
-        jitter = self.rng.uniform(0.0, self.config.request_forward_jitter_s)
-        self.sim.schedule(jitter, self.broadcast, forwarded)
+        return forwarded
 
     def _collect_reply_candidate(
         self, origin: int, request_id: int, path: List[int], metric: float
@@ -303,12 +279,7 @@ class PathMetricDiscoveryProtocol(RoutingProtocol):
         if origin == self.node.node_id:
             self._install_route(headers["target"], path, headers["metric"])
             return
-        index = headers["route_index"]
-        if index <= 0 or index >= len(path) or path[index] != self.node.node_id:
-            return
-        forwarded = packet.forwarded()
-        forwarded.headers["route_index"] = index - 1
-        self.unicast(forwarded, path[index - 1])
+        self._relay_reply(packet, path)
 
     def _install_route(self, destination: int, path: List[int], metric: float) -> None:
         lifetime = self._route_lifetime_from_metric(metric)
@@ -319,11 +290,7 @@ class PathMetricDiscoveryProtocol(RoutingProtocol):
             expires_at=self.now + lifetime,
         )
         self.routes[destination] = route
-        state = self._discoveries.pop(destination, None)
-        if state is not None:
-            self.stats.route_discovery_completed(self.now - state["started"])
-        for data_packet in self.pending.pop_all(destination, self.now):
-            self.route_data(data_packet)
+        self._complete_discovery(destination)
         if self.config.preemptive_rebuild_fraction > 0 and math.isfinite(lifetime):
             self.sim.schedule(
                 lifetime * self.config.preemptive_rebuild_fraction,
@@ -343,39 +310,4 @@ class PathMetricDiscoveryProtocol(RoutingProtocol):
         if route is None or route.established_at != established_at:
             return
         self.stats.route_repair()
-        self._ensure_discovery(destination)
-
-    # ------------------------------------------------------------- forwarding
-    def _handle_data(self, packet: Packet, sender_id: int) -> None:
-        if packet.destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
-        if packet.ttl <= 1:
-            self.stats.ttl_drop()
-            return
-        route: List[int] = packet.headers.get("src_route", [])
-        try:
-            index = route.index(self.node.node_id)
-        except ValueError:
-            return
-        forwarded = packet.forwarded()
-        forwarded.headers["route_index"] = index
-        self._forward_on_route(forwarded)
-
-    def _forward_on_route(self, packet: Packet) -> None:
-        route: List[int] = packet.headers["src_route"]
-        index = packet.headers.get("route_index", 0)
-        if index >= len(route) - 1:
-            return
-        next_hop = route[index + 1]
-        if not self.beacons.table.contains(next_hop, self.now):
-            self.stats.link_break()
-            self.stats.no_route_drop()
-            destination = packet.destination
-            stale = self.routes.get(destination)
-            if stale is not None:
-                self.stats.route_lifetime(self.now - stale.established_at)
-                del self.routes[destination]
-            return
-        packet.headers["route_index"] = index + 1
-        self.unicast(packet, next_hop)
+        self._discover(destination)

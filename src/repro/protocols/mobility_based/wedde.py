@@ -18,7 +18,7 @@ from repro.core.taxonomy import Category, register_protocol
 from repro.protocols.base import ProtocolConfig, RoutingProtocol
 from repro.protocols.discovery import DuplicateCache
 from repro.protocols.location import LocationService
-from repro.protocols.neighbors import BeaconService, NeighborEntry
+from repro.protocols.neighbors import NeighborEntry
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.packet import Packet
@@ -68,12 +68,8 @@ class WeddeProtocol(RoutingProtocol):
         self.location = (
             location_service if location_service is not None else LocationService(network)
         )
-        self.beacons = BeaconService(
-            self,
-            interval_s=self.config.hello_interval_s,
-            timeout_s=self.config.neighbor_timeout_s,
-            extra_fields=lambda: {"rating": self.own_rating()},
-        )
+        # Beacons advertise this node's rating.
+        self.beacons = self.beacon_service(extra_fields=lambda: {"rating": self.own_rating()})
         self._seen = DuplicateCache(lifetime_s=30.0)
 
     # ----------------------------------------------------------------- rating
@@ -99,17 +95,6 @@ class WeddeProtocol(RoutingProtocol):
         mean_speed = sum(entry.speed for entry in neighbors) / count
         fluidity_score = min(1.0, mean_speed / cfg.free_flow_speed_mps)
         return 0.5 * density_score + 0.5 * fluidity_score
-
-    # ------------------------------------------------------------------ setup
-    def start(self) -> None:
-        """Start beaconing (beacons carry the advertised rating)."""
-        super().start()
-        self.beacons.start()
-
-    def stop(self) -> None:
-        """Stop beaconing."""
-        super().stop()
-        self.beacons.stop()
 
     # ------------------------------------------------------------------- data
     def route_data(self, packet: Packet) -> None:

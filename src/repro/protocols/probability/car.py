@@ -201,17 +201,7 @@ class CarProtocol(ScoredForwardingProtocol):
             return
         cfg: CarConfig = self.config  # type: ignore[assignment]
         target = self._current_target(packet.headers, destination_position)
-        own_distance = self.node.position.distance_to(target)
-        best_id: Optional[int] = None
-        best_distance = own_distance
-        for entry in neighbors:
-            predicted = entry.predicted_position(self.now)
-            if self.node.position.distance_to(predicted) > cfg.max_neighbor_distance_m:
-                continue
-            distance = predicted.distance_to(target)
-            if distance < best_distance:
-                best_distance = distance
-                best_id = entry.node_id
+        best_id = self._closest_neighbor(neighbors, target, cfg.max_neighbor_distance_m)
         if best_id is None:
             self.stats.no_route_drop()
             return

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.geometry import Vec2
-from repro.protocols.base import ProtocolConfig, RoutingProtocol
-from repro.protocols.discovery import DuplicateCache
+from repro.protocols.base import ProtocolConfig
 from repro.protocols.location import LocationService
-from repro.protocols.neighbors import BeaconService, NeighborEntry
+from repro.protocols.neighbors import NeighborEntry
+from repro.protocols.relay import RelayProtocol
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.packet import Packet
@@ -40,10 +40,8 @@ class ScoredForwardingConfig(ProtocolConfig):
     max_neighbor_distance_m: float = 230.0
 
 
-class ScoredForwardingProtocol(RoutingProtocol):
+class ScoredForwardingProtocol(RelayProtocol):
     """Base class: forward data to the best-scoring neighbour."""
-
-    uses_location_service = True
 
     def __init__(
         self,
@@ -53,17 +51,12 @@ class ScoredForwardingProtocol(RoutingProtocol):
         location_service: Optional[LocationService] = None,
     ) -> None:
         super().__init__(
-            node, network, config if config is not None else ScoredForwardingConfig()
+            node,
+            network,
+            config if config is not None else ScoredForwardingConfig(),
+            location_service,
         )
-        self.location = (
-            location_service if location_service is not None else LocationService(network)
-        )
-        self.beacons = BeaconService(
-            self,
-            interval_s=self.config.hello_interval_s,
-            timeout_s=self.config.neighbor_timeout_s,
-        )
-        self._seen = DuplicateCache(lifetime_s=30.0)
+        self.beacons = self.beacon_service()
 
     # ------------------------------------------------------------------ hooks
     def neighbor_score(
@@ -75,41 +68,6 @@ class ScoredForwardingProtocol(RoutingProtocol):
     ) -> float:
         """Score of forwarding via ``entry`` (higher is better); subclass hook."""
         raise NotImplementedError
-
-    # ------------------------------------------------------------------ setup
-    def start(self) -> None:
-        """Start beaconing."""
-        super().start()
-        self.beacons.start()
-
-    def stop(self) -> None:
-        """Stop beaconing."""
-        super().stop()
-        self.beacons.stop()
-
-    # ------------------------------------------------------------------- data
-    def route_data(self, packet: Packet) -> None:
-        """Forward to the best-scoring neighbour."""
-        if packet.destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
-        self._seen.seen((packet.flow_key, self.node.node_id), self.now)
-        self._forward(packet)
-
-    # -------------------------------------------------------------- reception
-    def handle_packet(self, packet: Packet, sender_id: int) -> None:
-        """Handle data frames (HELLOs reach the beacon service directly)."""
-        if not packet.is_data:
-            return
-        if packet.destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
-        if self._seen.seen((packet.flow_key, self.node.node_id), self.now):
-            return
-        if packet.ttl <= 1:
-            self.stats.ttl_drop()
-            return
-        self._forward(packet.forwarded())
 
     # -------------------------------------------------------------- internals
     def _forward(self, packet: Packet) -> None:

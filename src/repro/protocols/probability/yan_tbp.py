@@ -92,94 +92,46 @@ class YanTbpProtocol(PathMetricDiscoveryProtocol):
         return metric - 1e-3 * len(path)
 
     # ----------------------------------------------------- selective probing
-    def _start_discovery(self, destination: int, retries: int) -> None:
+    def _send_request(self, destination: int) -> None:
         """Issue up to ``tickets`` probes to the most stable neighbours."""
         cfg: YanTbpConfig = self.config  # type: ignore[assignment]
-        self._request_id += 1
-        self._discoveries[destination] = {"started": self.now, "retries": retries}
-        self.stats.route_discovery_started()
         candidates = self._stable_neighbors(
             exclude=[self.node.node_id], toward=self._target_position(destination)
         )
         if not candidates:
             # No neighbours known yet: fall back to one broadcast probe so the
             # discovery can still succeed right after start-up.
-            request = self._make_probe(destination, cfg.tickets)
-            self.broadcast(request)
-        else:
-            chosen = candidates[: cfg.tickets]
-            share = max(1, cfg.tickets // max(1, len(chosen)))
-            for entry in chosen:
-                probe = self._make_probe(destination, share)
-                self.unicast(probe, entry.node_id)
-        self.sim.schedule(
-            self.config.discovery_timeout_s, self._discovery_timeout, destination
-        )
+            self.broadcast(self._make_probe(destination, cfg.tickets))
+            return
+        chosen = candidates[: cfg.tickets]
+        share = max(1, cfg.tickets // max(1, len(chosen)))
+        for entry in chosen:
+            self.unicast(self._make_probe(destination, share), entry.node_id)
 
     def _make_probe(self, destination: int, tickets: int) -> Packet:
         cfg: YanTbpConfig = self.config  # type: ignore[assignment]
-        probe = self.make_control(
-            "MREQ",
-            size_bytes=self.config.request_size_bytes,
-            request_id=self._request_id,
-            origin=self.node.node_id,
-            target=destination,
-            path=[self.node.node_id],
-            metric=self.initial_metric(),
-            prev_x=self.node.position.x,
-            prev_y=self.node.position.y,
-            prev_vx=self.node.velocity.x,
-            prev_vy=self.node.velocity.y,
-            origin_group="",
-            tickets=tickets,
-        )
+        probe = self._make_request(destination, tickets=tickets)
         probe.ttl = cfg.probe_ttl
         return probe
 
-    def _handle_request(self, packet: Packet, sender_id: int) -> None:
+    def _relay_request(
+        self, packet: Packet, sender_id: int, path: List[int], metric: float
+    ) -> None:
         """Forward the probe to the most stable next neighbours (ticket split)."""
-        headers = packet.headers
-        origin = headers["origin"]
-        if origin == self.node.node_id:
-            return
-        path: List[int] = list(headers["path"])
-        if self.node.node_id in path:
-            return
-        previous_position = Vec2(headers["prev_x"], headers["prev_y"])
-        previous_velocity = Vec2(headers["prev_vx"], headers["prev_vy"])
-        link_value = self.link_metric(
-            previous_position, previous_velocity, self.node.position, self.node.velocity, headers
-        )
-        metric = self.accumulate_metric(headers["metric"], link_value)
-        path.append(self.node.node_id)
-        target = headers["target"]
-        if target == self.node.node_id:
-            self._collect_reply_candidate(origin, headers["request_id"], path, metric)
-            return
         if packet.ttl <= 1:
             self.stats.ttl_drop()
             return
         cfg: YanTbpConfig = self.config  # type: ignore[assignment]
-        tickets = int(headers.get("tickets", 1))
+        target = packet.headers["target"]
+        tickets = int(packet.headers.get("tickets", 1))
         # If the probed destination is already a fresh neighbour, hand the
         # probe straight to it instead of splitting further tickets.
         if self.beacons.table.contains(target, self.now):
-            forwarded = packet.forwarded()
-            forwarded.headers.update(
-                path=list(path),
-                metric=metric,
-                prev_x=self.node.position.x,
-                prev_y=self.node.position.y,
-                prev_vx=self.node.velocity.x,
-                prev_vy=self.node.velocity.y,
-                tickets=1,
-            )
-            self.unicast(forwarded, target)
+            self.unicast(self._extended(packet, list(path), metric, tickets=1), target)
             return
-        destination_position = self._target_position(target)
         candidates = self._stable_neighbors(
             exclude=path + [sender_id],
-            toward=destination_position,
+            toward=self._target_position(target),
             require_progress=True,
         )
         if not candidates:
@@ -190,17 +142,9 @@ class YanTbpProtocol(PathMetricDiscoveryProtocol):
         fanout = min(cfg.max_fanout, max(1, tickets), len(candidates))
         share = max(1, tickets // fanout)
         for entry in candidates[:fanout]:
-            forwarded = packet.forwarded()
-            forwarded.headers.update(
-                path=list(path),
-                metric=metric,
-                prev_x=self.node.position.x,
-                prev_y=self.node.position.y,
-                prev_vx=self.node.velocity.x,
-                prev_vy=self.node.velocity.y,
-                tickets=share,
+            self.unicast(
+                self._extended(packet, list(path), metric, tickets=share), entry.node_id
             )
-            self.unicast(forwarded, entry.node_id)
 
     def _target_position(self, target: int) -> Optional[Vec2]:
         """Best-known position of the probed destination (None when unknown).

@@ -132,7 +132,7 @@ class TestDsr:
         sim, network, stats, nodes = _line_network(4, "DSR")
         run_data_flow(sim, stats, nodes[0], nodes[3], packets=2, start=2.0, until=15.0)
         destination_protocol = nodes[3].protocol
-        assert destination_protocol._cached_path(nodes[0].node_id) is not None
+        assert destination_protocol._route_to(nodes[0].node_id) is not None
 
 
 class TestDsdv:

@@ -60,7 +60,7 @@ class TestDisjLiProtocol:
         # Trigger discovery before any data is pending: a pending packet is
         # sent the instant the first RREP arrives, and that data frame can
         # collide with the second chain's RREP still working its way back.
-        sim.schedule_at(2.0, nodes[0].protocol._ensure_discovery, nodes[5].node_id)
+        sim.schedule_at(2.0, nodes[0].protocol._discover, nodes[5].node_id)
         run_data_flow(sim, stats, nodes[0], nodes[5], packets=4, start=4.0, until=20.0)
         assert stats.delivery_ratio >= 0.75
         source_protocol: DisjLiProtocol = nodes[0].protocol
