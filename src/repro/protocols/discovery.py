@@ -10,7 +10,9 @@ for all of them:
   count in ``_discoveries``, one ``route_discovery_started``, the request
   itself, then a timeout ``discovery_timeout_s`` later;
 * **retry** -- a timeout that finds no usable route starts the next
-  attempt, up to ``max_discovery_retries`` retries;
+  attempt, up to ``max_discovery_retries`` retries; one that finds a route
+  (learnt some other way, say from an overheard request) ends the
+  discovery without a completion and sends the buffered packets;
 * **give up** -- after the last attempt every packet buffered for the
   destination is counted as a ``no_route`` drop;
 * **completion** -- the protocol calls :meth:`~OnDemandProtocol._complete_discovery`
@@ -261,7 +263,10 @@ class OnDemandProtocol(RoutingProtocol):
         if state is None:
             return
         if self._has_route(destination):
+            # The route came from elsewhere (an overheard request, a cached
+            # reverse path): no completion, but the backlog can go now.
             del self._discoveries[destination]
+            self._send_pending(destination)
             return
         retries = state[1]
         if retries < self.config.max_discovery_retries:
@@ -276,6 +281,9 @@ class OnDemandProtocol(RoutingProtocol):
         state = self._discoveries.pop(destination, None)
         if state is not None:
             self.stats.route_discovery_completed(self.now - state[0])
+        self._send_pending(destination)
+
+    def _send_pending(self, destination: int) -> None:
         for packet in self.pending.pop_all(destination, self.now):
             self.route_data(packet)
 

@@ -4,12 +4,14 @@ AODV, ROVER, DSR, DisjLi and the metric-accumulating protocols share one
 lifecycle (:class:`repro.protocols.discovery.OnDemandProtocol`): a discovery
 is retried ``max_discovery_retries`` times and then given up, each buffered
 packet then counting as one drop; a completed discovery records one
-completion and sends the buffered packets in the order they arrived.
+completion and sends the buffered packets in the order they arrived; a
+discovery that times out while a route is held sends them too.
 """
 
 import pytest
 
 from repro.protocols.discovery import OnDemandProtocol
+from repro.sim.packet import BROADCAST, make_control_packet
 from tests.helpers import build_static_network, line_positions, run_data_flow
 
 ON_DEMAND = ("AODV", "ROVER", "DSR", "DisjLi", "PBR", "Taleb", "Abedi", "NiuDe", "Yan-TBP")
@@ -56,3 +58,37 @@ def test_completed_discovery_sends_the_backlog_in_buffered_order(protocol):
     assert sent == [1, 2, 3]
     assert len(source.pending) == 0
     assert stats.total_delivered == 3
+
+
+def _reverse_rreq(protocol, origin, relay, target):
+    """An RREQ from ``origin`` as ``relay`` rebroadcast it, aimed at ``target``."""
+    headers = {"rreq_id": 1, "origin": origin, "target": target}
+    if protocol == "DSR":
+        headers["route"] = [origin, relay]
+    else:
+        headers.update(origin_seq=1, hop_count=1)
+    return make_control_packet(protocol, "RREQ", origin, BROADCAST, headers=headers)
+
+
+@pytest.mark.parametrize("protocol", ("AODV", "ROVER", "DSR"))
+def test_timeout_with_a_route_from_elsewhere_sends_the_backlog(protocol):
+    # A's discovery for B cannot succeed, but at t=1.3 an RREQ from B reaches
+    # A through C, which gives A a route to B (AODV's reverse route, DSR's
+    # cached reverse path).  The discovery's timeout finds that route and
+    # must send the packet it buffered rather than hold it forever.
+    sim, network, stats, nodes = build_static_network(
+        [(0.0, 0.0), (200.0, 0.0), (2000.0, 0.0)], protocol=protocol
+    )
+    a, c, b = nodes
+    network.start()
+    target = a.node_id if protocol == "DSR" else 999
+    sim.schedule_at(
+        1.3,
+        lambda: a.protocol.handle_packet(
+            _reverse_rreq(protocol, b.node_id, c.node_id, target), c.node_id
+        ),
+    )
+    run_data_flow(sim, stats, a, b, packets=1, until=10.0)
+    assert len(a.protocol.pending) == 0
+    assert stats.data_transmissions >= 1
+    assert stats.route_discoveries_completed == 0
