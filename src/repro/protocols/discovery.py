@@ -44,7 +44,7 @@ packets waiting for a route.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.protocols.base import ProtocolConfig, RoutingProtocol
 from repro.sim.network import Network
@@ -167,11 +167,22 @@ class RouteTable:
 
 
 class PendingPacketBuffer:
-    """Data packets waiting for a route, grouped by destination."""
+    """Data packets waiting for a route, grouped by destination.
 
-    def __init__(self, capacity_per_destination: int = 16, max_age_s: float = 10.0) -> None:
+    Packets older than ``max_age_s`` are discarded when their destination's
+    queue is next touched; ``on_expire``, when given, is called once for
+    each.
+    """
+
+    def __init__(
+        self,
+        capacity_per_destination: int = 16,
+        max_age_s: float = 10.0,
+        on_expire: Optional[Callable[[], None]] = None,
+    ) -> None:
         self.capacity_per_destination = capacity_per_destination
         self.max_age_s = max_age_s
+        self.on_expire = on_expire
         self._buffers: Dict[int, List[Tuple[float, Packet]]] = {}
 
     def add(self, packet: Packet, now: float) -> bool:
@@ -203,7 +214,11 @@ class PendingPacketBuffer:
         return len(queue)
 
     def _expire(self, queue: List[Tuple[float, Packet]], now: float) -> None:
-        queue[:] = [(t, p) for t, p in queue if now - t <= self.max_age_s]
+        fresh = [(t, p) for t, p in queue if now - t <= self.max_age_s]
+        if self.on_expire is not None:
+            for _ in range(len(queue) - len(fresh)):
+                self.on_expire()
+        queue[:] = fresh
 
     def __len__(self) -> int:
         return sum(len(queue) for queue in self._buffers.values())
@@ -221,7 +236,9 @@ class OnDemandProtocol(RoutingProtocol):
 
     def __init__(self, node: Node, network: Network, config: ProtocolConfig) -> None:
         super().__init__(node, network, config)
-        self.pending = PendingPacketBuffer()
+        #: Data packets waiting for a route; one that waits too long is a
+        #: buffer drop, as one turned away from a full buffer is.
+        self.pending = PendingPacketBuffer(on_expire=self.stats.buffer_drop)
         #: Requests already seen, keyed by ``(origin, request id)``.
         self._request_cache = DuplicateCache(lifetime_s=10.0)
         self._request_id = 0

@@ -10,6 +10,7 @@ discovery that times out while a route is held sends them too.
 
 import pytest
 
+from repro.protocols.connectivity import AodvConfig
 from repro.protocols.discovery import OnDemandProtocol
 from repro.sim.packet import BROADCAST, make_control_packet
 from tests.helpers import build_static_network, line_positions, run_data_flow
@@ -92,3 +93,20 @@ def test_timeout_with_a_route_from_elsewhere_sends_the_backlog(protocol):
     assert len(a.protocol.pending) == 0
     assert stats.data_transmissions >= 1
     assert stats.route_discoveries_completed == 0
+
+
+def test_packet_outliving_the_buffer_age_is_counted_as_a_buffer_drop():
+    # With 5 s discovery timeouts one discovery cycle outlasts the buffer's
+    # 10 s age limit: the packet sent at t=1 expires when the one sent at
+    # t=12 is buffered, and must be counted rather than vanish.
+    sim, network, stats, nodes = build_static_network(
+        [(0.0, 0.0), (5000.0, 0.0)],
+        protocol="AODV",
+        protocol_config=AodvConfig(discovery_timeout_s=5.0),
+    )
+    network.start()
+    run_data_flow(sim, stats, nodes[0], nodes[1], packets=2, interval=11.0, until=30.0)
+    assert stats.total_sent == 2
+    assert stats.buffer_drops == 1
+    assert stats.no_route_drops == 1
+    assert len(nodes[0].protocol.pending) == 0

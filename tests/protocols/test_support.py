@@ -97,6 +97,16 @@ class TestPendingPacketBuffer:
         buffer.add(make_data_packet("p", 1, 9), now=0.0)
         assert buffer.pop_all(9, now=10.0) == []
 
+    def test_each_expired_packet_is_reported_once(self):
+        expired = []
+        buffer = PendingPacketBuffer(max_age_s=5.0, on_expire=lambda: expired.append(1))
+        buffer.add(make_data_packet("p", 1, 9), now=0.0)
+        buffer.add(make_data_packet("p", 1, 9), now=1.0)
+        buffer.add(make_data_packet("p", 1, 9), now=5.5)
+        assert len(expired) == 1
+        assert len(buffer.pop_all(9, now=6.5)) == 1
+        assert len(expired) == 2
+
     def test_drop_all_counts(self):
         buffer = PendingPacketBuffer()
         for _ in range(3):
