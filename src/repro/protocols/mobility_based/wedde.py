@@ -68,7 +68,6 @@ class WeddeProtocol(RoutingProtocol):
         self.location = (
             location_service if location_service is not None else LocationService(network)
         )
-        # Beacons advertise this node's rating.
         self.beacons = self.beacon_service(extra_fields=lambda: {"rating": self.own_rating()})
         self._seen = DuplicateCache(lifetime_s=30.0)
 
