@@ -14,7 +14,10 @@ code *before* that path was last reworked:
   are all pinned;
 * one 10 s highway cell per on-demand protocol (and GVGrid) at seeds 1
   and 2, long enough that discovery retries, give-ups, multipath
-  failovers and preemptive rebuilds all happen.
+  failovers and preemptive rebuilds all happen;
+* CAR on two road grids at seeds 1 and 2: its anchor paths are
+  shortest paths over the road graph, several with equal-cost
+  alternatives, so the path search's tie-breaking is pinned too.
 
 Regenerate (only for a deliberate, explained behaviour change) with::
 
@@ -110,6 +113,9 @@ CELLS = [
 ] + [
     (f"repairs-{protocol}", protocol, "highway-2km-normal", _REPAIR_CELL, (1, 2))
     for protocol in _REPAIR_PROTOCOLS
+] + [
+    (f"car-{preset}", "CAR", preset, _REPAIR_CELL, (1, 2))
+    for preset in ("manhattan-800m-normal", "city-grid-2km-sparse")
 ]
 
 PARAMS = [
