@@ -1,8 +1,8 @@
 """Package metadata and dependency declaration.
 
-The simulator is pure Python; ``networkx`` (road graphs) is its one
-runtime dependency.  The test suite additionally uses ``pytest`` and
-``hypothesis`` (and ``numpy`` as a reference in one property test).
+The simulator needs only the Python standard library.  The test suite
+uses ``pytest`` and ``hypothesis``, with ``networkx`` (road-graph path
+searches) and ``numpy`` (quantile sketch) as reference implementations.
 """
 
 from setuptools import find_packages, setup
@@ -17,9 +17,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=[
-        "networkx",
-    ],
+    install_requires=[],
     entry_points={
         "console_scripts": [
             "repro-vanet = repro.cli:main",

@@ -10,24 +10,25 @@ traffic density is the root cause of most of Table I's caveats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Set
 
-import networkx as nx
-
+from repro.graphs import component_sizes
 from repro.mobility.vehicle import VehicleState
 
 
 def connectivity_graph(
     vehicles: Sequence[VehicleState], communication_range: float = 250.0
-) -> nx.Graph:
-    """The snapshot connectivity graph of ``vehicles`` at their current positions."""
-    graph = nx.Graph()
-    for vehicle in vehicles:
-        graph.add_node(vehicle.vid)
+) -> Dict[int, Set[int]]:
+    """The snapshot connectivity graph of ``vehicles`` at their current positions.
+
+    Maps each vehicle id to the ids of the vehicles within radio range.
+    """
+    graph: Dict[int, Set[int]] = {vehicle.vid: set() for vehicle in vehicles}
     for i, a in enumerate(vehicles):
         for b in vehicles[i + 1 :]:
             if a.position.distance_to(b.position) <= communication_range:
-                graph.add_edge(a.vid, b.vid)
+                graph[a.vid].add(b.vid)
+                graph[b.vid].add(a.vid)
     return graph
 
 
@@ -56,20 +57,21 @@ def snapshot_connectivity(
 ) -> ConnectivitySnapshot:
     """Compute a :class:`ConnectivitySnapshot` for the current vehicle positions."""
     graph = connectivity_graph(vehicles, communication_range)
-    n = graph.number_of_nodes()
+    n = len(graph)
     if n == 0:
         return ConnectivitySnapshot(time, 0, 0, 0, 0.0, 0.0, 0.0)
-    components = [len(c) for c in nx.connected_components(graph)]
+    edge_count = sum(len(neighbours) for neighbours in graph.values()) // 2
+    components = component_sizes(graph)
     largest = max(components)
     reachable_pairs = sum(size * (size - 1) for size in components)
     total_pairs = n * (n - 1)
     return ConnectivitySnapshot(
         time=time,
         vehicle_count=n,
-        edge_count=graph.number_of_edges(),
+        edge_count=edge_count,
         component_count=len(components),
         largest_component_fraction=largest / n,
-        mean_degree=2.0 * graph.number_of_edges() / n,
+        mean_degree=2.0 * edge_count / n,
         reachable_pair_fraction=(reachable_pairs / total_pairs) if total_pairs else 0.0,
     )
 

@@ -9,16 +9,26 @@ Two composition rules recur throughout the survey:
   probabilities (Sec. VII) -- selecting the best path is a shortest-path
   problem on ``-log`` probabilities.
 
-Both selections are implemented here on top of ``networkx`` so every
-probability/mobility protocol and the benchmarks share one implementation.
+Both selections are implemented here on top of :mod:`repro.graphs` so
+every probability/mobility protocol and the benchmarks share one
+implementation.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-import networkx as nx
+from repro.graphs import (
+    NoPathError,
+    bidirectional_dijkstra,
+    dijkstra_length,
+    edge_data,
+    shortest_simple_paths,
+    undirected,
+)
 
 LinkKey = Tuple[Hashable, Hashable]
 
@@ -40,15 +50,6 @@ def path_reliability(link_probabilities: Sequence[float]) -> float:
     return result
 
 
-def _build_graph(
-    links: Dict[LinkKey, float],
-) -> nx.Graph:
-    graph = nx.Graph()
-    for (a, b), value in links.items():
-        graph.add_edge(a, b, value=value)
-    return graph
-
-
 def widest_lifetime_path(
     links: Dict[LinkKey, float], source: Hashable, destination: Hashable
 ) -> Tuple[List[Hashable], float]:
@@ -60,18 +61,16 @@ def widest_lifetime_path(
         destination: Path end node.
 
     Returns:
-        ``(path, bottleneck_lifetime)``.  Raises ``nx.NetworkXNoPath`` when
-        the destination is unreachable.
+        ``(path, bottleneck_lifetime)``.  Raises ``NoPathError`` when the
+        destination is unreachable.
     """
-    graph = _build_graph(links)
+    graph = undirected(links)
     if source not in graph or destination not in graph:
-        raise nx.NetworkXNoPath(f"no path between {source} and {destination}")
+        raise NoPathError(f"no path between {source} and {destination}")
     # Binary search over distinct lifetimes would be faster asymptotically;
     # a modified Dijkstra (maximise the minimum) is simpler and fast enough.
     best_bottleneck: Dict[Hashable, float] = {source: math.inf}
     predecessor: Dict[Hashable, Hashable] = {}
-    import heapq
-
     heap: List[Tuple[float, Hashable]] = [(-math.inf, source)]
     visited: set = set()
     while heap:
@@ -82,17 +81,16 @@ def widest_lifetime_path(
         visited.add(node)
         if node == destination:
             break
-        for neighbour in graph.neighbors(node):
+        for neighbour, lifetime in graph[node].items():
             if neighbour in visited:
                 continue
-            lifetime = graph.edges[node, neighbour]["value"]
             candidate = min(bottleneck, lifetime)
             if candidate > best_bottleneck.get(neighbour, -math.inf):
                 best_bottleneck[neighbour] = candidate
                 predecessor[neighbour] = node
                 heapq.heappush(heap, (-candidate, neighbour))
     if destination not in best_bottleneck:
-        raise nx.NetworkXNoPath(f"no path between {source} and {destination}")
+        raise NoPathError(f"no path between {source} and {destination}")
     path = [destination]
     while path[-1] != source:
         path.append(predecessor[path[-1]])
@@ -111,21 +109,21 @@ def most_reliable_path(
         destination: Path end node.
 
     Returns:
-        ``(path, reliability)``.  Raises ``nx.NetworkXNoPath`` when no path
-        with strictly positive reliability exists.
+        ``(path, reliability)``.  Raises ``NoPathError`` when no path with
+        strictly positive reliability exists.
     """
-    graph = nx.Graph()
-    for (a, b), probability in links.items():
+    costs: Dict[LinkKey, float] = {}
+    for link, probability in links.items():
         if probability < 0.0 or probability > 1.0:
             raise ValueError(f"link probability {probability} outside [0, 1]")
-        if probability <= 0.0:
-            continue
-        graph.add_edge(a, b, weight=-math.log(probability))
+        if probability > 0.0:
+            costs[link] = -math.log(probability)
+    graph = undirected(costs)
     if source not in graph or destination not in graph:
-        raise nx.NetworkXNoPath(f"no path between {source} and {destination}")
-    path = nx.shortest_path(graph, source, destination, weight="weight")
-    cost = nx.shortest_path_length(graph, source, destination, weight="weight")
-    return list(path), math.exp(-cost)
+        raise NoPathError(f"no path between {source} and {destination}")
+    path = bidirectional_dijkstra(graph, source, destination, edge_data)[1]
+    cost = dijkstra_length(graph, source, destination, edge_data)
+    return path, math.exp(-cost)
 
 
 def minimum_delay_path_with_reliability(
@@ -137,14 +135,12 @@ def minimum_delay_path_with_reliability(
 ) -> Optional[Tuple[List[Hashable], float, float]]:
     """Smallest-delay path whose reliability meets a threshold (GVGrid-style QoS).
 
-    Enumerate paths in increasing delay order (via Yen's algorithm as
-    provided by networkx ``shortest_simple_paths``) and return the first one
-    whose reliability is at least ``min_reliability``.  Returns ``None`` when
-    no such path exists among the first 50 candidates.
+    Enumerate paths in increasing delay order (Yen's algorithm) and return
+    the first one whose reliability is at least ``min_reliability``.  Returns
+    ``None`` when no such path exists among the first 50 candidates, or no
+    path at all.
     """
-    graph = nx.Graph()
-    for (a, b), delay in delay_links.items():
-        graph.add_edge(a, b, delay=delay)
+    graph = undirected(delay_links)
     if source not in graph or destination not in graph:
         return None
 
@@ -155,19 +151,13 @@ def minimum_delay_path_with_reliability(
             probabilities.append(probability)
         return path_reliability(probabilities)
 
+    candidates = shortest_simple_paths(graph, source, destination, edge_data)
     try:
-        candidates: Iterable[List[Hashable]] = nx.shortest_simple_paths(
-            graph, source, destination, weight="delay"
-        )
-    except nx.NetworkXNoPath:
+        for path in islice(candidates, 50):
+            reliability = reliability_of(path)
+            if reliability >= min_reliability:
+                delay = sum(graph[a][b] for a, b in zip(path, path[1:]))
+                return path, delay, reliability
+    except NoPathError:
         return None
-    for index, path in enumerate(candidates):
-        if index >= 50:
-            break
-        reliability = reliability_of(list(path))
-        if reliability >= min_reliability:
-            delay = sum(
-                graph.edges[a, b]["delay"] for a, b in zip(path, path[1:])
-            )
-            return list(path), delay, reliability
     return None

@@ -71,9 +71,7 @@ class GraphWalkMobility:
         self._edges: Dict[int, Tuple[str, str]] = {}
         #: vid -> the driver's personal speed preference multiplier.
         self._preference: Dict[int, float] = {}
-        self._edge_list: List[Tuple[str, str]] = [
-            tuple(edge) for edge in graph.graph.edges
-        ]
+        self._edge_list: List[Tuple[str, str]] = graph.edges()
         if not self._edge_list:
             raise ValueError("graph-walk mobility needs at least one road segment")
         self._next_vid = 0

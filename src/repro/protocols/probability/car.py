@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.stability import GammaHeadwayModel
 from repro.core.taxonomy import Category, register_protocol
 from repro.geometry import Vec2
+from repro.graphs import NoPathError
 from repro.protocols.location import LocationService
 from repro.protocols.neighbors import NeighborEntry
 from repro.protocols.probability.scored_forwarding import (
@@ -109,17 +110,8 @@ class CarProtocol(ScoredForwardingProtocol):
             probability = headway.segment_connectivity(
                 segment.length, cfg.communication_range_m
             )
-            key = self._segment_key(segment)
-            if key is not None:
-                self._segment_connectivity[key] = probability
-
-    def _segment_key(self, segment) -> Optional[Tuple[str, str]]:
-        if self.road_graph is None:
-            return None
-        for a, b, data in self.road_graph.graph.edges(data=True):
-            if data.get("segment_id") == segment.segment_id:
-                return (a, b)
-        return None
+            key = self.road_graph.segment_endpoints(segment.segment_id)
+            self._segment_connectivity[key] = probability
 
     def _segment_density(self, segment) -> float:
         """Vehicles per km currently on (near) the segment."""
@@ -148,7 +140,7 @@ class CarProtocol(ScoredForwardingProtocol):
             edge_cost[(a, b)] = -math.log(probability) * 1000.0 + 1.0
         try:
             path = self.road_graph.best_path(start, end, edge_cost)
-        except Exception:
+        except NoPathError:
             return []
         return [self.road_graph.position_of(name) for name in path]
 

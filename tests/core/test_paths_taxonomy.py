@@ -2,7 +2,6 @@
 
 import math
 
-import networkx as nx
 import pytest
 
 from repro.core.metrics import PAPER_TABLE_I, LinkMetrics, table_one_rows
@@ -14,6 +13,7 @@ from repro.core.path_reliability import (
     widest_lifetime_path,
 )
 from repro.core.taxonomy import PROTOCOLS, Category, protocols_in, register_protocol
+from repro.graphs import NoPathError
 
 
 class TestPathComposition:
@@ -51,7 +51,7 @@ class TestWidestLifetimePath:
         assert bottleneck == 9.0
 
     def test_unreachable_raises(self):
-        with pytest.raises(nx.NetworkXNoPath):
+        with pytest.raises(NoPathError):
             widest_lifetime_path({("a", "b"): 1.0}, "a", "z")
 
 
@@ -69,7 +69,7 @@ class TestMostReliablePath:
 
     def test_zero_probability_links_are_unusable(self):
         links = {("s", "a"): 0.0, ("a", "d"): 1.0}
-        with pytest.raises(nx.NetworkXNoPath):
+        with pytest.raises(NoPathError):
             most_reliable_path(links, "s", "d")
 
     def test_invalid_probability_rejected(self):
@@ -95,6 +95,11 @@ class TestQosPath:
 
     def test_none_for_disconnected_nodes(self):
         assert minimum_delay_path_with_reliability({}, {}, "s", "d", 0.5) is None
+
+    def test_none_for_endpoints_in_different_components(self):
+        delays = {("s", "a"): 1.0, ("d", "b"): 1.0}
+        reliabilities = {("s", "a"): 0.9, ("d", "b"): 0.9}
+        assert minimum_delay_path_with_reliability(delays, reliabilities, "s", "d", 0.5) is None
 
 
 class TestTaxonomyRegistry:

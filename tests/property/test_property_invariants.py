@@ -9,6 +9,7 @@ from repro.core.link_lifetime import link_lifetime_1d, link_lifetime_2d
 from repro.core.path_reliability import path_lifetime, path_reliability, widest_lifetime_path
 from repro.core.stability import link_alive_probability
 from repro.geometry import Vec2, angle_between
+from repro.graphs import NoPathError
 from repro.protocols.discovery import DuplicateCache, PendingPacketBuffer, RouteEntry, RouteTable
 from repro.radio.interference import combine_dbm, dbm_to_mw, mw_to_dbm
 from repro.sim.events import EventQueue
@@ -132,14 +133,12 @@ class TestPathCompositionProperties:
     )
     @settings(max_examples=50)
     def test_widest_path_bottleneck_is_achievable(self, links):
-        import networkx as nx
-
         nodes = sorted({n for edge in links for n in edge})
         assume(len(nodes) >= 2)
         source, destination = nodes[0], nodes[-1]
         try:
             path, bottleneck = widest_lifetime_path(links, source, destination)
-        except nx.NetworkXNoPath:
+        except NoPathError:
             return
         assert path[0] == source and path[-1] == destination
         for a, b in zip(path, path[1:]):

@@ -85,6 +85,32 @@ class TestRoadGraph:
         with pytest.raises(KeyError):
             graph.add_road("A", "Z")
 
+    def test_repeated_road_and_self_loop_rejected(self):
+        graph = self._simple_graph()
+        with pytest.raises(ValueError, match="already joins"):
+            graph.add_road("A", "B")
+        with pytest.raises(ValueError, match="already joins"):
+            graph.add_road("B", "A")
+        with pytest.raises(ValueError, match="itself"):
+            graph.add_road("A", "A")
+        assert len(graph.segments) == 4
+
+    def test_moving_an_intersection_rejected(self):
+        graph = self._simple_graph()
+        assert graph.add_intersection("A", Vec2(0, 0)) == "A"
+        with pytest.raises(ValueError, match="already exists"):
+            graph.add_intersection("A", Vec2(5, 0))
+        assert graph.position_of("A") == Vec2(0, 0)
+        assert graph.intersections == ["A", "B", "C", "D"]
+
+    def test_edges_walk_each_road_once_in_insertion_order(self):
+        graph = self._simple_graph()
+        assert graph.edges() == [("A", "B"), ("A", "D"), ("B", "C"), ("C", "D")]
+        assert graph.neighbors("A") == ["B", "D"]
+        segment = graph.segment_between("D", "A")
+        assert segment is not None
+        assert graph.segment_endpoints(segment.segment_id) == ("D", "A")
+
 
 class TestGridBuilders:
     def test_manhattan_graph_counts(self):

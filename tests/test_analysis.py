@@ -26,9 +26,9 @@ class TestConnectivityGraph:
     def test_edges_follow_radio_range(self):
         vehicles = [_vehicle(0, 0), _vehicle(1, 200), _vehicle(2, 600)]
         graph = connectivity_graph(vehicles, communication_range=250.0)
-        assert graph.has_edge(0, 1)
-        assert not graph.has_edge(1, 2)
-        assert graph.number_of_nodes() == 3
+        assert 1 in graph[0]
+        assert 2 not in graph[1]
+        assert len(graph) == 3
 
     def test_snapshot_statistics_for_a_partitioned_line(self):
         vehicles = [_vehicle(0, 0), _vehicle(1, 200), _vehicle(2, 1000), _vehicle(3, 1200)]

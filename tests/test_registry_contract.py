@@ -404,3 +404,46 @@ def test_caches_on_and_off_agree_on_hard_edge_stacks(stack, workload, traced):
         radio_params=HARD_EDGE_STACKS[stack],
     )
     _same_with_caches_off(lambda: _run_cache_cell(scenario, traced), f"{stack}/{workload}")
+
+
+# ----------------------------------------------------------- stdlib-only core
+# The package needs nothing outside the standard library: networkx and numpy
+# are test oracles only.  A fresh interpreter builds one preset of every
+# scenario kind (a trace file for ``trace``) and runs a short CAR cell on it,
+# which walks the road graph and queries road paths where there is one.
+_STDLIB_CORE_SCRIPT = """
+import sys
+from repro.harness.runner import ExperimentRunner
+from repro.harness.scenarios import SCENARIOS, scenario_from_name
+
+specs = {"trace": "trace:" + sys.argv[1]}
+for name in SCENARIOS.preset_names():
+    specs.setdefault(SCENARIOS.resolve(name).kind, name)
+assert sorted(specs) == sorted(SCENARIOS.names()), specs
+for kind, spec in specs.items():
+    scenario = scenario_from_name(
+        spec, seed=1, duration_s=3.0, drain_s=0.5, max_vehicles=20,
+        workload_params={"flow_count": 2, "start_time_s": 1.0},
+    )
+    result = ExperimentRunner().run(scenario, "CAR")
+    assert result.summary["data_sent"] > 0, kind
+print(sorted(name for name in ("networkx", "numpy") if name in sys.modules))
+"""
+
+
+def test_every_scenario_kind_runs_without_networkx_or_numpy(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _STDLIB_CORE_SCRIPT, _tiny_trace(tmp_path / "trace.csv")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"
