@@ -4,7 +4,8 @@ IDM produces realistic headway and relative-speed distributions -- the inputs
 the paper's link-lifetime model (Sec. IV.A.1) depends on -- from a handful of
 interpretable parameters.  It is the standard microscopic model used by SUMO
 and most vehicular-networking studies, which is why we use it as the
-substitute for SUMO traces (see DESIGN.md).
+substitute for SUMO traces (recorded traces replay through the ``trace``
+scenario kind; see the README's "Scenario registry").
 """
 
 from __future__ import annotations

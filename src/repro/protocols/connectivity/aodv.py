@@ -85,9 +85,7 @@ class AodvProtocol(OnDemandProtocol):
     def handle_packet(self, packet: Packet, sender_id: int) -> None:
         """Dispatch on the AODV packet type."""
         ptype = packet.ptype
-        if ptype == "RREQ":
-            self._handle_rreq(packet, sender_id)
-        elif ptype == "RREP":
+        if ptype == "RREP":
             self._handle_rrep(packet, sender_id)
         elif ptype == "RERR":
             self._handle_rerr(packet, sender_id)
@@ -113,7 +111,7 @@ class AodvProtocol(OnDemandProtocol):
         )
         self.broadcast(rreq)
 
-    def _handle_rreq(self, packet: Packet, sender_id: int) -> None:
+    def _handle_request(self, packet: Packet, sender_id: int) -> None:
         headers = packet.headers
         origin = headers["origin"]
         key = (origin, headers["rreq_id"])

@@ -81,9 +81,7 @@ class DisjLiProtocol(SourceRoutingProtocol):
     def handle_packet(self, packet: Packet, sender_id: int) -> None:
         """Dispatch on packet type."""
         ptype = packet.ptype
-        if ptype == "RREQ":
-            self._handle_rreq(packet, sender_id)
-        elif ptype == "RREP":
+        if ptype == "RREP":
             self._handle_rrep(packet, sender_id)
         elif packet.is_data:
             self._handle_data(packet, sender_id)
@@ -141,7 +139,7 @@ class DisjLiProtocol(SourceRoutingProtocol):
         )
         self.broadcast(rreq)
 
-    def _handle_rreq(self, packet: Packet, sender_id: int) -> None:
+    def _handle_request(self, packet: Packet, sender_id: int) -> None:
         cfg: DisjLiConfig = self.config  # type: ignore[assignment]
         headers = packet.headers
         origin = headers["origin"]

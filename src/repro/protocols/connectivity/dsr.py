@@ -64,9 +64,7 @@ class DsrProtocol(SourceRoutingProtocol):
     def handle_packet(self, packet: Packet, sender_id: int) -> None:
         """Dispatch on the DSR packet type."""
         ptype = packet.ptype
-        if ptype == "RREQ":
-            self._handle_rreq(packet, sender_id)
-        elif ptype == "RREP":
+        if ptype == "RREP":
             self._handle_rrep(packet, sender_id)
         elif ptype == "RERR":
             self._handle_rerr(packet, sender_id)
@@ -96,7 +94,7 @@ class DsrProtocol(SourceRoutingProtocol):
         )
         self.broadcast(rreq)
 
-    def _handle_rreq(self, packet: Packet, sender_id: int) -> None:
+    def _handle_request(self, packet: Packet, sender_id: int) -> None:
         headers = packet.headers
         origin = headers["origin"]
         if origin == self.node.node_id:

@@ -20,10 +20,19 @@ for all of them:
   packets (``pending``) go out through ``route_data`` in the order they
   were buffered.
 
-Each protocol supplies two hooks: how it sends its request
+Each protocol supplies three hooks: how it sends its request
 (:meth:`~OnDemandProtocol._send_request`: AODV bumps its sequence number,
-ROVER adds zone headers, Yan-TBP sends ticket probes) and whether it holds
-a usable route (:meth:`~OnDemandProtocol._has_route`).
+ROVER adds zone headers, Yan-TBP sends ticket probes), how it handles one it
+receives (:meth:`~OnDemandProtocol._handle_request`) and whether it holds a
+usable route (:meth:`~OnDemandProtocol._has_route`).
+
+Requests never reach ``handle_packet``: every protocol claims its request
+type (``request_ptype``: ``"RREQ"`` or ``"MREQ"``) on the medium (see
+:meth:`~repro.sim.medium.WirelessMedium.claim_frames`), so a flooded
+request is handed to each receiver's ``_handle_request`` as the transmitted
+frame itself, without a per-receiver copy.  Handlers read it and never
+write to it; a relay sends its own :meth:`~repro.sim.packet.Packet.forwarded`
+copy.
 
 :class:`SourceRoutingProtocol` adds the forwarding DSR, DisjLi and the
 metric-accumulating protocols share: the source attaches the whole path
@@ -44,12 +53,15 @@ packets waiting for a route.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.protocols.base import ProtocolConfig, RoutingProtocol
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.packet import Packet
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.medium import FrameReceiver
 
 
 class DuplicateCache:
@@ -228,11 +240,14 @@ class OnDemandProtocol(RoutingProtocol):
     """Base of the protocols that discover routes on demand.
 
     The config must provide ``discovery_timeout_s`` and
-    ``max_discovery_retries``.  Subclasses implement :meth:`_send_request`
-    and :meth:`_has_route`, buffer packets that have no route with
-    :meth:`_await_route`, and call :meth:`_complete_discovery` once a reply
-    installs a route.
+    ``max_discovery_retries``.  Subclasses implement :meth:`_send_request`,
+    :meth:`_handle_request` and :meth:`_has_route`, buffer packets that have
+    no route with :meth:`_await_route`, and call :meth:`_complete_discovery`
+    once a reply installs a route.
     """
+
+    #: Packet type of this protocol's route request, claimed on the medium.
+    request_ptype = "RREQ"
 
     def __init__(self, node: Node, network: Network, config: ProtocolConfig) -> None:
         super().__init__(node, network, config)
@@ -244,10 +259,20 @@ class OnDemandProtocol(RoutingProtocol):
         self._request_id = 0
         #: destination -> (start time, retries) of the discovery in flight.
         self._discoveries: Dict[int, Tuple[float, int]] = {}
+        network.medium.claim_frames(self.request_ptype, _open_request)
 
     # ------------------------------------------------------------------ hooks
     def _send_request(self, destination: int) -> None:
         """Send the request (id ``self._request_id``) for ``destination``."""
+        raise NotImplementedError
+
+    def _handle_request(self, packet: Packet, sender_id: int) -> None:
+        """Handle a request received from ``sender_id``.
+
+        ``packet`` is the transmitted frame, shared by every receiver: read
+        it, never write to it (relay a :meth:`~repro.sim.packet.Packet.forwarded`
+        copy).
+        """
         raise NotImplementedError
 
     def _has_route(self, destination: int) -> bool:
@@ -303,6 +328,23 @@ class OnDemandProtocol(RoutingProtocol):
     def _send_pending(self, destination: int) -> None:
         for packet in self.pending.pop_all(destination, self.now):
             self.route_data(packet)
+
+
+def _open_request(packet: Packet, sender_id: int) -> "FrameReceiver":
+    """The medium's claim on request frames: one hand-off per receiver.
+
+    Each receiver whose protocol sends requests of this type handles the
+    transmitted packet through :meth:`OnDemandProtocol._handle_request`;
+    any other receiver ignores it, as its ``handle_packet`` always did.
+    """
+    ptype = packet.ptype
+
+    def receive(node: Node, rx_power_dbm: float) -> None:
+        protocol = node.protocol
+        if getattr(protocol, "request_ptype", None) == ptype:
+            protocol._handle_request(packet, sender_id)
+
+    return receive
 
 
 class SourceRoutingProtocol(OnDemandProtocol):

@@ -88,7 +88,7 @@ class RoverProtocol(AodvProtocol):
             width=cfg.zone_width_m,
         )
 
-    def _handle_rreq(self, packet: Packet, sender_id: int) -> None:
+    def _handle_request(self, packet: Packet, sender_id: int) -> None:
         """Drop requests overheard outside the discovery zone, else behave as AODV."""
         zone = self._discovery_zone(packet)
         if (
@@ -97,4 +97,4 @@ class RoverProtocol(AodvProtocol):
             and not zone.contains(self.node.position)
         ):
             return
-        super()._handle_rreq(packet, sender_id)
+        super()._handle_request(packet, sender_id)

@@ -79,6 +79,8 @@ class DiscoveredRoute:
 class PathMetricDiscoveryProtocol(SourceRoutingProtocol):
     """Base class: flooded discovery that accumulates a per-path mobility metric."""
 
+    request_ptype = "MREQ"
+
     def __init__(
         self,
         node: Node,
@@ -147,9 +149,7 @@ class PathMetricDiscoveryProtocol(SourceRoutingProtocol):
     def handle_packet(self, packet: Packet, sender_id: int) -> None:
         """Dispatch on packet type."""
         ptype = packet.ptype
-        if ptype == "MREQ":
-            self._handle_request(packet, sender_id)
-        elif ptype == "MREP":
+        if ptype == "MREP":
             self._handle_reply(packet, sender_id)
         elif packet.is_data:
             self._handle_data(packet, sender_id)
@@ -182,32 +182,39 @@ class PathMetricDiscoveryProtocol(SourceRoutingProtocol):
 
     def _handle_request(self, packet: Packet, sender_id: int) -> None:
         headers = packet.headers
-        origin = headers["origin"]
-        if origin == self.node.node_id:
+        node_id = self.node.node_id
+        if headers["origin"] == node_id or node_id in headers["path"]:
             return
-        path: List[int] = list(headers["path"])
-        if self.node.node_id in path:
+        if headers["target"] == node_id:
+            path, metric = self._extend_path(headers)
+            self._collect_reply_candidate(headers["origin"], headers["request_id"], path, metric)
             return
-        previous_position = Vec2(headers["prev_x"], headers["prev_y"])
-        previous_velocity = Vec2(headers["prev_vx"], headers["prev_vy"])
+        self._relay_request(packet, sender_id)
+
+    def _extend_path(self, headers: dict) -> Tuple[List[int], float]:
+        """The request's path with this node appended, and the metric across it.
+
+        The metric adds the link the request just crossed, evaluated from
+        the previous hop's kinematics in ``headers`` and this node's own.
+        """
         link_value = self.link_metric(
-            previous_position,
-            previous_velocity,
+            Vec2(headers["prev_x"], headers["prev_y"]),
+            Vec2(headers["prev_vx"], headers["prev_vy"]),
             self.node.position,
             self.node.velocity,
             headers,
         )
-        metric = self.accumulate_metric(headers["metric"], link_value)
+        path: List[int] = list(headers["path"])
         path.append(self.node.node_id)
-        if headers["target"] == self.node.node_id:
-            self._collect_reply_candidate(origin, headers["request_id"], path, metric)
-            return
-        self._relay_request(packet, sender_id, path, metric)
+        return path, self.accumulate_metric(headers["metric"], link_value)
 
-    def _relay_request(
-        self, packet: Packet, sender_id: int, path: List[int], metric: float
-    ) -> None:
-        """Rebroadcast a request this node extended to ``path`` with ``metric``."""
+    def _relay_request(self, packet: Packet, sender_id: int) -> None:
+        """Rebroadcast a request this node is not the target of.
+
+        Whether to relay (the duplicate cache, :meth:`should_forward_request`,
+        then the TTL) is settled before the link metric is computed, so a
+        duplicate costs no metric.
+        """
         headers = packet.headers
         if self._request_cache.seen((headers["origin"], headers["request_id"]), self.now):
             return
@@ -216,7 +223,7 @@ class PathMetricDiscoveryProtocol(SourceRoutingProtocol):
         if packet.ttl <= 1:
             self.stats.ttl_drop()
             return
-        forwarded = self._extended(packet, path, metric)
+        forwarded = self._extended(packet, *self._extend_path(headers))
         jitter = self.rng.uniform(0.0, self.config.request_forward_jitter_s)
         self.sim.schedule(jitter, self.broadcast, forwarded)
 

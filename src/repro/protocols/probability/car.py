@@ -10,8 +10,7 @@ of the chosen road path).
 
 The per-segment density comes from a traffic-statistics estimator; the
 original CAR obtains it from historical/statistical data, so the estimator
-here counts vehicles near each segment through the simulation oracle -- see
-DESIGN.md for the substitution note.
+here counts vehicles near each segment through the simulation oracle.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ class CarConfig(ScoredForwardingConfig):
             available (also the value a miscalibrated deployment would use).
         use_measured_density: Estimate densities from the traffic oracle; when
             False the assumed density is used everywhere (the calibration-
-            mismatch ablation of EXPERIMENTS.md).
+            mismatch ablation, ``benchmarks/bench_ablation_probability_mismatch.py``).
     """
 
     communication_range_m: float = 250.0

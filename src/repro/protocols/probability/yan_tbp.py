@@ -114,10 +114,9 @@ class YanTbpProtocol(PathMetricDiscoveryProtocol):
         probe.ttl = cfg.probe_ttl
         return probe
 
-    def _relay_request(
-        self, packet: Packet, sender_id: int, path: List[int], metric: float
-    ) -> None:
+    def _relay_request(self, packet: Packet, sender_id: int) -> None:
         """Forward the probe to the most stable next neighbours (ticket split)."""
+        path, metric = self._extend_path(packet.headers)
         if packet.ttl <= 1:
             self.stats.ttl_drop()
             return

@@ -67,8 +67,9 @@ a frame type in bulk *claims* it instead
 (:meth:`WirelessMedium.claim_frames`): the frame is opened once, at its
 first successful receiver, and every receiver is then handed to the
 opener's ``receive`` -- no copy, no per-node dispatch.  HELLO beacons
-(:mod:`repro.protocols.neighbors`) and the safety-beacon and event-burst
-workloads' frames travel this way.  A claimed reception runs at the exact
+(:mod:`repro.protocols.neighbors`), the on-demand protocols' route requests
+(RREQ and MREQ, :mod:`repro.protocols.discovery`) and the safety-beacon and
+event-burst workloads' frames travel this way.  A claimed reception runs at the exact
 point ``Node.deliver`` would have run and still draws the packet uid its
 copy would have taken, so traces are byte-identical either way.
 """

@@ -158,8 +158,11 @@ class Node:
         any other receiver holds.  ``rx_power_dbm`` is the received signal
         strength computed by the propagation model; it is stamped onto the
         copy so protocols can make signal-strength-aware decisions.
-        Claimed frame types go to their claim's ``receive`` instead (see
-        :meth:`~repro.sim.medium.WirelessMedium.claim_frames`).
+        Claimed frame types -- HELLO, BSM and EVT, and the RREQ and MREQ
+        route requests -- go to their claim's ``receive`` instead (see
+        :meth:`~repro.sim.medium.WirelessMedium.claim_frames`), so what
+        arrives here is routing replies and errors, data and other
+        protocols' control frames.
         """
         if rx_power_dbm is not None:
             packet.rx_power_dbm = rx_power_dbm

@@ -28,7 +28,8 @@ _uid_counter = itertools.count(1)
 next_uid = _uid_counter.__next__
 
 #: `object.__new__` hoisted to a module global: `copy()` runs per receiver
-#: per unclaimed frame, where the attribute chain is measurable.
+#: per unclaimed frame (routing replies and errors, data), and per relay of
+#: a claimed one, where the attribute chain is measurable.
 _new_instance = object.__new__
 
 #: Types that deep-copy to themselves; header/payload values of these types
@@ -41,8 +42,9 @@ def _copy_value(value: Any) -> Any:
 
     Equivalent to :func:`copy.deepcopy` for dicts, lists and atomic values
     (the overwhelming majority of header content); anything else falls back
-    to deepcopy proper.  Frame delivery copies the packet once per receiver,
-    so this sits on the hottest path in the simulator.
+    to deepcopy proper.  Frame delivery copies an unclaimed packet once per
+    receiver (claimed HELLO, BSM, EVT, RREQ and MREQ frames are not copied),
+    and every relay copies the packet it forwards.
     """
     cls = value.__class__
     if cls is dict:
@@ -109,8 +111,9 @@ class Packet:
         packet is ``(source, flow_id, seq)`` and of a control packet whatever
         the protocol puts in its headers (e.g. an RREQ id).
 
-        The medium calls this once per receiver of every unclaimed frame,
-        so the copy is hand-rolled (``dataclasses.replace`` re-runs field
+        The medium calls this once per receiver of every unclaimed frame
+        (see :meth:`~repro.sim.medium.WirelessMedium.claim_frames` for the
+        frame types that are handed out uncopied), so the copy is hand-rolled (``dataclasses.replace`` re-runs field
         resolution per call): one C-level copy of the field dict becomes the
         new instance's dict, and headers and payload are duplicated through
         the deepcopy fast path above.  The copy shares no mutable state with

@@ -85,7 +85,7 @@ def test_timeout_with_a_route_from_elsewhere_sends_the_backlog(protocol):
     target = a.node_id if protocol == "DSR" else 999
     sim.schedule_at(
         1.3,
-        lambda: a.protocol.handle_packet(
+        lambda: a.protocol._handle_request(
             _reverse_rreq(protocol, b.node_id, c.node_id, target), c.node_id
         ),
     )
