@@ -20,11 +20,8 @@ also runnable as ``python -m repro.cli``.  Subcommands:
     ``summary`` the aggregates + manifest, or ``verify`` its integrity.
 ``list <kind>``
     Print one registry's catalogue: ``protocols`` (with their taxonomy
-    categories), ``scenarios``, ``workloads``, ``radios``, ``monitors`` or
-    ``lint-rules`` -- the registered kinds and their named presets.
-``lint``
-    Run the determinism / registry-contract static analysis over a source
-    tree (default: the installed ``repro`` package).
+    categories), ``scenarios``, ``workloads``, ``radios`` or ``monitors``
+    -- the registered kinds and their named presets.
 
 Scenarios are selected either by ``--scenario`` (a preset name such as
 ``city-grid-2km-sparse``, a registered kind, or ``trace:<path>`` for FCD
@@ -52,9 +49,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.taxonomy import PROTOCOLS
-from repro.devtools.registry import LINT_RULES
-from repro.devtools.lint import run_lint
-from repro.devtools.reporters import REPORTERS
 from repro.harness.reporting import (
     format_table,
     rows_to_csv,
@@ -576,13 +570,6 @@ LISTINGS: Dict[str, _Listing] = {
         "Attach probes with --monitor (a fixed set per run, never a matrix "
         "axis); add --telemetry FILE for streaming JSONL.",
     ),
-    "lint-rules": _Listing(
-        LINT_RULES,
-        ["rule", "severity", "rationale"],
-        "Lint rules",
-        footer="Run them with 'repro-vanet lint' (or 'python -m repro.devtools.lint'); "
-        "suppress one finding with '# repro-lint: ok <RULE-ID> -- <reason>'.",
-    ),
 }
 
 
@@ -605,10 +592,6 @@ def _command_list(args: argparse.Namespace) -> int:
         print()
         print(listing.footer)
     return 0
-
-
-def _command_lint(args: argparse.Namespace) -> int:
-    return run_lint(args.paths, output_format=args.format, select=args.select)
 
 
 def _env_workers() -> int:
@@ -713,23 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     list_parser.add_argument("kind", choices=list(LISTINGS), help="which registry to list")
     list_parser.set_defaults(func=_command_list)
-
-    lint_parser = subparsers.add_parser(
-        "lint", help="run the determinism/registry static analysis over a source tree"
-    )
-    lint_parser.add_argument(
-        "paths", nargs="*",
-        help="files or directories to lint (default: the installed repro package)",
-    )
-    lint_parser.add_argument(
-        "--format", choices=sorted(REPORTERS), default="text",
-        help="report format (default: text; 'github' emits CI annotations)",
-    )
-    lint_parser.add_argument(
-        "--select", type=str, default=None, metavar="IDS",
-        help="comma-separated rule ids to run (default: all registered rules)",
-    )
-    lint_parser.set_defaults(func=_command_lint)
 
     return parser
 

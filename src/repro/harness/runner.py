@@ -34,7 +34,11 @@ from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node
 from repro.sim.statistics import StatsCollector
 from repro.sim.trace import EventTrace
-from repro.store.schema import RECORD_SCHEMA_VERSION, check_record_schema_version
+from repro.store.schema import (
+    RECORD_SCHEMA_VERSION,
+    check_record_fields,
+    check_record_schema_version,
+)
 from repro.harness.scenario import Scenario
 from repro.harness.scenarios import build_mobility
 from repro.workloads import WORKLOADS
@@ -118,6 +122,10 @@ class RunRecord:
             workload=str(payload.get("workload", "cbr")),
             radio=str(payload.get("radio", DEFAULT_RADIO)),
         )
+
+
+# The persisted layout must be the catalogued one (rule SCHEMA-001).
+check_record_fields(RunRecord)
 
 
 @dataclass

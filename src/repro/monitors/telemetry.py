@@ -22,9 +22,11 @@ All remaining keys are event-specific.  Lines are rendered with sorted
 keys and minimal separators, so the same run produces the same bytes on
 every machine -- the property the serial-vs-parallel sweep test pins.
 
-``TELEMETRY_SCHEMA_VERSION`` / ``TELEMETRY_FIELDS`` are pinned by the
-``SCHEMA-002`` lint rule: bump the version and extend the catalogue
-together, never mutate an existing entry.
+``TELEMETRY_SCHEMA_VERSION`` / ``TELEMETRY_FIELDS`` are checked on import
+(rule ``SCHEMA-002``, :func:`repro.store.schema.check_catalogue`): the
+catalogue runs from version 1 without a gap, holds the current version,
+and every envelope keeps the ``v`` key.  Bump the version and extend the
+catalogue together, never mutate an existing entry.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+
+from repro.store.schema import check_catalogue
 
 #: Version stamped into every telemetry line this build emits.
 TELEMETRY_SCHEMA_VERSION: int = 1
@@ -41,6 +45,9 @@ TELEMETRY_SCHEMA_VERSION: int = 1
 TELEMETRY_FIELDS: Dict[int, Tuple[str, ...]] = {
     1: ("v", "event", "t", "monitor"),
 }
+check_catalogue(
+    "TELEMETRY_FIELDS", TELEMETRY_FIELDS, TELEMETRY_SCHEMA_VERSION, required=("v",)
+)
 
 KNOWN_TELEMETRY_SCHEMA_VERSIONS: Tuple[int, ...] = tuple(sorted(TELEMETRY_FIELDS))
 

@@ -1,8 +1,8 @@
 """One generic string-keyed registry behind every pluggable component.
 
-Routing protocols, scenario kinds, workloads, radio stacks, monitors and
-lint rules are all named things the harness resolves from a string, so
-they share one :class:`Registry` type:
+Routing protocols, scenario kinds, workloads, radio stacks and monitors
+are all named things the harness resolves from a string, so they share
+one :class:`Registry` type:
 
 * **Kinds** are the registered implementations (a class or a builder
   function), added with the :meth:`Registry.register` decorator.
@@ -17,8 +17,10 @@ they share one :class:`Registry` type:
 
 Each domain module owns its instance (``PROTOCOLS`` in
 :mod:`repro.core.taxonomy`, ``SCENARIOS`` in :mod:`repro.harness.scenarios`,
-``WORKLOADS``, ``RADIOS``, ``MONITORS`` and ``LINT_RULES`` in the matching
-``registry`` modules) and supplies its extra catalogue columns.
+``WORKLOADS``, ``RADIOS`` and ``MONITORS`` in the matching ``registry``
+modules) and supplies its extra catalogue columns.  What each registry
+expects of its kinds (base class, builder signature) is checked over the
+live classes by ``tests/test_registry_contract.py``.
 """
 
 from __future__ import annotations
@@ -74,9 +76,7 @@ class Registry(Generic[T]):
         column: Header of the name column in :meth:`kind_rows`; defaults
             to ``label``.
         name_attr: Attribute :meth:`register` stamps with the registered
-            name (``workload_name``, ``rule_id``, ...), if any.
-        validate: Called as ``validate(name, kind)`` before a kind is
-            stored; raises ``ValueError`` to refuse it.
+            name (``workload_name``, ``monitor_name``, ...), if any.
         instantiate: How :meth:`resolve` turns a kind into a product,
             called as ``instantiate(name, kind, *args, **params)``; the
             default calls ``kind(*args, **params)``.
@@ -92,7 +92,6 @@ class Registry(Generic[T]):
         *,
         column: str = "",
         name_attr: Optional[str] = None,
-        validate: Optional[Callable[[str, T], None]] = None,
         instantiate: Callable[..., Any] = _call_kind,
         kind_columns: Callable[[T], Row] = _describe_kind,
         preset_columns: Optional[Callable[[Preset], Row]] = None,
@@ -102,7 +101,6 @@ class Registry(Generic[T]):
         self.name_attr = name_attr
         self.kinds: Dict[str, T] = {}
         self.presets: Dict[str, Preset] = {}
-        self._validate = validate
         self._instantiate = instantiate
         self._kind_columns = kind_columns
         self._preset_columns: Callable[[Preset], Row] = preset_columns or (
@@ -116,8 +114,6 @@ class Registry(Generic[T]):
         def decorator(kind: T) -> T:
             if name in self.kinds:
                 raise ValueError(f"{self.label} kind {name!r} is already registered")
-            if self._validate is not None:
-                self._validate(name, kind)
             if self.name_attr is not None:
                 setattr(kind, self.name_attr, name)
             self.kinds[name] = kind

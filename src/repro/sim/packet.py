@@ -19,7 +19,7 @@ from typing import Any, Dict, Optional
 #: to every node that successfully receives the frame.
 BROADCAST: int = -1
 
-_uid_counter = itertools.count(1)
+_uid_counter = itertools.count(1)  # repro-lint: ok DET-001 -- uids run on across runs in one process; in-process traces compare them by first appearance (normalized_records)
 
 #: Draw the next packet uid without building a packet.  The medium draws
 #: one per claimed reception (see

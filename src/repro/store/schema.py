@@ -12,11 +12,10 @@ dependency-free module, so that
 
 * :mod:`repro.harness.runner` can stamp and validate payloads without
   importing the store machinery (which itself imports the runner), and
-* the ``SCHEMA-001`` lint rule (:mod:`repro.devtools.rules.schema`) can
-  cross-check the :class:`RunRecord` dataclass against the catalogue
-  purely syntactically: changing the record layout without bumping
-  :data:`RECORD_SCHEMA_VERSION` and extending :data:`RECORD_FIELDS` fails
-  CI.
+* the runner can check its :class:`RunRecord` dataclass against the
+  catalogue when it is imported (:func:`check_record_fields`): changing
+  the record layout without bumping :data:`RECORD_SCHEMA_VERSION` and
+  extending :data:`RECORD_FIELDS` fails on import, so in every test run.
 
 Version history:
 
@@ -29,17 +28,19 @@ Version history:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from dataclasses import fields
+from typing import Dict, Mapping, Tuple
 
 #: The schema version this build writes.
 RECORD_SCHEMA_VERSION: int = 2
 
 #: Field catalogue per known schema version: the exact dataclass fields of
 #: :class:`~repro.harness.runner.RunRecord`, in declaration order.  The
-#: SCHEMA-001 lint rule pins the live dataclass to the entry for
-#: :data:`RECORD_SCHEMA_VERSION`; changing the record layout therefore
-#: requires a version bump plus a new catalogue entry, which is exactly the
-#: audit trail persisted artifacts need.
+#: runner pins the live dataclass to the entry for
+#: :data:`RECORD_SCHEMA_VERSION` on import (:func:`check_record_fields`,
+#: rule SCHEMA-001); changing the record layout therefore requires a
+#: version bump plus a new catalogue entry, which is exactly the audit
+#: trail persisted artifacts need.
 RECORD_FIELDS: Dict[int, Tuple[str, ...]] = {
     1: (
         "scenario_name",
@@ -68,6 +69,52 @@ RECORD_FIELDS: Dict[int, Tuple[str, ...]] = {
         "radio",
     ),
 }
+
+
+def check_catalogue(
+    name: str,
+    catalogue: Mapping[int, Tuple[str, ...]],
+    version: int,
+    required: Tuple[str, ...] = (),
+) -> None:
+    """Raise ``ValueError`` unless ``catalogue`` is a sound version history.
+
+    Its versions must run from 1 without a gap (a gap makes the
+    known-versions error messages lie), it must hold the current
+    ``version``, and every entry must list the ``required`` keys.
+    """
+    versions = sorted(catalogue)
+    if versions != list(range(1, len(versions) + 1)):
+        raise ValueError(f"{name} versions must run from 1 without a gap, got {versions}")
+    if version not in catalogue:
+        raise ValueError(
+            f"{name} has no entry for the current version {version}; "
+            "catalogue every version this build writes"
+        )
+    for entry, keys in sorted(catalogue.items()):
+        missing = [key for key in required if key not in keys]
+        if missing:
+            raise ValueError(f"{name}[{entry}] lacks the required keys {missing}")
+
+
+def check_record_fields(
+    record_type: type,
+    catalogue: Mapping[int, Tuple[str, ...]] = RECORD_FIELDS,
+    version: int = RECORD_SCHEMA_VERSION,
+) -> None:
+    """Raise ``ValueError`` unless the dataclass ``record_type`` declares
+    exactly ``catalogue[version]``, in order."""
+    declared = tuple(item.name for item in fields(record_type))
+    if declared != catalogue.get(version):
+        raise ValueError(
+            f"{record_type.__qualname__} fields {list(declared)} differ from "
+            f"RECORD_FIELDS[{version}]: the record layout changed without a "
+            "schema-version bump -- bump RECORD_SCHEMA_VERSION and catalogue "
+            "the new layout in repro/store/schema.py"
+        )
+
+
+check_catalogue("RECORD_FIELDS", RECORD_FIELDS, RECORD_SCHEMA_VERSION)
 
 #: Versions this build knows how to read.
 KNOWN_RECORD_SCHEMA_VERSIONS: Tuple[int, ...] = tuple(sorted(RECORD_FIELDS))

@@ -283,41 +283,6 @@ class ExperimentStore:
             digest.update(b"\0")
         return digest.hexdigest()
 
-    # -------------------------------------------------------------- exports
-    def export_parquet(self, path: Optional[Union[str, Path]] = None) -> Path:
-        """Export the record log as a parquet table of flat record rows.
-
-        Optional: requires ``pyarrow``.  The JSONL record log remains the
-        canonical artifact; parquet is a columnar convenience for pandas /
-        duckdb consumers.
-        """
-        try:
-            import pyarrow as pa
-            import pyarrow.parquet as pq
-        except ImportError:
-            raise RuntimeError(
-                "parquet export requires pyarrow, which is not installed; "
-                f"the JSONL record log at {self.records_path} is the "
-                "canonical artifact and needs no extra dependency"
-            ) from None
-        target = Path(path) if path is not None else self.path / "records.parquet"
-        index = self.load_index()
-        rows = []
-        for key, record in index.items():
-            row: Dict[str, object] = {"cell_key": key}
-            row.update(record.row())
-            rows.append(row)
-        columns: List[str] = []
-        for row in rows:
-            for name in row:
-                if name not in columns:
-                    columns.append(name)
-        table = pa.Table.from_pydict(
-            {name: [row.get(name) for row in rows] for name in columns}
-        )
-        pq.write_table(table, target)
-        return target
-
 
 def read_record_log(path: Union[str, Path]) -> List[Tuple[str, RunRecord]]:
     """Read a record log (a store directory or a ``records.jsonl`` file).

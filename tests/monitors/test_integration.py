@@ -18,6 +18,11 @@ on every allocation since interpreter start.  The golden digests were
 generated in a fresh process; the byte-identity tests therefore replay
 the exact same run sequence in a fresh subprocess instead of inheriting
 pytest's allocation history.
+
+Regenerate the golden fixture (only for a deliberate, explained behaviour
+change) with::
+
+    PYTHONPATH=src python -m tests.monitors.test_integration
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ REPO_SRC = Path(__file__).parents[2] / "src"
 GOLDEN_PATH = Path(__file__).parent.parent / "harness" / "data" / "zero_monitor_golden.json"
 
 #: Replays the golden fixture's generation sequence -- same run order, same
-#: fresh process -- optionally with monitors attached, and prints the same
-#: digests/metrics the fixture holds.  Substitute MONITORS before running.
+#: fresh process -- optionally with monitors attached, and prints the cells
+#: the fixture holds.  Substitute MONITORS before running.
 GOLDEN_REPLAY = """
 import hashlib, json
 from repro.harness.runner import ExperimentRunner
@@ -96,6 +101,10 @@ for workload in ("cbr", "safety-beacon"):
         "trace_records": len(built.trace),
         "summary": result.summary,
         "extra": result.extra,
+        "scenario": {"kind": scenario.kind, "density": scenario.density.value,
+                     "duration_s": scenario.duration_s, "drain_s": scenario.drain_s,
+                     "max_vehicles": scenario.max_vehicles, "seed": scenario.seed,
+                     "protocol": "Greedy", "workload": workload},
     }
 # Cells whose receivers send or schedule from inside a reception (RSU-Relay
 # flushes its buffer on a HELLO, event-burst relays warnings); they run
@@ -120,6 +129,8 @@ for label, protocol, preset, overrides in (
         "trace_records": len(built.trace),
         "summary": result.summary,
         "extra": result.extra,
+        "scenario": {"preset": preset, "seed": scenario.seed, "protocol": protocol,
+                     "workload": scenario.workload, **_SMALL},
     }
 print(json.dumps(out))
 """
@@ -137,14 +148,7 @@ def _replay_golden(monitors=()) -> dict:
 
 
 def test_zero_monitor_run_matches_pre_monitor_golden():
-    golden = json.loads(GOLDEN_PATH.read_text())
-    replay = _replay_golden()
-    assert set(replay) == set(golden)
-    for workload in golden:
-        assert replay[workload]["trace_records"] == golden[workload]["trace_records"]
-        assert replay[workload]["trace_sha256"] == golden[workload]["trace_sha256"]
-        assert replay[workload]["summary"] == golden[workload]["summary"]
-        assert replay[workload]["extra"] == golden[workload]["extra"]
+    assert _replay_golden() == json.loads(GOLDEN_PATH.read_text())
 
 
 def test_monitored_run_keeps_golden_trace_bytes():
@@ -236,3 +240,13 @@ def test_invariant_probe_passes_on_every_builtin_workload(workload):
     scenario = with_traffic(scenario, {"flows": 2})
     result = ExperimentRunner().run(scenario, "Greedy")
     assert result.extra["invariant_violations"] == 0.0
+
+
+def _regenerate() -> None:
+    cells = _replay_golden()
+    GOLDEN_PATH.write_text(json.dumps(cells, indent=2, sort_keys=True))
+    print(f"wrote {len(cells)} cells to {GOLDEN_PATH}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _regenerate()

@@ -6,9 +6,14 @@ a scenario that never names a radio (and one that explicitly names the
 metrics byte-for-byte per (scenario, protocol, seed).  The golden fixture
 ``data/seed_golden_metrics.json`` was generated by the pre-redesign runner
 (the ``_build_propagation`` if/elif chain) on the same scenarios.
+
+Regenerate (only for a deliberate, explained behaviour change) with::
+
+    PYTHONPATH=src python -m tests.radio.test_trace_equivalence
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,13 +25,13 @@ from repro.radio.registry import DEFAULT_RADIO
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "seed_golden_metrics.json"
 
-#: (constructor, label, protocol, seed) cells compared against the fixture --
-#: a cross-section of scenario kind, protocol category and seed.
+#: (constructor, label, protocol, seed) cells of the fixture -- every
+#: combination of scenario kind, protocol category and seed.
 CELLS = [
-    (highway_scenario, "highway", "Greedy", 3),
-    (highway_scenario, "highway", "AODV", 7),
-    (manhattan_scenario, "manhattan", "Greedy", 3),
-    (manhattan_scenario, "manhattan", "AODV", 7),
+    (make, label, protocol, seed)
+    for make, label in ((highway_scenario, "highway"), (manhattan_scenario, "manhattan"))
+    for protocol in ("AODV", "Greedy")
+    for seed in (3, 7)
 ]
 
 
@@ -84,3 +89,16 @@ def test_explicit_default_preset_event_trace_matches_shim():
     implicit = trace_of(base)
     explicit = trace_of(base.with_overrides(radio_stack=DEFAULT_RADIO))
     assert implicit and implicit == explicit
+
+
+def _regenerate() -> None:
+    cells = {}
+    for make, label, protocol, seed in CELLS:
+        result = ExperimentRunner().run(_golden_scenario(make, label, seed), protocol)
+        cells[f"{label}/{protocol}/seed{seed}"] = {"summary": result.summary, "extra": result.extra}
+    GOLDEN_PATH.write_text(json.dumps(cells, indent=2, sort_keys=True))
+    print(f"wrote {len(cells)} cells to {GOLDEN_PATH}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _regenerate()

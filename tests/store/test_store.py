@@ -198,20 +198,6 @@ class TestModuleHelpers:
         assert sorted(index) == ["k1", "k2"]
         assert "delivery_ratio" not in index["k1"].summary
 
-    def test_parquet_export_requires_pyarrow(self, tmp_path):
-        try:
-            import pyarrow  # noqa: F401
-        except ImportError:
-            store = ExperimentStore(tmp_path / "store")
-            store.append("k", _record())
-            with pytest.raises(RuntimeError, match="requires pyarrow"):
-                store.export_parquet()
-        else:
-            store = ExperimentStore(tmp_path / "store")
-            store.append("k", _record(delivery_ratio=0.5))
-            target = store.export_parquet()
-            assert target.exists()
-
 
 class TestImportOrder:
     def test_store_imports_before_harness(self):

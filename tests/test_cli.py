@@ -9,9 +9,7 @@ from repro.workloads.registry import with_traffic
 
 
 class TestParser:
-    @pytest.mark.parametrize(
-        "kind", ["protocols", "scenarios", "workloads", "radios", "monitors", "lint-rules"]
-    )
+    @pytest.mark.parametrize("kind", ["protocols", "scenarios", "workloads", "radios", "monitors"])
     def test_list_subcommand_parses(self, kind):
         args = build_parser().parse_args(["list", kind])
         assert args.command == "list"

@@ -1,17 +1,22 @@
-"""The Registry contract, checked once over every registry instance."""
+"""The Registry contract, checked once over every registry instance.
+
+Rule REG-001 lives here too: over the live classes, every concrete
+protocol, workload and monitor class is registered, every registered kind
+subclasses its base, and every builder takes what its registry passes.
+"""
 
 from __future__ import annotations
 
+import importlib
 import inspect
+import pkgutil
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import pytest
 
 from repro.core.taxonomy import PROTOCOLS, Category
-from repro.devtools.base import LintRule
-from repro.devtools.registry import LINT_RULES
 from repro.geometry import Vec2
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scenario import Scenario
@@ -25,13 +30,16 @@ from repro.radio.interference import NO_SIGNAL_DBM
 from repro.radio.reception import ProbabilisticReception
 from repro.radio.registry import RADIOS
 from repro.radio.stack import RadioStack
-from repro.registry import KEBAB_CASE, Registry
-from repro.workloads import WORKLOADS, CbrWorkload
+from repro.registry import Registry
+from repro.workloads import WORKLOADS, CbrWorkload, Workload
 from repro.workloads.registry import with_traffic
 from tests.helpers import caches_off
 from tests.sim.test_medium_backends import normalized_records
 
 SENTINEL = object()
+
+#: Kind names the probes register under.
+NAMES = ("zzz-probe", "aaa-probe")
 
 
 @dataclass
@@ -41,7 +49,6 @@ class Case:
     registry: Registry[Any]
     make_kind: Callable[[], Any]
     preset_factory: Callable[..., Any]
-    names: Tuple[str, str] = ("zzz-probe", "aaa-probe")
     resolve_args: Tuple[Any, ...] = ()
 
 
@@ -68,12 +75,6 @@ CASES = {
         resolve_args=(None,),
     ),
     "monitors": Case(MONITORS, _class(Monitor), lambda **params: SENTINEL),
-    "lint-rules": Case(
-        LINT_RULES,
-        _class(LintRule, rationale="probe"),
-        lambda **params: SENTINEL,
-        names=("ZZZ-901", "AAA-901"),
-    ),
 }
 
 
@@ -89,7 +90,7 @@ def case(request):
 
 
 def test_duplicate_kind_or_preset_raises(case):
-    name = case.names[0]
+    name = NAMES[0]
     case.registry.register(name)(case.make_kind())
     with pytest.raises(ValueError, match="already registered"):
         case.registry.register(name)(case.make_kind())
@@ -99,7 +100,7 @@ def test_duplicate_kind_or_preset_raises(case):
 
 
 def test_register_stamps_name_and_unregister_removes(case):
-    name = case.names[0]
+    name = NAMES[0]
     kind = case.registry.register(name)(case.make_kind())
     assert case.registry[name] is kind
     if case.registry.name_attr is not None:
@@ -114,26 +115,20 @@ def test_register_stamps_name_and_unregister_removes(case):
 
 
 def test_presets_win_over_kinds(case):
-    name = case.names[0]
+    name = NAMES[0]
     case.registry.register(name)(case.make_kind())
-    if KEBAB_CASE.match(name) is None:
-        # This registry's kind names are never valid preset names, so no
-        # preset can shadow one.
-        with pytest.raises(ValueError, match="kebab-case"):
-            case.registry.register_preset(name, case.preset_factory, "shadow")
-        return
     case.registry.register_preset(name, lambda *args, **params: SENTINEL, "shadow")
     assert case.registry.resolve(name, *case.resolve_args) is SENTINEL
 
 
 def test_unknown_spec_names_both_catalogues(case):
-    case.registry.register(case.names[0])(case.make_kind())
+    case.registry.register(NAMES[0])(case.make_kind())
     case.registry.register_preset("contract-preset", case.preset_factory, "probe")
     with pytest.raises(KeyError) as excinfo:
         case.registry.resolve("no-such-thing")
     message = excinfo.value.args[0]
     assert f"unknown {case.registry.label} 'no-such-thing'" in message
-    assert "registered kinds:" in message and case.names[0] in message
+    assert "registered kinds:" in message and NAMES[0] in message
     assert "presets:" in message and "contract-preset" in message
 
 
@@ -145,7 +140,7 @@ def test_non_kebab_preset_name_raises(case):
 
 
 def test_rows_come_back_sorted(case):
-    for name in case.names:
+    for name in NAMES:
         case.registry.register(name)(case.make_kind())
     for name in ("zzz-preset", "aaa-preset"):
         case.registry.register_preset(name, case.preset_factory, "probe")
@@ -177,6 +172,172 @@ def test_traffic_keywords_are_constructor_keywords(name):
     assert set(kind.traffic_keywords) <= set(TRAFFIC_FLAGS)
     parameters = inspect.signature(kind.__init__).parameters
     assert all(keyword in parameters for keyword in kind.traffic_keywords.values())
+
+
+# ------------------------------------------------- REG-001, over live classes
+# A component class its package forgets to register cannot be named by a
+# scenario or swept, and a builder whose signature drifts breaks every
+# preset's keyword overrides.  Failures name the offending file and line.
+
+#: Class registries: (package whose modules define the kinds, base, registry).
+CLASS_CONTRACTS = {
+    "protocols": ("repro.protocols", RoutingProtocol, PROTOCOLS),
+    "workloads": ("repro.workloads", Workload, WORKLOADS),
+    "monitors": ("repro.monitors", Monitor, MONITORS),
+}
+
+
+def _where(obj: Any) -> str:
+    return f"{inspect.getsourcefile(obj)}:{inspect.getsourcelines(obj)[1]}"
+
+
+def _defined_classes(package_name: str) -> List[type]:
+    """Every class defined in the package's own modules."""
+    package = importlib.import_module(package_name)
+    modules = [package] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(package.__path__, package_name + ".")
+    ]
+    return [
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == module.__name__
+    ]
+
+
+def _registration_gaps(
+    classes: List[type], base: type, kinds: Dict[str, Any]
+) -> List[Tuple[str, str]]:
+    """``(name, file:line)`` of each concrete ``base`` subclass among
+    ``classes`` that ``kinds`` lacks, and of each kind that does not
+    subclass ``base``.  A class another of ``classes`` derives from is an
+    intermediate base, not a component."""
+    ancestors = {ancestor for cls in classes for ancestor in cls.__mro__[1:]}
+    registered = list(kinds.values())
+    unregistered = [
+        (cls.__qualname__, _where(cls))
+        for cls in classes
+        if issubclass(cls, base) and cls is not base
+        and cls not in ancestors and cls not in registered
+    ]
+    foreign = [
+        (name, _where(kind))
+        for name, kind in kinds.items()
+        if not (isinstance(kind, type) and issubclass(kind, base))
+    ]
+    return unregistered + foreign
+
+
+@pytest.mark.parametrize("label", sorted(CLASS_CONTRACTS))
+def test_every_component_class_is_registered(label):
+    package, base, registry = CLASS_CONTRACTS[label]
+    assert _registration_gaps(_defined_classes(package), base, registry.kinds) == []
+
+
+@pytest.mark.parametrize("base", [RoutingProtocol, Workload, Monitor])
+def test_unregistered_leaf_is_a_gap(base):
+    class Intermediate(base):
+        pass
+
+    class Leaf(Intermediate):
+        pass
+
+    class Forgotten(Intermediate):
+        pass
+
+    gaps = _registration_gaps([base, Intermediate, Leaf, Forgotten], base, {"leaf": Leaf})
+    assert gaps == [(Forgotten.__qualname__, _where(Forgotten))]
+    assert _where(Forgotten).startswith(f"{__file__}:")
+
+
+@pytest.mark.parametrize("base", [RoutingProtocol, Workload, Monitor])
+def test_kind_outside_its_base_is_a_gap(base):
+    class Stranger:
+        pass
+
+    assert _registration_gaps([], base, {"odd": Stranger}) == [("odd", _where(Stranger))]
+
+
+def _required(builder: Callable[..., Any]) -> List[inspect.Parameter]:
+    """The parameters a caller of ``builder`` must pass, and any ``*args``."""
+    return [
+        parameter
+        for parameter in inspect.signature(builder).parameters.values()
+        if parameter.kind is parameter.VAR_POSITIONAL
+        or (parameter.default is parameter.empty and parameter.kind is not parameter.VAR_KEYWORD)
+    ]
+
+
+def _positional(parameter: inspect.Parameter) -> bool:
+    return parameter.kind in (parameter.POSITIONAL_ONLY, parameter.POSITIONAL_OR_KEYWORD)
+
+
+def _takes_scenario_and_rng(builder: Callable[..., Any]) -> bool:
+    required = _required(builder)
+    return len(required) == 2 and all(map(_positional, required))
+
+
+def _takes_rng_first(builder: Callable[..., Any]) -> bool:
+    """``rng`` first, every other parameter defaulted: presets override any
+    subset by keyword."""
+    first = next(iter(inspect.signature(builder).parameters.values()), None)
+    return first is not None and first.name == "rng" and _required(builder) == [first]
+
+
+#: How each registry calls its kinds: monitors by keyword only, scenario
+#: builders as ``(scenario, rng)``, radio builders as ``(rng, **params)``.
+SIGNATURE_CONTRACTS: Dict[str, Tuple[Registry[Any], Callable[[Any], bool]]] = {
+    "monitors": (MONITORS, lambda kind: not _required(kind)),
+    "scenarios": (SCENARIOS, _takes_scenario_and_rng),
+    "radios": (RADIOS, _takes_rng_first),
+}
+
+
+def _signature_breaches(label: str, kinds: Dict[str, Any]) -> List[Tuple[str, str]]:
+    holds = SIGNATURE_CONTRACTS[label][1]
+    return [(name, _where(kind)) for name, kind in kinds.items() if not holds(kind)]
+
+
+@pytest.mark.parametrize("label", sorted(SIGNATURE_CONTRACTS))
+def test_registered_builders_take_what_their_registry_passes(label):
+    assert _signature_breaches(label, SIGNATURE_CONTRACTS[label][0].kinds) == []
+
+
+class _UndefaultedMonitor(Monitor):
+    def __init__(self, bucket_s):
+        self.bucket_s = bucket_s
+
+
+class _DefaultedMonitor(Monitor):
+    def __init__(self, bucket_s=1.0, *, strict=False):
+        self.bucket_s = bucket_s
+
+
+@pytest.mark.parametrize(
+    "label,kind,holds",
+    [
+        ("monitors", _UndefaultedMonitor, False),
+        ("monitors", _DefaultedMonitor, True),
+        ("scenarios", lambda scenario: None, False),
+        ("scenarios", lambda scenario, rng: None, True),
+        ("radios", lambda range_m, rng=None: None, False),
+        ("radios", lambda rng, range_m: None, False),
+        ("radios", lambda rng, range_m=250.0, *, tx_power_dbm=20.0: None, True),
+    ],
+    ids=[
+        "monitor-undefaulted",
+        "monitor-defaulted",
+        "scenario-one-arg",
+        "scenario-contract",
+        "radio-rng-second",
+        "radio-undefaulted-extra",
+        "radio-contract",
+    ],
+)
+def test_signature_breach_is_named(label, kind, holds):
+    assert _signature_breaches(label, {"probe": kind}) == ([] if holds else [("probe", _where(kind))])
+    assert _where(kind).startswith(f"{__file__}:")
 
 
 # ------------------------------------------------- capability flags, checked
