@@ -153,8 +153,9 @@ def _det001(tree: ast.Module, imports: Mapping[str, str]) -> Iterator[int]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and _qualified(node.func, imports) in AMBIENT_CALLS:
             yield node.lineno
-        elif isinstance(node, ast.Attribute) and _qualified(node, imports) == "os.environ":
-            yield node.lineno
+        elif isinstance(node, (ast.Attribute, ast.Name)):
+            if _qualified(node, imports) == "os.environ":  # also ``from os import environ``
+                yield node.lineno
     for statement in tree.body:
         if isinstance(statement, (ast.Assign, ast.AnnAssign)):
             targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
@@ -193,8 +194,10 @@ def _rng001(tree: ast.Module, imports: Mapping[str, str]) -> Iterator[int]:
         name = _qualified(node.func, imports) or ""
         if name == "random.Random":
             positional = [arg for arg in node.args if not isinstance(arg, ast.Starred)]
+            keywords = {keyword.arg: keyword.value for keyword in node.keywords}
+            seed = positional[0] if positional else keywords.get("x")  # ``Random(x=0)``
             unseeded = not node.args and not node.keywords
-            if unseeded or (positional and isinstance(positional[0], ast.Constant)):
+            if unseeded or isinstance(seed, ast.Constant):
                 yield node.lineno
         elif (
             name == "random.SystemRandom"
@@ -353,6 +356,56 @@ FLAGGED = [
     ("sim/x.py", "x = f()  # repro-lint: ok NOPE-999 -- good reason\n", [("LINT-001", 1)]),
     ("sim/x.py", "x = f()  # repro-lint: whatever\n", [("LINT-001", 1)]),
     ("sim/broken.py", "def f(:\n", [("LINT-002", 1)]),
+    # import spellings resolve to the same qualified names
+    ("sim/x.py", "from random import Random\nrng = Random(0)\n", [("RNG-001", 2)]),
+    ("sim/x.py", "import random as rnd\nrnd.shuffle(order)\n", [("RNG-001", 2)]),
+    ("protocols/p.py", "from random import choice\nhop = choice(neighbours)\n", [("RNG-001", 2)]),
+    ("workloads/w.py", "import random\nrandom.seed(7)\n", [("RNG-001", 2)]),
+    ("mobility/m.py", "import random\nrng = random.Random(x=0)\n", [("RNG-001", 2)]),
+    ("radio/r.py", "import numpy.random as npr\nfade = npr.normal()\n", [("RNG-001", 2)]),
+    ("sim/x.py", "from time import perf_counter\nt0 = perf_counter()\n", [("DET-001", 2)]),
+    ("sim/x.py", "from datetime import datetime\nstamp = datetime.utcnow()\n", [("DET-001", 2)]),
+    ("sim/x.py", "from os import environ\nmode = environ.get('MODE')\n", [("DET-001", 2)]),
+    (
+        "protocols/p.py",
+        "import os\n\ndef timeout():\n    return float(os.environ.get('T', '1'))\n",
+        [("DET-001", 4)],
+    ),
+    # DET-001 covers every core prefix, and sim/rng.py is exempt from RNG-001 only
+    ("mobility/idm.py", "import time\nT0 = time.time()\n", [("DET-001", 2)]),
+    ("roadnet/graph.py", "_paths: dict = {}\n", [("DET-001", 1)]),
+    ("sim/rng.py", "import time\nseed = time.time_ns()\n", [("DET-001", 2)]),
+    # DET-001: more module-level state
+    ("radio/r.py", "_index = {k: i for i, k in enumerate(KEYS)}\n", [("DET-001", 1)]),
+    (
+        "sim/x.py",
+        "import functools\n\n@functools.cache\ndef f(x):\n    return x\n",
+        [("DET-001", 3)],
+    ),
+    (
+        "roadnet/r.py",
+        "import functools as ft\n\n@ft.lru_cache(maxsize=8)\ndef f(x):\n    return x\n",
+        [("DET-001", 3)],
+    ),
+    ("workloads/w.py", "from itertools import count\n_next_flow = count()\n", [("DET-001", 2)]),
+    # DET-002: generators, dict comprehensions and each set-algebra method
+    ("sim/x.py", "total = sum(w for w in frozenset(weights))\n", [("DET-002", 1)]),
+    ("roadnet/r.py", "for n in a.difference(b):\n    visit(n)\n", [("DET-002", 1)]),
+    (
+        "mobility/m.py",
+        "def f(a, b):\n    return {n: 0 for n in a.intersection(b)}\n",
+        [("DET-002", 2)],
+    ),
+    ("radio/r.py", "for n in a.symmetric_difference(b):\n    drop(n)\n", [("DET-002", 1)]),
+    # LINT-001/002: the meta checks cannot be kept, and report the right line
+    ("sim/x.py", "x = f()  # repro-lint: ok LINT-001 -- quiet\n", [("LINT-001", 1)]),
+    ("sim/x.py", "x = f()  # repro-lint: OK RNG-001 -- upper case\n", [("LINT-001", 1)]),
+    (
+        "sim/x.py",
+        "import random\nrng = random.Random(0)  # repro-lint: ok RNG-001, NOPE-999 -- half known\n",
+        [("LINT-001", 2), ("RNG-001", 2)],
+    ),
+    ("sim/broken.py", "x = 1\n\ndef f(:\n    pass\n", [("LINT-002", 3)]),
 ]
 
 CLEAN = [
@@ -368,6 +421,13 @@ CLEAN = [
     ("workloads/burst.py", "for n in sorted(set(receivers)):\n    send(n)\n"),
     ("sim/x.py", "ok = node in {1, 2, 3}\n"),
     ("harness/report.py", "for n in {3, 1, 2}:\n    print(n)\n"),
+    ("mobility/m.py", "import random\n\ndef make(seed):\n    return random.Random(x=seed)\n"),
+    ("sim/x.py", "__all__: list = ['f']\nHOPS: dict\n"),
+    ("sim/x.py", "from .clock import time\nnow = time()\n"),
+    ("protocols/p.py", "def jitter(random):\n    return random.uniform(0.0, 1.0)\n"),
+    ("roadnet/r.py", "for n in sorted(a.union(b)):\n    visit(n)\n"),
+    ("store/store.py", "import os\n_open = {}\nroot = os.environ.get('ROOT')\n"),
+    ("monitors/m.py", "import time\nt0 = time.monotonic()\n"),
 ]
 
 
