@@ -132,7 +132,12 @@ class RoutingProtocol(ABC):
 
     @abstractmethod
     def handle_packet(self, packet: Packet, sender_id: int) -> None:
-        """Handle a frame received over the wireless channel."""
+        """Handle a frame received over the wireless channel.
+
+        ``packet`` is the transmitted packet, shared by every receiver:
+        read it, never change it, and relay a
+        :meth:`~repro.sim.packet.Packet.forwarded` copy.
+        """
 
     def handle_backbone_packet(self, packet: Packet, sender_id: int) -> None:
         """Handle a frame received over the wired RSU backbone.

@@ -30,9 +30,8 @@ Requests never reach ``handle_packet``: every protocol claims its request
 type (``request_ptype``: ``"RREQ"`` or ``"MREQ"``) on the medium (see
 :meth:`~repro.sim.medium.WirelessMedium.claim_frames`), so a flooded
 request is handed to each receiver's ``_handle_request`` as the transmitted
-frame itself, without a per-receiver copy.  Handlers read it and never
-write to it; a relay sends its own :meth:`~repro.sim.packet.Packet.forwarded`
-copy.
+frame itself.  Handlers read it and never write to it; a relay sends its
+own :meth:`~repro.sim.packet.Packet.forwarded` copy.
 
 :class:`SourceRoutingProtocol` adds the forwarding DSR, DisjLi and the
 metric-accumulating protocols share: the source attaches the whole path

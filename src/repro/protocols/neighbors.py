@@ -8,7 +8,7 @@ categories, so beacons go through the normal channel and are accounted as
 control packets.
 
 HELLO reception is the most frequent delivery in a beaconing run, so HELLO
-frames skip the per-receiver delivery chain (copy, ``Node.deliver``, the
+frames skip the per-receiver delivery chain (``Node.deliver`` and the
 protocol's packet dispatch).  Every :class:`BeaconService` claims the
 ``"HELLO"`` frame type on its network's medium (see
 :meth:`~repro.sim.medium.WirelessMedium.claim_frames`): the medium opens

@@ -59,19 +59,19 @@ are kept only while every registered node's position provider is
 position follows ``sim.now`` continuously makes every query scan afresh.
 
 Every delivery loop hands a frame's successful intended receivers, in
-registration order, to one per-frame deliverer.  By default it gives each
-receiver its own plain copy of the packet through
+registration order, to one per-frame deliverer, and every receiver reads
+the one transmitted packet: a packet never changes after its first
+transmission (see :mod:`repro.sim.packet`).  The frame is opened once, at
+its first successful receiver, and each receiver is then handed to the
+opener's ``receive``.  By default that calls
 :meth:`~repro.sim.node.Node.deliver`, which runs the node's routing
-protocol; the receiver may change its copy freely.  A consumer that handles
-a frame type in bulk *claims* it instead
-(:meth:`WirelessMedium.claim_frames`): the frame is opened once, at its
-first successful receiver, and every receiver is then handed to the
-opener's ``receive`` -- no copy, no per-node dispatch.  HELLO beacons
-(:mod:`repro.protocols.neighbors`), the on-demand protocols' route requests
-(RREQ and MREQ, :mod:`repro.protocols.discovery`) and the safety-beacon and
-event-burst workloads' frames travel this way.  A claimed reception runs at the exact
-point ``Node.deliver`` would have run and still draws the packet uid its
-copy would have taken, so traces are byte-identical either way.
+protocol.  A consumer that handles a frame type in bulk *claims* it instead
+(:meth:`WirelessMedium.claim_frames`) and skips the per-node dispatch.
+HELLO beacons (:mod:`repro.protocols.neighbors`), the on-demand protocols'
+route requests (RREQ and MREQ, :mod:`repro.protocols.discovery`) and the
+safety-beacon and event-burst workloads' frames travel this way.  Every
+reception draws one packet uid without building a packet, which keeps the
+uid numbering that the golden trace digests pin.
 """
 
 from __future__ import annotations
@@ -108,11 +108,20 @@ POSITION_REFRESH_S = 0.5
 #: :meth:`WirelessMedium._disk`).
 InRangeTable = Tuple[List["Node"], List[Vec2], List[float]]
 
-#: ``receive(node, rx_power_dbm)``: one claimed frame's per-receiver hand-off.
+#: ``receive(node, rx_power_dbm)``: one frame's per-receiver hand-off.
 FrameReceiver = Callable[["Node", float], None]
-#: ``open_frame(packet, sender_id) -> receive``: a claim on a frame type
-#: (see :meth:`WirelessMedium.claim_frames`).
+#: ``open_frame(packet, sender_id) -> receive``: how a frame type is handed
+#: to its receivers (see :meth:`WirelessMedium.claim_frames`).
 FrameOpener = Callable[[Packet, int], FrameReceiver]
+
+
+def _deliver_to_nodes(packet: Packet, sender_id: int) -> FrameReceiver:
+    """The opener of an unclaimed frame: each receiver's ``Node.deliver``."""
+
+    def receive(node: "Node", rx_power_dbm: float) -> None:
+        node.deliver(packet, sender_id)
+
+    return receive
 
 
 def _is_live(node: "Node") -> bool:
@@ -268,14 +277,15 @@ class WirelessMedium:
 
         For a claimed frame, ``open_frame(packet, sender_id)`` runs at most
         once, at the frame's first successful intended receiver, and never
-        for a frame nobody receives.  ``packet`` is the transmitted packet
-        itself, not a receiver's copy: the opener must not change it, and
-        one that forwards it sends a copy.  The ``receive(node, rx_power_dbm)`` it returns is
-        then called for that receiver and every later one, in registration
-        order, at exactly the point an unclaimed frame is handed to
+        for a frame nobody receives.  ``packet`` is the transmitted packet,
+        which no receiver may change: one that forwards it sends a copy.
+        The ``receive(node, rx_power_dbm)`` it returns is then called for
+        that receiver and every later one, in registration order, at
+        exactly the point an unclaimed frame is handed to
         :meth:`~repro.sim.node.Node.deliver` -- so trace records, scheduled
         events, tap emissions and RNG draws keep their order.  A claimed
-        frame never reaches the routing protocol.  Claiming a ptype again replaces the earlier claim.
+        frame never reaches the routing protocol.  Claiming a ptype again
+        replaces the earlier claim.
         """
         self._claims[ptype] = open_frame
 
@@ -488,34 +498,26 @@ class WirelessMedium:
         """The frame's one hand-off: ``deliver(receiver, rx_power_dbm)``.
 
         Every delivery loop calls it at each successful intended receiver,
-        in registration order.  A claimed ptype (see :meth:`claim_frames`)
-        opens the frame at the first call and passes each receiver to the
-        opener's ``receive``; every call still draws the packet uid that
-        receiver's copy would have taken, so uids number the same either
-        way.  Any other frame goes to :meth:`~repro.sim.node.Node.deliver`
-        as a per-receiver :meth:`~repro.sim.packet.Packet.copy`, which the
-        receiver owns outright.
+        in registration order.  The first call opens the frame with the
+        ptype's claim (see :meth:`claim_frames`), or with
+        :func:`_deliver_to_nodes` when it has none, and every call passes
+        its receiver to the opener's ``receive``.  Each call draws one
+        packet uid, which keeps the uid numbering the golden trace digests
+        pin.
         """
         packet = transmission.packet
         sender_id = transmission.sender_id
-        open_frame = self._claims.get(packet.ptype)
-        if open_frame is None:
-            copy = packet.copy
-
-            def deliver(node: "Node", rx_power_dbm: float) -> None:
-                node.deliver(copy(), sender_id, rx_power_dbm)
-
-            return deliver
+        open_frame = self._claims.get(packet.ptype, _deliver_to_nodes)
         receive: Optional[FrameReceiver] = None
 
-        def deliver_claimed(node: "Node", rx_power_dbm: float) -> None:
+        def deliver(node: "Node", rx_power_dbm: float) -> None:
             nonlocal receive
             next_uid()
             if receive is None:
                 receive = open_frame(packet, sender_id)
             receive(node, rx_power_dbm)
 
-        return deliver_claimed
+        return deliver
 
     def _complete(self, transmission: ActiveTransmission) -> None:
         now = self.sim.now

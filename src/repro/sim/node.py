@@ -147,25 +147,19 @@ class Node:
             )
         self.mac.enqueue(packet, next_hop)
 
-    def deliver(
-        self, packet: Packet, sender_id: int, rx_power_dbm: Optional[float] = None
-    ) -> None:
+    def deliver(self, packet: Packet, sender_id: int) -> None:
         """Called by the medium when an unclaimed frame is successfully received.
 
-        ``packet`` is this receiver's own copy of the frame (see
-        :meth:`~repro.sim.packet.Packet.copy`): the protocol may change it,
-        nested header values included, without touching what the sender or
-        any other receiver holds.  ``rx_power_dbm`` is the received signal
-        strength computed by the propagation model; it is stamped onto the
-        copy so protocols can make signal-strength-aware decisions.
-        Claimed frame types -- HELLO, BSM and EVT, and the RREQ and MREQ
-        route requests -- go to their claim's ``receive`` instead (see
+        ``packet`` is the transmitted packet itself, shared with the sender
+        and every other receiver: the protocol reads it and sends a
+        :meth:`~repro.sim.packet.Packet.copy` when it relays.  Claimed frame
+        types -- HELLO, BSM and EVT, and the RREQ and MREQ route requests --
+        go to their claim's ``receive`` instead, which also gets the
+        received signal strength (see
         :meth:`~repro.sim.medium.WirelessMedium.claim_frames`), so what
         arrives here is routing replies and errors, data and other
         protocols' control frames.
         """
-        if rx_power_dbm is not None:
-            packet.rx_power_dbm = rx_power_dbm
         if self.protocol is not None:
             self.protocol.handle_packet(packet, sender_id)
 

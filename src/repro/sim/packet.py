@@ -5,11 +5,16 @@ The paper's surveyed protocols exchange two kinds of packets (Sec. III.A):
 *data* packets.  A single :class:`Packet` class models both; protocol-specific
 fields travel in the ``headers`` dictionary so the simulator core stays
 protocol-agnostic.
+
+A packet never changes after its first transmission: every receiver of a
+frame reads the one transmitted packet, so a node that wants a different
+packet -- a relay's next hop, a rewritten header -- sends a
+:meth:`Packet.copy`.  Copies are shallow, so header values are replaced,
+never changed in place.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -22,38 +27,9 @@ BROADCAST: int = -1
 _uid_counter = itertools.count(1)  # repro-lint: ok DET-001 -- uids run on across runs in one process; in-process traces compare them by first appearance (normalized_records)
 
 #: Draw the next packet uid without building a packet.  The medium draws
-#: one per claimed reception (see
-#: :meth:`~repro.sim.medium.WirelessMedium.claim_frames`): the uid its copy
-#: would have taken, so uids number exactly as if one were made.
+#: one per successful reception (see
+#: :meth:`~repro.sim.medium.WirelessMedium._frame_deliverer`).
 next_uid = _uid_counter.__next__
-
-#: `object.__new__` hoisted to a module global: `copy()` runs per receiver
-#: per unclaimed frame (routing replies and errors, data), and per relay of
-#: a claimed one, where the attribute chain is measurable.
-_new_instance = object.__new__
-
-#: Types that deep-copy to themselves; header/payload values of these types
-#: are shared, everything else is copied.
-_ATOMIC_TYPES = frozenset({int, float, str, bool, bytes, type(None)})
-
-
-def _copy_value(value: Any) -> Any:
-    """Deep-copy a header/payload value, fast-pathing the common shapes.
-
-    Equivalent to :func:`copy.deepcopy` for dicts, lists and atomic values
-    (the overwhelming majority of header content); anything else falls back
-    to deepcopy proper.  Frame delivery copies an unclaimed packet once per
-    receiver (claimed HELLO, BSM, EVT, RREQ and MREQ frames are not copied),
-    and every relay copies the packet it forwards.
-    """
-    cls = value.__class__
-    if cls is dict:
-        return {key: _copy_value(item) for key, item in value.items()}
-    if cls in _ATOMIC_TYPES:
-        return value
-    if cls is list:
-        return [_copy_value(item) for item in value]
-    return copy.deepcopy(value)
 
 
 class PacketKind(Enum):
@@ -82,9 +58,6 @@ class Packet:
         seq: Application/flow sequence number (data packets only).
         headers: Protocol-specific header fields.
         payload: Opaque application payload description.
-        rx_power_dbm: Receiver-side metadata -- the signal strength at which
-            this copy of the packet was received, stamped by the medium on
-            delivery.  ``None`` while the packet is in flight.
     """
 
     kind: PacketKind
@@ -100,7 +73,6 @@ class Packet:
     seq: Optional[int] = None
     headers: Dict[str, Any] = field(default_factory=dict)
     payload: Dict[str, Any] = field(default_factory=dict)
-    rx_power_dbm: Optional[float] = None
     uid: int = field(default_factory=lambda: next(_uid_counter))
 
     def copy(self, **overrides: Any) -> "Packet":
@@ -111,28 +83,18 @@ class Packet:
         packet is ``(source, flow_id, seq)`` and of a control packet whatever
         the protocol puts in its headers (e.g. an RREQ id).
 
-        The medium calls this once per receiver of every unclaimed frame
-        (see :meth:`~repro.sim.medium.WirelessMedium.claim_frames` for the
-        frame types that are handed out uncopied), so the copy is hand-rolled (``dataclasses.replace`` re-runs field
-        resolution per call): one C-level copy of the field dict becomes the
-        new instance's dict, and headers and payload are duplicated through
-        the deepcopy fast path above.  The copy shares no mutable state with
-        this packet, so a receiver may change it freely, nested header
-        values included.
+        The copy has its own field dict and its own ``headers`` and
+        ``payload`` dicts, so rebinding a key on it leaves this packet as
+        it was; nested header values are shared, and are replaced rather
+        than changed in place (see the module docstring).
         """
         state = self.__dict__.copy()
-        headers = state["headers"]
-        state["headers"] = (
-            {key: _copy_value(item) for key, item in headers.items()} if headers else {}
-        )
-        payload = state["payload"]
-        state["payload"] = (
-            {key: _copy_value(item) for key, item in payload.items()} if payload else {}
-        )
+        state["headers"] = dict(self.headers)
+        state["payload"] = dict(self.payload)
         state["uid"] = next(_uid_counter)
         if overrides:
             state.update(overrides)
-        fresh = _new_instance(self.__class__)
+        fresh = object.__new__(self.__class__)
         fresh.__dict__ = state
         return fresh
 

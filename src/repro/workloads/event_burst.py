@@ -246,16 +246,7 @@ class EventBurstWorkload(Workload):
                 done = rebroadcast_done.setdefault(key, set())
                 if relays and node_id not in done:
                     done.add(node_id)
-                    # The relayed copy carries this receiver's signal
-                    # strength, as a copy of its own received frame did.
-                    node.send(
-                        packet.copy(
-                            hop_count=packet.hop_count + 1,
-                            ttl=packet.ttl - 1,
-                            rx_power_dbm=rx_power_dbm,
-                        ),
-                        BROADCAST,
-                    )
+                    node.send(packet.forwarded(), BROADCAST)
 
             return receive
 

@@ -1,11 +1,12 @@
-"""Route requests are claimed frames: one shared packet, read-only receivers.
+"""Frozen frames: every receiver reads the transmitted packet, none changes it.
 
-Every on-demand protocol claims its request type (RREQ or MREQ) on the
-medium, so each receiver's ``_handle_request`` reads the transmitted packet
-itself rather than a copy of its own.  These tests pin the two halves of
-that contract over the nine protocols -- no receiver writes into the shared
-frame, and no request reaches ``Node.deliver`` -- and the saving it allows
-in the path-metric family: a receiver that will not relay a request
+The medium hands every receiver of a frame the one transmitted packet, so a
+packet must never change after its first transmission.  These tests pin that
+contract over every registered protocol and the broadcast workloads -- each
+packet is deep-snapshotted when it is first put on the air and compared when
+the run ends -- and pin that route requests (RREQ, MREQ) are claimed frames
+that never reach ``Node.deliver``.  The rest pins the saving request claims
+allow in the path-metric family: a receiver that will not relay a request
 computes no link metric for it.
 """
 
@@ -16,51 +17,95 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core.taxonomy import PROTOCOLS
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scenarios import scenario_from_name
 from repro.protocols import discovery
+from repro.sim.medium import WirelessMedium
 from repro.sim.node import Node
 from repro.sim.packet import make_control_packet
 from tests.helpers import build_static_network, run_data_flow
 
-ON_DEMAND = ("AODV", "ROVER", "DSR", "DisjLi", "PBR", "Taleb", "Abedi", "NiuDe", "Yan-TBP")
 REQUEST_PTYPES = {"RREQ", "MREQ"}
 
+#: ``(protocol, workload)``: every protocol under unicast flows, plus the
+#: broadcast workloads whose frames are claimed and relayed.
+CELLS = [(name, "cbr") for name in PROTOCOLS.names()] + [
+    ("Greedy", "safety-beacon"),
+    ("Greedy", "event-burst-storm"),
+]
 
-@pytest.mark.parametrize("protocol", ON_DEMAND)
-def test_receivers_leave_the_shared_request_untouched(protocol, monkeypatch):
-    snapshots = []
-    open_request = discovery._open_request
 
-    def snapshotting_open(packet, sender_id):
-        snapshots.append((packet, copy.deepcopy(packet.headers), packet.ttl, packet.hop_count))
-        return open_request(packet, sender_id)
+def _run_cell(protocol, workload, monkeypatch, plant=None):
+    """``(sent, delivered)`` of one short highway run.
+
+    ``sent`` holds ``(packet, snapshot)`` for every packet put on the air,
+    the snapshot a deep copy of its fields at its first
+    ``begin_transmission``; ``delivered`` lists the ptype of every packet
+    ``Node.deliver`` received.  ``plant(packet)``, if given, runs in
+    ``Node.deliver`` before the protocol sees the packet.
+    """
+    first_sent = {}
+    begin = WirelessMedium.begin_transmission
+
+    def snapshotting_begin(medium, sender, packet, *args):
+        if id(packet) not in first_sent:
+            first_sent[id(packet)] = (packet, copy.deepcopy(vars(packet)))
+        begin(medium, sender, packet, *args)
 
     delivered = []
     deliver = Node.deliver
 
-    def recording_deliver(node, packet, sender_id, rx_power_dbm=None):
+    def recording_deliver(node, packet, *args):
         delivered.append(packet.ptype)
-        deliver(node, packet, sender_id, rx_power_dbm)
+        if plant is not None:
+            plant(packet)
+        deliver(node, packet, *args)
 
-    monkeypatch.setattr(discovery, "_open_request", snapshotting_open)
+    monkeypatch.setattr(WirelessMedium, "begin_transmission", snapshotting_begin)
     monkeypatch.setattr(Node, "deliver", recording_deliver)
+    params = {"flow_count": 4, "packet_count": 4} if workload == "cbr" else {}
     scenario = scenario_from_name(
         "highway-2km-normal",
         seed=1,
         duration_s=6.0,
         max_vehicles=30,
-        workload_params={"flow_count": 4, "packet_count": 4},
+        workload=workload,
+        workload_params=params,
     )
     ExperimentRunner().run(scenario, protocol)
+    return list(first_sent.values()), delivered
 
-    assert snapshots, "no request frame was received"
-    assert any(hop_count > 0 for _, _, _, hop_count in snapshots), "no request was relayed"
-    for packet, headers, ttl, hop_count in snapshots:
-        assert packet.ptype in REQUEST_PTYPES
-        assert (packet.headers, packet.ttl, packet.hop_count) == (headers, ttl, hop_count)
-    assert delivered, "no unclaimed frame was delivered"
+
+def _changed(sent):
+    """The packets whose fields differ from their first-transmission snapshot."""
+    return [packet for packet, snapshot in sent if vars(packet) != snapshot]
+
+
+@pytest.mark.parametrize(
+    "protocol,workload", CELLS, ids=[f"{p}-{w}" for p, w in CELLS]
+)
+def test_no_packet_changes_after_its_first_transmission(protocol, workload, monkeypatch):
+    sent, delivered = _run_cell(protocol, workload, monkeypatch)
+
+    assert sent, "nothing was transmitted"
+    assert _changed(sent) == []
     assert REQUEST_PTYPES.isdisjoint(delivered)
+    if getattr(PROTOCOLS[protocol], "request_ptype", None) is not None:
+        requests = [packet for packet, _ in sent if packet.ptype in REQUEST_PTYPES]
+        assert any(packet.hop_count > 0 for packet in requests), "no request was relayed"
+        assert delivered, "no unclaimed frame was delivered"
+
+
+def test_a_receiver_appending_to_a_nested_header_is_caught(monkeypatch):
+    def append_to_a_list_header(packet):
+        for value in packet.headers.values():
+            if isinstance(value, list):
+                value.append(-1)
+                return
+
+    sent, _ = _run_cell("DSR", "cbr", monkeypatch, plant=append_to_a_list_header)
+    assert _changed(sent)
 
 
 def test_a_receiver_without_the_request_type_ignores_it():

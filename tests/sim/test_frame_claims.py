@@ -1,13 +1,13 @@
-"""Claimed frames: one hand-off per frame instead of one copy per receiver.
+"""One hand-off per frame: claimed frames and the default ``Node.deliver``.
 
-:meth:`WirelessMedium.claim_frames` routes every received frame of a ptype
-to its opener: ``open_frame(packet, sender_id)`` runs at most once per frame,
-at the first successful intended receiver, and the ``receive(node,
-rx_power_dbm)`` it returns is called where ``Node.deliver`` would have been.
-Every delivery loop honours claims -- the per-receiver reference loop (with
-the medium's shortcuts off), the count-folded receiver walk (traced) and the
-bulk broadcast settlement (untraced) -- so each behaviour below is checked
-on all three.
+The medium opens every received frame once, at its first successful
+intended receiver, and hands each receiver to the opener's ``receive(node,
+rx_power_dbm)``.  :meth:`WirelessMedium.claim_frames` sets a ptype's opener;
+an unclaimed frame reaches every receiver's ``Node.deliver`` as the
+transmitted packet itself.  Every delivery loop honours this -- the
+per-receiver reference loop (with the medium's shortcuts off), the
+count-folded receiver walk (traced) and the bulk broadcast settlement
+(untraced) -- so each behaviour below is checked on all three.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.sim.engine import Simulator
 from repro.sim.medium import WirelessMedium
 from repro.sim.network import Network
 from repro.sim.node import StaticPositionProvider
-from repro.sim.packet import BROADCAST, Packet, make_control_packet, next_uid
+from repro.sim.packet import BROADCAST, make_control_packet, next_uid
 from repro.sim.statistics import StatsCollector
 from repro.sim.trace import EventTrace
 from repro.workloads import WORKLOADS
@@ -93,16 +93,7 @@ class _Sink:
         self.seen = seen
 
     def handle_packet(self, packet, sender_id):
-        self.seen.append((self.node_id, packet))
-
-
-class _PathAppender(_Sink):
-    """Logs the ``path`` header it receives, then appends itself in place."""
-
-    def handle_packet(self, packet, sender_id):
-        path = packet.headers["path"]
-        self.seen.append((self.node_id, list(path)))
-        path.append(self.node_id)
+        self.seen.append((self.node_id, packet, sender_id))
 
 
 def _send(sim, sender, ptype, at, next_hop=BROADCAST, size_bytes=64, headers=None):
@@ -184,65 +175,32 @@ class TestClaimedDelivery:
         # The unicast is retried; each attempt is one weak-signal loss.
         assert network.stats.phy_weak_signal >= 1
 
-    def test_unclaimed_ptypes_get_fresh_copies_through_deliver(self, loop, traced):
-        sim, network, nodes = _network([(0, 0), (100, 0), (200, 0)], loop, traced)
+    def test_unclaimed_ptypes_reach_deliver_as_the_transmitted_packet(
+        self, loop, traced
+    ):
+        # Registered out of positional order; the sender is node 2.
+        sim, network, nodes = _network(
+            [(150, 0), (50, 0), (100, 0), (200, 0), (0, 0)], loop, traced
+        )
         claim = _Recorder()
         network.medium.claim_frames("PING", claim)
         seen = []
         for node in nodes:
             node.attach_protocol(_Sink(node.node_id, seen))
-        ping = _send(sim, nodes[0], "PING", 1.0)
-        pong = _send(sim, nodes[0], "PONG", 2.0, headers={"path": [0]})
+        sender = nodes[2]
+        ping = _send(sim, sender, "PING", 1.0)
+        pong = _send(sim, sender, "PONG", 2.0, headers={"path": [sender.node_id]})
         sim.run(until=3.0)
-        # The claimed frame never reached Node.deliver or the protocol.
-        assert [packet.ptype for _, packet in seen] == ["PONG", "PONG"]
-        assert [node_id for node_id, _ in seen] == [nodes[1].node_id, nodes[2].node_id]
-        copies = [packet for _, packet in seen]
-        assert all(type(copy) is Packet for copy in copies)
-        assert len({copy.uid for copy in copies} | {pong.uid}) == 3
-        assert len({id(copy.headers) for copy in copies} | {id(pong.headers)}) == 3
-        assert all(copy.headers == pong.headers for copy in copies)
-        assert all(copy.rx_power_dbm is not None for copy in copies)
+        # The claimed frame never reached Node.deliver or the protocol; the
+        # unclaimed one reached it once per receiver, in registration order.
+        receivers = [n.node_id for n in nodes if n is not sender]
+        assert [node_id for node_id, _, _ in seen] == receivers
+        assert all(packet is pong for _, packet, _ in seen)
+        assert all(sender_id == sender.node_id for _, _, sender_id in seen)
+        assert pong.headers == {"path": [sender.node_id]}
         assert {uid for uid, _ in claim.opened} == {ping.uid}
-
-    def test_in_place_header_mutation_stays_with_its_receiver(self, loop, traced):
-        sim, network, nodes = _network(
-            [(0, 0), (100, 0), (200, 0), (300, 0)], loop, traced
-        )
-        seen = []
-        for node in nodes:
-            node.attach_protocol(_PathAppender(node.node_id, seen))
-        sender = nodes[1]
-        packet = _send(sim, sender, "PONG", 1.0, headers={"path": [sender.node_id]})
-        sim.run(until=2.0)
-        # Every receiver saw the path as sent, whatever the others did to theirs.
-        assert seen == [
-            (node.node_id, [sender.node_id]) for node in nodes if node is not sender
-        ]
-        assert packet.headers["path"] == [sender.node_id]
-
-    def test_rx_power_is_stamped_on_each_receivers_own_copy(self, loop, traced):
-        propagation = FreeSpacePropagation()
-        probe = WirelessMedium(Simulator(seed=1), propagation=propagation)
-        nominal = probe.nominal_range(20.0)
-        offsets = [0.1 * nominal, 0.3 * nominal, 0.5 * nominal]
-        sim, network, nodes = _network(
-            [(0, 0)] + [(x, 0) for x in offsets], loop, traced, propagation=propagation
-        )
-        seen = []
-        for node in nodes:
-            node.attach_protocol(_Sink(node.node_id, seen))
-        packet = _send(sim, nodes[0], "PONG", 1.0)
-        sim.run(until=2.0)
-        assert [node_id for node_id, _ in seen] == [n.node_id for n in nodes[1:]]
-        expected = [
-            propagation.rx_power_dbm_from_distance(nodes[0].tx_power_dbm, x)
-            for x in offsets
-        ]
-        assert [copy.rx_power_dbm for _, copy in seen] == pytest.approx(expected)
-        # Farther receivers hear less, and the sender's packet stays unstamped.
-        assert expected == sorted(expected, reverse=True)
-        assert packet.rx_power_dbm is None
+        # Every reception of either frame drew one uid.
+        assert next_uid() == pong.uid + 1 + 2 * len(receivers)
 
     def test_uid_numbering_matches_an_unclaimed_run(self, loop, traced):
         def uids_drawn(claimed):

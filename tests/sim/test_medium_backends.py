@@ -175,16 +175,6 @@ class TestRxPowerThreading:
         # Unit-disk propagation delivers at full transmit power in range.
         assert entry.rx_power_dbm == pytest.approx(nodes[0].tx_power_dbm)
 
-    def test_delivered_packet_carries_rx_power(self):
-        sim, network, stats, nodes = build_static_network([(0, 0), (100, 0)])
-        recorder = RecordingProtocol()
-        nodes[1].attach_protocol(recorder)
-        nodes[0].send(make_data_packet("p", nodes[0].node_id, BROADCAST), BROADCAST)
-        sim.run(until=1.0)
-        (packet, sender_id), = recorder.received
-        assert sender_id == nodes[0].node_id
-        assert packet.rx_power_dbm == pytest.approx(nodes[0].tx_power_dbm)
-
 
 class TestRemoveNodeTeardown:
     def test_removed_node_stops_beaconing(self):
