@@ -69,9 +69,7 @@ protocol.  A consumer that handles a frame type in bulk *claims* it instead
 (:meth:`WirelessMedium.claim_frames`) and skips the per-node dispatch.
 HELLO beacons (:mod:`repro.protocols.neighbors`), the on-demand protocols'
 route requests (RREQ and MREQ, :mod:`repro.protocols.discovery`) and the
-safety-beacon and event-burst workloads' frames travel this way.  Every
-reception draws one packet uid without building a packet, which keeps the
-uid numbering that the golden trace digests pin.
+safety-beacon and event-burst workloads' frames travel this way.
 """
 
 from __future__ import annotations
@@ -85,7 +83,7 @@ from repro.radio.interference import NO_SIGNAL_DBM
 from repro.radio.propagation import PropagationModel
 from repro.radio.reception import ReceptionDecision, ReceptionModel
 from repro.sim.engine import Simulator
-from repro.sim.packet import BROADCAST, Packet, next_uid
+from repro.sim.packet import BROADCAST, Packet
 from repro.sim.spatial import UniformGridIndex
 from repro.sim.statistics import StatsCollector
 from repro.sim.trace import EventTrace
@@ -501,9 +499,7 @@ class WirelessMedium:
         in registration order.  The first call opens the frame with the
         ptype's claim (see :meth:`claim_frames`), or with
         :func:`_deliver_to_nodes` when it has none, and every call passes
-        its receiver to the opener's ``receive``.  Each call draws one
-        packet uid, which keeps the uid numbering the golden trace digests
-        pin.
+        its receiver to the opener's ``receive``.
         """
         packet = transmission.packet
         sender_id = transmission.sender_id
@@ -512,7 +508,6 @@ class WirelessMedium:
 
         def deliver(node: "Node", rx_power_dbm: float) -> None:
             nonlocal receive
-            next_uid()
             if receive is None:
                 receive = open_frame(packet, sender_id)
             receive(node, rx_power_dbm)

@@ -26,11 +26,6 @@ BROADCAST: int = -1
 
 _uid_counter = itertools.count(1)  # repro-lint: ok DET-001 -- uids run on across runs in one process; in-process traces compare them by first appearance (normalized_records)
 
-#: Draw the next packet uid without building a packet.  The medium draws
-#: one per successful reception (see
-#: :meth:`~repro.sim.medium.WirelessMedium._frame_deliverer`).
-next_uid = _uid_counter.__next__
-
 
 class PacketKind(Enum):
     """Coarse classification used by the statistics collector."""

@@ -10,7 +10,6 @@ from repro.sim.packet import (
     PacketKind,
     make_control_packet,
     make_data_packet,
-    next_uid,
 )
 from repro.sim.rng import RandomStreams
 
@@ -93,9 +92,9 @@ class TestPacket:
         packet = make_data_packet("p", 1, 2)
         first, second = packet.copy(), packet.copy()
         assert first.uid != packet.uid
-        # One counter for packets, copies and claimed receptions.
+        # One counter for packets and copies.
         assert second.uid == first.uid + 1
-        assert next_uid() == second.uid + 1
+        assert make_data_packet("p", 1, 2).uid == second.uid + 1
 
     def test_copy_carries_every_field_but_the_uid(self):
         packet = make_data_packet("p", 1, 2, size_bytes=256, flow_id=7, seq=3)
