@@ -330,18 +330,20 @@ class OnDemandProtocol(RoutingProtocol):
 
 
 def _open_request(packet: Packet, sender_id: int) -> "FrameReceiver":
-    """The medium's claim on request frames: one hand-off per receiver.
+    """The medium's claim on request frames: one handler call per receiver.
 
     Each receiver whose protocol sends requests of this type handles the
-    transmitted packet through :meth:`OnDemandProtocol._handle_request`;
-    any other receiver ignores it, as its ``handle_packet`` always did.
+    transmitted packet through :meth:`OnDemandProtocol._handle_request`,
+    in the order the medium hands receivers over; any other receiver
+    ignores it, as its ``handle_packet`` always did.
     """
     ptype = packet.ptype
 
-    def receive(node: Node, rx_power_dbm: float) -> None:
-        protocol = node.protocol
-        if getattr(protocol, "request_ptype", None) == ptype:
-            protocol._handle_request(packet, sender_id)
+    def receive(nodes: List[Node], rx_power_dbm: float) -> None:
+        for node in nodes:
+            protocol = node.protocol
+            if getattr(protocol, "request_ptype", None) == ptype:
+                protocol._handle_request(packet, sender_id)
 
     return receive
 

@@ -13,17 +13,22 @@ protocol's packet dispatch).  Every :class:`BeaconService` claims the
 ``"HELLO"`` frame type on its network's medium (see
 :meth:`~repro.sim.medium.WirelessMedium.claim_frames`): the medium opens
 each received HELLO once, which parses its header dict once, and then
-hands every successful receiver to its protocol's beacon service, which
-records its own :class:`NeighborEntry`.  Frames are immutable in flight
-and all receivers of one frame are served at one instant, so the one
-parse is what each receiver's own parse would have been.  Protocols that
-react to a fresh entry (RSU-Relay registers vehicles with their RSU) pass
-an ``on_beacon`` hook instead of inspecting HELLOs themselves.
+hands over the frame's successful receivers -- all of them at once when
+it settles the frame in bulk.  Each hand-off builds one
+:class:`NeighborEntry`, which every receiver of that hand-off with a
+beacon service records.  Frames are immutable in flight, all receivers
+of one frame are served at one instant and hear it at the same power
+within one hand-off, and an entry never changes once recorded (it is
+frozen, ``extra`` included), so the shared entry is what each receiver's
+own would have been.  Protocols that react to a fresh entry (RSU-Relay
+registers vehicles with their RSU) pass an ``on_beacon`` hook instead of
+inspecting HELLOs themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.geometry import Vec2
@@ -39,12 +44,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _BEACON_FIELDS = frozenset({"pos_x", "pos_y", "vel_x", "vel_y", "is_rsu"})
 
 #: A HELLO's parsed header: ``(position, velocity, is_rsu, extra)``.
-ParsedHello = Tuple[Vec2, Vec2, bool, Dict[str, Any]]
+ParsedHello = Tuple[Vec2, Vec2, bool, Mapping[str, Any]]
+
+#: The ``extra`` of an entry whose beacon carried no other header.
+_NO_EXTRA: Mapping[str, Any] = MappingProxyType({})
 
 
-@dataclass
+@dataclass(frozen=True)
 class NeighborEntry:
-    """What a node knows about one neighbour from its last beacon."""
+    """What a node knows about one neighbour from its last beacon.
+
+    Frozen: one entry may be recorded by every receiver of a beacon (see
+    the module docstring).  ``extra`` is a read-only mapping.
+    """
 
     node_id: int
     position: Vec2
@@ -52,7 +64,7 @@ class NeighborEntry:
     last_seen: float
     rx_power_dbm: Optional[float] = None
     is_rsu: bool = False
-    extra: Dict[str, Any] = field(default_factory=dict)
+    extra: Mapping[str, Any] = field(default_factory=lambda: _NO_EXTRA)
 
     @property
     def speed(self) -> float:
@@ -187,26 +199,11 @@ class BeaconService:
         self.beacons_sent += 1
         self.protocol.broadcast(beacon)
 
-    def accept(
-        self, sender_id: int, rx_power_dbm: Optional[float], parsed: ParsedHello
-    ) -> None:
-        """Record a HELLO heard from ``sender_id`` in the neighbour table.
+    def accept(self, entry: NeighborEntry) -> None:
+        """Record a heard HELLO's ``entry`` in the neighbour table.
 
-        ``parsed`` is the frame's one header parse, shared by every
-        receiver of the frame: the vectors are immutable and shared, while
-        each receiver's entry gets its own ``last_seen``, ``rx_power_dbm``
-        and ``extra`` dict.
+        ``entry`` may be shared with the other receivers of the frame.
         """
-        position, velocity, is_rsu, extra = parsed
-        entry = NeighborEntry(
-            sender_id,
-            position,
-            velocity,
-            self.protocol.sim.now,
-            rx_power_dbm,
-            is_rsu,
-            extra.copy() if extra else {},
-        )
         self.table.update(entry)
         if self.on_beacon is not None:
             self.on_beacon(entry)
@@ -219,26 +216,40 @@ class BeaconService:
 def _parse_hello(headers: Mapping[str, Any]) -> ParsedHello:
     """``(position, velocity, is_rsu, extra)`` from a HELLO's header dict."""
     get = headers.get
+    extra = {key: value for key, value in headers.items() if key not in _BEACON_FIELDS}
     return (
         Vec2(get("pos_x", 0.0), get("pos_y", 0.0)),
         Vec2(get("vel_x", 0.0), get("vel_y", 0.0)),
         bool(get("is_rsu", False)),
-        {key: value for key, value in headers.items() if key not in _BEACON_FIELDS},
+        MappingProxyType(extra) if extra else _NO_EXTRA,
     )
 
 
 def _open_hello(packet: "Packet", sender_id: int) -> "FrameReceiver":
     """The medium's claim on HELLO frames: one header parse per frame.
 
-    Each receiver whose protocol runs a :class:`BeaconService` records the
-    beacon through :meth:`BeaconService.accept`; any other receiver ignores
-    it, as a protocol without beaconing always did.
+    Each hand-off builds one :class:`NeighborEntry`, and every receiver
+    whose protocol runs a :class:`BeaconService` records it through
+    :meth:`BeaconService.accept`; any other receiver ignores the frame, as
+    a protocol without beaconing always did.
     """
-    parsed = _parse_hello(packet.headers)
+    position, velocity, is_rsu, extra = _parse_hello(packet.headers)
 
-    def receive(node: "Node", rx_power_dbm: float) -> None:
-        beacons = getattr(node.protocol, "beacons", None)
-        if beacons is not None:
-            beacons.accept(sender_id, rx_power_dbm, parsed)
+    def receive(nodes: List["Node"], rx_power_dbm: float) -> None:
+        entry = None
+        for node in nodes:
+            beacons = getattr(node.protocol, "beacons", None)
+            if beacons is not None:
+                if entry is None:
+                    entry = NeighborEntry(
+                        sender_id,
+                        position,
+                        velocity,
+                        beacons.protocol.sim.now,
+                        rx_power_dbm,
+                        is_rsu,
+                        extra,
+                    )
+                beacons.accept(entry)
 
     return receive

@@ -32,11 +32,12 @@ receiver's interference depends only on its *interferer count* -- how many
 overlapping frames' in-range tables (below) hold it -- and is
 ``interference.combine([level] * count)``, kept per level and count.  Under
 a ``deterministic`` reception model (a pure function of signal and
-interference, like the SNR threshold) the frame is decided once per
-interferer count, and an untraced broadcast whose outcomes read "received
-with no interferer, collision with any" is settled in bulk: its receivers
-are its own table minus every interferer table, and its collisions are
-counted in one call before the deliveries.  Every other
+interference, like the SNR threshold) the outcome is decided once per
+received level, interferer level and count, and kept for the run; an
+untraced broadcast whose outcomes read "received with no interferer,
+collision with any" is settled in bulk: its receivers are its own table
+minus every interferer table, its collisions are counted in one call, and
+its receivers are handed over in one call.  Every other
 channel sums each receiver's interferer powers, and a deterministic model
 decides once per run of identical inputs: a receiver whose received power
 and interference equal the previous receiver's reuses its outcome.  Models
@@ -51,7 +52,10 @@ registered nodes within ``radius`` in registration order, as parallel
 lists of nodes, node positions and distances (a few containers per table
 instead of one tuple per entry), built once with the exact filter above and reused
 until :meth:`~WirelessMedium.refresh_positions`, ``register`` or
-``unregister`` drops them all.  Transmit power never enters a table (the
+``unregister`` drops them all.  The tables at the reception cutoff around
+every node are built together, at the first one asked for: each pair of
+nodes in neighbouring grid cells is measured once, for both tables.
+Transmit power never enters a table (the
 reception cutoff is part of the key), and stochastic propagation still
 draws per receiver from the cached distances, in the same order.  Tables
 are kept only while every registered node's position provider is
@@ -62,10 +66,11 @@ Every delivery loop hands a frame's successful intended receivers, in
 registration order, to one per-frame deliverer, and every receiver reads
 the one transmitted packet: a packet never changes after its first
 transmission (see :mod:`repro.sim.packet`).  The frame is opened once, at
-its first successful receiver, and each receiver is then handed to the
-opener's ``receive``.  By default that calls
-:meth:`~repro.sim.node.Node.deliver`, which runs the node's routing
-protocol.  A consumer that handles a frame type in bulk *claims* it instead
+its first successful receiver, and its receivers are then handed to the
+opener's ``receive(nodes, rx_power_dbm)``: all at once when the frame is
+settled in bulk, one per call on every other path.  By default that calls
+:meth:`~repro.sim.node.Node.deliver` for each receiver, which runs the
+node's routing protocol.  A consumer that handles a frame type in bulk *claims* it instead
 (:meth:`WirelessMedium.claim_frames`) and skips the per-node dispatch.
 HELLO beacons (:mod:`repro.protocols.neighbors`), the on-demand protocols'
 route requests (RREQ and MREQ, :mod:`repro.protocols.discovery`) and the
@@ -75,13 +80,14 @@ safety-beacon and event-burst workloads' frames travel this way.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.geometry import Vec2
 from repro.radio.interference import NO_SIGNAL_DBM
 from repro.radio.propagation import PropagationModel
-from repro.radio.reception import ReceptionDecision, ReceptionModel
+from repro.radio.reception import ReceptionDecision, ReceptionModel, ReceptionOutcome
 from repro.sim.engine import Simulator
 from repro.sim.packet import BROADCAST, Packet
 from repro.sim.spatial import UniformGridIndex
@@ -106,8 +112,9 @@ POSITION_REFRESH_S = 0.5
 #: :meth:`WirelessMedium._disk`).
 InRangeTable = Tuple[List["Node"], List[Vec2], List[float]]
 
-#: ``receive(node, rx_power_dbm)``: one frame's per-receiver hand-off.
-FrameReceiver = Callable[["Node", float], None]
+#: ``receive(nodes, rx_power_dbm)``: one frame's hand-off to some of its
+#: receivers (see :meth:`WirelessMedium.claim_frames`).
+FrameReceiver = Callable[[List["Node"], float], None]
 #: ``open_frame(packet, sender_id) -> receive``: how a frame type is handed
 #: to its receivers (see :meth:`WirelessMedium.claim_frames`).
 FrameOpener = Callable[[Packet, int], FrameReceiver]
@@ -116,8 +123,9 @@ FrameOpener = Callable[[Packet, int], FrameReceiver]
 def _deliver_to_nodes(packet: Packet, sender_id: int) -> FrameReceiver:
     """The opener of an unclaimed frame: each receiver's ``Node.deliver``."""
 
-    def receive(node: "Node", rx_power_dbm: float) -> None:
-        node.deliver(packet, sender_id)
+    def receive(nodes: List["Node"], rx_power_dbm: float) -> None:
+        for node in nodes:
+            node.deliver(packet, sender_id)
 
     return receive
 
@@ -223,8 +231,10 @@ class WirelessMedium:
         #: whenever geometry or membership can change.
         self._disks: Dict[tuple, InRangeTable] = {}
         #: (x, y, radius) -> the nodes of that in-range table, as a set (see
-        #: :meth:`_disk_nodes`); kept and dropped with ``_disks``.
+        #: :meth:`in_range_set`); kept and dropped with ``_disks``.
         self._disk_sets: Dict[tuple, frozenset] = {}
+        #: True once :meth:`_build_tables` ran since tables were last dropped.
+        self._tables_built = False
         #: Registered nodes whose position provider is not ``stepped``: while
         #: any is present, in-range tables are never kept.
         self._live_nodes = 0
@@ -234,6 +244,9 @@ class WirelessMedium:
         #: interferer level -> ``combine([level] * count)`` by count (see
         #: :meth:`_interference_levels`).
         self._interference_by_count: Dict[float, List[float]] = {}
+        #: (rx level, interferer level) -> [outcomes by interferer count,
+        #: bulk limit] (see :meth:`_decisions`).
+        self._decisions_by_level: Dict[Tuple[float, float], list] = {}
 
     # --------------------------------------------------------------- topology
     def register(self, node: "Node") -> None:
@@ -277,11 +290,14 @@ class WirelessMedium:
         once, at the frame's first successful intended receiver, and never
         for a frame nobody receives.  ``packet`` is the transmitted packet,
         which no receiver may change: one that forwards it sends a copy.
-        The ``receive(node, rx_power_dbm)`` it returns is then called for
-        that receiver and every later one, in registration order, at
+        The ``receive(nodes, rx_power_dbm)`` it returns is then handed the
+        frame's successful intended receivers, in registration order, with
+        their received power: a broadcast settled in bulk (see the module
+        docstring) in one call, every other frame one receiver per call, at
         exactly the point an unclaimed frame is handed to
         :meth:`~repro.sim.node.Node.deliver` -- so trace records, scheduled
-        events, tap emissions and RNG draws keep their order.  A claimed
+        events, tap emissions and RNG draws keep their order.  ``nodes`` is
+        the medium's list: read it, never keep or change it.  A claimed
         frame never reaches the routing protocol.  Claiming a ptype again
         replaces the earlier claim.
         """
@@ -305,6 +321,7 @@ class WirelessMedium:
     def _drop_tables(self) -> None:
         self._disks.clear()
         self._disk_sets.clear()
+        self._tables_built = False
 
     def _maybe_refresh_positions(self) -> None:
         if self.sim.now - self._last_position_refresh >= POSITION_REFRESH_S:
@@ -320,10 +337,12 @@ class WirelessMedium:
         distance test) from the positions recorded at the last refresh and
         served to every later query with that key;
         :meth:`refresh_positions`, :meth:`register` and :meth:`unregister`
-        drop all tables.  While a node with a live (continuously moving)
-        position provider is registered, every call scans afresh, reading
-        live positions from grid candidates widened by the drift slack.
-        Callers must not mutate the returned lists.
+        drop all tables.  The first miss at the grid's cell size (the
+        reception cutoff) builds every node's table at once (see
+        :meth:`_build_tables`).  While a node with a live (continuously
+        moving) position provider is registered, every call scans afresh,
+        reading live positions from grid candidates widened by the drift
+        slack.  Callers must not mutate the returned lists.
         """
         self._maybe_refresh_positions()
         key = (position.x, position.y, radius)
@@ -331,6 +350,13 @@ class WirelessMedium:
         if disk is not None:
             return disk
         live = self._live_nodes
+        if not live and not self._tables_built and radius == self._cell_size_m:
+            self._tables_built = True
+            if type(self._node_index) is UniformGridIndex:
+                self._build_tables(radius)
+                disk = self._disks.get(key)
+                if disk is not None:
+                    return disk
         ids = self._node_index.query_ids(
             position, radius + POSITION_SLACK_M if live else radius
         )
@@ -361,11 +387,93 @@ class WirelessMedium:
             self._disks[key] = disk
         return disk
 
-    def _disk_nodes(self, position: Vec2, radius: float) -> frozenset:
-        """The nodes of the in-range table for ``(position, radius)``, as a set.
+    def _build_tables(self, radius: float) -> None:
+        """Build the in-range table of every recorded node position in one pass.
 
-        Kept as long as the table is, so set algebra over the tables of
-        overlapping frames costs one pass per table per mobility step.
+        ``radius`` is the grid's cell size, so a query from a node's
+        position visits the 3x3 block of cells around the node's own cell
+        -- unless rounding at a cell edge shifts the span
+        :meth:`~repro.sim.spatial.UniformGridIndex.query_ids` visits.  Each
+        pair of nodes in neighbouring cells is measured once, in the
+        operand order of a query from the earlier-registered node (the
+        distance is symmetric to the bit), and each node of a pair within
+        ``radius`` is added to the other's table.  Tables fill in
+        registration order: a node enters the tables of later nodes when
+        its turn comes, and the tables of earlier nodes when theirs has.
+        So a table equals the one the per-key scan in :meth:`_disk` builds,
+        and it is stored only for a node whose query span is that 3x3
+        block; any other key is built per key when asked for.
+        """
+        index = self._node_index
+        entries = list(self._snapshot.values())  # registration order
+        cells: List[Tuple[int, int]] = []
+        regular: List[bool] = []
+        buckets: Dict[Tuple[int, int], List[int]] = {}
+        for i, (node, position) in enumerate(entries):
+            cell = index.cell_of(node.node_id)
+            cx, cy = cell
+            cells.append(cell)
+            regular.append(
+                index.cell_span(position, radius) == (cx - 1, cx + 1, cy - 1, cy + 1)
+            )
+            bucket = buckets.get(cell)
+            if bucket is None:
+                buckets[cell] = [i]
+            else:
+                bucket.append(i)
+        tables: List[InRangeTable] = [([], [], []) for _ in entries]
+        #: Per table, the entry index of each node already in it.
+        members: List[List[int]] = [[] for _ in entries]
+        sqrt = math.sqrt
+        get_bucket = buckets.get
+        for i, (node, position) in enumerate(entries):
+            x = position.x
+            y = position.y
+            nodes_in, positions_in, distances_in = tables[i]
+            # The earlier nodes in this table take this node now.
+            for h, distance in zip(members[i], distances_in):
+                other = tables[h]
+                other[0].append(node)
+                other[1].append(position)
+                other[2].append(distance)
+            # Itself, measured as the per-key scan measures it.
+            dx = x - x
+            dy = y - y
+            distance = sqrt(dx * dx + dy * dy)
+            if distance <= radius:
+                nodes_in.append(node)
+                positions_in.append(position)
+                distances_in.append(distance)
+            # Later nodes in neighbouring cells take this node now.
+            cx, cy = cells[i]
+            for column in (cx - 1, cx, cx + 1):
+                for row in (cy - 1, cy, cy + 1):
+                    bucket = get_bucket((column, row))
+                    if bucket is None or bucket[-1] <= i:
+                        continue
+                    for j in bucket[bisect_right(bucket, i):]:
+                        other_position = entries[j][1]
+                        dx = x - other_position.x
+                        dy = y - other_position.y
+                        distance = sqrt(dx * dx + dy * dy)
+                        if distance <= radius:
+                            other = tables[j]
+                            other[0].append(node)
+                            other[1].append(position)
+                            other[2].append(distance)
+                            members[j].append(i)
+        disks = self._disks
+        for (_, position), table, is_regular in zip(entries, tables, regular):
+            if is_regular:
+                disks[(position.x, position.y, radius)] = table
+
+    def in_range_set(self, position: Vec2, radius: float) -> frozenset:
+        """The registered nodes within ``radius`` of ``position``, as a set.
+
+        The nodes of the in-range table for ``(position, radius)`` (see
+        :meth:`_disk`), kept as long as the table is, so set algebra over
+        the tables of overlapping frames costs one pass per table per
+        mobility step.
         """
         self._maybe_refresh_positions()
         key = (position.x, position.y, radius)
@@ -493,24 +601,25 @@ class WirelessMedium:
 
     # ------------------------------------------------------------- completion
     def _frame_deliverer(self, transmission: ActiveTransmission) -> FrameReceiver:
-        """The frame's one hand-off: ``deliver(receiver, rx_power_dbm)``.
+        """The frame's one hand-off: ``deliver(receivers, rx_power_dbm)``.
 
-        Every delivery loop calls it at each successful intended receiver,
-        in registration order.  The first call opens the frame with the
-        ptype's claim (see :meth:`claim_frames`), or with
+        Every delivery loop hands it the frame's successful intended
+        receivers in registration order: the bulk settlement all of them in
+        one call, the per-receiver walk one per call.  The first call opens
+        the frame with the ptype's claim (see :meth:`claim_frames`), or with
         :func:`_deliver_to_nodes` when it has none, and every call passes
-        its receiver to the opener's ``receive``.
+        its receivers to the opener's ``receive``.
         """
         packet = transmission.packet
         sender_id = transmission.sender_id
         open_frame = self._claims.get(packet.ptype, _deliver_to_nodes)
         receive: Optional[FrameReceiver] = None
 
-        def deliver(node: "Node", rx_power_dbm: float) -> None:
+        def deliver(nodes: List["Node"], rx_power_dbm: float) -> None:
             nonlocal receive
             if receive is None:
                 receive = open_frame(packet, sender_id)
-            receive(node, rx_power_dbm)
+            receive(nodes, rx_power_dbm)
 
         return deliver
 
@@ -556,25 +665,18 @@ class WirelessMedium:
         outcomes = None
         if fold is not None:
             rx_level, level, reach = fold
-            disk_nodes = self._disk_nodes
+            disk_nodes = self.in_range_set
             blockers = [disk_nodes(other.sender_position, reach) for other in interferers]
-            levels = self._interference_levels(level, len(blockers))
             if self.reception.deterministic:
-                # One decision per interferer count.
-                outcomes = [decide(rx_level, interference, rng) for interference in levels]
-                if (
-                    not is_unicast
-                    and not tracing
-                    and outcomes[0].ok
-                    and all(
-                        outcome.decision is ReceptionDecision.COLLISION
-                        for outcome in outcomes[1:]
-                    )
-                ):
+                # One decision per interferer count, kept across frames.
+                outcomes, bulk_limit = self._decisions(rx_level, level, len(blockers))
+                if not is_unicast and not tracing and len(blockers) <= bulk_limit:
                     self._deliver_in_bulk(
                         transmission, cutoff, receivers, blockers, rx_level, deliver
                     )
                     return
+            else:
+                levels = self._interference_levels(level, len(blockers))
             # Only receivers that some interferer reaches get a count.
             counts: Dict["Node", int] = {}
             heard = disk_nodes(sender_position, cutoff) if blockers else frozenset()
@@ -630,7 +732,7 @@ class WirelessMedium:
                             sender=transmission.sender_id,
                             uid=transmission.packet.uid,
                         )
-                    deliver(node, rx_power)
+                    deliver([node], rx_power)
             elif outcome.decision is ReceptionDecision.COLLISION:
                 if intended:
                     self.stats.collision()
@@ -683,6 +785,41 @@ class WirelessMedium:
             return profile[0], NO_SIGNAL_DBM, 0.0
         return profile[0], other_profile[0], other_profile[1]
 
+    def _decisions(
+        self, rx_level: float, level: float, max_count: int
+    ) -> Tuple[List[ReceptionOutcome], int]:
+        """``(outcomes by interferer count, bulk limit)`` for a folded frame.
+
+        Under a ``deterministic`` reception model the outcome of a frame
+        received at ``rx_level`` with ``count`` interferers of ``level`` is
+        ``decide(rx_level, combine([level] * count))`` whatever the frame,
+        so it is decided once per level pair and count, and kept.  The
+        outcomes cover every count up to at least ``max_count``.  The bulk
+        limit is the longest count up to which the frame is received with
+        no interferer and lost to a collision with any (``-1`` when it is
+        not received alone): a broadcast whose interferer count stays
+        within it is settled in bulk.
+        """
+        memo = self._decisions_by_level.get((rx_level, level))
+        if memo is None:
+            memo = self._decisions_by_level[(rx_level, level)] = [[], -1]
+        outcomes = memo[0]
+        if len(outcomes) <= max_count:
+            levels = self._interference_levels(level, max_count)
+            decide = self.reception.decide
+            rng = self.sim.rng.stream("phy-reception")
+            for count in range(len(outcomes), max_count + 1):
+                outcome = decide(rx_level, levels[count], rng)
+                outcomes.append(outcome)
+                if count == 0:
+                    memo[1] = 0 if outcome.ok else -1
+                elif (
+                    memo[1] == count - 1
+                    and outcome.decision is ReceptionDecision.COLLISION
+                ):
+                    memo[1] = count
+        return outcomes, memo[1]
+
     def _interference_levels(self, level: float, max_count: int) -> List[float]:
         """``combine([level] * count)`` for every count from 0 to ``max_count``.
 
@@ -714,25 +851,23 @@ class WirelessMedium:
         each interferer's in-range nodes: receivers in no blocker receive,
         the rest collide.  Every receiver is intended and no trace record
         interleaves, so the collisions are counted in one call before the
-        deliveries, which run in registration order.  (Broadcast frames
-        never hit the weak-signal counter: it only fires for the addressed
-        next hop.)
+        deliveries, which take one hand-off with every receiver in
+        registration order.  (Broadcast frames never hit the weak-signal
+        counter: it only fires for the addressed next hop.)
         """
         sender_id = transmission.sender_id
         if not blockers:
-            for node in receivers[0]:
-                if node.node_id != sender_id:
-                    deliver(node, rx_level)
-            return
-        heard = self._disk_nodes(transmission.sender_position, cutoff)
-        sender = self._nodes.get(sender_id)
-        received = heard.difference((sender,), *blockers)
-        collisions = len(heard) - (sender in heard) - len(received)
-        if collisions:
-            self.stats.collision(collisions)
-        for node in receivers[0]:
-            if node in received:
-                deliver(node, rx_level)
+            nodes = [node for node in receivers[0] if node.node_id != sender_id]
+        else:
+            heard = self.in_range_set(transmission.sender_position, cutoff)
+            sender = self._nodes.get(sender_id)
+            received = heard.difference((sender,), *blockers)
+            collisions = len(heard) - (sender in heard) - len(received)
+            if collisions:
+                self.stats.collision(collisions)
+            nodes = [node for node in receivers[0] if node in received]
+        if nodes:
+            deliver(nodes, rx_level)
 
     def _interference_at(
         self, position: Vec2, interferers: List[ActiveTransmission]

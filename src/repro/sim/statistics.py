@@ -217,7 +217,7 @@ class StatsCollector:
             return False
         flow = self.register_flow(packet.flow_id, packet.source, packet.destination)
         if flow.mode == "broadcast" and receiver is not None:
-            return self.broadcast_counter(packet, now)(receiver)
+            return self.broadcast_counter(packet, now)([receiver]) == 1
         key = packet.flow_key
         delay = max(0.0, now - packet.created_at)
         if key in flow._delivered_seqs:
@@ -236,15 +236,20 @@ class StatsCollector:
             self.tap.packet_delivered(packet, flow, receiver, True, delay)
         return True
 
-    def broadcast_counter(self, packet: Packet, now: float) -> Callable[[int], bool]:
+    def broadcast_counter(
+        self, packet: Packet, now: float
+    ) -> Callable[[List[int]], int]:
         """Delivery accounting for the receivers of one frame of ``packet``.
 
         The flow record, dedup key, delay and hop count are worked out once
-        for the frame; the returned ``count(receiver)`` records one
-        receiver exactly as ``data_delivered(packet, now, receiver=receiver)``
-        does -- which, for a broadcast flow, is this counter -- and returns
-        the same flag.  Dedup is per (receiver, packet) and the tap is
-        emitted per receiver, in call order.  Meant for a claimed frame (see
+        for the frame; the returned ``count(receivers)`` records a batch of
+        receiver ids exactly as one ``data_delivered(packet, now,
+        receiver=receiver)`` per id, in order, does -- which, for a
+        broadcast flow, is this counter with a one-id batch -- and returns
+        how many were new deliveries.  Dedup is per (receiver, packet); the
+        counts and samples of a batch are added at once, and with a tap
+        attached it is emitted per receiver, in batch order.  Meant for a
+        claimed frame (see
         :meth:`~repro.sim.medium.WirelessMedium.claim_frames`), whose
         receivers are all served at ``now``.
 
@@ -268,22 +273,36 @@ class StatsCollector:
         by_key = flow._receivers_by_key
         tap = self.tap
 
-        def count(receiver: int) -> bool:
-            receivers = by_key.get(key)
-            if receivers is None:
-                receivers = by_key[key] = set()
-            if receiver in receivers:
-                flow.duplicates += 1
-                if tap is not None:
-                    tap.packet_delivered(packet, flow, receiver, False, delay)
-                return False
-            receivers.add(receiver)
-            flow.delivered += 1
-            flow.delays.append(delay)
-            flow.hop_counts.append(hops)
+        def count(receivers: List[int]) -> int:
+            if not receivers:
+                return 0
+            counted = by_key.get(key)
+            if counted is None:
+                counted = by_key[key] = set()
             if tap is not None:
-                tap.packet_delivered(packet, flow, receiver, True, delay)
-            return True
+                # The tap sees each receiver with the flow counted up to it.
+                new = 0
+                for receiver in receivers:
+                    if receiver in counted:
+                        flow.duplicates += 1
+                        tap.packet_delivered(packet, flow, receiver, False, delay)
+                        continue
+                    counted.add(receiver)
+                    new += 1
+                    flow.delivered += 1
+                    flow.delays.append(delay)
+                    flow.hop_counts.append(hops)
+                    tap.packet_delivered(packet, flow, receiver, True, delay)
+                return new
+            before = len(counted)
+            counted.update(receivers)
+            new = len(counted) - before
+            flow.duplicates += len(receivers) - new
+            if new:
+                flow.delivered += new
+                flow.delays.extend([delay] * new)
+                flow.hop_counts.extend([hops] * new)
+            return new
 
         return count
 

@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance for typing only
 from abc import ABC, abstractmethod
 
 
-def consume_frame(node: "Node", rx_power_dbm: float) -> None:
+def consume_frame(nodes: List["Node"], rx_power_dbm: float) -> None:
     """A claimed frame's ``receive`` that drops the frame at every receiver.
 
     See :meth:`~repro.sim.medium.WirelessMedium.claim_frames`.

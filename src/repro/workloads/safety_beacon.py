@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import random
 import warnings
-from typing import TYPE_CHECKING, Dict, List, Set
+from typing import TYPE_CHECKING, Dict, FrozenSet, List
 
-from repro.sim.node import NodeKind
 from repro.sim.packet import BROADCAST, make_data_packet
 from repro.workloads.base import Workload, consume_frame
 from repro.workloads.registry import WORKLOADS
@@ -50,6 +49,8 @@ class SafetyBeaconWorkload(Workload):
     number of non-RSU nodes inside the nominal radio range at the send
     instant, and each unique (receiver, beacon) reception counts one
     delivery, so ``delivery_ratio`` reads as mean one-hop reachability.
+    The medium hands over a frame's receivers in batches, and each batch
+    is counted in one call.
 
     Constructor keywords: ``interval_s`` (beacon period, default 0.5 --
     2 Hz), ``size_bytes`` (default 200), ``start_time_s`` (default 1.0).
@@ -84,14 +85,14 @@ class SafetyBeaconWorkload(Workload):
                 stacklevel=2,
             )
             return flows
-        #: (flow_id, seq) -> node ids inside nominal range at the send
+        #: (flow_id, seq) -> nodes inside nominal range at the send
         #: instant.  Deliveries are only counted against this frozen set, so
         #: the reachability numerator and denominator always describe the
         #: same population (shadowed channels can physically reach beyond
         #: the nominal range; such receptions are consumed but not counted).
         #: Entries are pruned ``SCOPE_LINGER_S`` after each send, bounding
         #: the table by the in-flight beacon count.
-        expected: Dict[tuple, Set[int]] = {}
+        expected: Dict[tuple, FrozenSet["Node"]] = {}
         built.network.medium.claim_frames(
             BSM_PTYPE, self._frame_opener(built, expected)
         )
@@ -129,20 +130,17 @@ class SafetyBeaconWorkload(Workload):
         node: "Node",
         flow_id: int,
         seq: int,
-        expected: Dict[tuple, Set[int]],
+        expected: Dict[tuple, FrozenSet["Node"]],
     ) -> None:
         # The reachability denominator uses the resolved stack's nominal
         # range: under dsrc-urban-nlos (~137 m) or dsrc-highway-los (~946 m)
         # the legacy 250 m shim value would systematically bias the ratio.
-        reachable = {
-            other.node_id
-            for other in built.network.nodes_within(
-                node.position,
-                built.radio_range_m,
-                exclude=node.node_id,
-            )
-            if other.kind is not NodeKind.RSU
-        }
+        # The medium's in-range set for that range is kept for the whole
+        # mobility step, so every beacon from one position shares its scan.
+        network = built.network
+        reachable = network.medium.in_range_set(
+            node.position, built.radio_range_m
+        ).difference((node,), network.rsus)
         expected[(flow_id, seq)] = reachable
         packet = make_data_packet(
             "app",
@@ -169,7 +167,7 @@ class SafetyBeaconWorkload(Workload):
 
     @staticmethod
     def _frame_opener(
-        built: "BuiltScenario", expected: Dict[tuple, Set[int]]
+        built: "BuiltScenario", expected: Dict[tuple, FrozenSet["Node"]]
     ) -> "FrameOpener":
         """The medium's claim on BSM frames: every reception is consumed."""
         stats = built.stats
@@ -181,12 +179,11 @@ class SafetyBeaconWorkload(Workload):
                 return consume_frame
             count = stats.broadcast_counter(packet, sim.now)
 
-            def receive(node: "Node", rx_power_dbm: float) -> None:
+            def receive(nodes: List["Node"], rx_power_dbm: float) -> None:
                 # Only members of the frozen send-instant population count
                 # (RSUs and beyond-nominal-range shadowing receptions are
                 # consumed without counting), keeping delivery_ratio <= 1.
-                if node.node_id in in_range:
-                    count(node.node_id)
+                count([node.node_id for node in nodes if node in in_range])
 
             return receive
 

@@ -1,11 +1,14 @@
 """Frozen frames: every receiver reads the transmitted packet, none changes it.
 
 The medium hands every receiver of a frame the one transmitted packet, so a
-packet must never change after its first transmission.  These tests pin that
-contract over every registered protocol and the broadcast workloads -- each
-packet is deep-snapshotted when it is first put on the air and compared when
-the run ends -- and pin that route requests (RREQ, MREQ) are claimed frames
-that never reach ``Node.deliver``.  The rest pins the saving request claims
+packet must never change after its first transmission; likewise every
+receiver of one HELLO hand-off records the one neighbour entry, so an entry
+must never change after it is first recorded.  These tests pin both
+contracts over every registered protocol and the broadcast workloads --
+each packet is deep-snapshotted when it is first put on the air, each entry
+when it is first recorded, and both are compared when the run ends -- and
+pin that route requests (RREQ, MREQ) are claimed frames that never reach
+``Node.deliver``.  The rest pins the saving request claims
 allow in the path-metric family: a receiver that will not relay a request
 computes no link metric for it.
 """
@@ -13,6 +16,7 @@ computes no link metric for it.
 from __future__ import annotations
 
 import copy
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
@@ -21,6 +25,7 @@ from repro.core.taxonomy import PROTOCOLS
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scenarios import scenario_from_name
 from repro.protocols import discovery
+from repro.protocols.neighbors import BeaconService
 from repro.sim.medium import WirelessMedium
 from repro.sim.node import Node
 from repro.sim.packet import make_control_packet
@@ -36,14 +41,17 @@ CELLS = [(name, "cbr") for name in PROTOCOLS.names()] + [
 ]
 
 
-def _run_cell(protocol, workload, monkeypatch, plant=None):
-    """``(sent, delivered)`` of one short highway run.
+def _run_cell(protocol, workload, monkeypatch, plant=None, plant_entry=None):
+    """``(sent, delivered, recorded)`` of one short highway run.
 
     ``sent`` holds ``(packet, snapshot)`` for every packet put on the air,
     the snapshot a deep copy of its fields at its first
     ``begin_transmission``; ``delivered`` lists the ptype of every packet
-    ``Node.deliver`` received.  ``plant(packet)``, if given, runs in
-    ``Node.deliver`` before the protocol sees the packet.
+    ``Node.deliver`` received; ``recorded`` holds ``(entry, snapshot)`` for
+    every neighbour entry a beacon service recorded, the snapshot taken
+    when it was first recorded.  ``plant(packet)``, if given, runs in
+    ``Node.deliver`` before the protocol sees the packet, and
+    ``plant_entry(entry)`` after each recording.
     """
     first_sent = {}
     begin = WirelessMedium.begin_transmission
@@ -62,8 +70,19 @@ def _run_cell(protocol, workload, monkeypatch, plant=None):
             plant(packet)
         deliver(node, packet, *args)
 
+    recorded = {}
+    accept = BeaconService.accept
+
+    def snapshotting_accept(service, entry):
+        if id(entry) not in recorded:
+            recorded[id(entry)] = (entry, _entry_fields(entry))
+        accept(service, entry)
+        if plant_entry is not None:
+            plant_entry(entry)
+
     monkeypatch.setattr(WirelessMedium, "begin_transmission", snapshotting_begin)
     monkeypatch.setattr(Node, "deliver", recording_deliver)
+    monkeypatch.setattr(BeaconService, "accept", snapshotting_accept)
     params = {"flow_count": 4, "packet_count": 4} if workload == "cbr" else {}
     scenario = scenario_from_name(
         "highway-2km-normal",
@@ -74,7 +93,7 @@ def _run_cell(protocol, workload, monkeypatch, plant=None):
         workload_params=params,
     )
     ExperimentRunner().run(scenario, protocol)
-    return list(first_sent.values()), delivered
+    return list(first_sent.values()), delivered, list(recorded.values())
 
 
 def _changed(sent):
@@ -82,14 +101,27 @@ def _changed(sent):
     return [packet for packet, snapshot in sent if vars(packet) != snapshot]
 
 
+def _entry_fields(entry):
+    """A neighbour entry's fields, with ``extra`` copied out."""
+    fields = {f.name: getattr(entry, f.name) for f in dataclasses.fields(entry)}
+    fields["extra"] = dict(fields["extra"])
+    return fields
+
+
+def _changed_entries(recorded):
+    """The entries whose fields differ from their first-recording snapshot."""
+    return [entry for entry, snapshot in recorded if _entry_fields(entry) != snapshot]
+
+
 @pytest.mark.parametrize(
     "protocol,workload", CELLS, ids=[f"{p}-{w}" for p, w in CELLS]
 )
 def test_no_packet_changes_after_its_first_transmission(protocol, workload, monkeypatch):
-    sent, delivered = _run_cell(protocol, workload, monkeypatch)
+    sent, delivered, recorded = _run_cell(protocol, workload, monkeypatch)
 
     assert sent, "nothing was transmitted"
     assert _changed(sent) == []
+    assert _changed_entries(recorded) == []
     assert REQUEST_PTYPES.isdisjoint(delivered)
     if getattr(PROTOCOLS[protocol], "request_ptype", None) is not None:
         requests = [packet for packet, _ in sent if packet.ptype in REQUEST_PTYPES]
@@ -104,8 +136,17 @@ def test_a_receiver_appending_to_a_nested_header_is_caught(monkeypatch):
                 value.append(-1)
                 return
 
-    sent, _ = _run_cell("DSR", "cbr", monkeypatch, plant=append_to_a_list_header)
+    sent, _, _ = _run_cell("DSR", "cbr", monkeypatch, plant=append_to_a_list_header)
     assert _changed(sent)
+
+
+def test_a_write_to_a_recorded_entry_is_caught(monkeypatch):
+    def age_the_entry(entry):
+        # Frozen: only a deliberate bypass can write to an entry.
+        object.__setattr__(entry, "last_seen", entry.last_seen - 1.0)
+
+    _, _, recorded = _run_cell("Greedy", "cbr", monkeypatch, plant_entry=age_the_entry)
+    assert recorded and _changed_entries(recorded)
 
 
 def test_a_receiver_without_the_request_type_ignores_it():
@@ -117,7 +158,7 @@ def test_a_receiver_without_the_request_type_ignores_it():
 
     rreq_protocol = SimpleNamespace(request_ptype="RREQ", _handle_request=fail)
     for protocol in (rreq_protocol, SimpleNamespace(), None):
-        receive(SimpleNamespace(protocol=protocol), -60.0)
+        receive([SimpleNamespace(protocol=protocol)], -60.0)
 
 
 def _count_link_metrics(protocol):

@@ -9,6 +9,8 @@ reproduce the run without them (``tests.helpers.caches_off``) and the
 linear-scan oracle byte for byte.
 """
 
+import random
+
 import pytest
 
 from repro.harness.runner import ExperimentRunner
@@ -21,10 +23,11 @@ from repro.radio.propagation import (
     PropagationModel,
     UnitDiskPropagation,
 )
+from repro.radio.reception import ReceptionDecision
 from repro.sim.engine import Simulator
 from repro.sim.medium import WirelessMedium
 from repro.workloads import WORKLOADS as WORKLOAD_REGISTRY
-from tests.helpers import caches_off, use_linear_scan
+from tests.helpers import build_static_network, caches_off, run_data_flow, use_linear_scan
 from tests.sim.test_medium_backends import normalized_records, run_seeded_scenario
 
 #: ideal-disk is the hard edge the fold applies to; dsrc-highway-los
@@ -173,3 +176,67 @@ class TestFoldTables:
         grown = medium._interference_levels(17.0, 10)
         assert len(grown) == 11 and grown[:4] == small
         assert medium._interference_by_count[17.0] == grown
+
+
+def _flooded_medium(positions_seed=4):
+    """The medium of an untraced Flooding storm on 40 random static nodes."""
+    rng = random.Random(positions_seed)
+    positions = [(rng.uniform(0, 1200), rng.uniform(0, 1200)) for _ in range(40)]
+    sim, network, stats, nodes = build_static_network(
+        positions, protocol="Flooding", seed=positions_seed
+    )
+    network.start()
+    run_data_flow(sim, stats, nodes[0], nodes[-1], packets=3, start=1.0, until=5.0)
+    return network.medium, stats
+
+
+def _bulk_limit(outcomes):
+    """The longest count up to which a frame is received alone and lost with company."""
+    if not outcomes[0].ok:
+        return -1
+    limit = 0
+    for outcome in outcomes[1:]:
+        if outcome.decision is not ReceptionDecision.COLLISION:
+            break
+        limit += 1
+    return limit
+
+
+class TestDecisionMemo:
+    def test_memoized_outcomes_equal_decide_for_every_level_and_count_used(self):
+        medium, stats = _flooded_medium()
+        assert stats.mac_collisions > 0, "the storm overlapped no frames"
+        memo = medium._decisions_by_level
+        assert memo, "no frame was decided through the memo"
+        assert max(len(outcomes) for outcomes, _ in memo.values()) > 1
+        decide = medium.reception.decide
+        combine = medium.interference.combine
+        for (rx_level, level), (outcomes, limit) in memo.items():
+            for count, outcome in enumerate(outcomes):
+                interference = combine([level] * count) if count else NO_SIGNAL_DBM
+                assert outcome == decide(rx_level, interference, None)
+            assert limit == _bulk_limit(outcomes)
+
+    def test_outcomes_are_decided_once_and_grow_on_demand(self):
+        medium = WirelessMedium(Simulator(seed=1))
+        calls = []
+        decide = medium.reception.decide
+        medium.reception.decide = lambda *args: calls.append(args) or decide(*args)
+        outcomes, limit = medium._decisions(-60.0, -60.0, 2)
+        assert len(outcomes) == 3 and len(calls) == 3
+        again, _ = medium._decisions(-60.0, -60.0, 1)
+        assert again is outcomes and len(calls) == 3
+        grown, grown_limit = medium._decisions(-60.0, -60.0, 5)
+        assert len(grown) == 6 and len(calls) == 6
+        assert (limit, grown_limit) == (_bulk_limit(outcomes[:3]), _bulk_limit(grown))
+
+    def test_a_frame_too_weak_alone_never_settles_in_bulk(self):
+        medium = WirelessMedium(Simulator(seed=1))
+        sensitivity = medium.reception.sensitivity_dbm
+        outcomes, limit = medium._decisions(sensitivity - 1.0, NO_SIGNAL_DBM, 0)
+        assert not outcomes[0].ok and limit == -1
+
+    def test_caches_off_bypasses_the_memo(self):
+        with caches_off():
+            medium, _ = _flooded_medium()
+        assert medium._decisions_by_level == {}

@@ -1,13 +1,15 @@
 """One hand-off per frame: claimed frames and the default ``Node.deliver``.
 
 The medium opens every received frame once, at its first successful
-intended receiver, and hands each receiver to the opener's ``receive(node,
-rx_power_dbm)``.  :meth:`WirelessMedium.claim_frames` sets a ptype's opener;
-an unclaimed frame reaches every receiver's ``Node.deliver`` as the
-transmitted packet itself.  Every delivery loop honours this -- the
-per-receiver reference loop (with the medium's shortcuts off), the
-count-folded receiver walk (traced) and the bulk broadcast settlement
-(untraced) -- so each behaviour below is checked on all three.
+intended receiver, and hands its receivers, in registration order, to the
+opener's ``receive(nodes, rx_power_dbm)``: the bulk broadcast settlement
+(untraced) all of them in one call, every other loop one per call.
+:meth:`WirelessMedium.claim_frames` sets a ptype's opener; an unclaimed
+frame reaches every receiver's ``Node.deliver`` as the transmitted packet
+itself.  Every delivery loop honours this -- the per-receiver reference
+loop (with the medium's shortcuts off), the count-folded receiver walk
+(traced) and the bulk settlement -- so each behaviour below is checked on
+all three.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ LOOPS = [("reference", False), ("count", False), ("count", True)]
 LOOP_IDS = ["reference", "count-bulk", "count-walk"]
 
 
+def _settles_in_bulk(loop, traced):
+    """True for the loop that hands a broadcast's receivers over in one call."""
+    return loop == "count" and not traced
+
+
 @pytest.fixture(autouse=True)
 def _delivery_loop(request):
     """Run the ``reference`` leg of a test with the medium's shortcuts off."""
@@ -70,17 +77,22 @@ def _network(positions, loop, traced, propagation=None):
 
 
 class _Recorder:
-    """An opener that logs every open and every receive."""
+    """An opener that logs every open, every hand-off and every receiver."""
 
     def __init__(self):
         self.opened = []
+        #: The receiver ids of each ``receive`` call.
+        self.calls = []
         self.received = []
 
     def __call__(self, packet, sender_id):
         self.opened.append((packet.uid, sender_id))
 
-        def receive(node, rx_power_dbm):
-            self.received.append((packet.uid, node.node_id, rx_power_dbm))
+        def receive(nodes, rx_power_dbm):
+            self.calls.append([node.node_id for node in nodes])
+            self.received.extend(
+                (packet.uid, node.node_id, rx_power_dbm) for node in nodes
+            )
 
         return receive
 
@@ -135,6 +147,28 @@ class TestClaimedDelivery:
         assert [node_id for _, node_id, _ in claim.received] == expected
         assert all(uid == packet.uid for uid, _, _ in claim.received)
         assert all(isinstance(rx, float) for _, _, rx in claim.received)
+        # One hand-off per frame in bulk, one per receiver otherwise.
+        if _settles_in_bulk(loop, traced):
+            assert claim.calls == [expected]
+        else:
+            assert claim.calls == [[node_id] for node_id in expected]
+
+    def test_bulk_hand_off_skips_collided_receivers(self, loop, traced):
+        # Node 4's frame overlaps node 0's at nodes 2 and 3 only; node 1
+        # still receives node 0's frame.
+        sim, network, nodes = _network(
+            [(0, 0), (-100, 0), (200, 0), (240, 0), (450, 0)], loop, traced
+        )
+        claim = _Recorder()
+        network.medium.claim_frames("PING", claim)
+        first = _send(sim, nodes[0], "PING", 1.0, size_bytes=1500)
+        _send(sim, nodes[4], "PING", 1.0, size_bytes=1500)
+        sim.run(until=2.0)
+        heard = [node_id for uid, node_id, _ in claim.received if uid == first.uid]
+        assert heard == [nodes[1].node_id]
+        assert network.stats.mac_collisions > 0
+        first_calls = [ids for ids in claim.calls if nodes[1].node_id in ids]
+        assert first_calls == [[nodes[1].node_id]]
 
     def test_unicast_reaches_only_the_next_hop(self, loop, traced):
         sim, network, nodes = _network([(0, 0), (100, 0), (200, 0)], loop, traced)

@@ -146,10 +146,68 @@ class TestBroadcastFlowAccounting:
         packet = make_data_packet("app", 10, BROADCAST, flow_id=1, seq=1, created_at=0.5)
         stats.data_originated(packet, expected_receivers=2)
         count = stats.broadcast_counter(packet, 1.0)
-        assert [count(20), count(30), count(20)] == [True, True, False]
+        assert [count([20]), count([30]), count([20])] == [1, 1, 0]
+        assert count([]) == 0
         flow = stats.flows[1]
         assert (flow.delivered, flow.duplicates) == (2, 1)
         assert flow.delays == [0.5, 0.5] and flow.hop_counts == [1, 1]
+
+    @pytest.mark.parametrize("tapped", [False, True], ids=["untapped", "tapped"])
+    def test_a_batch_counts_like_one_call_per_receiver(self, tapped):
+        from repro.sim.packet import BROADCAST
+
+        batches = [[20, 30], [30, 40, 40], [], [50, 20]]
+
+        def run(batched):
+            stats = StatsCollector()
+            taps = []
+            if tapped:
+                stats.tap = _TapRecorder(stats, taps)
+            stats.register_flow(1, 10, BROADCAST, mode="broadcast")
+            packet = make_data_packet(
+                "app", 10, BROADCAST, flow_id=1, seq=1, created_at=0.25
+            )
+            stats.data_originated(packet, expected_receivers=5)
+            count = stats.broadcast_counter(packet, 1.0)
+            if batched:
+                news = [count(batch) for batch in batches]
+            else:
+                news = [
+                    sum(stats.data_delivered(packet, 1.0, receiver=r) for r in batch)
+                    for batch in batches
+                ]
+            flow = stats.flows[1]
+            return (
+                news,
+                (flow.delivered, flow.duplicates, flow.delays, flow.hop_counts),
+                stats.dedup_entries,
+                taps,
+            )
+
+        assert run(batched=True) == run(batched=False)
+        news, (delivered, duplicates, _, _), entries, taps = run(batched=True)
+        assert news == [2, 1, 0, 1]
+        assert (delivered, duplicates, entries) == (4, 3, 4)
+        if tapped:
+            # Per receiver, in batch order, each seeing the flow counted up
+            # to itself.
+            assert taps == [
+                (20, True, 1), (30, True, 2), (30, False, 2), (40, True, 3),
+                (40, False, 3), (50, True, 4), (20, False, 4),
+            ]
+
+
+class _TapRecorder:
+    """A stats tap that logs each delivery with the flow's count at that point."""
+
+    def __init__(self, stats, log):
+        self.log = log
+
+    def packet_originated(self, packet, flow, offered):
+        pass
+
+    def packet_delivered(self, packet, flow, receiver, new, delay):
+        self.log.append((receiver, new, flow.delivered))
 
 
 class TestBroadcastDedupMemory:
