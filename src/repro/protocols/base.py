@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.core.taxonomy import Category
@@ -65,11 +67,20 @@ class RoutingProtocol(ABC):
         self.sim = network.sim
         self.stats = network.stats
         self.config = config if config is not None else ProtocolConfig()
-        self.rng = self.sim.rng.stream(f"protocol-{self.protocol_name}-{node.node_id}")
         self._started = False
         self._flow_seq = 0
         #: HELLO beaconing and the neighbour table, for protocols that beacon.
         self.beacons: Optional[BeaconService] = None
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """This protocol instance's private random stream.
+
+        Created on first use: many protocols never draw from it, and
+        :class:`~repro.sim.rng.RandomStreams` draws do not depend on the
+        order in which streams are created.
+        """
+        return self.sim.rng.stream(f"protocol-{self.protocol_name}-{self.node.node_id}")
 
     # ----------------------------------------------------------------- set up
     def beacon_service(self, **options) -> BeaconService:
