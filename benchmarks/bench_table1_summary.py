@@ -97,7 +97,7 @@ def test_table1_category_summary(benchmark):
     # the network is dense enough for the flood to spread (normal/congested).
     # In sparse traffic the flood dies out quickly while the prober keeps
     # retrying -- which is itself the "only working for a certain traffic"
-    # caveat of the probability category (see EXPERIMENTS.md, E9).
+    # caveat Table I attaches to the probability category.
     for density in (TrafficDensity.NORMAL, TrafficDensity.CONGESTED):
         assert row(density, aodv)["discovery_tx"] >= row(density, tbp)["discovery_tx"]
     # ...and its collision count grows with density (broadcast storm).

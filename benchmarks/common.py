@@ -3,7 +3,7 @@
 Each benchmark regenerates one figure or table of the paper: it runs the
 relevant scenarios, prints the resulting rows (so ``pytest benchmarks/
 --benchmark-only -s`` shows the reproduction next to the timing data) and
-writes them to ``benchmarks/results/<name>.csv`` for EXPERIMENTS.md.
+writes them to ``benchmarks/results/<name>.csv``.
 """
 
 from __future__ import annotations

@@ -2,10 +2,11 @@
 
 Real VANET studies drive their simulations from SUMO floating-car-data (FCD)
 exports.  Offline we substitute traces recorded from our own mobility models
-(see DESIGN.md), but the workflow is identical: record (or import) a trace,
-then run it like any other scenario -- since the scenario registry, a trace
-is a first-class scenario kind (``kind="trace"`` / ``trace:<path>``), so the
-whole harness (runner, sweeps, CLI) applies unchanged.
+(see the README's scenario registry), but the workflow is identical: record
+(or import) a trace, then run it like any other scenario -- since the
+scenario registry, a trace is a first-class scenario kind (``kind="trace"``
+/ ``trace:<path>``), so the whole harness (runner, sweeps, CLI) applies
+unchanged.
 
 This example records the exact highway mobility the runner would build for a
 given scenario seed, replays the file through ``trace_scenario()``, and runs
