@@ -5,7 +5,11 @@ synthetic arterial+grid *city* with the population (the scenario-registry
 ``city`` kind, so the N sweep exercises the exact build path city presets
 use), sweeps the population, and times an identical broadcast workload
 through the medium and through the test suite's linear-scan oracle (a
-medium whose node index returns every node).  A scan over all N registered
+medium whose node index returns every node).  Each side of a cell is run
+:data:`SCALING_REPEATS` times on a fresh network, with the garbage
+collector paused while it is timed, and the fastest run is its time: one
+collection or host stall in a single short window would otherwise move the
+speedup by a third.  A scan over all N registered
 nodes per delivered frame makes frame delivery cost O(N) and a beacon
 interval O(N^2); the uniform-grid index bounds both by the local
 neighbourhood.
@@ -40,8 +44,9 @@ import json
 import math
 import random
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scenario import city_scenario
@@ -95,6 +100,9 @@ STORM_COUNTS = {
 #: Host probes timed on each side of a storm run; the fastest one scales it.
 PROBES_PER_SIDE = 5
 
+#: Timed runs of each side of a scaling cell; the fastest one is its time.
+SCALING_REPEATS = 3
+
 #: Floor on the N=6400 storm's frames/s in host-probe units (see
 #: :func:`probe_scaled_rate`).  Five clean runs on a shared 2-vCPU x86_64
 #: host (Python 3.11) read 4970-8409; two runs of a copy stalling 0.1 ms per
@@ -123,19 +131,26 @@ def probe_scaled_rate(frames_per_s: float, probe_s: float) -> float:
     return frames_per_s * probe_s / REFERENCE_S
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the garbage collector for the block (restored afterwards)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _probe_s() -> float:
     """The fastest of :data:`PROBES_PER_SIDE` host probes.
 
     The collector is paused while they run: a collection of the storm's
     heap inside a probe would read as a slow host.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_paused():
         return min(probe() for _ in range(PROBES_PER_SIDE))
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _build_network(n: int, radio: str, oracle: bool, seed: int = 5):
@@ -186,12 +201,13 @@ CELLS = [
 WORKERS = sweep_workers(var="REPRO_SCALING_WORKERS")
 
 
-def run_scaling_cell(cell: ScalingCell) -> dict:
-    """Broadcast beacon-sized frames from every node and time frame delivery.
+def _time_scaling_run(cell: ScalingCell):
+    """``(wall seconds, transmissions)`` of one run of ``cell`` on a fresh network.
 
     The network is deliberately not started: no mobility stepping, HELLO
     beaconing or routing runs, so the timed event load is pure frame
-    delivery through the medium (or the oracle) under the cell's radio stack.
+    delivery through the medium (or the oracle) under the cell's radio
+    stack.  The collector is paused while the run is timed.
     """
     sim, network, stats = _build_network(cell.vehicles, cell.radio, cell.oracle)
     rng = random.Random(99)
@@ -201,15 +217,29 @@ def run_scaling_cell(cell: ScalingCell) -> dict:
                 "bench", "HELLO", node.node_id, BROADCAST, size_bytes=32
             )
             sim.schedule_at(rng.uniform(0.0, 2.0), node.send, packet, BROADCAST)
-    started = time.perf_counter()
-    sim.run(until=5.0)
-    wall = time.perf_counter() - started
+    gc.collect()
+    with _collector_paused():
+        started = time.perf_counter()
+        sim.run(until=5.0)
+        wall = time.perf_counter() - started
+    return wall, stats.control_transmissions
+
+
+def run_scaling_cell(cell: ScalingCell) -> dict:
+    """Broadcast beacon-sized frames from every node and time frame delivery.
+
+    The cell's time is the fastest of :data:`SCALING_REPEATS` runs, each on
+    a fresh network; every run must push the same frames through.
+    """
+    runs = [_time_scaling_run(cell) for _ in range(SCALING_REPEATS)]
+    transmissions = {count for _, count in runs}
+    assert len(transmissions) == 1, f"{cell}: runs disagree: {sorted(transmissions)}"
     return {
         "vehicles": cell.vehicles,
         "oracle": cell.oracle,
         "radio": cell.radio,
-        "wall_s": wall,
-        "transmissions": stats.control_transmissions,
+        "wall_s": min(wall for wall, _ in runs),
+        "transmissions": transmissions.pop(),
     }
 
 
