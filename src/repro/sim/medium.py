@@ -52,10 +52,7 @@ registered nodes within ``radius`` in registration order, as parallel
 lists of nodes, node positions and distances (a few containers per table
 instead of one tuple per entry), built once with the exact filter above and reused
 until :meth:`~WirelessMedium.refresh_positions`, ``register`` or
-``unregister`` drops them all.  The tables at the reception cutoff around
-every node are built together, at the first one asked for: each pair of
-nodes in neighbouring grid cells is measured once, for both tables.
-Transmit power never enters a table (the
+``unregister`` drops them all.  Transmit power never enters a table (the
 reception cutoff is part of the key), and stochastic propagation still
 draws per receiver from the cached distances, in the same order.  Tables
 are kept only while every registered node's position provider is
@@ -80,7 +77,6 @@ safety-beacon and event-burst workloads' frames travel this way.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -233,8 +229,6 @@ class WirelessMedium:
         #: (x, y, radius) -> the nodes of that in-range table, as a set (see
         #: :meth:`in_range_set`); kept and dropped with ``_disks``.
         self._disk_sets: Dict[tuple, frozenset] = {}
-        #: True once :meth:`_build_tables` ran since tables were last dropped.
-        self._tables_built = False
         #: Registered nodes whose position provider is not ``stepped``: while
         #: any is present, in-range tables are never kept.
         self._live_nodes = 0
@@ -321,7 +315,6 @@ class WirelessMedium:
     def _drop_tables(self) -> None:
         self._disks.clear()
         self._disk_sets.clear()
-        self._tables_built = False
 
     def _maybe_refresh_positions(self) -> None:
         if self.sim.now - self._last_position_refresh >= POSITION_REFRESH_S:
@@ -337,12 +330,10 @@ class WirelessMedium:
         distance test) from the positions recorded at the last refresh and
         served to every later query with that key;
         :meth:`refresh_positions`, :meth:`register` and :meth:`unregister`
-        drop all tables.  The first miss at the grid's cell size (the
-        reception cutoff) builds every node's table at once (see
-        :meth:`_build_tables`).  While a node with a live (continuously
-        moving) position provider is registered, every call scans afresh,
-        reading live positions from grid candidates widened by the drift
-        slack.  Callers must not mutate the returned lists.
+        drop all tables.  While a node with a live (continuously moving)
+        position provider is registered, every call scans afresh, reading
+        live positions from grid candidates widened by the drift slack.
+        Callers must not mutate the returned lists.
         """
         self._maybe_refresh_positions()
         key = (position.x, position.y, radius)
@@ -350,13 +341,6 @@ class WirelessMedium:
         if disk is not None:
             return disk
         live = self._live_nodes
-        if not live and not self._tables_built and radius == self._cell_size_m:
-            self._tables_built = True
-            if type(self._node_index) is UniformGridIndex:
-                self._build_tables(radius)
-                disk = self._disks.get(key)
-                if disk is not None:
-                    return disk
         ids = self._node_index.query_ids(
             position, radius + POSITION_SLACK_M if live else radius
         )
@@ -386,86 +370,6 @@ class WirelessMedium:
         if not live:
             self._disks[key] = disk
         return disk
-
-    def _build_tables(self, radius: float) -> None:
-        """Build the in-range table of every recorded node position in one pass.
-
-        ``radius`` is the grid's cell size, so a query from a node's
-        position visits the 3x3 block of cells around the node's own cell
-        -- unless rounding at a cell edge shifts the span
-        :meth:`~repro.sim.spatial.UniformGridIndex.query_ids` visits.  Each
-        pair of nodes in neighbouring cells is measured once, in the
-        operand order of a query from the earlier-registered node (the
-        distance is symmetric to the bit), and each node of a pair within
-        ``radius`` is added to the other's table.  Tables fill in
-        registration order: a node enters the tables of later nodes when
-        its turn comes, and the tables of earlier nodes when theirs has.
-        So a table equals the one the per-key scan in :meth:`_disk` builds,
-        and it is stored only for a node whose query span is that 3x3
-        block; any other key is built per key when asked for.
-        """
-        index = self._node_index
-        entries = list(self._snapshot.values())  # registration order
-        cells: List[Tuple[int, int]] = []
-        regular: List[bool] = []
-        buckets: Dict[Tuple[int, int], List[int]] = {}
-        for i, (node, position) in enumerate(entries):
-            cell = index.cell_of(node.node_id)
-            cx, cy = cell
-            cells.append(cell)
-            regular.append(
-                index.cell_span(position, radius) == (cx - 1, cx + 1, cy - 1, cy + 1)
-            )
-            bucket = buckets.get(cell)
-            if bucket is None:
-                buckets[cell] = [i]
-            else:
-                bucket.append(i)
-        tables: List[InRangeTable] = [([], [], []) for _ in entries]
-        #: Per table, the entry index of each node already in it.
-        members: List[List[int]] = [[] for _ in entries]
-        sqrt = math.sqrt
-        get_bucket = buckets.get
-        for i, (node, position) in enumerate(entries):
-            x = position.x
-            y = position.y
-            nodes_in, positions_in, distances_in = tables[i]
-            # The earlier nodes in this table take this node now.
-            for h, distance in zip(members[i], distances_in):
-                other = tables[h]
-                other[0].append(node)
-                other[1].append(position)
-                other[2].append(distance)
-            # Itself, measured as the per-key scan measures it.
-            dx = x - x
-            dy = y - y
-            distance = sqrt(dx * dx + dy * dy)
-            if distance <= radius:
-                nodes_in.append(node)
-                positions_in.append(position)
-                distances_in.append(distance)
-            # Later nodes in neighbouring cells take this node now.
-            cx, cy = cells[i]
-            for column in (cx - 1, cx, cx + 1):
-                for row in (cy - 1, cy, cy + 1):
-                    bucket = get_bucket((column, row))
-                    if bucket is None or bucket[-1] <= i:
-                        continue
-                    for j in bucket[bisect_right(bucket, i):]:
-                        other_position = entries[j][1]
-                        dx = x - other_position.x
-                        dy = y - other_position.y
-                        distance = sqrt(dx * dx + dy * dy)
-                        if distance <= radius:
-                            other = tables[j]
-                            other[0].append(node)
-                            other[1].append(position)
-                            other[2].append(distance)
-                            members[j].append(i)
-        disks = self._disks
-        for (_, position), table, is_regular in zip(entries, tables, regular):
-            if is_regular:
-                disks[(position.x, position.y, radius)] = table
 
     def in_range_set(self, position: Vec2, radius: float) -> frozenset:
         """The registered nodes within ``radius`` of ``position``, as a set.

@@ -86,29 +86,16 @@ class UniformGridIndex:
             if not bucket:
                 del self._cells[cell]
 
-    def cell_of(self, item_id: int) -> Tuple[int, int]:
-        """The cell ``item_id`` is stored in."""
-        return self._cell_of[item_id]
-
-    def cell_span(self, position: Vec2, radius: float) -> Tuple[int, int, int, int]:
-        """``(cx_min, cx_max, cy_min, cy_max)``: the cells :meth:`query_ids` visits.
-
-        ``radius`` plus the slack must be finite.
-        """
-        reach = radius + self.slack_m
-        size = self.cell_size_m
-        return (
-            math.floor((position.x - reach) / size),
-            math.floor((position.x + reach) / size),
-            math.floor((position.y - reach) / size),
-            math.floor((position.y + reach) / size),
-        )
-
     def query_ids(self, position: Vec2, radius: float) -> List[int]:
         """Ids in every cell intersecting the slack-widened query disk."""
-        if not math.isfinite(radius + self.slack_m):
+        reach = radius + self.slack_m
+        if not math.isfinite(reach):
             return list(self._cell_of)
-        cx_min, cx_max, cy_min, cy_max = self.cell_span(position, radius)
+        size = self.cell_size_m
+        cx_min = math.floor((position.x - reach) / size)
+        cx_max = math.floor((position.x + reach) / size)
+        cy_min = math.floor((position.y - reach) / size)
+        cy_max = math.floor((position.y + reach) / size)
         cells = self._cells
         ids: List[int] = []
         if (cx_max - cx_min + 1) * (cy_max - cy_min + 1) > len(cells):

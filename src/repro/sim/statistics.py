@@ -246,10 +246,9 @@ class StatsCollector:
         receiver ids exactly as one ``data_delivered(packet, now,
         receiver=receiver)`` per id, in order, does -- which, for a
         broadcast flow, is this counter with a one-id batch -- and returns
-        how many were new deliveries.  Dedup is per (receiver, packet); the
-        counts and samples of a batch are added at once, and with a tap
-        attached it is emitted per receiver, in batch order.  Meant for a
-        claimed frame (see
+        how many were new deliveries.  Dedup is per (receiver, packet) and
+        the tap is emitted per receiver, in batch order, with the flow
+        counted up to that receiver.  Meant for a claimed frame (see
         :meth:`~repro.sim.medium.WirelessMedium.claim_frames`), whose
         receivers are all served at ``now``.
 
@@ -274,34 +273,23 @@ class StatsCollector:
         tap = self.tap
 
         def count(receivers: List[int]) -> int:
-            if not receivers:
-                return 0
             counted = by_key.get(key)
             if counted is None:
                 counted = by_key[key] = set()
-            if tap is not None:
-                # The tap sees each receiver with the flow counted up to it.
-                new = 0
-                for receiver in receivers:
-                    if receiver in counted:
-                        flow.duplicates += 1
+            new = 0
+            for receiver in receivers:
+                if receiver in counted:
+                    flow.duplicates += 1
+                    if tap is not None:
                         tap.packet_delivered(packet, flow, receiver, False, delay)
-                        continue
-                    counted.add(receiver)
-                    new += 1
-                    flow.delivered += 1
-                    flow.delays.append(delay)
-                    flow.hop_counts.append(hops)
+                    continue
+                counted.add(receiver)
+                new += 1
+                flow.delivered += 1
+                flow.delays.append(delay)
+                flow.hop_counts.append(hops)
+                if tap is not None:
                     tap.packet_delivered(packet, flow, receiver, True, delay)
-                return new
-            before = len(counted)
-            counted.update(receivers)
-            new = len(counted) - before
-            flow.duplicates += len(receivers) - new
-            if new:
-                flow.delivered += new
-                flow.delays.extend([delay] * new)
-                flow.hop_counts.extend([hops] * new)
             return new
 
         return count

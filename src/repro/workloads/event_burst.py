@@ -237,21 +237,17 @@ class EventBurstWorkload(Workload):
             relays = packet.ttl > 1
 
             def receive(nodes: List["Node"], rx_power_dbm: float) -> None:
-                scoped = [node for node in nodes if node.node_id in in_scope]
-                if not scoped:
-                    return
-                # Counting draws nothing and schedules nothing, so counting
-                # the batch before the relays leaves every draw and event
-                # of a per-receiver walk in place.
-                count([node.node_id for node in scoped])
-                # Geo-scoped flooding: every in-scope receiver relays each
-                # warning exactly once while the hop budget lasts.
-                done = rebroadcast_done.setdefault(key, set())
-                if relays:
-                    for node in scoped:
-                        if node.node_id not in done:
-                            done.add(node.node_id)
-                            node.send(packet.forwarded(), BROADCAST)
+                for node in nodes:
+                    node_id = node.node_id
+                    if node_id not in in_scope:
+                        continue
+                    count([node_id])
+                    # Geo-scoped flooding: every in-scope receiver relays
+                    # each warning exactly once while the hop budget lasts.
+                    done = rebroadcast_done.setdefault(key, set())
+                    if relays and node_id not in done:
+                        done.add(node_id)
+                        node.send(packet.forwarded(), BROADCAST)
 
             return receive
 

@@ -14,6 +14,7 @@ all three.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -21,6 +22,7 @@ import pytest
 from repro.geometry import Vec2
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scenarios import scenario_from_name
+from repro.monitors.base import Monitor
 from repro.protocols.location import LocationService
 from repro.protocols.registry import make_protocol_factory
 from repro.radio.propagation import FreeSpacePropagation
@@ -31,6 +33,7 @@ from repro.sim.network import Network
 from repro.sim.node import StaticPositionProvider
 from repro.sim.packet import BROADCAST, make_control_packet
 from repro.sim.statistics import StatsCollector
+from repro.sim.tap import EventTap
 from repro.sim.trace import EventTrace
 from repro.workloads import WORKLOADS
 from tests.helpers import caches_off, use_linear_scan
@@ -318,3 +321,65 @@ def test_storm_matches_the_linear_scan_oracle(traced):
     summary, extra, _, _ = run
     assert summary["beacon_transmissions"] > 0
     assert extra["mean_beacon_receivers"] > 0
+
+
+class _TapLog(Monitor):
+    """A monitor that logs every delivery and drop the stats tap emits, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def on_packet_delivered(self, now, packet, flow, receiver, new, delay):
+        self.log.append(("delivered", packet.flow_key, receiver, new))
+
+    def on_packet_dropped(self, now, reason, count):
+        self.log.append(("dropped", reason))
+
+
+def _event_burst_tap_log(traced):
+    """The tap log of a warning storm whose relays overflow one-frame MAC queues."""
+    scenario = scenario_from_name(
+        "highway-2km-normal",
+        seed=1,
+        duration_s=3.0,
+        drain_s=0.5,
+        max_vehicles=40,
+        workload="event-burst-storm",
+    )
+    runner = ExperimentRunner(trace_enabled=traced, trace_max_records=None)
+    built = runner.build(scenario)
+    recorder = _TapLog()
+    built.stats.tap = EventTap(built.sim, [recorder])
+    factory = make_protocol_factory(
+        "Greedy",
+        location_service=LocationService(built.network),
+        road_graph=built.road_graph,
+    )
+    built.network.attach_protocols(factory)
+    for node in built.network.nodes.values():
+        node.mac.config = dataclasses.replace(node.mac.config, max_queue=1)
+    workload = WORKLOADS.resolve(scenario.workload, **dict(scenario.workload_params))
+    workload.build(scenario, built, built.sim.rng.stream("traffic"))
+    built.network.start()
+    built.sim.run(until=scenario.duration_s + scenario.drain_s)
+    return recorder.log
+
+
+def test_event_burst_taps_in_the_order_of_a_per_receiver_walk():
+    """An EVT receiver is counted and relays before the next one is counted.
+
+    The untraced run settles warnings in bulk, the traced one walks their
+    receivers one per hand-off; a relay that overflows its MAC queue emits
+    its drop between two receivers' deliveries on both.
+    """
+    log = _event_burst_tap_log(traced=False)
+    assert log == _event_burst_tap_log(traced=True)
+    between = [
+        i
+        for i in range(1, len(log) - 1)
+        if log[i] == ("dropped", "queue")
+        and log[i - 1][0] == log[i + 1][0] == "delivered"
+        and log[i - 1][1] == log[i + 1][1]
+    ]
+    assert between
