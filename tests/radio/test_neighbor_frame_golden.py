@@ -12,7 +12,9 @@ frame path: no cell may change by a single bit.
   (``is_bus``) -- and of Grid-Gateway and CAR, on their presets;
 * one cell run with an enabled :class:`~repro.sim.trace.EventTrace`, pinned
   by a digest of its ``rx``/``collision`` records, so the trace-guarded
-  delivery path is covered as well as the untraced one.
+  delivery path is covered as well as the untraced one, and by a digest of
+  its ``delivered`` records, which count every copy a destination delivers
+  (the summary counts first deliveries only).
 
 Regenerate (only for a deliberate, explained behaviour change) with::
 
@@ -82,8 +84,8 @@ def _run(protocol: str, preset: str, overrides: dict, seed: int) -> dict:
     return {"summary": result.summary, "extra": result.extra}
 
 
-def _rx_digest(trace) -> dict:
-    """Digest of the ``rx``/``collision`` records, modulo packet uids.
+def record_digest(trace, categories=("rx", "collision")) -> dict:
+    """Digest of the trace records in ``categories``, modulo packet uids.
 
     Packet uids come from a process-global counter, so they depend on what
     ran earlier in the process; everything else in a record is pinned.
@@ -91,7 +93,7 @@ def _rx_digest(trace) -> dict:
     digest = hashlib.sha256()
     count = 0
     for record in trace:
-        if record.category not in ("rx", "collision"):
+        if record.category not in categories:
             continue
         detail = sorted((k, v) for k, v in record.detail.items() if k != "uid")
         digest.update(repr((record.time, record.category, record.node_id, detail)).encode())
@@ -113,7 +115,11 @@ def _run_traced(protocol: str, preset: str, overrides: dict, seed: int) -> dict:
     built.network.start()
     built.sim.run(until=scenario.duration_s + scenario.drain_s)
     assert built.trace.dropped == 0
-    return {"summary": built.stats.summary(), "trace": _rx_digest(built.trace)}
+    return {
+        "summary": built.stats.summary(),
+        "trace": record_digest(built.trace),
+        "delivered": record_digest(built.trace, ("delivered",)),
+    }
 
 
 @pytest.mark.parametrize(
@@ -131,6 +137,7 @@ def test_traced_cell_matches_golden():
     golden = json.loads(GOLDEN_PATH.read_text())[_key(label, seed)]
     replay = _run_traced(protocol, preset, overrides, seed)
     assert replay["trace"]["records"] > 0
+    assert replay["delivered"]["records"] > 0
     assert replay == golden
 
 
