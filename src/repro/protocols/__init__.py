@@ -13,8 +13,9 @@ Shared building blocks live at this level:
   discovery lifecycle (:class:`OnDemandProtocol`), source-route forwarding
   (:class:`SourceRoutingProtocol`), and the duplicate caches, route tables
   and pending-packet buffers they use.
-* :mod:`repro.protocols.relay` -- the data receive and greedy next hop of
-  the beacon-driven hop-by-hop relays (:class:`RelayProtocol`).
+* :mod:`repro.protocols.relay` -- the one data receive of the floods and
+  the hop-by-hop relays (:class:`ForwardingProtocol`), and the location
+  lookup and greedy next hop of the relays (:class:`RelayProtocol`).
 * :mod:`repro.protocols.location` -- the idealised location service the
   geographic protocols assume (GPS plus a location lookup).
 """

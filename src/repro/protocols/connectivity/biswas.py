@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.core.taxonomy import Category, register_protocol
-from repro.protocols.base import ProtocolConfig, RoutingProtocol
-from repro.protocols.discovery import DuplicateCache
+from repro.protocols.base import ProtocolConfig
+from repro.protocols.relay import ForwardingProtocol
 from repro.sim.network import Network
 from repro.sim.node import Node
-from repro.sim.packet import BROADCAST, Packet
+from repro.sim.packet import Packet
 
 
 @dataclass
@@ -39,8 +39,12 @@ class BiswasConfig(ProtocolConfig):
     "Flooding with implicit acknowledgements and periodic retransmission.",
     paper_reference="[9], Sec. III.B",
 )
-class BiswasProtocol(RoutingProtocol):
+class BiswasProtocol(ForwardingProtocol):
     """Flooding where overheard rebroadcasts act as acknowledgements."""
+
+    destination_first = False
+    seen_lifetime_s = 60.0
+    delivers_broadcast = True
 
     def __init__(
         self,
@@ -49,42 +53,18 @@ class BiswasProtocol(RoutingProtocol):
         config: Optional[BiswasConfig] = None,
     ) -> None:
         super().__init__(node, network, config if config is not None else BiswasConfig())
-        self._seen = DuplicateCache(lifetime_s=60.0)
         #: flow_key -> {"packet", "retries", "acked"}
         self._awaiting_ack: Dict[Tuple, Dict[str, object]] = {}
 
-    # ------------------------------------------------------------------- data
-    def route_data(self, packet: Packet) -> None:
-        """Flood the packet and watch for implicit acknowledgements."""
-        if packet.destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
-        self._seen.seen(packet.flow_key, self.now)
-        self._transmit_with_ack(packet)
-
-    # -------------------------------------------------------------- reception
     def handle_packet(self, packet: Packet, sender_id: int) -> None:
-        """Deliver / rebroadcast new packets; treat duplicates as implicit ACKs."""
-        if not packet.is_data:
-            return
-        key = packet.flow_key
-        pending = self._awaiting_ack.get(key)
+        """Take any copy of a packet awaiting its ack as that ack, then receive it."""
+        pending = self._awaiting_ack.get(packet.flow_key)
         if pending is not None:
             pending["acked"] = True
-        if self._seen.seen(key, self.now):
-            return
-        if packet.destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
-        if packet.destination == BROADCAST:
-            self.deliver_locally(packet)
-        if packet.ttl <= 1:
-            self.stats.ttl_drop()
-            return
-        self._transmit_with_ack(packet.forwarded())
+        super().handle_packet(packet, sender_id)
 
-    # -------------------------------------------------------------- internals
-    def _transmit_with_ack(self, packet: Packet) -> None:
+    def _forward(self, packet: Packet) -> None:
+        """Broadcast the packet and watch for its implicit acknowledgement."""
         key = packet.flow_key
         self._awaiting_ack[key] = {"packet": packet, "retries": 0, "acked": False}
         self.broadcast(packet)

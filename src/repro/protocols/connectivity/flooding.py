@@ -11,11 +11,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.taxonomy import Category, register_protocol
-from repro.protocols.base import ProtocolConfig, RoutingProtocol
-from repro.protocols.discovery import DuplicateCache
+from repro.protocols.base import ProtocolConfig
+from repro.protocols.relay import ForwardingProtocol
 from repro.sim.network import Network
 from repro.sim.node import Node
-from repro.sim.packet import BROADCAST, Packet
+from repro.sim.packet import Packet
 
 
 @dataclass
@@ -36,8 +36,12 @@ class FloodingConfig(ProtocolConfig):
     "Blind flooding of data packets with duplicate suppression.",
     paper_reference="Sec. III.A",
 )
-class FloodingProtocol(RoutingProtocol):
+class FloodingProtocol(ForwardingProtocol):
     """Blind flooding with per-packet duplicate suppression."""
+
+    destination_first = False
+    seen_lifetime_s = 60.0
+    delivers_broadcast = True
 
     def __init__(
         self,
@@ -46,32 +50,11 @@ class FloodingProtocol(RoutingProtocol):
         config: Optional[FloodingConfig] = None,
     ) -> None:
         super().__init__(node, network, config if config is not None else FloodingConfig())
-        self._seen = DuplicateCache(lifetime_s=60.0)
 
-    # ------------------------------------------------------------------ data
-    def route_data(self, packet: Packet) -> None:
-        """Originate a data packet by flooding it."""
-        if packet.destination == self.node.node_id:
-            self.deliver_locally(packet)
+    def _forward(self, packet: Packet) -> None:
+        """Broadcast at once at the origin; rebroadcast a relayed copy after a jitter."""
+        if packet.hop_count == 0:
+            self.broadcast(packet)
             return
-        self._seen.seen(packet.flow_key, self.now)
-        self.broadcast(packet)
-
-    # -------------------------------------------------------------- reception
-    def handle_packet(self, packet: Packet, sender_id: int) -> None:
-        """Deliver packets addressed to us and rebroadcast everything new."""
-        if not packet.is_data:
-            return
-        if self._seen.seen(packet.flow_key, self.now):
-            return
-        if packet.destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
-        if packet.destination == BROADCAST:
-            self.deliver_locally(packet)
-        if packet.ttl <= 1:
-            self.stats.ttl_drop()
-            return
-        forwarded = packet.forwarded()
         jitter = self.rng.uniform(0.0, self.config.rebroadcast_jitter_s)
-        self.sim.schedule(jitter, self.broadcast, forwarded)
+        self.sim.schedule(jitter, self.broadcast, packet)

@@ -14,8 +14,7 @@ from typing import Optional
 
 from repro.core.taxonomy import Category, register_protocol
 from repro.geometry import Vec2
-from repro.protocols.base import ProtocolConfig, RoutingProtocol
-from repro.protocols.discovery import DuplicateCache
+from repro.protocols.connectivity.flooding import FloodingConfig, FloodingProtocol
 from repro.protocols.location import LocationService
 from repro.roadnet.zones import CorridorZone
 from repro.sim.network import Network
@@ -24,17 +23,15 @@ from repro.sim.packet import Packet
 
 
 @dataclass
-class ZoneConfig(ProtocolConfig):
+class ZoneConfig(FloodingConfig):
     """Zone-routing parameters.
 
     Attributes:
         corridor_width_m: Half-width of the forwarding corridor around the
             source-destination line.
-        rebroadcast_jitter_s: Random delay before a rebroadcast.
     """
 
     corridor_width_m: float = 300.0
-    rebroadcast_jitter_s: float = 0.01
 
 
 @register_protocol(
@@ -43,10 +40,12 @@ class ZoneConfig(ProtocolConfig):
     "Zone-restricted flooding: only nodes inside the source-destination corridor rebroadcast.",
     paper_reference="[22], Sec. VI.B",
 )
-class ZoneProtocol(RoutingProtocol):
+class ZoneProtocol(FloodingProtocol):
     """Corridor-restricted flooding."""
 
     uses_location_service = True
+    seen_lifetime_s = 30.0
+    delivers_broadcast = False
 
     def __init__(
         self,
@@ -59,46 +58,27 @@ class ZoneProtocol(RoutingProtocol):
         self.location = (
             location_service if location_service is not None else LocationService(network)
         )
-        self._seen = DuplicateCache(lifetime_s=30.0)
 
-    # ------------------------------------------------------------------- data
     def route_data(self, packet: Packet) -> None:
         """Stamp the corridor endpoints into the packet and flood it."""
-        if packet.destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
-        destination_position = self.location.position_of(packet.destination)
-        if destination_position is None:
-            self.stats.no_route_drop()
-            return
-        packet.headers["zone_src_x"] = self.node.position.x
-        packet.headers["zone_src_y"] = self.node.position.y
-        packet.headers["zone_dst_x"] = destination_position.x
-        packet.headers["zone_dst_y"] = destination_position.y
-        self._seen.seen(packet.flow_key, self.now)
-        self.broadcast(packet)
+        if packet.destination != self.node.node_id:
+            destination_position = self.location.position_of(packet.destination)
+            if destination_position is None:
+                self.stats.no_route_drop()
+                return
+            packet.headers["zone_src_x"] = self.node.position.x
+            packet.headers["zone_src_y"] = self.node.position.y
+            packet.headers["zone_dst_x"] = destination_position.x
+            packet.headers["zone_dst_y"] = destination_position.y
+        super().route_data(packet)
 
-    # -------------------------------------------------------------- reception
-    def handle_packet(self, packet: Packet, sender_id: int) -> None:
-        """Rebroadcast new packets only when inside the packet's corridor."""
-        if not packet.is_data:
-            return
-        if self._seen.seen(packet.flow_key, self.now):
-            return
-        if packet.destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
-        if packet.ttl <= 1:
-            self.stats.ttl_drop()
-            return
+    def _forward(self, packet: Packet) -> None:
+        """Rebroadcast only from inside the packet's corridor (the origin is on it)."""
         zone = self._zone_of(packet)
         if zone is not None and not zone.contains(self.node.position):
             # Outside the zone: read and drop, exactly as the paper describes.
             return
-        forwarded = packet.forwarded()
-        cfg: ZoneConfig = self.config  # type: ignore[assignment]
-        jitter = self.rng.uniform(0.0, cfg.rebroadcast_jitter_s)
-        self.sim.schedule(jitter, self.broadcast, forwarded)
+        super()._forward(packet)
 
     # -------------------------------------------------------------- internals
     def _zone_of(self, packet: Packet) -> Optional[CorridorZone]:

@@ -17,7 +17,6 @@ from typing import List, Optional, Tuple
 
 from repro.core.taxonomy import Category, register_protocol
 from repro.protocols.base import ProtocolConfig
-from repro.protocols.discovery import DuplicateCache
 from repro.protocols.location import LocationService
 from repro.protocols.neighbors import NeighborEntry
 from repro.protocols.relay import RelayProtocol
@@ -52,6 +51,9 @@ class BusFerryConfig(ProtocolConfig):
 class BusFerryProtocol(RelayProtocol):
     """Store-carry-forward routing with buses as high-capacity ferries."""
 
+    #: Packets are carried for up to ``buffer_timeout_s``; remember relays as long.
+    seen_lifetime_s = 60.0
+
     def __init__(
         self,
         node: Node,
@@ -66,8 +68,6 @@ class BusFerryProtocol(RelayProtocol):
             extra_fields=lambda: {"is_bus": self.node.kind is NodeKind.BUS}
         )
         self._buffer: List[Tuple[float, Packet]] = []
-        # Packets are carried for up to ``buffer_timeout_s``; remember relays as long.
-        self._seen = DuplicateCache(lifetime_s=60.0)
         self._delivery_task = None
 
     # ------------------------------------------------------------------ setup

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.taxonomy import Category, register_protocol
-from repro.protocols.base import ProtocolConfig, RoutingProtocol
-from repro.protocols.discovery import DuplicateCache
+from repro.protocols.base import ProtocolConfig
 from repro.protocols.location import LocationService
 from repro.protocols.neighbors import NeighborEntry
+from repro.protocols.relay import RelayProtocol
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.packet import Packet
@@ -52,10 +52,10 @@ class WeddeConfig(ProtocolConfig):
     "Rating-value routing: forward over links whose traffic-situation rating is high enough.",
     paper_reference="[15], Sec. IV.B",
 )
-class WeddeProtocol(RoutingProtocol):
+class WeddeProtocol(RelayProtocol):
     """Hop-by-hop forwarding driven by a traffic-situation rating."""
 
-    uses_location_service = True
+    destination_first = False
 
     def __init__(
         self,
@@ -64,12 +64,10 @@ class WeddeProtocol(RoutingProtocol):
         config: Optional[WeddeConfig] = None,
         location_service: Optional[LocationService] = None,
     ) -> None:
-        super().__init__(node, network, config if config is not None else WeddeConfig())
-        self.location = (
-            location_service if location_service is not None else LocationService(network)
+        super().__init__(
+            node, network, config if config is not None else WeddeConfig(), location_service
         )
         self.beacons = self.beacon_service(extra_fields=lambda: {"rating": self.own_rating()})
-        self._seen = DuplicateCache(lifetime_s=30.0)
 
     # ----------------------------------------------------------------- rating
     def own_rating(self) -> float:
@@ -95,32 +93,9 @@ class WeddeProtocol(RoutingProtocol):
         fluidity_score = min(1.0, mean_speed / cfg.free_flow_speed_mps)
         return 0.5 * density_score + 0.5 * fluidity_score
 
-    # ------------------------------------------------------------------- data
-    def route_data(self, packet: Packet) -> None:
-        """Forward to the best-rated neighbour making progress toward the destination."""
-        if packet.destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
-        self._seen.seen(packet.flow_key, self.now)
-        self._forward(packet)
-
-    # -------------------------------------------------------------- reception
-    def handle_packet(self, packet: Packet, sender_id: int) -> None:
-        """Handle data frames (HELLOs reach the beacon service directly)."""
-        if not packet.is_data:
-            return
-        if self._seen.seen(packet.flow_key, self.now):
-            return
-        if packet.destination == self.node.node_id:
-            self.deliver_locally(packet)
-            return
-        if packet.ttl <= 1:
-            self.stats.ttl_drop()
-            return
-        self._forward(packet.forwarded())
-
     # -------------------------------------------------------------- internals
     def _forward(self, packet: Packet) -> None:
+        """Unicast to the best-rated neighbour making progress toward the destination."""
         cfg: WeddeConfig = self.config  # type: ignore[assignment]
         destination_position = self.location.position_of(packet.destination)
         if destination_position is None:
