@@ -2,12 +2,19 @@
 
 import pytest
 
+from repro.core.taxonomy import PROTOCOLS
 from repro.protocols.connectivity import AodvConfig
 from repro.protocols.infrastructure import RsuRelayConfig
-from repro.sim.packet import BROADCAST
+from repro.protocols.relay import ForwardingProtocol
+from repro.sim.packet import BROADCAST, make_data_packet
 from tests.helpers import build_static_network, line_positions, run_data_flow
 
 SPACING = 200.0
+
+#: Every registered protocol that receives data through the shared receive.
+FORWARDING = [
+    name for name in PROTOCOLS.names() if issubclass(PROTOCOLS[name], ForwardingProtocol)
+]
 
 
 class TestAodvMaintenance:
@@ -126,3 +133,48 @@ class TestBroadcastDataHandling:
         # Every node transmitted the broadcast once (possibly a couple of
         # Biswas retransmissions on top).
         assert stats.data_transmissions >= len(nodes) - 1
+
+
+@pytest.mark.parametrize("protocol", FORWARDING)
+def test_shared_data_receive(protocol):
+    """The rules of :meth:`ForwardingProtocol.handle_packet`, frame by frame."""
+    sim, network, stats, nodes = build_static_network(
+        line_positions(3, SPACING), protocol=protocol
+    )
+    source, relay, far = (node.node_id for node in nodes)
+    receiver = nodes[1].protocol
+    forwarded, delivered = [], []
+    receiver._forward = forwarded.append
+    receiver.deliver_locally = delivered.append
+
+    def data(destination, seq, ttl=32):
+        return make_data_packet(protocol, source, destination, flow_id=1, seq=seq, ttl=ttl)
+
+    # A control frame is ignored, wherever it is addressed.
+    for destination in (relay, far):
+        receiver.handle_packet(receiver.make_control("PROBE", destination), source)
+    assert (forwarded, delivered, stats.ttl_drops) == ([], [], 0)
+
+    # A frame out of hops counts one TTL drop and goes nowhere.
+    receiver.handle_packet(data(far, seq=1, ttl=1), source)
+    assert (forwarded, stats.ttl_drops) == ([], 1)
+
+    # A relay forwards the first copy of a packet only.
+    receiver.handle_packet(data(far, seq=2), source)
+    receiver.handle_packet(data(far, seq=2), far)
+    assert [packet.seq for packet in forwarded] == [2]
+    assert forwarded[0].hop_count == 1
+
+    # A destination delivers the first copy only when it checks for
+    # duplicates first (the floods), every copy otherwise (the relays).
+    receiver.handle_packet(data(relay, seq=3), source)
+    receiver.handle_packet(data(relay, seq=3), far)
+    expected = 2 if PROTOCOLS[protocol].destination_first else 1
+    assert [packet.seq for packet in delivered] == [3] * expected
+    assert len(forwarded) == 1
+
+    # Broadcast data is delivered on the way only by the members that say so.
+    delivered.clear()
+    receiver.handle_packet(data(BROADCAST, seq=4), source)
+    assert len(delivered) == int(PROTOCOLS[protocol].delivers_broadcast)
+    assert [packet.seq for packet in forwarded] == [2, 4]
