@@ -9,7 +9,8 @@ medium whose node index returns every node).  Each side of a cell is run
 :data:`SCALING_REPEATS` times on a fresh network, with the garbage
 collector paused while it is timed, and the fastest run is its time: one
 collection or host stall in a single short window would otherwise move the
-speedup by a third.  A scan over all N registered
+speedup by a third.  The two sides' runs alternate, so a slow host phase
+that outlasts several runs slows both sides rather than setting one.  A scan over all N registered
 nodes per delivered frame makes frame delivery cost O(N) and a beacon
 interval O(N^2); the uniform-grid index bounds both by the local
 neighbourhood.
@@ -178,20 +179,14 @@ def _build_network(n: int, radio: str, oracle: bool, seed: int = 5):
 
 
 class ScalingCell(NamedTuple):
-    """One (population, oracle, radio) run of the scaling matrix (picklable)."""
+    """One (population, radio) cell of the scaling matrix (picklable)."""
 
     vehicles: int
-    oracle: bool
     radio: str
 
 
 #: The explicit run matrix this benchmark executes through the sweep layer.
-CELLS = [
-    ScalingCell(n, oracle, radio)
-    for n in POPULATIONS
-    for oracle in (True, False)
-    for radio in RADIOS
-]
+CELLS = [ScalingCell(n, radio) for n in POPULATIONS for radio in RADIOS]
 
 #: Worker processes.  Defaults to serial execution because the measured
 #: quantity is wall-clock time: co-scheduled workers would contend for CPU
@@ -201,15 +196,16 @@ CELLS = [
 WORKERS = sweep_workers(var="REPRO_SCALING_WORKERS")
 
 
-def _time_scaling_run(cell: ScalingCell):
-    """``(wall seconds, transmissions)`` of one run of ``cell`` on a fresh network.
+def _time_scaling_run(cell: ScalingCell, oracle: bool):
+    """``(wall seconds, transmissions)`` of one run of one side of ``cell``.
 
     The network is deliberately not started: no mobility stepping, HELLO
     beaconing or routing runs, so the timed event load is pure frame
     delivery through the medium (or the oracle) under the cell's radio
-    stack.  The collector is paused while the run is timed.
+    stack.  ``oracle`` picks the linear-scan side.  The run uses a fresh
+    network and is timed with the collector paused.
     """
-    sim, network, stats = _build_network(cell.vehicles, cell.radio, cell.oracle)
+    sim, network, stats = _build_network(cell.vehicles, cell.radio, oracle)
     rng = random.Random(99)
     for node in network.nodes.values():
         for _ in range(FRAMES_PER_NODE):
@@ -226,49 +222,41 @@ def _time_scaling_run(cell: ScalingCell):
 
 
 def run_scaling_cell(cell: ScalingCell) -> dict:
-    """Broadcast beacon-sized frames from every node and time frame delivery.
+    """Broadcast beacon-sized frames from every node; time oracle and grid.
 
-    The cell's time is the fastest of :data:`SCALING_REPEATS` runs, each on
-    a fresh network; every run must push the same frames through.
+    The oracle and grid runs alternate, :data:`SCALING_REPEATS` of each;
+    a side's time is its fastest run, and every run of a side must push
+    the same frames through.
     """
-    runs = [_time_scaling_run(cell) for _ in range(SCALING_REPEATS)]
-    transmissions = {count for _, count in runs}
-    assert len(transmissions) == 1, f"{cell}: runs disagree: {sorted(transmissions)}"
+    runs = {True: [], False: []}
+    for _ in range(SCALING_REPEATS):
+        for oracle in runs:
+            runs[oracle].append(_time_scaling_run(cell, oracle))
+    sides = {}
+    for oracle, side in runs.items():
+        transmissions = {count for _, count in side}
+        assert len(transmissions) == 1, (
+            f"{cell} oracle={oracle}: runs disagree: {sorted(transmissions)}"
+        )
+        sides[oracle] = (min(wall for wall, _ in side), transmissions.pop())
+    (linear_s, tx_linear), (grid_s, tx_grid) = sides[True], sides[False]
+    frames = cell.vehicles * FRAMES_PER_NODE
     return {
         "vehicles": cell.vehicles,
-        "oracle": cell.oracle,
         "radio": cell.radio,
-        "wall_s": min(wall for wall, _ in runs),
-        "transmissions": transmissions.pop(),
+        "frames": frames,
+        "linear_s": round(linear_s, 4),
+        "grid_s": round(grid_s, 4),
+        "linear_frames_per_s": round(frames / max(linear_s, 1e-9), 1),
+        "grid_frames_per_s": round(frames / max(grid_s, 1e-9), 1),
+        "grid_speedup": round(linear_s / max(grid_s, 1e-9), 2),
+        "tx_linear": tx_linear,
+        "tx_grid": tx_grid,
     }
 
 
 def _sweep():
-    outcomes = execute_cells(CELLS, run_scaling_cell, workers=WORKERS)
-    by_cell = {(o["vehicles"], o["oracle"], o["radio"]): o for o in outcomes}
-    rows = []
-    for n in POPULATIONS:
-        for radio in RADIOS:
-            linear = by_cell[(n, True, radio)]
-            grid = by_cell[(n, False, radio)]
-            frames = n * FRAMES_PER_NODE
-            rows.append(
-                {
-                    "vehicles": n,
-                    "radio": radio,
-                    "frames": frames,
-                    "linear_s": round(linear["wall_s"], 4),
-                    "grid_s": round(grid["wall_s"], 4),
-                    "linear_frames_per_s": round(frames / max(linear["wall_s"], 1e-9), 1),
-                    "grid_frames_per_s": round(frames / max(grid["wall_s"], 1e-9), 1),
-                    "grid_speedup": round(
-                        linear["wall_s"] / max(grid["wall_s"], 1e-9), 2
-                    ),
-                    "tx_linear": linear["transmissions"],
-                    "tx_grid": grid["transmissions"],
-                }
-            )
-    return rows
+    return execute_cells(CELLS, run_scaling_cell, workers=WORKERS)
 
 
 def storm_blocks_for(vehicles: int) -> int:
@@ -307,7 +295,8 @@ def run_storm_cell(vehicles: int = STORM_VEHICLES) -> dict:
     period so the storm reaches steady state immediately.  Frames go
     straight into the medium (``begin_transmission``) rather than through
     the MAC: carrier-sense deferrals would spread the offered load and the
-    cell is measuring frame delivery, not CSMA.  The row carries the
+    cell is measuring frame delivery, not CSMA.  The run is timed with the
+    collector paused, as the scaling runs are.  The row carries the
     fastest of the host probes taken just before and just after the run
     (``probe_s``) and the frame rate in probe units (``probe_frames_per_s``,
     see :func:`probe_scaled_rate`).
@@ -334,9 +323,11 @@ def run_storm_cell(vehicles: int = STORM_VEHICLES) -> dict:
                 offset + k * period, medium.begin_transmission, node, packet, BROADCAST, airtime
             )
     probe_before = _probe_s()
-    started = time.perf_counter()
-    sim.run(until=STORM_BEACONS_PER_NODE * period + 2.0 * period)
-    wall = time.perf_counter() - started
+    gc.collect()
+    with _collector_paused():
+        started = time.perf_counter()
+        sim.run(until=STORM_BEACONS_PER_NODE * period + 2.0 * period)
+        wall = time.perf_counter() - started
     probe_s = min(probe_before, _probe_s())
     frames = stats.control_transmissions
     frames_per_s = frames / wall if wall > 0 else 0.0

@@ -47,6 +47,8 @@ PERF_BEST_OF = 3
 #: Floor on the N=800 storm's best-of-N frames/s in host-probe units.  Five
 #: clean runs on a shared 2-vCPU x86_64 host (Python 3.11) read 10362-13215;
 #: two runs of a copy stalling 0.1 ms per frame completion read 6998 and 7117.
+#: With the collector paused while the storm is timed, five clean runs on
+#: another 2-vCPU host read 19363-23394, and the stalling copy 6572 and 6434.
 MIN_PROBE_RATE = 9000.0
 
 #: Fields every storm row must carry (the JSON contract docs quote from).
