@@ -10,10 +10,10 @@ medium whose node index returns every node).  Each side of a cell is run
 collector paused while it is timed, and the fastest run is its time: one
 collection or host stall in a single short window would otherwise move the
 speedup by a third.  The two sides' runs alternate, so a slow host phase
-that outlasts several runs slows both sides rather than setting one.  A scan over all N registered
-nodes per delivered frame makes frame delivery cost O(N) and a beacon
-interval O(N^2); the uniform-grid index bounds both by the local
-neighbourhood.
+that outlasts several runs slows both sides rather than setting one.  A
+scan over all N registered nodes per delivered frame makes frame delivery
+cost O(N) and a beacon interval O(N^2); the uniform-grid index bounds both
+by the local neighbourhood.
 
 The sweep also carries a radio axis: the default ``ideal-disk-250m`` stack
 (finite range, where both columns are trace-for-trace identical and the

@@ -9,7 +9,7 @@ frame addressed to this node is delivered, a frame out of hops is dropped,
 and anything else goes, as a :meth:`~repro.sim.packet.Packet.forwarded`
 copy, to the protocol's own :meth:`~ForwardingProtocol._forward`.
 :class:`ForwardingProtocol` writes that receive once; :class:`RelayProtocol`
-adds the location service and the greedy next hop of the located members.
+adds the location service and the greedy next hop of Wedde and the relays.
 
 Three class constants carry what really differs between the members:
 
@@ -92,7 +92,7 @@ class ForwardingProtocol(RoutingProtocol):
 
 
 class RelayProtocol(ForwardingProtocol):
-    """Base class of the members that look up the destination's position."""
+    """Base class of Wedde and the relays: a location service and greedy next hops."""
 
     uses_location_service = True
 
